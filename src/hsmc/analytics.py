@@ -15,9 +15,9 @@ import math
 
 import numpy as np
 
-from .sampling import McEstimate, substream
+from .sampling import McEstimate, mc_estimate, substream
 from .spectrum import CompositeSpectrum, Spectrum
-from .state import DensityMatrix, PROFILE_SUM_TOLERANCE
+from .state import DensityMatrix, checked_weights
 
 __all__ = [
     "MomentQuery",
@@ -37,25 +37,13 @@ __all__ = [
 ]
 
 
-def _checked_weights(weights, n: int, what: str) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise ValueError(f"{what}: expected {n} weights, got shape {w.shape}")
-    if np.any(w < 0):
-        raise ValueError(f"{what}: weights must be nonnegative")
-    total = float(w.sum())
-    if abs(total - 1.0) > PROFILE_SUM_TOLERANCE:
-        raise ValueError(f"{what}: weights sum to {total!r}, expected 1")
-    return w
-
-
 def min_purity_state(gas: Spectrum, gas_weights) -> tuple[DensityMatrix, float]:
     """Lowest-purity gas state compatible with fixed level weights {W_A}.
 
     The minimizer spreads each level's weight evenly over its degenerate
     states: rho = diag(W_A / N_A), with purity sum_A W_A^2 / N_A.
     """
-    w = _checked_weights(gas_weights, gas.n_levels, "gas weights")
+    w = checked_weights(gas_weights, gas.n_levels, "gas weights")
     n = np.asarray(gas.degeneracies, dtype=float)
     diag = np.repeat(w / n, gas.degeneracies)
     rho = DensityMatrix(np.diag(diag.astype(complex)))
@@ -87,9 +75,9 @@ def expected_purity_exact(composite: CompositeSpectrum, gas_weights,
       + sum_B W_B^2/N_B (1 - sum_A W_A^2)
       + sum_AB W_A^2 W_B^2 (N_A + N_B) / (N_A N_B + 1)
     """
-    w_a = _checked_weights(gas_weights, composite.gas.n_levels, "gas weights")
-    w_b = _checked_weights(container_weights, composite.container.n_levels,
-                           "container weights")
+    w_a = checked_weights(gas_weights, composite.gas.n_levels, "gas weights")
+    w_b = checked_weights(container_weights, composite.container.n_levels,
+                          "container weights")
     n_a = np.asarray(composite.gas.degeneracies, dtype=float)
     n_b = np.asarray(composite.container.degeneracies, dtype=float)
 
@@ -193,37 +181,27 @@ def hypersphere_moment_mc(query: MomentQuery, n: int, seed: int,
         raise ValueError("need n >= 2 draws")
     hypersphere_moment(query)  # validate the pair up front
     rng = substream(seed, 0)
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    remaining = n
-    while remaining > 0:
-        m = min(chunk, remaining)
-        remaining -= m
-        x = rng.standard_normal((m, query.d))
-        norms = np.linalg.norm(x, axis=1)
+    return mc_estimate((_sphere_values(query, rng, min(chunk, n - start))
+                        for start in range(0, n, chunk)), seed)
+
+
+def _sphere_values(query: MomentQuery, rng: np.random.Generator, m: int) -> np.ndarray:
+    """x_1^u_l x_2^u_m at ``m`` uniform draws from the sphere of ``query``."""
+    x = rng.standard_normal((m, query.d))
+    norms = np.linalg.norm(x, axis=1)
+    bad = norms == 0.0
+    while np.any(bad):
+        x[bad] = rng.standard_normal((int(bad.sum()), query.d))
+        norms[bad] = np.linalg.norm(x[bad], axis=1)
         bad = norms == 0.0
-        while np.any(bad):
-            x[bad] = rng.standard_normal((int(bad.sum()), query.d))
-            norms[bad] = np.linalg.norm(x[bad], axis=1)
-            bad = norms == 0.0
-        x *= query.R / norms[:, None]
-        values = np.ones(m)
-        if query.u_l > 0 and query.u_m > 0:
-            values = x[:, 0] ** query.u_l * x[:, 1] ** query.u_m
-        elif query.u_l > 0:
-            values = x[:, 0] ** query.u_l
-        elif query.u_m > 0:
-            values = x[:, 0] ** query.u_m
-        chunk_mean = float(values.mean())
-        chunk_m2 = float(np.sum((values - chunk_mean) ** 2))
-        delta = chunk_mean - mean
-        total = count + m
-        mean += delta * m / total
-        m2 += chunk_m2 + delta * delta * count * m / total
-        count = total
-    std_error = math.sqrt(m2 / (count - 1) / count)
-    return McEstimate(mean=mean, std_error=std_error, n_samples=count, seed=seed)
+    x *= query.R / norms[:, None]
+    if query.u_l > 0 and query.u_m > 0:
+        return x[:, 0] ** query.u_l * x[:, 1] ** query.u_m
+    if query.u_l > 0:
+        return x[:, 0] ** query.u_l
+    if query.u_m > 0:
+        return x[:, 0] ** query.u_m
+    return np.ones(m)
 
 
 def region_log_size(composite: CompositeSpectrum, subspace_weights,
@@ -236,14 +214,7 @@ def region_log_size(composite: CompositeSpectrum, subspace_weights,
     ``exact_exponent=True`` to keep the -1/2.  Returns -inf if any weight
     vanishes.
     """
-    w = np.asarray(subspace_weights, dtype=float)
-    if w.shape != (composite.n_subspaces,):
-        raise ValueError(f"expected {composite.n_subspaces} subspace weights")
-    if np.any(w < 0):
-        raise ValueError("subspace weights must be nonnegative")
-    total = float(w.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"subspace weights sum to {total!r}, expected 1")
+    w = checked_weights(subspace_weights, composite.n_subspaces, "subspace weights")
     exponents = composite.subspace_dims().astype(float)
     if exact_exponent:
         exponents = exponents - 0.5
@@ -270,19 +241,6 @@ class DominantDistribution:
         return np.array([self.w_d[(s.A, s.B)] for s in self.composite.subspaces])
 
 
-def _checked_shell_weights(composite: CompositeSpectrum, shell_weights) -> np.ndarray:
-    w = np.asarray(shell_weights, dtype=float)
-    if w.shape != (composite.n_shells,):
-        raise ValueError(f"expected {composite.n_shells} shell weights, "
-                         f"got shape {w.shape}")
-    if np.any(w < 0):
-        raise ValueError("shell weights must be nonnegative")
-    total = float(w.sum())
-    if abs(total - 1.0) > PROFILE_SUM_TOLERANCE:
-        raise ValueError(f"shell weights sum to {total!r}, expected 1")
-    return w
-
-
 def dominant_distribution(composite: CompositeSpectrum,
                           shell_weights) -> DominantDistribution:
     """Weight assignment {W^d_AB} maximizing region size at fixed shell weights.
@@ -291,7 +249,7 @@ def dominant_distribution(composite: CompositeSpectrum,
     weight in proportion to subspace dimension: W^d_AB = N_AB * W_E / N_E.
     Shells with zero weight get zero subspace weights and no multiplier.
     """
-    w_e = _checked_shell_weights(composite, shell_weights)
+    w_e = checked_weights(shell_weights, composite.n_shells, "shell weights")
     w_d = {}
     lambdas = {}
     for shell, w in zip(composite.shells, w_e):
@@ -314,7 +272,7 @@ def region_size_ratio(composite: CompositeSpectrum, shell_weights,
     exact ratio from the log-size difference.  They agree to third order in
     epsilon.
     """
-    w_e = _checked_shell_weights(composite, shell_weights)
+    w_e = checked_weights(shell_weights, composite.n_shells, "shell weights")
     eps = np.asarray(epsilon, dtype=float)
     if eps.shape != (composite.n_subspaces,):
         raise ValueError(f"expected {composite.n_subspaces} perturbation entries")
@@ -353,10 +311,7 @@ def region_size_ratio(composite: CompositeSpectrum, shell_weights,
 
 def marginal_gas_distribution(dd: DominantDistribution) -> np.ndarray:
     """Gas-level weights of the dominant distribution: W^d_A = sum_B W^d_AB."""
-    out = np.zeros(dd.composite.gas.n_levels)
-    for (A, _B), w in dd.w_d.items():
-        out[A] += w
-    return out
+    return dd.composite.gas_level_sums(dd.as_array())
 
 
 def fit_temperature(gas: Spectrum, marginal) -> tuple[float, float]:

@@ -30,9 +30,9 @@ from .config import ConfigError, ExperimentConfig, build_experiment, load_config
 from .dynamics import (NumericalValidationError, build_canonical_hamiltonian,
                        build_microcanonical_hamiltonian, effective_velocity,
                        evolve, max_drift)
-from .sampling import (CANONICAL, MICROCANONICAL, sample_canonical,
+from .sampling import (MICROCANONICAL, mc_estimate, sample_canonical,
                        sample_microcanonical, substream)
-from .state import product_state, write_amplitudes_csv
+from .state import PureState, product_state, write_amplitudes_csv
 
 ENERGY_DRIFT_TOLERANCE = 1e-9
 
@@ -84,23 +84,16 @@ def _sampler_for(cfg: ExperimentConfig):
     return lambda rng: sample_canonical(cfg.composite, cfg.constraint, rng)
 
 
-def _gas_marginal_weights(cfg: ExperimentConfig) -> np.ndarray | None:
-    """Gas level weights fixed by a microcanonical constraint; None for canonical."""
-    if cfg.constraint.kind != MICROCANONICAL:
-        return None
-    w_sub = cfg.constraint.resolve(cfg.composite)
-    out = np.zeros(cfg.gas.n_levels)
-    for w, sub in zip(w_sub, cfg.composite.subspaces):
-        out[sub.A] += w
-    return out
-
-
 def cmd_predict(cfg: ExperimentConfig) -> int:
     composite = cfg.composite
     predictions: dict = {"constraint_kind": cfg.constraint.kind}
 
-    gas_marginal = _gas_marginal_weights(cfg)
-    if gas_marginal is not None:
+    # A microcanonical constraint fixes subspace weights, hence the gas level
+    # weights and the shell weights; a canonical one fixes shell weights only.
+    w_shell = weights = cfg.constraint.resolve(composite)
+    if cfg.constraint.kind == MICROCANONICAL:
+        gas_marginal = composite.gas_level_sums(weights)
+        w_shell = composite.shell_sums(weights)
         _, p_min = min_purity_state(cfg.gas, gas_marginal)
         predictions["min_purity"] = p_min
         predictions["max_entropy"] = max_entropy_micro(gas_marginal, cfg.gas.degeneracies)
@@ -124,12 +117,6 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
         predictions["lubkin_average"] = None
 
     # Shell weights implied by the constraint drive the canonical attractor.
-    if cfg.constraint.kind == CANONICAL:
-        w_shell = cfg.constraint.resolve(composite)
-    else:
-        w_sub = cfg.constraint.resolve(composite)
-        w_shell = np.zeros(composite.n_shells)
-        np.add.at(w_shell, composite._shell_of_subspace, w_sub)
     dd = dominant_distribution(composite, w_shell)
     marginal = marginal_gas_distribution(dd)
     attractor_entropy = max_entropy_micro(marginal, cfg.gas.degeneracies)
@@ -185,10 +172,9 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
     ]
     if n >= 2:
         for name, values in (("purity", purities), ("entropy", entropies)):
-            mean = float(values.mean())
-            std_error = float(values.std(ddof=1) / np.sqrt(n))
-            summary_lines.append(f"{name},{mean!r},{std_error!r},{n},{cfg.seed}")
-            _say(cfg, f"{name}: mean={mean!r} std_error={std_error!r} "
+            est = mc_estimate([values], cfg.seed)
+            summary_lines.append(f"{name},{est.mean!r},{est.std_error!r},{n},{cfg.seed}")
+            _say(cfg, f"{name}: mean={est.mean!r} std_error={est.std_error!r} "
                       f"(n={n}, seed={cfg.seed})")
     with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
         fh.write("\n".join(summary_lines) + "\n")
@@ -247,8 +233,9 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
     if cfg.dump_states:
         state_dir = os.path.join(out_dir, "states")
         os.makedirs(state_dir, exist_ok=True)
-        for k, state in enumerate(traj.states):
-            write_amplitudes_csv(state, os.path.join(state_dir, f"state_{k:05d}.csv"))
+        for k, psi in enumerate(traj.amplitudes):
+            write_amplitudes_csv(PureState(composite, psi, check=False),
+                                 os.path.join(state_dir, f"state_{k:05d}.csv"))
 
     drifts = {
         "norm": max_drift(traj, "norm"),
@@ -258,11 +245,11 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
         "shell_weights": max_drift(traj, "shell_weights"),
     }
     breaches = []
-    if drifts[conserved] > cfg.conservation_tolerance:
+    if not drifts[conserved] <= cfg.conservation_tolerance:
         breaches.append(f"{conserved} drift {drifts[conserved]:.3e} exceeds "
                         f"{cfg.conservation_tolerance:.1e}")
     for name in ("norm", "energy", "v_eff"):
-        if drifts[name] > ENERGY_DRIFT_TOLERANCE:
+        if not drifts[name] <= ENERGY_DRIFT_TOLERANCE:
             breaches.append(f"{name} drift {drifts[name]:.3e} exceeds "
                             f"{ENERGY_DRIFT_TOLERANCE:.1e}")
 

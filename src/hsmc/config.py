@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import hashlib
 import json
+import math
 
 import numpy as np
 import yaml
@@ -116,9 +117,12 @@ def _float_field(section: dict, section_name: str, key: str, default):
     if value is None:
         return None
     try:
-        return float(value)
+        value = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{section_name}.{key} must be a number, got {value!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{section_name}.{key} must be finite, got {value!r}")
+    return value
 
 
 def _int_field(section: dict, section_name: str, key: str, default):

@@ -181,17 +181,23 @@ def build_canonical_hamiltonian(composite: CompositeSpectrum, coupling: float,
 class Trajectory:
     """Time series of states under one Hamiltonian, with derived measures.
 
-    ``measures`` maps names to arrays with time along the first axis:
+    ``amplitudes`` holds one flat-layout state per row, time along the first
+    axis.  ``measures`` maps names to arrays with time along the first axis:
     1-D series norm, energy, v_eff, purity, entropy; 2-D series
-    subspace_weights, shell_weights, gas_level_weights.
-    ``path_length`` is the total chord length the unit state vector travels.
+    subspace_weights, shell_weights, gas_level_weights.  ``chords`` are the
+    distances the unit state vector moves between consecutive snapshots.
     """
 
     times: np.ndarray
-    states: tuple[PureState, ...]
+    amplitudes: np.ndarray = field(repr=False)
     measures: dict[str, np.ndarray]
-    path_length: float
+    chords: np.ndarray = field(repr=False)
     hamiltonian: Hamiltonian
+
+    @property
+    def path_length(self) -> float:
+        """Total chord length the unit state vector travels."""
+        return float(self.chords.sum())
 
 
 def effective_velocity(state: PureState, hamiltonian: Hamiltonian) -> float:
@@ -222,19 +228,14 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times) -> Trajectory:
 
     energies, vectors = np.linalg.eigh(hamiltonian.matrix)
     coeffs = vectors.conj().T @ initial.amplitudes
-    phases = np.exp(-1j * np.outer(times, energies))
-    amplitudes = (phases * coeffs) @ vectors.T
+    amplitudes = (np.exp(-1j * np.outer(times, energies)) * coeffs) @ vectors.T
     exact_zero = times == 0.0
     if np.any(exact_zero):
         amplitudes[exact_zero] = initial.amplitudes
 
-    states = tuple(
-        PureState(initial.composite, amplitudes[k], check=False)
-        for k in range(len(times))
-    )
     norms = np.linalg.norm(amplitudes, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))
-    if worst > NORM_DRIFT_TOLERANCE:
+    if not worst <= NORM_DRIFT_TOLERANCE:
         raise NumericalValidationError(
             f"propagation lost normalization by {worst:.3e}"
         )
@@ -243,29 +244,30 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times) -> Trajectory:
     energy_series = np.einsum("ki,ki->k", amplitudes.conj(), h_psi).real
     v_eff_series = np.linalg.norm(h_psi, axis=1)
 
+    composite = initial.composite
     purities = np.empty(len(times))
     entropies = np.empty(len(times))
-    for k, state in enumerate(states):
-        rho = state.reduce_gas()
+    for k, psi in enumerate(amplitudes):
+        rho = PureState(composite, psi, check=False).reduce_gas()
         purities[k] = rho.purity()
         entropies[k] = rho.entropy()
 
+    w_sub = composite.subspace_sums(np.abs(amplitudes) ** 2)
     measures = {
         "norm": norms,
         "energy": energy_series,
         "v_eff": v_eff_series,
         "purity": purities,
         "entropy": entropies,
-        "subspace_weights": np.array([s.subspace_weights() for s in states]),
-        "shell_weights": np.array([s.shell_weights() for s in states]),
-        "gas_level_weights": np.array([s.gas_level_weights() for s in states]),
+        "subspace_weights": w_sub,
+        "shell_weights": composite.shell_sums(w_sub),
+        "gas_level_weights": composite.gas_level_sums(w_sub),
     }
-    chords = np.linalg.norm(np.diff(amplitudes, axis=0), axis=1)
     return Trajectory(
         times=times,
-        states=states,
+        amplitudes=amplitudes,
         measures=measures,
-        path_length=float(chords.sum()),
+        chords=np.linalg.norm(np.diff(amplitudes, axis=0), axis=1),
         hamiltonian=hamiltonian,
     )
 
@@ -303,14 +305,12 @@ def path_average(traj: Trajectory, measure_name: str):
     series = _series(traj, measure_name)
     if len(traj.times) < 2:
         raise ValueError("path_average needs at least 2 samples")
-    amps = np.array([s.amplitudes for s in traj.states])
-    chords = np.linalg.norm(np.diff(amps, axis=0), axis=1)
-    total = float(chords.sum())
+    total = traj.path_length
     if total < 1e-13:
         value = series[0]
         return float(value) if np.ndim(value) == 0 else value
     segment_means = 0.5 * (series[:-1] + series[1:])
-    weights = chords.reshape((-1,) + (1,) * (series.ndim - 1))
+    weights = traj.chords.reshape((-1,) + (1,) * (series.ndim - 1))
     value = np.sum(weights * segment_means, axis=0) / total
     return float(value) if np.ndim(value) == 0 else value
 

@@ -14,24 +14,24 @@ parallel fan-outs all produce bit-identical sample sequences.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from .spectrum import CompositeSpectrum
-from .state import PureState, WeightProfile
+from .state import PureState, WeightProfile, checked_weights, subspace_weights
 
 __all__ = [
     "MICROCANONICAL",
     "CANONICAL",
-    "WEIGHT_SUM_TOLERANCE",
     "ConstraintProfile",
     "microcanonical_profile",
     "canonical_profile",
     "product_constraint",
     "McEstimate",
+    "mc_estimate",
     "substream",
     "sample_microcanonical",
     "sample_canonical",
@@ -41,8 +41,6 @@ __all__ = [
 
 MICROCANONICAL = "microcanonical"
 CANONICAL = "canonical"
-
-WEIGHT_SUM_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,12 +61,7 @@ class ConstraintProfile:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
         if not self.weights:
             raise ValueError("constraint profile needs at least one weight")
-        values = np.array([float(v) for v in self.weights.values()])
-        if np.any(values < 0):
-            raise ValueError("constraint weights must be nonnegative")
-        total = float(values.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-            raise ValueError(f"constraint weights sum to {total!r}, expected 1")
+        checked_weights(list(self.weights.values()), len(self.weights), "constraint weights")
 
     def resolve(self, composite: CompositeSpectrum) -> np.ndarray:
         """Dense weight vector aligned with the composite's subspaces or shells.
@@ -112,9 +105,8 @@ def canonical_profile(weights: Mapping) -> ConstraintProfile:
 def product_constraint(composite: CompositeSpectrum, gas_profile: WeightProfile,
                        container_profile: WeightProfile) -> ConstraintProfile:
     """Microcanonical profile of a product initial state: W_AB = W_A * W_B."""
-    w_a = gas_profile.as_array()
-    w_b = container_profile.as_array()
-    weights = {(s.A, s.B): float(w_a[s.A] * w_b[s.B]) for s in composite.subspaces}
+    w_sub = subspace_weights(composite, gas_profile, container_profile)
+    weights = {(s.A, s.B): float(w) for s, w in zip(composite.subspaces, w_sub)}
     return ConstraintProfile(kind=MICROCANONICAL, weights=weights)
 
 
@@ -132,6 +124,31 @@ class McEstimate:
             raise ValueError("n_samples must be >= 1")
         if not self.std_error >= 0:
             raise ValueError(f"std_error {self.std_error!r} must be >= 0")
+
+
+def mc_estimate(chunks: Iterable[np.ndarray], seed: int) -> McEstimate:
+    """Mean and standard error of all values in ``chunks``, merged chunk by chunk.
+
+    Each chunk contributes its mean and sum of squared deviations; chunks are
+    combined with the pairwise update of Chan, Golub and LeVeque.  A single
+    chunk gives exactly ``values.mean()``.  Needs at least 2 values in total.
+    """
+    count = 0
+    mean = 0.0
+    m2 = 0.0
+    for values in chunks:
+        values = np.asarray(values, dtype=float)
+        m = values.size
+        chunk_mean = float(values.mean())
+        delta = chunk_mean - mean
+        total = count + m
+        mean = chunk_mean if count == 0 else mean + delta * m / total
+        m2 += float(np.sum((values - chunk_mean) ** 2)) + delta * delta * count * m / total
+        count = total
+    if count < 2:
+        raise ValueError("a standard error needs at least 2 values")
+    std_error = math.sqrt(m2 / (count - 1) / count)
+    return McEstimate(mean=mean, std_error=std_error, n_samples=count, seed=seed)
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -227,14 +244,5 @@ def mc_average(measure: Callable[[PureState], float],
     """
     if n < 2:
         raise ValueError("mc_average needs n >= 2 to estimate a standard error")
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    for i in range(n):
-        value = float(measure(sampler(substream(seed, i))))
-        count += 1
-        delta = value - mean
-        mean += delta / count
-        m2 += delta * (value - mean)
-    std_error = math.sqrt(m2 / (count - 1) / count)
-    return McEstimate(mean=mean, std_error=std_error, n_samples=count, seed=seed)
+    values = [float(measure(sampler(substream(seed, i)))) for i in range(n)]
+    return mc_estimate([values], seed)

@@ -119,8 +119,10 @@ class CompositeSpectrum:
     """Joint index space of a gas and a container spectrum.
 
     Immutable after construction; safe to share across workers.  Instances are
-    built by :func:`compose`, which also precomputes the index maps between the
-    flat block layout and the (gas row, container column) matrix layout.
+    built by :func:`compose`, which also precomputes the index map from the
+    flat block layout into the row-major dim_gas x dim_container matrix
+    (``_matrix_index[i] = row * dim_container + col``) and the subspace ->
+    shell and subspace -> gas-level maps behind the weight sums.
     """
 
     gas: Spectrum
@@ -133,11 +135,9 @@ class CompositeSpectrum:
     dim: int
     _subspace_index: dict = field(repr=False)
     _shell_of_subspace: np.ndarray = field(repr=False)
+    _gas_level_of_subspace: np.ndarray = field(repr=False)
     _block_offsets: np.ndarray = field(repr=False)
-    _rows: np.ndarray = field(repr=False)
-    _cols: np.ndarray = field(repr=False)
-    _gas_offsets: np.ndarray = field(repr=False)
-    _container_offsets: np.ndarray = field(repr=False)
+    _matrix_index: np.ndarray = field(repr=False)
     _shell_indices: tuple = field(repr=False)
 
     @property
@@ -168,7 +168,7 @@ class CompositeSpectrum:
         energies = np.array([s.energy for s in self.shells])
         i = int(np.argmin(np.abs(energies - energy)))
         atol = max(self.shell_tolerance, 1e-12) * (1.0 + abs(energy))
-        if abs(energies[i] - energy) > atol:
+        if not abs(energies[i] - energy) <= atol:
             raise KeyError(f"no shell at energy {energy!r} (nearest is {energies[i]!r})")
         return i
 
@@ -180,6 +180,32 @@ class CompositeSpectrum:
 
     def shell_dims(self) -> np.ndarray:
         return np.array([s.n_states for s in self.shells])
+
+    def subspace_sums(self, flat) -> np.ndarray:
+        """Sum the trailing flat-layout axis (length dim) over each subspace block."""
+        return np.add.reduceat(flat, self._block_offsets[:-1], axis=-1)
+
+    def shell_sums(self, per_subspace) -> np.ndarray:
+        """Sum the trailing per-subspace axis over each total-energy shell."""
+        return _group_sum(per_subspace, self._shell_of_subspace, self.n_shells)
+
+    def gas_level_sums(self, per_subspace) -> np.ndarray:
+        """Sum the trailing per-subspace axis over each gas level A."""
+        return _group_sum(per_subspace, self._gas_level_of_subspace, self.gas.n_levels)
+
+
+def _group_sum(values, groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """Sum the trailing axis of ``values`` into ``n_groups`` bins given by ``groups``.
+
+    Works on any leading shape, e.g. (n_subspaces,) or (n, n_subspaces).  Each
+    bin accumulates its members one by one in index order, starting from 0.
+    """
+    values = np.asarray(values, dtype=float)
+    lead = values.shape[:-1]
+    rows = values.reshape(-1, values.shape[-1])
+    bins = (np.arange(len(rows))[:, None] * n_groups + groups).ravel()
+    sums = np.bincount(bins, weights=rows.ravel(), minlength=len(rows) * n_groups)
+    return sums.reshape(lead + (n_groups,))
 
 
 def compose(gas: Spectrum, container: Spectrum,
@@ -235,15 +261,13 @@ def compose(gas: Spectrum, container: Spectrum,
         for i in group:
             shell_of_subspace[i] = shell_idx
 
-    # Flat block layout -> (row, col) of the dim_gas x dim_container matrix.
-    rows = np.empty(dim, dtype=np.intp)
-    cols = np.empty(dim, dtype=np.intp)
-    for sub in subspaces:
-        n_a = gas.degeneracies[sub.A]
-        n_b = container.degeneracies[sub.B]
-        block = slice(sub.offset, sub.offset + sub.n_states)
-        rows[block] = np.repeat(np.arange(n_a) + gas_offsets[sub.A], n_b)
-        cols[block] = np.tile(np.arange(n_b) + container_offsets[sub.B], n_a)
+    # Flat block layout -> row * dim_container + col of the amplitude matrix.
+    matrix_index = np.concatenate([
+        np.add.outer(np.arange(gas_offsets[s.A], gas_offsets[s.A + 1]) * container.dim,
+                     np.arange(container_offsets[s.B], container_offsets[s.B + 1])).ravel()
+        for s in subspaces
+    ])
+    gas_level_of_subspace = np.repeat(np.arange(gas.n_levels), container.n_levels)
 
     block_offsets = np.concatenate(([0], np.cumsum([s.n_states for s in subspaces])))
 
@@ -256,7 +280,7 @@ def compose(gas: Spectrum, container: Spectrum,
         idx.flags.writeable = False
         shell_indices.append(idx)
 
-    for arr in (rows, cols, block_offsets, shell_of_subspace, gas_offsets, container_offsets):
+    for arr in (matrix_index, block_offsets, shell_of_subspace, gas_level_of_subspace):
         arr.flags.writeable = False
 
     return CompositeSpectrum(
@@ -270,10 +294,8 @@ def compose(gas: Spectrum, container: Spectrum,
         dim=dim,
         _subspace_index={(s.A, s.B): i for i, s in enumerate(subspaces)},
         _shell_of_subspace=shell_of_subspace,
+        _gas_level_of_subspace=gas_level_of_subspace,
         _block_offsets=block_offsets,
-        _rows=rows,
-        _cols=cols,
-        _gas_offsets=gas_offsets,
-        _container_offsets=container_offsets,
+        _matrix_index=matrix_index,
         _shell_indices=tuple(shell_indices),
     )

@@ -17,7 +17,8 @@ from .spectrum import CompositeSpectrum, Spectrum
 
 __all__ = [
     "NORMALIZATION_TOLERANCE",
-    "PROFILE_SUM_TOLERANCE",
+    "WEIGHT_SUM_TOLERANCE",
+    "checked_weights",
     "WeightProfile",
     "uniform_profile",
     "subspace_weights",
@@ -31,7 +32,8 @@ __all__ = [
 ]
 
 NORMALIZATION_TOLERANCE = 1e-10
-PROFILE_SUM_TOLERANCE = 1e-12
+# Every set of probability weights must sum to 1 within this.
+WEIGHT_SUM_TOLERANCE = 1e-12
 
 # Hermiticity / unit-trace checks on density matrices.
 DENSITY_TOLERANCE = 1e-10
@@ -39,28 +41,38 @@ DENSITY_TOLERANCE = 1e-10
 EIGENVALUE_FLOOR = -1e-8
 
 
+def checked_weights(values, n: int, what: str) -> np.ndarray:
+    """``values`` as a float array of ``n`` finite, nonnegative weights summing to 1.
+
+    The sum must lie within ``WEIGHT_SUM_TOLERANCE`` of 1.  Raises ValueError
+    naming ``what`` otherwise.
+    """
+    w = np.asarray(values, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"{what}: expected {n} weights, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{what}: weights must be finite, got {w.tolist()!r}")
+    if np.any(w < 0):
+        raise ValueError(f"{what}: weights must be nonnegative")
+    total = float(w.sum())
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOLERANCE:
+        raise ValueError(f"{what}: weights sum to {total!r}, expected 1")
+    return w
+
+
 @dataclass(frozen=True)
 class WeightProfile:
     """Probability weight per level of one spectrum (the constraint data W_A).
 
-    Weights must be nonnegative and sum to 1 within ``PROFILE_SUM_TOLERANCE``.
+    Weights are validated by :func:`checked_weights`.
     """
 
     spectrum: Spectrum
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.weights) != self.spectrum.n_levels:
-            raise ValueError(
-                f"profile has {len(self.weights)} weights for "
-                f"{self.spectrum.n_levels} levels"
-            )
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0):
-            raise ValueError("profile weights must be nonnegative")
-        total = float(w.sum())
-        if abs(total - 1.0) > PROFILE_SUM_TOLERANCE:
-            raise ValueError(f"profile weights sum to {total!r}, expected 1")
+        checked_weights(self.weights, self.spectrum.n_levels,
+                        f"profile over {self.spectrum.n_levels} levels")
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
@@ -80,18 +92,14 @@ def subspace_weights(composite: CompositeSpectrum, gas_profile: WeightProfile,
     if (container_profile.spectrum is not composite.container
             and container_profile.spectrum != composite.container):
         raise ValueError("container profile does not match the composite's container spectrum")
-    w_a = gas_profile.as_array()
-    w_b = container_profile.as_array()
-    return np.array([w_a[s.A] * w_b[s.B] for s in composite.subspaces])
+    # Subspaces enumerate (A, B) lexicographically: the row-major outer product.
+    return np.outer(gas_profile.as_array(), container_profile.as_array()).ravel()
 
 
 def shell_weights(composite: CompositeSpectrum, gas_profile: WeightProfile,
                   container_profile: WeightProfile) -> np.ndarray:
     """Total weight per energy shell implied by a product profile."""
-    w_sub = subspace_weights(composite, gas_profile, container_profile)
-    out = np.zeros(composite.n_shells)
-    np.add.at(out, composite._shell_of_subspace, w_sub)
-    return out
+    return composite.shell_sums(subspace_weights(composite, gas_profile, container_profile))
 
 
 class PureState:
@@ -117,9 +125,9 @@ class PureState:
     def to_matrix(self) -> np.ndarray:
         """Amplitudes as the dim_gas x dim_container matrix Psi with rho_g = Psi Psi^dagger."""
         c = self.composite
-        psi = np.zeros((c.dim_gas, c.dim_container), dtype=complex)
-        psi[c._rows, c._cols] = self.amplitudes
-        return psi
+        psi = np.empty(c.dim, dtype=complex)
+        psi[c._matrix_index] = self.amplitudes
+        return psi.reshape(c.dim_gas, c.dim_container)
 
     @classmethod
     def from_matrix(cls, composite: CompositeSpectrum, psi: np.ndarray,
@@ -128,31 +136,19 @@ class PureState:
         expected = (composite.dim_gas, composite.dim_container)
         if psi.shape != expected:
             raise ValueError(f"matrix has shape {psi.shape}, expected {expected}")
-        return cls(composite, psi[composite._rows, composite._cols], check=check)
+        return cls(composite, psi.ravel()[composite._matrix_index], check=check)
 
     def subspace_weights(self) -> np.ndarray:
         """Probability mass |psi|^2 in each (A, B) subspace, in subspace order."""
-        mass = np.abs(self.amplitudes) ** 2
-        out = np.empty(self.composite.n_subspaces)
-        offsets = self.composite._block_offsets
-        for i in range(self.composite.n_subspaces):
-            out[i] = mass[offsets[i]:offsets[i + 1]].sum()
-        return out
+        return self.composite.subspace_sums(np.abs(self.amplitudes) ** 2)
 
     def shell_weights(self) -> np.ndarray:
         """Probability mass in each total-energy shell."""
-        w_sub = self.subspace_weights()
-        out = np.zeros(self.composite.n_shells)
-        np.add.at(out, self.composite._shell_of_subspace, w_sub)
-        return out
+        return self.composite.shell_sums(self.subspace_weights())
 
     def gas_level_weights(self) -> np.ndarray:
         """Probability mass in each gas level A (marginal over the container)."""
-        w_sub = self.subspace_weights()
-        out = np.zeros(self.composite.gas.n_levels)
-        for w, sub in zip(w_sub, self.composite.subspaces):
-            out[sub.A] += w
-        return out
+        return self.composite.gas_level_sums(self.subspace_weights())
 
     def reduce_gas(self) -> "DensityMatrix":
         """Partial trace over the container: rho_g = Psi Psi^dagger."""

@@ -253,6 +253,9 @@ def test_region_log_size_validation():
         region_log_size(pair, [1.5, -0.5])
     with pytest.raises(ValueError, match="sum"):
         region_log_size(pair, [0.6, 0.6])
+    # the same 1e-12 sum tolerance as every other weight check
+    with pytest.raises(ValueError, match="sum"):
+        region_log_size(pair, [0.5, 0.5 + 5e-10])
 
 
 def test_dominant_single_shell_split():

@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from hsmc import build_spectrum, compose, expected_purity_exact
+from hsmc import (WeightProfile, build_spectrum, compose, dominant_distribution,
+                  expected_purity_exact, microcanonical_profile, min_purity_state,
+                  region_log_size)
 from hsmc.cli import main
 
 C1_YAML = """
@@ -347,6 +349,51 @@ def test_config_errors_exit_2(tmp_path, capsys, mangle, hint):
     assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--quiet"]) == 2
     assert hint in capsys.readouterr().err
+
+
+_TWO_LEVELS = build_spectrum([(0, 1), (1, 1)])
+_TWO_SHELLS = compose(_TWO_LEVELS, build_spectrum([(0, 1)]))
+
+# The five former weight validators, each fed two weights.
+NON_FINITE_VALIDATORS = {
+    "WeightProfile": lambda w: WeightProfile(_TWO_LEVELS, tuple(w)),
+    "ConstraintProfile": lambda w: microcanonical_profile({(0, 0): w[0], (1, 0): w[1]}),
+    "min_purity_state": lambda w: min_purity_state(_TWO_LEVELS, w),
+    "dominant_distribution": lambda w: dominant_distribution(_TWO_SHELLS, w),
+    "region_log_size": lambda w: region_log_size(_TWO_SHELLS, w),
+}
+
+NON_FINITE_CONFIGS = {
+    "constraint_weight": ("sample", """
+gas:
+  levels: [[0, 1], [1, 1]]
+container:
+  levels: [[0, 2]]
+constraint:
+  kind: microcanonical
+  weights: [[0, 0, .nan], [1, 0, 1.0]]
+run:
+  seed: 1
+  n_samples: 10
+"""),
+    "conservation_tolerance": ("evolve", C1_YAML + "  n_times: 5\n"
+                               "  conservation_tolerance: .nan\n"),
+}
+
+
+@pytest.mark.parametrize("case", [*NON_FINITE_VALIDATORS, *NON_FINITE_CONFIGS])
+def test_non_finite_input_rejected(tmp_path, capsys, case):
+    if case in NON_FINITE_VALIDATORS:
+        for weights in ([math.nan, 1.0], [math.inf, 0.0], [1.0, -math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                NON_FINITE_VALIDATORS[case](weights)
+        return
+    command, text = NON_FINITE_CONFIGS[case]
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "finite" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_subspace_weight_exits_2(tmp_path, capsys):

@@ -112,7 +112,7 @@ def test_evolve_free_eigenstate_keeps_purity_one():
     traj = evolve(PureState(comp, amps), h, np.linspace(0, 10, 41))
     np.testing.assert_allclose(traj.measures["purity"], 1.0, atol=1e-12)
     # only a global phase moves: every population is frozen
-    populations = np.abs(np.array([s.amplitudes for s in traj.states])) ** 2
+    populations = np.abs(traj.amplitudes) ** 2
     np.testing.assert_allclose(
         populations, np.broadcast_to(np.abs(amps) ** 2, populations.shape),
         atol=1e-12)
@@ -126,7 +126,7 @@ def test_evolve_time_zero_is_bit_exact():
             {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25}),
         substream(3, 1))
     traj = evolve(state, h, np.array([0.0, 0.5, 1.0]))
-    np.testing.assert_array_equal(traj.states[0].amplitudes, state.amplitudes)
+    np.testing.assert_array_equal(traj.amplitudes[0], state.amplitudes)
 
 
 def test_two_level_resonance_period_matches_eigen_gap():

@@ -107,18 +107,21 @@ def test_flat_to_matrix_maps_are_consistent():
     gas = build_spectrum([(0, 1), (1, 3)])
     container = build_spectrum([(0, 2), (2, 2)])
     comp = compose(gas, container)
-    # every flat index maps to a unique (row, col) cell
-    cells = set(zip(comp._rows.tolist(), comp._cols.tolist()))
+    # every flat index maps to a unique cell row * dim_container + col
+    cells = set(comp._matrix_index.tolist())
     assert len(cells) == comp.dim == comp.dim_gas * comp.dim_container
     # block rows stay inside the gas level, columns inside the container level
+    all_rows, all_cols = np.divmod(comp._matrix_index, comp.dim_container)
+    gas_offsets = gas.level_offsets()
+    container_offsets = container.level_offsets()
     for i, sub in enumerate(comp.subspaces):
         sl = comp.block_slice(i)
-        rows = comp._rows[sl]
-        cols = comp._cols[sl]
-        assert rows.min() >= comp._gas_offsets[sub.A]
-        assert rows.max() < comp._gas_offsets[sub.A + 1]
-        assert cols.min() >= comp._container_offsets[sub.B]
-        assert cols.max() < comp._container_offsets[sub.B + 1]
+        rows = all_rows[sl]
+        cols = all_cols[sl]
+        assert rows.min() >= gas_offsets[sub.A]
+        assert rows.max() < gas_offsets[sub.A + 1]
+        assert cols.min() >= container_offsets[sub.B]
+        assert cols.max() < container_offsets[sub.B + 1]
 
 
 def test_shell_flat_indices_partition_the_dim():

@@ -185,6 +185,33 @@ def test_uniform_state_shell_weights_scale_with_dimension():
                                [0.25, 0.5, 0.25], atol=1e-14)
 
 
+def test_batched_weight_sums_match_per_state_weights():
+    comp = compose(build_spectrum([(0, 2), (1, 1), (2, 3)]),
+                   build_spectrum([(0, 3), (1, 1), (2, 2)]))
+    rng = np.random.default_rng(5)
+    states = [random_state(comp, rng) for _ in range(7)]
+    batch = np.array([s.amplitudes for s in states])
+    w_sub = comp.subspace_sums(np.abs(batch) ** 2)
+    assert w_sub.shape == (7, comp.n_subspaces)
+    np.testing.assert_array_equal(w_sub, [s.subspace_weights() for s in states])
+    np.testing.assert_array_equal(comp.shell_sums(w_sub),
+                                  [s.shell_weights() for s in states])
+    np.testing.assert_array_equal(comp.gas_level_sums(w_sub),
+                                  [s.gas_level_weights() for s in states])
+    # loop references: block sums in another order agree to roundoff, sums of
+    # subspace weights in subspace order agree exactly
+    mass = np.abs(batch) ** 2
+    blocks = [[m[comp.block_slice(i)].sum() for i in range(comp.n_subspaces)] for m in mass]
+    np.testing.assert_allclose(w_sub, blocks, rtol=0, atol=4 * np.finfo(float).eps)
+    shells = np.zeros((len(states), comp.n_shells))
+    gas_levels = np.zeros((len(states), comp.gas.n_levels))
+    for i, sub in enumerate(comp.subspaces):
+        shells[:, comp.shell_index_at(sub.energy)] += w_sub[:, i]
+        gas_levels[:, sub.A] += w_sub[:, i]
+    np.testing.assert_array_equal(comp.shell_sums(w_sub), shells)
+    np.testing.assert_array_equal(comp.gas_level_sums(w_sub), gas_levels)
+
+
 def test_weight_profile_validation():
     gas = build_spectrum([(0, 2), (1, 2)])
     with pytest.raises(ValueError, match="sum"):
