@@ -223,8 +223,8 @@ def build_experiment(raw: dict, command: str, seed: int | None = None,
         seed = _int_field(run, "run", "seed", None)
     if seed is None:
         raise ConfigError("a seed is mandatory: set run.seed or pass --seed")
-    if seed < 0:
-        raise ConfigError("run.seed must be nonnegative")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"run.seed must be in [0, 2**64), got {seed}")
 
     n_samples = n if n is not None else _int_field(run, "run", "n_samples", DEFAULT_N_SAMPLES)
     if n_samples < 1:

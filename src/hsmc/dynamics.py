@@ -7,15 +7,18 @@ subspace weight.  A canonical interaction couples all subspaces within a
 total-energy shell, conserving only the shell weights while letting energy
 flow between gas and container.
 
-Propagation uses the full eigendecomposition of H (hbar = 1), so unitarity is
-exact up to roundoff and there is no step-error accumulation.  Trajectories
-carry named measure series; time averages integrate over t, path averages
-weight by the chord lengths the state vector travels.
+H is stored only block by block, each block with the eigendecomposition of H
+restricted to it.  Propagation (hbar = 1) rotates each block's eigenbasis
+coefficients, so unitarity is exact up to roundoff and there is no step-error
+accumulation.  Trajectories carry named measure series; time averages
+integrate over t, path averages weight by the chord lengths the state vector
+travels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,14 +45,25 @@ class NumericalValidationError(RuntimeError):
     """A quantity that must be conserved or normalized drifted out of tolerance."""
 
 
+class HamiltonianBlock(NamedTuple):
+    """Flat basis ``indices`` of one block, I on them, and the eigenvalues
+    ``energies`` and eigenvector columns ``vectors`` of H restricted to them."""
+
+    indices: np.ndarray
+    interaction: np.ndarray
+    energies: np.ndarray
+    vectors: np.ndarray
+
+
 @dataclass(frozen=True)
 class Hamiltonian:
     """Total Hamiltonian H = H_g + H_c + I over the composite basis.
 
     ``gas_diagonal`` and ``container_diagonal`` hold the (diagonal) local
-    parts as vectors over the flat basis; ``interaction`` is the full coupling
-    matrix and ``matrix`` the assembled sum.  ``kind`` records which
-    constraint the interaction respects.
+    parts as vectors over the flat basis.  ``blocks`` partition the basis into
+    the subspaces (microcanonical) or shells (canonical) that I stays inside;
+    H has no entries between blocks.  ``kind`` records which constraint the
+    interaction respects.
     """
 
     composite: CompositeSpectrum
@@ -57,8 +71,7 @@ class Hamiltonian:
     coupling: float
     gas_diagonal: np.ndarray = field(repr=False)
     container_diagonal: np.ndarray = field(repr=False)
-    interaction: np.ndarray = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
+    blocks: tuple[HamiltonianBlock, ...] = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -67,8 +80,9 @@ class Hamiltonian:
     def commutator_norms(self) -> dict[str, float]:
         """Frobenius norms of [H_g, I], [H_c, I] and [H_g + H_c, I].
 
-        For a diagonal D, [D, M] has entries (d_j - d_k) M_jk, so the norms
-        are computed without forming matrix products.
+        For a diagonal D, [D, I] has entries (d_j - d_k) I_jk, which vanish
+        outside I's blocks, so the norms are summed block by block without
+        forming matrix products.
         """
         out = {}
         for name, diag in (
@@ -76,8 +90,9 @@ class Hamiltonian:
             ("container", self.container_diagonal),
             ("total", self.gas_diagonal + self.container_diagonal),
         ):
-            gaps = diag[:, None] - diag[None, :]
-            out[name] = float(np.linalg.norm(gaps * self.interaction))
+            out[name] = float(np.linalg.norm([
+                np.linalg.norm((diag[b.indices, None] - diag[None, b.indices]) * b.interaction)
+                for b in self.blocks]))
         return out
 
     def weak_coupling_ratio(self, state: PureState) -> float:
@@ -90,11 +105,20 @@ class Hamiltonian:
         mass = np.abs(psi) ** 2
         e_gas = abs(float(np.dot(mass, self.gas_diagonal)))
         e_container = abs(float(np.dot(mass, self.container_diagonal)))
-        e_int = abs(float(np.vdot(psi, self.interaction @ psi).real))
+        e_int = abs(sum(float(np.vdot(psi[b.indices], b.interaction @ psi[b.indices]).real)
+                        for b in self.blocks))
         denom = min(e_gas, e_container)
         if denom == 0.0:
             return float("inf")
         return e_int / denom
+
+
+def _apply(hamiltonian: Hamiltonian, flat: np.ndarray) -> np.ndarray:
+    """H applied along the trailing flat axis of ``flat``, block by block."""
+    out = flat * (hamiltonian.gas_diagonal + hamiltonian.container_diagonal)
+    for b in hamiltonian.blocks:
+        out[..., b.indices] += flat[..., b.indices] @ b.interaction.T
+    return out
 
 
 def _gue_block(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -103,40 +127,30 @@ def _gue_block(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _local_diagonals(composite: CompositeSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    gas_diag = np.empty(composite.dim)
-    container_diag = np.empty(composite.dim)
-    for i, sub in enumerate(composite.subspaces):
-        block = composite.block_slice(i)
-        gas_diag[block] = composite.gas.energies[sub.A]
-        container_diag[block] = composite.container.energies[sub.B]
-    return gas_diag, container_diag
+    subs, dims = composite.subspaces, composite.subspace_dims()
+    return (np.repeat([composite.gas.energies[s.A] for s in subs], dims),
+            np.repeat([composite.container.energies[s.B] for s in subs], dims))
 
 
 def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
-              blocks: list[tuple[np.ndarray, np.ndarray]]) -> Hamiltonian:
-    """Scale the drawn blocks so the largest spectral radius equals ``coupling``."""
+              groups: list[np.ndarray], rng: np.random.Generator) -> Hamiltonian:
+    """Draw one GUE block per index group, scaled so the largest spectral radius
+    equals ``coupling``, and diagonalize H on every group."""
+    if not coupling >= 0:
+        raise ValueError("coupling must be >= 0")
     gas_diag, container_diag = _local_diagonals(composite)
-    interaction = np.zeros((composite.dim, composite.dim), dtype=complex)
-    if coupling > 0 and blocks:
-        radius = max(
-            float(np.max(np.abs(np.linalg.eigvalsh(b)))) for _, b in blocks
-        )
-        if radius > 0:
-            scale = coupling / radius
-            for idx, block in blocks:
-                interaction[np.ix_(idx, idx)] = scale * block
-    matrix = np.diag((gas_diag + container_diag).astype(complex)) + interaction
-    for arr in (gas_diag, container_diag, interaction, matrix):
+    diag = gas_diag + container_diag
+    draws = [_gue_block(rng, len(idx)) for idx in groups]
+    scale = coupling / max(float(np.max(np.abs(np.linalg.eigvalsh(x)))) for x in draws)
+    blocks = []
+    for idx, x in zip(groups, draws):
+        interaction = scale * x
+        blocks.append(HamiltonianBlock(idx, interaction,
+                                       *np.linalg.eigh(np.diag(diag[idx]) + interaction)))
+    for arr in (gas_diag, container_diag, *(a for block in blocks for a in block)):
         arr.flags.writeable = False
-    return Hamiltonian(
-        composite=composite,
-        kind=kind,
-        coupling=float(coupling),
-        gas_diagonal=gas_diag,
-        container_diagonal=container_diag,
-        interaction=interaction,
-        matrix=matrix,
-    )
+    return Hamiltonian(composite, kind, float(coupling), gas_diag, container_diag,
+                       tuple(blocks))
 
 
 def build_microcanonical_hamiltonian(composite: CompositeSpectrum, coupling: float,
@@ -148,14 +162,8 @@ def build_microcanonical_hamiltonian(composite: CompositeSpectrum, coupling: flo
     lives inside one degeneracy subspace, [H_g, I] = [H_c, I] = 0 to machine
     precision and every subspace weight is a constant of motion.
     """
-    if coupling < 0:
-        raise ValueError("coupling must be >= 0")
-    blocks = []
-    if coupling > 0:
-        for sub in composite.subspaces:
-            idx = np.arange(sub.offset, sub.offset + sub.n_states)
-            blocks.append((idx, _gue_block(rng, sub.n_states)))
-    return _assemble(composite, "microcanonical", coupling, blocks)
+    groups = [np.arange(s.offset, s.offset + s.n_states) for s in composite.subspaces]
+    return _assemble(composite, "microcanonical", coupling, groups, rng)
 
 
 def build_canonical_hamiltonian(composite: CompositeSpectrum, coupling: float,
@@ -167,14 +175,8 @@ def build_canonical_hamiltonian(composite: CompositeSpectrum, coupling: float,
     between gas and container.  For spectra where every shell has a single
     subspace this coincides with the microcanonical builder.
     """
-    if coupling < 0:
-        raise ValueError("coupling must be >= 0")
-    blocks = []
-    if coupling > 0:
-        for j, shell in enumerate(composite.shells):
-            idx = composite.shell_flat_indices(j)
-            blocks.append((idx, _gue_block(rng, shell.n_states)))
-    return _assemble(composite, "canonical", coupling, blocks)
+    groups = [composite.shell_flat_indices(j) for j in range(composite.n_shells)]
+    return _assemble(composite, "canonical", coupling, groups, rng)
 
 
 @dataclass(frozen=True)
@@ -206,14 +208,14 @@ def effective_velocity(state: PureState, hamiltonian: Hamiltonian) -> float:
     Constant along any trajectory of H.  A constant energy offset shifts this
     value but no measure series.
     """
-    return float(np.linalg.norm(hamiltonian.matrix @ state.amplitudes))
+    return float(np.linalg.norm(_apply(hamiltonian, state.amplitudes)))
 
 
 def evolve(initial: PureState, hamiltonian: Hamiltonian, times) -> Trajectory:
     """Propagate |psi(t)> = exp(-iHt)|psi(0)> on a strictly increasing time grid.
 
-    Diagonalizes H once and rotates the initial state through the eigenbasis;
-    t = 0 entries reproduce the initial amplitudes bit for bit.  Raises
+    Rotates each block's coefficients through that block's eigenbasis; t = 0
+    entries reproduce the initial amplitudes bit for bit.  Raises
     NumericalValidationError if any snapshot norm drifts beyond 1e-9.
     """
     if initial.composite is not hamiltonian.composite:
@@ -226,9 +228,12 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times) -> Trajectory:
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
 
-    energies, vectors = np.linalg.eigh(hamiltonian.matrix)
-    coeffs = vectors.conj().T @ initial.amplitudes
-    amplitudes = (np.exp(-1j * np.outer(times, energies)) * coeffs) @ vectors.T
+    composite = initial.composite
+    amplitudes = np.empty((len(times), composite.dim), dtype=complex)
+    for b in hamiltonian.blocks:
+        coeffs = b.vectors.conj().T @ initial.amplitudes[b.indices]
+        phases = np.exp(-1j * np.outer(times, b.energies))
+        amplitudes[:, b.indices] = (phases * coeffs) @ b.vectors.T
     exact_zero = times == 0.0
     if np.any(exact_zero):
         amplitudes[exact_zero] = initial.amplitudes
@@ -236,15 +241,12 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times) -> Trajectory:
     norms = np.linalg.norm(amplitudes, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))
     if not worst <= NORM_DRIFT_TOLERANCE:
-        raise NumericalValidationError(
-            f"propagation lost normalization by {worst:.3e}"
-        )
+        raise NumericalValidationError(f"propagation lost normalization by {worst:.3e}")
 
-    h_psi = amplitudes @ hamiltonian.matrix.T
+    h_psi = _apply(hamiltonian, amplitudes)
     energy_series = np.einsum("ki,ki->k", amplitudes.conj(), h_psi).real
     v_eff_series = np.linalg.norm(h_psi, axis=1)
 
-    composite = initial.composite
     purities = np.empty(len(times))
     entropies = np.empty(len(times))
     for k, psi in enumerate(amplitudes):
@@ -263,13 +265,9 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times) -> Trajectory:
         "shell_weights": composite.shell_sums(w_sub),
         "gas_level_weights": composite.gas_level_sums(w_sub),
     }
-    return Trajectory(
-        times=times,
-        amplitudes=amplitudes,
-        measures=measures,
-        chords=np.linalg.norm(np.diff(amplitudes, axis=0), axis=1),
-        hamiltonian=hamiltonian,
-    )
+    return Trajectory(times=times, amplitudes=amplitudes, measures=measures,
+                      chords=np.linalg.norm(np.diff(amplitudes, axis=0), axis=1),
+                      hamiltonian=hamiltonian)
 
 
 def _series(traj: Trajectory, measure_name: str) -> np.ndarray:

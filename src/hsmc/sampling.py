@@ -158,8 +158,8 @@ def substream(seed: int, index: int) -> np.random.Generator:
     so parallel workers assigned disjoint index ranges reproduce the serial
     sample sequence exactly.
     """
-    if seed < 0 or index < 0:
-        raise ValueError("seed and index must be nonnegative integers")
+    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
+        raise ValueError("seed and index must be integers in [0, 2**64)")
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 

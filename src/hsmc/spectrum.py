@@ -164,13 +164,16 @@ class CompositeSpectrum:
         return self._shell_indices[shell_index]
 
     def shell_index_at(self, energy: float) -> int:
-        """Shell whose representative energy matches ``energy`` within tolerance."""
-        energies = np.array([s.energy for s in self.shells])
+        """Shell of the subspace whose energy is nearest ``energy``, within tolerance.
+
+        A shell's mean energy always resolves: it lies within half the shell
+        tolerance of some member, since members chain by gaps within it."""
+        energies = np.array([s.energy for s in self.subspaces])
         i = int(np.argmin(np.abs(energies - energy)))
         atol = max(self.shell_tolerance, 1e-12) * (1.0 + abs(energy))
         if not abs(energies[i] - energy) <= atol:
-            raise KeyError(f"no shell at energy {energy!r} (nearest is {energies[i]!r})")
-        return i
+            raise KeyError(f"no shell at energy {energy!r} (nearest is {float(energies[i])!r})")
+        return int(self._shell_of_subspace[i])
 
     def shell_energies(self) -> np.ndarray:
         return np.array([s.energy for s in self.shells])

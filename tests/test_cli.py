@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -339,6 +340,7 @@ def test_moments_odd_exponent_zero(tmp_path):
 
 @pytest.mark.parametrize("mangle, hint", [
     (lambda t: t.replace("  seed: 11\n", ""), "seed"),
+    (lambda t: t.replace("  seed: 11\n", "  seed: 18446744073709551616\n"), "2**64"),
     (lambda t: t.replace("gas_weights: [1.0]", "gas_weights: [0.9]"), "sum"),
     (lambda t: t.replace("kind: microcanonical", "kind: grand"), "kind"),
     (lambda t: t.replace("constraint:\n", "ignored:\n"), "constraint"),
@@ -470,10 +472,12 @@ def test_module_entry_point_smoke(tmp_path):
     cfg = write_config(tmp_path, MOMENTS_YAML.replace("n_samples: 20000",
                                                       "n_samples: 500"))
     out = tmp_path / "out"
+    # the child imports hsmc from wherever this process did, installed or not
     proc = subprocess.run(
         [sys.executable, "-m", "hsmc.cli", "moments", "--config", cfg,
          "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 0
     assert "exact=0.25" in proc.stdout
     assert (out / "moments.json").exists()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hsmc import (NumericalValidationError, PureState,
                   build_canonical_hamiltonian, build_microcanonical_hamiltonian,
@@ -23,14 +24,24 @@ def uniform_product_state(comp):
     return product_state(comp, gp, cp)
 
 
+def _dense(h, interaction_only=False):
+    """Scatter the blocks of ``h`` into a dense dim x dim matrix: H, or only I."""
+    out = np.zeros((h.dim, h.dim), dtype=complex)
+    if not interaction_only:
+        np.fill_diagonal(out, h.gas_diagonal + h.container_diagonal)
+    for b in h.blocks:
+        out[np.ix_(b.indices, b.indices)] += b.interaction
+    return out
+
+
 # ------------------------------------------------------------- construction
 
 def test_zero_coupling_is_free_evolution():
     comp = composite_three()
     h = build_microcanonical_hamiltonian(comp, 0.0, substream(0, 0))
-    np.testing.assert_array_equal(h.interaction, 0.0)
+    np.testing.assert_array_equal(_dense(h, interaction_only=True), 0.0)
     np.testing.assert_allclose(
-        np.diag(h.matrix).real,
+        np.diag(_dense(h)).real,
         h.gas_diagonal + h.container_diagonal, atol=0)
 
 
@@ -46,11 +57,18 @@ def test_hamiltonian_is_hermitian_and_assembled():
     comp = composite_three()
     for build in (build_microcanonical_hamiltonian, build_canonical_hamiltonian):
         h = build(comp, 0.7, substream(5, 0))
-        assert np.linalg.norm(h.matrix - h.matrix.conj().T) < 1e-12
+        assert np.linalg.norm(_dense(h) - _dense(h).conj().T) < 1e-12
         np.testing.assert_array_equal(
-            h.matrix,
+            _dense(h),
             np.diag((h.gas_diagonal + h.container_diagonal).astype(complex))
-            + h.interaction)
+            + _dense(h, interaction_only=True))
+        # the blocks partition the basis and hold the eigenpairs of H on it
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([b.indices for b in h.blocks])), np.arange(comp.dim))
+        for b in h.blocks:
+            np.testing.assert_allclose(
+                (b.vectors * b.energies) @ b.vectors.conj().T,
+                _dense(h)[np.ix_(b.indices, b.indices)], rtol=0, atol=1e-12)
 
 
 def test_coupling_sets_largest_block_spectral_radius():
@@ -58,7 +76,7 @@ def test_coupling_sets_largest_block_spectral_radius():
     lam = 0.37
     for build in (build_microcanonical_hamiltonian, build_canonical_hamiltonian):
         h = build(comp, lam, substream(8, 0))
-        radius = float(np.max(np.abs(np.linalg.eigvalsh(h.interaction))))
+        radius = float(np.max(np.abs(np.linalg.eigvalsh(_dense(h, interaction_only=True)))))
         assert radius == pytest.approx(lam, rel=1e-12)
 
 
@@ -79,6 +97,11 @@ def test_canonical_commutators_conserve_only_total():
     # energy moves between gas and container inside the middle shell
     assert norms["gas"] > 1e-3
     assert norms["container"] > 1e-3
+    # the block-by-block norms equal the dense (d_j - d_k) I_jk reference
+    for name, d in (("gas", h.gas_diagonal), ("container", h.container_diagonal),
+                    ("total", h.gas_diagonal + h.container_diagonal)):
+        dense = np.linalg.norm((d[:, None] - d[None, :]) * _dense(h, interaction_only=True))
+        assert norms[name] == pytest.approx(dense, rel=1e-12, abs=1e-15)
 
 
 def test_canonical_reduces_to_microcanonical_for_singleton_shells():
@@ -86,7 +109,7 @@ def test_canonical_reduces_to_microcanonical_for_singleton_shells():
     assert comp.n_shells == comp.n_subspaces
     a = build_microcanonical_hamiltonian(comp, 0.4, substream(9, 0))
     b = build_canonical_hamiltonian(comp, 0.4, substream(9, 0))
-    np.testing.assert_array_equal(a.matrix, b.matrix)
+    np.testing.assert_array_equal(_dense(a), _dense(b))
 
 
 def test_weak_coupling_ratio():
@@ -95,6 +118,11 @@ def test_weak_coupling_ratio():
     state = uniform_product_state(comp)
     ratio = h.weak_coupling_ratio(state)
     assert 0 <= ratio < 1.0
+    psi = state.amplitudes
+    e_int = abs(np.vdot(psi, _dense(h, interaction_only=True) @ psi).real)
+    e_gas = abs(np.dot(np.abs(psi) ** 2, h.gas_diagonal))
+    e_container = abs(np.dot(np.abs(psi) ** 2, h.container_diagonal))
+    assert ratio == pytest.approx(e_int / min(e_gas, e_container), rel=1e-12)
     # a state with zero mean gas energy makes the ratio blow up
     flat = compose(build_spectrum([(0, 2)]), build_spectrum([(0, 2)]))
     h0 = build_microcanonical_hamiltonian(flat, 0.1, substream(2, 0))
@@ -133,7 +161,7 @@ def test_two_level_resonance_period_matches_eigen_gap():
     comp = compose(build_spectrum([(0, 1), (1, 1)]), build_spectrum([(0, 1), (1, 1)]))
     h = build_canonical_hamiltonian(comp, 0.5, substream(4, 0))
     shell = comp.shell_flat_indices(comp.shell_index_at(1.0))
-    block = h.matrix[np.ix_(shell, shell)]
+    block = _dense(h)[np.ix_(shell, shell)]
     gap = float(np.diff(np.linalg.eigvalsh(block))[0])
     period = 2 * np.pi / gap
     amps = np.zeros(comp.dim, dtype=complex)
@@ -144,6 +172,18 @@ def test_two_level_resonance_period_matches_eigen_gap():
     assert abs(series[200] - series[0]) < 1e-9   # one full period
     assert abs(series[400] - series[0]) < 1e-9
     assert series.min() < 0.95  # the weight really oscillates
+
+
+def test_evolve_matches_dense_matrix_exponential():
+    comp = composite_three()
+    state = uniform_product_state(comp)
+    times = np.array([0.0, 0.3, 2.0, 17.5])
+    for build in (build_microcanonical_hamiltonian, build_canonical_hamiltonian):
+        h = build(comp, 0.6, substream(15, 0))
+        traj = evolve(state, h, times)
+        for t, psi in zip(times, traj.amplitudes):
+            want = scipy.linalg.expm(-1j * t * _dense(h)) @ state.amplitudes
+            np.testing.assert_allclose(psi, want, rtol=0, atol=1e-10)
 
 
 def test_microcanonical_weights_conserved():

@@ -86,10 +86,10 @@ def test_sampler_checks_profile_kind():
 
 
 def test_substream_rejects_negative():
-    with pytest.raises(ValueError):
-        substream(-1, 0)
-    with pytest.raises(ValueError):
-        substream(0, -1)
+    for seed, index in ((-1, 0), (0, -1), (2**64, 0), (0, 2**64)):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            substream(seed, index)
+    substream(2**64 - 1, 2**64 - 1)  # the largest key Philox accepts
 
 
 # ----------------------------------------------------- constraint exactness
@@ -207,6 +207,13 @@ def test_purity_average_matches_bipartite_formula():
     est = mc_average(lambda s: s.purity(), sampler, 4000, seed=2024)
     want = lubkin_average(2, 2)  # 0.8
     assert abs(est.mean - want) < 3.5 * est.std_error
+    # Page, PRL 71, 1291 (1993): for m <= n the mean entropy of the
+    # m-dimensional part is sum_{k=n+1}^{mn} 1/k - (m - 1) / (2n)
+    m = n = 2
+    page = sum(1.0 / k for k in range(n + 1, m * n + 1)) - (m - 1) / (2 * n)
+    assert page == pytest.approx(1 / 3)
+    est = mc_average(lambda s: s.entropy(), sampler, 4000, seed=2024)
+    assert abs(est.mean - page) < 3.5 * est.std_error
 
 
 # ------------------------------------------------------------- mc machinery

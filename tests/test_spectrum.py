@@ -137,8 +137,16 @@ def test_shell_lookup_by_energy():
     container = build_spectrum([(0, 2), (1, 2)])
     comp = compose(gas, container)
     assert comp.shell_index_at(1.0) == 1
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match=r"\(nearest is 2\.0\)"):
         comp.shell_index_at(7.5)
+    # a chain of gaps just under the tolerance makes one shell whose mean is
+    # more than the tolerance away from its end members; every member and
+    # the mean still resolve to it
+    chain = compose(build_spectrum([(0, 1)]),
+                    build_spectrum([(0.9e-9 * k, 1) for k in range(5)]))
+    assert chain.n_shells == 1
+    for energy in (*(0.9e-9 * k for k in range(5)), chain.shells[0].energy):
+        assert chain.shell_index_at(energy) == 0
 
 
 def test_shell_tolerance_groups_close_energies():
