@@ -20,12 +20,12 @@ from .dynamics import (Hamiltonian, NumericalValidationError, Trajectory,
 from .sampling import (CANONICAL, MICROCANONICAL, ConstraintProfile,
                        McEstimate, canonical_profile, mc_average,
                        microcanonical_profile, product_constraint,
-                       sample_canonical, sample_microcanonical, sample_stream,
-                       substream)
+                       sample_batch, sample_canonical, sample_chunks,
+                       sample_microcanonical, sample_stream, substream)
 from .spectrum import (CompositeSpectrum, Shell, Spectrum, Subspace,
                        build_spectrum, compose)
 from .state import (DensityMatrix, PureState, WeightProfile,
-                    product_state, purity_from_amplitudes,
+                    gas_purity_entropy, product_state, purity_from_amplitudes,
                     read_amplitudes_csv, shell_weights, subspace_weights,
                     uniform_profile, write_amplitudes_csv)
 
@@ -36,12 +36,13 @@ __all__ = [
     "Spectrum", "Subspace", "Shell", "CompositeSpectrum",
     "build_spectrum", "compose",
     "WeightProfile", "uniform_profile", "subspace_weights", "shell_weights",
-    "PureState", "DensityMatrix", "purity_from_amplitudes", "product_state",
+    "PureState", "DensityMatrix", "gas_purity_entropy", "purity_from_amplitudes",
+    "product_state",
     "write_amplitudes_csv", "read_amplitudes_csv",
     "MICROCANONICAL", "CANONICAL", "ConstraintProfile",
     "microcanonical_profile", "canonical_profile", "product_constraint",
     "McEstimate", "substream", "sample_microcanonical", "sample_canonical",
-    "sample_stream", "mc_average",
+    "sample_batch", "sample_chunks", "sample_stream", "mc_average",
     "MomentQuery", "DominantDistribution",
     "min_purity_state", "max_entropy_micro",
     "expected_purity_exact", "expected_purity_approx", "lubkin_average",

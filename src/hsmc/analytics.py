@@ -135,6 +135,11 @@ class MomentQuery:
         for u in (self.u_l, self.u_m):
             if int(u) != u or u < 0:
                 raise ValueError(f"exponent {u!r} must be a nonnegative integer")
+        # The Monte Carlo error needs the square of x_1^u_l x_2^u_m, up to R^(2(u_l+u_m)).
+        power = 2 * int(self.u_l + self.u_m)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float64(self.R) ** power):
+                raise ValueError(f"radius {self.R!r} is too large: R**{power} overflows")
 
 
 _IMPLEMENTED_PAIRS = {(0, 0), (0, 1), (1, 1), (0, 2), (2, 2), (0, 4)}

@@ -30,9 +30,9 @@ from .config import ConfigError, ExperimentConfig, build_experiment, load_config
 from .dynamics import (NumericalValidationError, build_canonical_hamiltonian,
                        build_microcanonical_hamiltonian, effective_velocity,
                        evolve, max_drift)
-from .sampling import (MICROCANONICAL, mc_estimate, sample_canonical,
-                       sample_microcanonical, substream)
-from .state import PureState, product_state, write_amplitudes_csv
+from .sampling import (MICROCANONICAL, mc_estimate, sample_batch, sample_chunks,
+                       substream)
+from .state import PureState, gas_purity_entropy, product_state, write_amplitudes_csv
 
 ENERGY_DRIFT_TOLERANCE = 1e-9
 
@@ -76,12 +76,6 @@ def _prepare_out_dir(cfg: ExperimentConfig) -> str:
 def _say(cfg: ExperimentConfig, message: str) -> None:
     if not cfg.quiet:
         print(message)
-
-
-def _sampler_for(cfg: ExperimentConfig):
-    if cfg.constraint.kind == MICROCANONICAL:
-        return lambda rng: sample_microcanonical(cfg.composite, cfg.constraint, rng)
-    return lambda rng: sample_canonical(cfg.composite, cfg.constraint, rng)
 
 
 def cmd_predict(cfg: ExperimentConfig) -> int:
@@ -145,15 +139,15 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
 
 
 def cmd_sample(cfg: ExperimentConfig) -> int:
-    sampler = _sampler_for(cfg)
+    composite = cfg.composite
     n = cfg.n_samples
     purities = np.empty(n)
     entropies = np.empty(n)
-    for i in range(n):
-        state = sampler(substream(cfg.seed, i))
-        rho = state.reduce_gas()
-        purities[i] = rho.purity()
-        entropies[i] = rho.entropy()
+    start = 0
+    for amplitudes in sample_chunks(composite, cfg.constraint, cfg.seed, 0, n):
+        stop = start + len(amplitudes)
+        purities[start:stop], entropies[start:stop] = gas_purity_entropy(composite, amplitudes)
+        start = stop
 
     out_dir = _prepare_out_dir(cfg)
     header = [
@@ -189,7 +183,8 @@ def _initial_state(cfg: ExperimentConfig):
                 "(gas_weights + container_weights); use run.initial=sample"
             )
         return product_state(cfg.composite, cfg.gas_profile, cfg.container_profile)
-    return _sampler_for(cfg)(substream(cfg.seed, 1))
+    return PureState(cfg.composite,
+                     sample_batch(cfg.composite, cfg.constraint, cfg.seed, 1, 1)[0], check=False)
 
 
 def cmd_evolve(cfg: ExperimentConfig) -> int:

@@ -20,7 +20,7 @@ import math
 import numpy as np
 import yaml
 
-from .analytics import MomentQuery
+from .analytics import MomentQuery, hypersphere_moment
 from .sampling import (CANONICAL, MICROCANONICAL, ConstraintProfile,
                        canonical_profile, microcanonical_profile,
                        product_constraint)
@@ -289,8 +289,11 @@ def build_experiment(raw: dict, command: str, seed: int | None = None,
                 u_l=_int_field(section, "moments", "u_l", None),
                 u_m=_int_field(section, "moments", "u_m", None),
             )
+            hypersphere_moment(moment_query)  # refuses pairs without a closed form
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"moments section invalid: {exc}") from exc
+        if n_samples < 2:
+            raise ConfigError("the moments command needs run.n_samples >= 2")
         resolved["moments"] = {
             "R": moment_query.R, "d": moment_query.d,
             "u_l": moment_query.u_l, "u_m": moment_query.u_m,
@@ -302,7 +305,10 @@ def build_experiment(raw: dict, command: str, seed: int | None = None,
                                        DEFAULT_SHELL_TOLERANCE)
         if shell_tolerance < 0:
             raise ConfigError("shell_tolerance must be >= 0")
-        composite = compose(gas, container, shell_tolerance=shell_tolerance)
+        try:
+            composite = compose(gas, container, shell_tolerance=shell_tolerance)
+        except ValueError as exc:
+            raise ConfigError(f"gas and container levels cannot be composed: {exc}") from exc
         constraint, gas_profile, container_profile = _build_constraint(
             raw, composite, gas, container)
 

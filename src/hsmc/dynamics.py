@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectrum import CompositeSpectrum
-from .state import PureState
+from .state import PureState, gas_purity_entropy
 
 __all__ = [
     "NumericalValidationError",
@@ -135,18 +135,27 @@ def _local_diagonals(composite: CompositeSpectrum) -> tuple[np.ndarray, np.ndarr
 def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
               groups: list[np.ndarray], rng: np.random.Generator) -> Hamiltonian:
     """Draw one GUE block per index group, scaled so the largest spectral radius
-    equals ``coupling``, and diagonalize H on every group."""
+    equals ``coupling``, and diagonalize H on every group.
+
+    Where H_g + H_c is one constant d on a group and the coupling is nonzero,
+    H there is d + scale * x, so one ``eigh`` of the draw x gives both its
+    spectral radius and the eigenpairs of H.  Other groups take the radius
+    from ``eigvalsh`` of the draw and the eigenpairs from ``eigh`` of H.
+    """
     if not coupling >= 0:
         raise ValueError("coupling must be >= 0")
     gas_diag, container_diag = _local_diagonals(composite)
     diag = gas_diag + container_diag
     draws = [_gue_block(rng, len(idx)) for idx in groups]
-    scale = coupling / max(float(np.max(np.abs(np.linalg.eigvalsh(x)))) for x in draws)
+    spectra = [np.linalg.eigh(x) if coupling > 0 and np.all(diag[idx] == diag[idx[0]])
+               else (np.linalg.eigvalsh(x), None) for idx, x in zip(groups, draws)]
+    scale = coupling / max(float(np.max(np.abs(e))) for e, _ in spectra)
     blocks = []
-    for idx, x in zip(groups, draws):
-        interaction = scale * x
-        blocks.append(HamiltonianBlock(idx, interaction,
-                                       *np.linalg.eigh(np.diag(diag[idx]) + interaction)))
+    for idx, x, (e, v) in zip(groups, draws, spectra):
+        x *= scale
+        d = diag[idx]
+        pairs = np.linalg.eigh(np.diag(d) + x) if v is None else (d[0] + scale * e, v)
+        blocks.append(HamiltonianBlock(idx, x, *pairs))
     for arr in (gas_diag, container_diag, *(a for block in blocks for a in block)):
         arr.flags.writeable = False
     return Hamiltonian(composite, kind, float(coupling), gas_diag, container_diag,
@@ -247,13 +256,7 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times) -> Trajectory:
     energy_series = np.einsum("ki,ki->k", amplitudes.conj(), h_psi).real
     v_eff_series = np.linalg.norm(h_psi, axis=1)
 
-    purities = np.empty(len(times))
-    entropies = np.empty(len(times))
-    for k, psi in enumerate(amplitudes):
-        rho = PureState(composite, psi, check=False).reduce_gas()
-        purities[k] = rho.purity()
-        entropies[k] = rho.entropy()
-
+    purities, entropies = gas_purity_entropy(composite, amplitudes)
     w_sub = composite.subspace_sums(np.abs(amplitudes) ** 2)
     measures = {
         "norm": norms,

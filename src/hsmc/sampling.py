@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from .spectrum import CompositeSpectrum
-from .state import PureState, WeightProfile, checked_weights, subspace_weights
+from .state import (PureState, WeightProfile, batch_rows, check_normalized,
+                    checked_weights, subspace_weights)
 
 __all__ = [
     "MICROCANONICAL",
@@ -35,6 +36,8 @@ __all__ = [
     "substream",
     "sample_microcanonical",
     "sample_canonical",
+    "sample_chunks",
+    "sample_batch",
     "sample_stream",
     "mc_average",
 ]
@@ -151,6 +154,11 @@ def mc_estimate(chunks: Iterable[np.ndarray], seed: int) -> McEstimate:
     return McEstimate(mean=mean, std_error=std_error, n_samples=count, seed=seed)
 
 
+def _check_keys(seed: int, start: int, count: int) -> None:
+    if not (0 <= seed < 2**64 and 0 <= start and 0 <= count and start + count <= 2**64):
+        raise ValueError("seed and index must be integers in [0, 2**64)")
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent counter-based generator for sample ``index`` of run ``seed``.
 
@@ -158,29 +166,65 @@ def substream(seed: int, index: int) -> np.random.Generator:
     so parallel workers assigned disjoint index ranges reproduce the serial
     sample sequence exactly.
     """
-    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
-        raise ValueError("seed and index must be integers in [0, 2**64)")
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+    _check_keys(seed, index, 1)
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _fill_sphere_blocks(amplitudes: np.ndarray, slices, radii, rng) -> None:
-    """Write one uniform draw per sphere block into the flat amplitude vector.
+def _sphere_blocks(composite: CompositeSpectrum, profile: ConstraintProfile):
+    """The positive-weight blocks of ``profile``, in block order.
 
-    ``slices`` yields, per block, either a slice or an index array into
-    ``amplitudes``; ``radii`` the matching sphere radii.  All normal variates
-    come from a single rng call, so block boundaries do not affect the stream.
+    Returns the start of each block in the concatenation of their amplitudes
+    (n in all) plus n, the sphere radii sqrt(W), and ``source``: for each flat
+    index, its position in that concatenation, or n where the weight is zero.
     """
-    sizes = [(s.stop - s.start) if isinstance(s, slice) else len(s) for s in slices]
-    draws = rng.standard_normal(2 * int(sum(sizes)))
-    pos = 0
-    for target, n, radius in zip(slices, sizes, radii):
-        block = draws[pos:pos + 2 * n]
-        pos += 2 * n
-        norm = float(np.linalg.norm(block))
-        while norm == 0.0:
-            block = rng.standard_normal(2 * n)
-            norm = float(np.linalg.norm(block))
-        amplitudes[target] = (radius / norm) * block.view(np.complex128)
+    w = profile.resolve(composite)
+    active = np.flatnonzero(w > 0)
+    if profile.kind == MICROCANONICAL:
+        groups = [np.arange(*composite.block_slice(int(i)).indices(composite.dim))
+                  for i in active]
+    else:
+        groups = [composite.shell_flat_indices(int(i)) for i in active]
+    bounds = np.concatenate(([0], np.cumsum([len(g) for g in groups])))
+    source = np.full(composite.dim, bounds[-1])
+    source[np.concatenate(groups)] = np.arange(bounds[-1])
+    return bounds, np.sqrt(w[active]), source
+
+
+def _fill(blocks, normals: np.ndarray, row_stream) -> np.ndarray:
+    """Flat-layout amplitudes of one sphere draw per row of ``normals``.
+
+    Each row holds the standard normals of the concatenated blocks, 2 per
+    amplitude, all drawn by one call so block boundaries do not affect the
+    stream, and then two zeros that fill the zero-weight blocks.  Each block
+    is rescaled in place to its sphere radius; a block whose normals are all
+    zero is drawn again, in block order, from ``row_stream(r)``: row r's own
+    stream, just after that first call.  The norm of every row is checked.
+    """
+    bounds, radii, source = blocks
+    spans = [slice(2 * a, 2 * b) for a, b in zip(bounds[:-1], bounds[1:])]
+    norms = np.stack([np.sqrt(np.vecdot(normals[:, s], normals[:, s])) for s in spans], axis=1)
+    for r in np.flatnonzero(np.any(norms == 0.0, axis=1)):
+        rng = row_stream(r)
+        for j in np.flatnonzero(norms[r] == 0.0):
+            block = normals[r, spans[j]]
+            while norms[r, j] == 0.0:
+                rng.standard_normal(out=block)
+                norms[r, j] = np.sqrt(np.vecdot(block, block))
+    for s, radius, norm in zip(spans, radii, norms.T):
+        normals[:, s] *= (radius / norm)[:, None]
+    amplitudes = np.take(normals.view(np.complex128), source, axis=1)
+    check_normalized(amplitudes)
+    return amplitudes
+
+
+def _sample_one(composite: CompositeSpectrum, profile: ConstraintProfile, kind: str,
+                rng: np.random.Generator) -> PureState:
+    if profile.kind != kind:
+        raise ValueError(f"expected a {kind} profile, got {profile.kind!r}")
+    blocks = _sphere_blocks(composite, profile)
+    normals = np.zeros((1, 2 * blocks[0][-1] + 2))
+    rng.standard_normal(out=normals[0, :-2])
+    return PureState(composite, _fill(blocks, normals, lambda r: rng)[0], check=False)
 
 
 def sample_microcanonical(composite: CompositeSpectrum, profile: ConstraintProfile,
@@ -190,18 +234,7 @@ def sample_microcanonical(composite: CompositeSpectrum, profile: ConstraintProfi
     Each subspace's amplitudes are uniform on the real 2*N_AB-dimensional
     sphere of radius sqrt(W_AB), independently across subspaces.
     """
-    if profile.kind != MICROCANONICAL:
-        raise ValueError(f"expected a microcanonical profile, got {profile.kind!r}")
-    w = profile.resolve(composite)
-    amplitudes = np.zeros(composite.dim, dtype=complex)
-    active = np.flatnonzero(w > 0)
-    _fill_sphere_blocks(
-        amplitudes,
-        [composite.block_slice(int(i)) for i in active],
-        [math.sqrt(w[i]) for i in active],
-        rng,
-    )
-    return PureState(composite, amplitudes)
+    return _sample_one(composite, profile, MICROCANONICAL, rng)
 
 
 def sample_canonical(composite: CompositeSpectrum, profile: ConstraintProfile,
@@ -211,18 +244,68 @@ def sample_canonical(composite: CompositeSpectrum, profile: ConstraintProfile,
     Each shell's amplitudes (all subspaces with E_A + E_B = E together) are
     uniform on the 2*N_E-dimensional sphere of radius sqrt(W_E).
     """
-    if profile.kind != CANONICAL:
-        raise ValueError(f"expected a canonical profile, got {profile.kind!r}")
-    w = profile.resolve(composite)
-    amplitudes = np.zeros(composite.dim, dtype=complex)
-    active = np.flatnonzero(w > 0)
-    _fill_sphere_blocks(
-        amplitudes,
-        [composite.shell_flat_indices(int(i)) for i in active],
-        [math.sqrt(w[i]) for i in active],
-        rng,
-    )
-    return PureState(composite, amplitudes)
+    return _sample_one(composite, profile, CANONICAL, rng)
+
+
+def sample_chunks(composite: CompositeSpectrum, profile: ConstraintProfile,
+                  seed: int, start: int, count: int) -> Iterator[np.ndarray]:
+    """Draws ``start`` to ``start + count - 1`` of run ``seed``, ``batch_rows(dim)`` rows at a time.
+
+    Yields (rows, dim) flat-layout amplitude arrays whose rows, in order, are
+    the draws; see :func:`sample_batch` for the contract they keep.  The
+    profile is resolved and the blocks laid out once, and one Philox
+    generator is re-keyed to [seed, index] for each row.  Memory stays at a
+    few chunks however large ``count`` is.
+    """
+    _check_keys(seed, start, count)
+    return _chunks(_sphere_blocks(composite, profile), batch_rows(composite.dim),
+                   seed, start, count)
+
+
+def _chunks(blocks, rows: int, seed: int, start: int, count: int) -> Iterator[np.ndarray]:
+    n_normals = 2 * blocks[0][-1]
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+
+    def stream(index: int) -> np.random.Generator:
+        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+        state["state"]["key"] = np.array([seed, index], dtype=np.uint64)
+        state["buffer_pos"], state["has_uint32"] = 4, 0
+        bitgen.state = state
+        return gen
+
+    def after_first_call(index: int) -> np.random.Generator:
+        stream(index).standard_normal(n_normals)
+        return gen
+
+    normals = np.zeros((min(rows, count), n_normals + 2))
+    for first in range(start, start + count, rows):
+        m = min(rows, start + count - first)
+        for r in range(m):
+            stream(first + r).standard_normal(out=normals[r, :n_normals])
+        yield _fill(blocks, normals[:m], lambda r: after_first_call(first + r))
+
+
+def sample_batch(composite: CompositeSpectrum, profile: ConstraintProfile,
+                 seed: int, start: int, count: int) -> np.ndarray:
+    """Draws ``start`` to ``start + count - 1`` of run ``seed``, one flat-layout state per row.
+
+    Row k is, bit for bit, the amplitudes that :func:`sample_microcanonical`
+    or :func:`sample_canonical` (after ``profile.kind``) draws from
+    ``substream(seed, start + k)``.  A row depends on its index alone, so
+    any split of an index range into calls, and any chunking inside a call,
+    gives the same rows.  Every row passes the norm check of
+    :class:`PureState`.  The rows come from :func:`sample_chunks`, which
+    yields the same draws without holding them all.
+    """
+    chunks = sample_chunks(composite, profile, seed, start, count)
+    out = np.empty((count, composite.dim), dtype=complex)
+    first = 0
+    for chunk in chunks:
+        out[first:first + len(chunk)] = chunk
+        first += len(chunk)
+    return out
 
 
 def sample_stream(sampler: Callable[[np.random.Generator], PureState],

@@ -119,10 +119,11 @@ class CompositeSpectrum:
     """Joint index space of a gas and a container spectrum.
 
     Immutable after construction; safe to share across workers.  Instances are
-    built by :func:`compose`, which also precomputes the index map from the
-    flat block layout into the row-major dim_gas x dim_container matrix
-    (``_matrix_index[i] = row * dim_container + col``) and the subspace ->
-    shell and subspace -> gas-level maps behind the weight sums.
+    built by :func:`compose`, which also precomputes the index map between
+    the flat block layout and the row-major dim_gas x dim_container matrix
+    (``_flat_index[row * dim_container + col]`` is the flat index of that
+    cell) and the subspace -> shell and subspace -> gas-level maps behind the
+    weight sums.
     """
 
     gas: Spectrum
@@ -137,7 +138,7 @@ class CompositeSpectrum:
     _shell_of_subspace: np.ndarray = field(repr=False)
     _gas_level_of_subspace: np.ndarray = field(repr=False)
     _block_offsets: np.ndarray = field(repr=False)
-    _matrix_index: np.ndarray = field(repr=False)
+    _flat_index: np.ndarray = field(repr=False)
     _shell_indices: tuple = field(repr=False)
 
     @property
@@ -223,7 +224,7 @@ def compose(gas: Spectrum, container: Spectrum,
     Raises
     ------
     ValueError
-        If ``shell_tolerance`` is negative.
+        If ``shell_tolerance`` is negative or a total energy overflows.
     """
     if shell_tolerance < 0:
         raise ValueError("shell_tolerance must be >= 0")
@@ -235,6 +236,8 @@ def compose(gas: Spectrum, container: Spectrum,
     offset = 0
     for A, (e_a, n_a) in enumerate(zip(gas.energies, gas.degeneracies)):
         for B, (e_b, n_b) in enumerate(zip(container.energies, container.degeneracies)):
+            if not np.isfinite(e_a + e_b):
+                raise ValueError(f"total energy {e_a!r} + {e_b!r} is not finite")
             n_ab = n_a * n_b
             subspaces.append(Subspace(A=A, B=B, n_states=n_ab, energy=e_a + e_b, offset=offset))
             offset += n_ab
@@ -264,7 +267,8 @@ def compose(gas: Spectrum, container: Spectrum,
         for i in group:
             shell_of_subspace[i] = shell_idx
 
-    # Flat block layout -> row * dim_container + col of the amplitude matrix.
+    # Flat block layout -> row * dim_container + col of the amplitude matrix,
+    # stored inverted: reading a matrix out of flat amplitudes is then a gather.
     matrix_index = np.concatenate([
         np.add.outer(np.arange(gas_offsets[s.A], gas_offsets[s.A + 1]) * container.dim,
                      np.arange(container_offsets[s.B], container_offsets[s.B + 1])).ravel()
@@ -283,7 +287,10 @@ def compose(gas: Spectrum, container: Spectrum,
         idx.flags.writeable = False
         shell_indices.append(idx)
 
-    for arr in (matrix_index, block_offsets, shell_of_subspace, gas_level_of_subspace):
+    flat_index = np.empty_like(matrix_index)
+    flat_index[matrix_index] = np.arange(dim)
+
+    for arr in (flat_index, block_offsets, shell_of_subspace, gas_level_of_subspace):
         arr.flags.writeable = False
 
     return CompositeSpectrum(
@@ -299,6 +306,6 @@ def compose(gas: Spectrum, container: Spectrum,
         _shell_of_subspace=shell_of_subspace,
         _gas_level_of_subspace=gas_level_of_subspace,
         _block_offsets=block_offsets,
-        _matrix_index=matrix_index,
+        _flat_index=flat_index,
         _shell_indices=tuple(shell_indices),
     )

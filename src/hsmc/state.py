@@ -18,13 +18,17 @@ from .spectrum import CompositeSpectrum, Spectrum
 __all__ = [
     "NORMALIZATION_TOLERANCE",
     "WEIGHT_SUM_TOLERANCE",
+    "BATCH_ELEMENTS",
+    "batch_rows",
     "checked_weights",
+    "check_normalized",
     "WeightProfile",
     "uniform_profile",
     "subspace_weights",
     "shell_weights",
     "PureState",
     "DensityMatrix",
+    "gas_purity_entropy",
     "purity_from_amplitudes",
     "product_state",
     "write_amplitudes_csv",
@@ -39,6 +43,17 @@ WEIGHT_SUM_TOLERANCE = 1e-12
 DENSITY_TOLERANCE = 1e-10
 # Eigenvalues are clipped to zero if slightly negative; below this they are an error.
 EIGENVALUE_FLOOR = -1e-8
+
+# Batched code works on chunks of rows holding at most this many amplitudes, so
+# each complex (rows, dim) buffer, or the (rows, 2 * dim) normals behind it,
+# stays within 256 KiB whatever the batch size.  Twice this grew the peak RSS
+# of a dim-6120 `sample` run by 3% over drawing one row at a time.
+BATCH_ELEMENTS = 2**14
+
+
+def batch_rows(dim: int) -> int:
+    """Rows per chunk for states of ``dim`` amplitudes (at least 1)."""
+    return max(1, BATCH_ELEMENTS // dim)
 
 
 def checked_weights(values, n: int, what: str) -> np.ndarray:
@@ -58,6 +73,54 @@ def checked_weights(values, n: int, what: str) -> np.ndarray:
     if not abs(total - 1.0) <= WEIGHT_SUM_TOLERANCE:
         raise ValueError(f"{what}: weights sum to {total!r}, expected 1")
     return w
+
+
+def check_normalized(amplitudes) -> None:
+    """Raise ValueError unless every state along the trailing axis has |psi|^2 = 1.
+
+    The tolerance is ``NORMALIZATION_TOLERANCE``; a NaN norm fails.
+    """
+    norm_sq = np.atleast_1d(np.vecdot(amplitudes, amplitudes).real)
+    bad = ~(np.abs(norm_sq - 1.0) <= NORMALIZATION_TOLERANCE)
+    if np.any(bad):
+        raise ValueError(f"state norm^2 = {float(norm_sq[bad][0])!r} deviates from 1")
+
+
+def _check_density(matrices: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of the (..., d, d) stack is Hermitian
+    with unit trace within ``DENSITY_TOLERANCE``; NaN fails both checks."""
+    defect = np.atleast_1d(np.max(np.abs(matrices - matrices.conj().swapaxes(-1, -2)),
+                                  axis=(-2, -1), initial=0.0))
+    bad = ~(defect <= DENSITY_TOLERANCE)
+    if np.any(bad):
+        raise ValueError(f"matrix is not Hermitian (max defect {float(defect[bad][0])!r})")
+    trace = np.atleast_1d(np.trace(matrices, axis1=-2, axis2=-1).real)
+    bad = ~(np.abs(trace - 1.0) <= DENSITY_TOLERANCE)
+    if np.any(bad):
+        raise ValueError(f"trace = {float(trace[bad][0])!r} deviates from 1")
+
+
+def _clipped_eigenvalues(matrices: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix of the stack, tiny negatives
+    (>= ``EIGENVALUE_FLOOR``) clipped to 0; a lower one is a ValueError."""
+    w = np.linalg.eigvalsh(matrices)
+    if w.size:
+        lowest = np.atleast_1d(w[..., 0])
+        bad = lowest < EIGENVALUE_FLOOR
+        if np.any(bad):
+            raise ValueError(f"eigenvalue {float(lowest[bad][0])!r} is too negative for a state")
+    return np.clip(w, 0.0, None)
+
+
+def _purity(matrices: np.ndarray) -> np.ndarray:
+    """Tr rho^2 of each matrix of the stack, without diagonalizing."""
+    return np.einsum("...ij,...ji->...", matrices, matrices).real
+
+
+def _entropy(eigenvalues: np.ndarray) -> np.ndarray:
+    """-sum w ln w along the trailing axis, natural log, with 0 ln 0 = 0."""
+    logs = np.log(eigenvalues, out=np.zeros_like(eigenvalues), where=eigenvalues > 0.0)
+    return -np.sum(eigenvalues * logs, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -113,9 +176,7 @@ class PureState:
                 f"amplitude vector has shape {amplitudes.shape}, expected ({composite.dim},)"
             )
         if check:
-            norm_sq = float(np.vdot(amplitudes, amplitudes).real)
-            if abs(norm_sq - 1.0) > NORMALIZATION_TOLERANCE:
-                raise ValueError(f"state norm^2 = {norm_sq!r} deviates from 1")
+            check_normalized(amplitudes)
         self.composite = composite
         self.amplitudes = amplitudes
 
@@ -125,9 +186,7 @@ class PureState:
     def to_matrix(self) -> np.ndarray:
         """Amplitudes as the dim_gas x dim_container matrix Psi with rho_g = Psi Psi^dagger."""
         c = self.composite
-        psi = np.empty(c.dim, dtype=complex)
-        psi[c._matrix_index] = self.amplitudes
-        return psi.reshape(c.dim_gas, c.dim_container)
+        return self.amplitudes[c._flat_index].reshape(c.dim_gas, c.dim_container)
 
     @classmethod
     def from_matrix(cls, composite: CompositeSpectrum, psi: np.ndarray,
@@ -136,7 +195,9 @@ class PureState:
         expected = (composite.dim_gas, composite.dim_container)
         if psi.shape != expected:
             raise ValueError(f"matrix has shape {psi.shape}, expected {expected}")
-        return cls(composite, psi.ravel()[composite._matrix_index], check=check)
+        amplitudes = np.empty(composite.dim, dtype=complex)
+        amplitudes[composite._flat_index] = psi.ravel()
+        return cls(composite, amplitudes, check=check)
 
     def subspace_weights(self) -> np.ndarray:
         """Probability mass |psi|^2 in each (A, B) subspace, in subspace order."""
@@ -179,12 +240,7 @@ class DensityMatrix:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {matrix.shape}")
         if check:
-            herm_defect = float(np.max(np.abs(matrix - matrix.conj().T))) if matrix.size else 0.0
-            if herm_defect > DENSITY_TOLERANCE:
-                raise ValueError(f"matrix is not Hermitian (max defect {herm_defect!r})")
-            trace = float(np.trace(matrix).real)
-            if abs(trace - 1.0) > DENSITY_TOLERANCE:
-                raise ValueError(f"trace = {trace!r} deviates from 1")
+            _check_density(matrix)
         self.matrix = matrix
         self._eigenvalues: np.ndarray | None = None
 
@@ -195,21 +251,48 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Ascending real eigenvalues; tiny negatives (>= -1e-8) are clipped to 0."""
         if self._eigenvalues is None:
-            w = np.linalg.eigvalsh(self.matrix)
-            if w.size and float(w[0]) < EIGENVALUE_FLOOR:
-                raise ValueError(f"eigenvalue {float(w[0])!r} is too negative for a state")
-            self._eigenvalues = np.clip(w, 0.0, None)
+            self._eigenvalues = _clipped_eigenvalues(self.matrix)
         return self._eigenvalues
 
     def purity(self) -> float:
         """Tr rho^2, computed directly from the matrix (no diagonalization)."""
-        return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
+        return float(_purity(self.matrix))
 
     def entropy(self) -> float:
         """Von Neumann entropy -sum w ln w in natural units, with 0 ln 0 = 0."""
-        w = self.eigenvalues()
-        w = w[w > 0.0]
-        return float(-np.sum(w * np.log(w)))
+        return float(_entropy(self.eigenvalues()))
+
+
+def gas_purity_entropy(composite: CompositeSpectrum,
+                       amplitudes) -> tuple[np.ndarray, np.ndarray]:
+    """Purity Tr rho_g^2 and entropy of the reduced gas state of every row.
+
+    ``amplitudes`` is an (n, dim) stack of flat-layout states.  Rows are
+    reduced ``batch_rows(dim)`` at a time: each chunk is gathered into
+    (rows, dim_gas, dim_container) matrices Psi, and rho_g = Psi Psi^dagger,
+    the purities and the eigenvalues come from one stacked call each.  A row's
+    values depend on that row alone, so splitting a batch anywhere gives the
+    same numbers.  Every rho_g passes the checks of :class:`DensityMatrix`
+    (Hermiticity, unit trace, eigenvalue floor) and fails with the same
+    ValueError.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    if amplitudes.ndim != 2 or amplitudes.shape[1] != composite.dim:
+        raise ValueError(f"amplitudes have shape {amplitudes.shape}, expected (n, {composite.dim})")
+    n = len(amplitudes)
+    purity = np.empty(n)
+    entropy = np.empty(n)
+    rows = batch_rows(composite.dim)
+    for start in range(0, n, rows):
+        chunk = amplitudes[start:start + rows]
+        m = len(chunk)
+        matrices = np.take(chunk, composite._flat_index, axis=1).reshape(
+            m, composite.dim_gas, composite.dim_container)
+        rho = matrices @ matrices.conj().swapaxes(1, 2)
+        _check_density(rho)
+        purity[start:start + m] = _purity(rho)
+        entropy[start:start + m] = _entropy(_clipped_eigenvalues(rho))
+    return purity, entropy
 
 
 def product_state(composite: CompositeSpectrum, gas_profile: WeightProfile,

@@ -16,13 +16,14 @@ from scipy.optimize import minimize
 from hsmc import (MomentQuery, WeightProfile, build_microcanonical_hamiltonian,
                   build_canonical_hamiltonian, build_spectrum, canonical_profile,
                   compose, dominant_distribution, evolve, expected_purity_exact,
-                  fit_temperature, hypersphere_moment, hypersphere_moment_mc,
-                  lubkin_average, marginal_gas_distribution, max_drift,
-                  max_entropy_micro, mc_average, microcanonical_profile,
-                  min_purity_state, path_average, product_constraint,
-                  product_state, region_log_size, sample_canonical,
-                  sample_microcanonical, substream, time_average,
+                  fit_temperature, gas_purity_entropy, hypersphere_moment,
+                  hypersphere_moment_mc, lubkin_average,
+                  marginal_gas_distribution, max_drift, max_entropy_micro,
+                  microcanonical_profile, min_purity_state, path_average,
+                  product_constraint, product_state, region_log_size,
+                  sample_chunks, sample_microcanonical, time_average,
                   uniform_profile)
+from hsmc.sampling import mc_estimate
 
 
 @pytest.fixture
@@ -37,6 +38,15 @@ def announce(capsys):
     return _say
 
 
+def _purities(comp, profile, seed, n):
+    """Purities of draws 0 .. n-1 of run ``seed``, a chunk at a time."""
+    return (gas_purity_entropy(comp, amps)[0] for amps in sample_chunks(comp, profile, seed, 0, n))
+
+
+def _subspace_weights(comp, amps):
+    return comp.subspace_sums(np.abs(amps) ** 2)
+
+
 def test_1_unconstrained_purity_matches_closed_form(announce):
     """Fully degenerate 2 x N_c sampling reproduces (Ng+Nc)/(Ng*Nc+1)."""
     n = 100_000
@@ -44,11 +54,7 @@ def test_1_unconstrained_purity_matches_closed_form(announce):
     for n_c, seed in ((2, 103), (8, 109), (32, 131)):
         comp = compose(build_spectrum([(0.0, 2)]), build_spectrum([(0.0, n_c)]))
         profile = microcanonical_profile({(0, 0): 1.0})
-        est = mc_average(
-            lambda s: s.purity(),
-            lambda rng: sample_microcanonical(comp, profile, rng),
-            n, seed,
-        )
+        est = mc_estimate(_purities(comp, profile, seed, n), seed)
         target = lubkin_average(2, n_c)
         z_scores[n_c] = abs(est.mean - target) / est.std_error
     worst = max(z_scores.values())
@@ -83,11 +89,7 @@ def test_2_exact_average_purity_over_five_composites(announce):
             WeightProfile(gas, w_gas),
             WeightProfile(container, w_cont),
         )
-        est = mc_average(
-            lambda s: s.purity(),
-            lambda rng: sample_microcanonical(comp, profile, rng),
-            n, seed,
-        )
+        est = mc_estimate(_purities(comp, profile, seed, n), seed)
         exact = expected_purity_exact(comp, w_gas, w_cont)
         z_scores.append(abs(est.mean - exact) / est.std_error)
     elapsed = time.time() - t0
@@ -144,13 +146,10 @@ def test_4_entropy_concentration_near_maximum(announce):
     seed = 307
     hits_entropy = 0
     hits_purity = 0
-    for i in range(n):
-        state = sample_microcanonical(comp, profile, substream(seed, i))
-        rho = state.reduce_gas()
-        if rho.entropy() >= 0.95 * s_max:
-            hits_entropy += 1
-        if rho.purity() <= 1.1 * p_min:
-            hits_purity += 1
+    for amps in sample_chunks(comp, profile, seed, 0, n):
+        purity, entropy = gas_purity_entropy(comp, amps)
+        hits_entropy += int(np.sum(entropy >= 0.95 * s_max))
+        hits_purity += int(np.sum(purity <= 1.1 * p_min))
     frac_entropy = hits_entropy / n
     frac_purity = hits_purity / n
     ok = frac_entropy >= 0.99 and frac_purity > 0.99
@@ -217,14 +216,11 @@ def test_5_dominant_distribution_is_sampled_and_maximal(announce):
 
     n = 100_000
     seed = 401
-    mean = np.zeros(comp.n_subspaces)
-    m2 = np.zeros(comp.n_subspaces)
-    for i in range(n):
-        w = sample_canonical(comp, profile, substream(seed, i)).subspace_weights()
-        delta = w - mean
-        mean += delta / (i + 1)
-        m2 += delta * (w - mean)
-    std_error = np.sqrt(m2 / (n - 1) / n)
+    w = np.concatenate([_subspace_weights(comp, amps)
+                        for amps in sample_chunks(comp, profile, seed, 0, n)])
+    estimates = [mc_estimate([column], seed) for column in w.T]
+    mean = np.array([est.mean for est in estimates])
+    std_error = np.array([est.std_error for est in estimates])
 
     dd = dominant_distribution(comp, shell_w)
     target = dd.as_array()
@@ -262,8 +258,8 @@ def test_6_geometric_container_gives_boltzmann_temperature(announce):
     seed = 503
     profile = canonical_profile({8.0: 1.0})
     total = np.zeros(gas.n_levels)
-    for i in range(n):
-        total += sample_canonical(comp, profile, substream(seed, i)).gas_level_weights()
+    for amps in sample_chunks(comp, profile, seed, 0, n):
+        total += comp.gas_level_sums(_subspace_weights(comp, amps)).sum(axis=0)
     kt_mc, _ = fit_temperature(gas, total / n)
     err_mc = abs(kt_mc / kt_target - 1.0)
 

@@ -209,6 +209,9 @@ def test_moment_query_validation():
         MomentQuery(R=1, d=4, u_l=-2, u_m=0)
     with pytest.raises(ValueError, match="exponent"):
         MomentQuery(R=1, d=4, u_l=0.5, u_m=0)
+    with pytest.raises(ValueError, match="too large"):
+        MomentQuery(R=1e300, d=4, u_l=0, u_m=2)
+    MomentQuery(R=1e300, d=4, u_l=0, u_m=0)
 
 
 def test_moment_mc_agrees_with_closed_form():

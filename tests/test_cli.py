@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
+import yaml
 
 from hsmc import (WeightProfile, build_spectrum, compose, dominant_distribution,
                   expected_purity_exact, microcanonical_profile, min_purity_state,
@@ -380,6 +386,8 @@ run:
 """),
     "conservation_tolerance": ("evolve", C1_YAML + "  n_times: 5\n"
                                "  conservation_tolerance: .nan\n"),
+    "total_energy": ("sample", C1_YAML.replace("[1, 2]]", "[1.0e+308, 2]]")
+                     .replace("[1, 4]]", "[1.0e+308, 4]]")),
 }
 
 
@@ -433,6 +441,20 @@ def test_moments_missing_section_exits_2(tmp_path, capsys):
     assert "moments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mangle, n, hint", [
+    (lambda t: t.replace("u_m: 2", "u_m: 3"), None, "unsupported exponent pair"),
+    (lambda t: t.replace("d: 4", "d: 1").replace("u_l: 0", "u_l: 1")
+     .replace("u_m: 2", "u_m: 1"), None, "d >= 2"),
+    (lambda t: t, 1, "n_samples >= 2"),
+])
+def test_moments_without_a_closed_form_exit_2(tmp_path, capsys, mangle, n, hint):
+    cfg = write_config(tmp_path, mangle(MOMENTS_YAML))
+    argv = ["moments", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]
+    assert main(argv + (["--n", str(n)] if n else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and hint in err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["predict", "--config", str(tmp_path / "absent.yaml"),
                  "--out", str(tmp_path / "o"), "--quiet"]) == 2
@@ -481,3 +503,86 @@ def test_module_entry_point_smoke(tmp_path):
     assert proc.returncode == 0
     assert "exact=0.25" in proc.stdout
     assert (out / "moments.json").exists()
+
+
+# ------------------------------------------------------------------- fuzzing
+
+ODD_FLOATS = st.sampled_from(
+    [0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e308, 1e-300])
+
+
+def _mostly(draw, valid, odd):
+    """A draw from ``valid`` about 23 times in 24, otherwise from ``odd``."""
+    odd_turn = draw(st.sampled_from([False] * 12 + [True] + [False] * 11))
+    return draw(odd) if odd_turn else draw(valid)
+
+
+def _fuzz_weights(draw, n):
+    """Nonnegative weights summing to 1, or now and then anything."""
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    total = sum(raw)
+    valid = [w / total for w in raw] if total > 0 else [1.0 / n] * n
+    return _mostly(draw, st.just(valid),
+                   st.lists(st.one_of(st.floats(-2, 2), ODD_FLOATS), max_size=n + 1))
+
+
+@st.composite
+def fuzz_configs(draw):
+    """Small spectra, constraints and run fields, now and then NaN, inf or huge."""
+    def levels():
+        n = draw(st.integers(1, 3))
+        energies = draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n, unique=True))
+        return [[_mostly(draw, st.just(e), ODD_FLOATS),
+                 _mostly(draw, st.integers(1, 3), st.sampled_from([0, -1, 2.5]))]
+                for e in energies]
+
+    gas, container = levels(), levels()
+    constraint = {"kind": _mostly(draw, st.sampled_from(["microcanonical", "canonical"]),
+                                  st.just("grand"))}
+    if draw(st.booleans()):
+        constraint["gas_weights"] = _fuzz_weights(draw, len(gas))
+        constraint["container_weights"] = _fuzz_weights(draw, len(container))
+    elif constraint["kind"] == "microcanonical":
+        pairs = draw(st.lists(st.tuples(st.integers(0, len(gas) - 1),
+                                        st.integers(0, len(container) - 1)),
+                              min_size=1, max_size=4, unique=True))
+        constraint["weights"] = [[a, b, w] for (a, b), w
+                                 in zip(pairs, _fuzz_weights(draw, len(pairs)))]
+    else:
+        sums = st.sampled_from([g[0] + c[0] for g in gas for c in container])
+        energies = draw(st.lists(st.one_of(sums, ODD_FLOATS), min_size=1, max_size=3))
+        constraint["weights"] = [[e, w] for e, w
+                                 in zip(energies, _fuzz_weights(draw, len(energies)))]
+    run = {"seed": _mostly(draw, st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64])),
+           "initial": _mostly(draw, st.sampled_from(["sample", "product", "sample"]),
+                              st.just("bogus")),
+           "dump_states": draw(st.booleans())}
+    for key in ("coupling", "t_max", "conservation_tolerance"):
+        if draw(st.booleans()):
+            run[key] = _mostly(draw, st.floats(1e-3, 10), ODD_FLOATS)
+    if draw(st.booleans()):
+        run["n_times"] = _mostly(draw, st.integers(2, 5), st.integers(-1, 1))
+    u_l, u_m = _mostly(draw, st.sampled_from([(0, 0), (0, 1), (1, 1), (0, 2), (2, 2), (4, 0)]),
+                       st.tuples(st.integers(-1, 5), st.integers(-1, 5)))
+    moments = {"R": _mostly(draw, st.floats(0.1, 3), ODD_FLOATS),
+               "d": _mostly(draw, st.integers(2, 6), st.integers(-1, 1)),
+               "u_l": u_l, "u_m": u_m}
+    return {"gas": {"levels": gas}, "container": {"levels": container},
+            "constraint": constraint, "run": run, "moments": moments}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=fuzz_configs(), command=st.sampled_from(["predict", "sample", "evolve", "moments"]),
+       n=st.sampled_from([1, 2, 5]))
+def test_fuzzed_configs_exit_cleanly(config, command, n):
+    """Any config runs (exit 0), is refused (2) or fails a numerical check (3)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(config, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", path, "--n", str(n),
+                         "--out", os.path.join(tmp, "out"), "--quiet"])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()

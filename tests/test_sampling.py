@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import hsmc.state
 from hsmc import (ConstraintProfile, McEstimate, WeightProfile, build_spectrum,
                   canonical_profile, compose, lubkin_average, mc_average,
-                  microcanonical_profile, product_constraint,
-                  sample_canonical, sample_microcanonical, sample_stream,
-                  substream)
+                  microcanonical_profile, product_constraint, sample_batch,
+                  sample_canonical, sample_chunks, sample_microcanonical,
+                  sample_stream, substream)
 
 
 def two_by_two():
@@ -92,6 +93,14 @@ def test_substream_rejects_negative():
     substream(2**64 - 1, 2**64 - 1)  # the largest key Philox accepts
 
 
+def test_substream_keys_are_exact_above_2_63():
+    # a key mixing a word >= 2**63 with a smaller one must not pass through float64
+    draws = {(seed, index): substream(seed, index).standard_normal(4).tobytes()
+             for seed, index in ((0, 5), (2**64 - 1, 5), (2**63 + 12344, 5),
+                                 (2**63 + 12345, 5), (5, 2**63 + 12344), (5, 2**63 + 12345))}
+    assert len(set(draws.values())) == len(draws)
+
+
 # ----------------------------------------------------- constraint exactness
 
 def test_microcanonical_draw_hits_weights_exactly():
@@ -153,6 +162,94 @@ def test_draws_are_deterministic_in_seed():
     c = sample_microcanonical(comp, profile, substream(43, 9)).amplitudes
     np.testing.assert_array_equal(a, b)
     assert np.any(a != c)
+
+
+# ------------------------------------------------------------ batched draws
+
+# Each profile leaves one block at zero weight; (seed, start, count) include
+# the largest key Philox accepts.
+BATCH_PROFILES = [
+    (sample_microcanonical, microcanonical_profile({(0, 0): 0.3, (0, 1): 0.0, (1, 1): 0.7})),
+    (sample_canonical, canonical_profile({0.0: 0.2, 1.0: 0.0, 2.0: 0.8})),
+    (sample_canonical, canonical_profile({1.0: 1.0})),
+]
+BATCH_KEYS = [(5, 10, 7), (2**64 - 1, 2**64 - 3, 3), (2**64 - 1, 0, 2), (0, 0, 1)]
+
+
+@pytest.mark.parametrize("sampler, profile", BATCH_PROFILES)
+def test_batch_rows_are_the_per_draw_samples(sampler, profile):
+    comp = three_block_composite()
+    for seed, start, count in BATCH_KEYS:
+        batch = sample_batch(comp, profile, seed, start, count)
+        assert batch.shape == (count, comp.dim)
+        for k, row in enumerate(batch):
+            want = sampler(comp, profile, substream(seed, start + k)).amplitudes
+            np.testing.assert_array_equal(row, want)
+
+
+@pytest.mark.parametrize("sampler, profile", BATCH_PROFILES)
+def test_batch_rows_do_not_depend_on_the_split(sampler, profile, monkeypatch):
+    comp = three_block_composite()
+    whole = sample_batch(comp, profile, 8, 3, 50)
+    parts = np.concatenate([sample_batch(comp, profile, 8, 3, 17),
+                            sample_batch(comp, profile, 8, 20, 33)])
+    np.testing.assert_array_equal(whole, parts)
+    # 3 rows per chunk inside the call, with a short last chunk
+    monkeypatch.setattr(hsmc.state, "BATCH_ELEMENTS", 3 * comp.dim)
+    np.testing.assert_array_equal(sample_batch(comp, profile, 8, 3, 50), whole)
+    chunks = list(sample_chunks(comp, profile, 8, 3, 50))
+    assert [len(c) for c in chunks] == [3] * 16 + [2]
+    np.testing.assert_array_equal(np.concatenate(chunks), whole)
+
+
+def test_batch_rejects_keys_outside_the_philox_range():
+    comp = two_by_two()
+    profile = microcanonical_profile({(0, 0): 1.0})
+    for seed, start, count in ((-1, 0, 1), (2**64, 0, 1), (0, -1, 1), (0, 0, -1),
+                               (0, 2**64 - 1, 2)):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            sample_batch(comp, profile, seed, start, count)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            sample_chunks(comp, profile, seed, start, count)  # before any iteration
+    assert sample_batch(comp, profile, 0, 2**64, 0).shape == (0, comp.dim)
+
+
+def test_zero_norm_block_is_redrawn_from_the_rows_own_stream(monkeypatch):
+    comp = three_block_composite()
+    profile = microcanonical_profile({(0, 0): 0.5, (1, 1): 0.5})
+    seed, start, zeroed = 4, 6, 8
+    first = comp.block_slice(0)
+    n_first = first.stop - first.start
+    n_total = n_first + comp.subspace_dims()[3]
+    # expected row `zeroed`: block 0 comes from the normals drawn after the row's
+    # main draw, the other block from the main draw as usual
+    rng = substream(seed, zeroed)
+    main = rng.standard_normal(2 * n_total)
+    redraw = rng.standard_normal(2 * n_first)
+    want = np.zeros(comp.dim, dtype=complex)
+    want[first] = np.sqrt(0.5) / np.linalg.norm(redraw) * redraw.view(complex)
+    rest = main[2 * n_first:]
+    want[comp.block_slice(3)] = np.sqrt(0.5) / np.linalg.norm(rest) * rest.view(complex)
+    others = sample_batch(comp, profile, seed, start, 5)
+
+    class ZeroingGenerator(np.random.Generator):
+        """Zeroes block 0 of the main draw of stream [seed, zeroed]."""
+
+        def standard_normal(self, *args, **kwargs):
+            state = self.bit_generator.state
+            fresh = state["buffer_pos"] == 4 and not state["state"]["counter"].any()
+            values = super().standard_normal(*args, **kwargs)
+            if fresh and list(state["state"]["key"]) == [seed, zeroed]:
+                values.reshape(-1)[:2 * n_first] = 0.0
+            return values
+
+    monkeypatch.setattr(np.random, "Generator", ZeroingGenerator)
+    batch = sample_batch(comp, profile, seed, start, 5)
+    np.testing.assert_array_equal(batch[zeroed - start], want)
+    np.testing.assert_array_equal(np.delete(batch, zeroed - start, axis=0),
+                                  np.delete(others, zeroed - start, axis=0))
+    single = sample_microcanonical(comp, profile, substream(seed, zeroed))
+    np.testing.assert_array_equal(single.amplitudes, want)
 
 
 # ------------------------------------------------------------- distribution

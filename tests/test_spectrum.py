@@ -107,11 +107,13 @@ def test_flat_to_matrix_maps_are_consistent():
     gas = build_spectrum([(0, 1), (1, 3)])
     container = build_spectrum([(0, 2), (2, 2)])
     comp = compose(gas, container)
-    # every flat index maps to a unique cell row * dim_container + col
-    cells = set(comp._matrix_index.tolist())
-    assert len(cells) == comp.dim == comp.dim_gas * comp.dim_container
+    # every cell row * dim_container + col maps to a unique flat index
+    flat = set(comp._flat_index.tolist())
+    assert len(flat) == comp.dim == comp.dim_gas * comp.dim_container
     # block rows stay inside the gas level, columns inside the container level
-    all_rows, all_cols = np.divmod(comp._matrix_index, comp.dim_container)
+    matrix_index = np.empty(comp.dim, dtype=int)
+    matrix_index[comp._flat_index] = np.arange(comp.dim)
+    all_rows, all_cols = np.divmod(matrix_index, comp.dim_container)
     gas_offsets = gas.level_offsets()
     container_offsets = container.level_offsets()
     for i, sub in enumerate(comp.subspaces):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hsmc.state
 from hsmc import (DensityMatrix, PureState, WeightProfile, build_spectrum,
-                  compose, product_state, purity_from_amplitudes,
+                  compose, gas_purity_entropy, product_state, purity_from_amplitudes,
                   read_amplitudes_csv, shell_weights, subspace_weights,
                   uniform_profile, write_amplitudes_csv)
 
@@ -82,6 +83,55 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(2, dtype=complex))
     with pytest.raises(ValueError, match="square"):
         DensityMatrix(np.ones((2, 3), dtype=complex))
+
+
+def test_density_checks_refuse_nan():
+    for bad in (np.full((2, 2), np.nan, dtype=complex), np.diag([np.nan, 0.5]).astype(complex)):
+        with pytest.raises(ValueError, match="Hermitian|trace"):
+            DensityMatrix(bad)
+    with pytest.raises(ValueError, match="norm"):
+        PureState(two_by_two(), np.array([np.nan, 0, 0, 0], dtype=complex))
+
+
+@pytest.mark.parametrize("gas_levels, container_levels", [
+    ([(0, 2)], [(0, 2)]),
+    ([(0, 2), (1, 3)], [(0, 2), (1, 2)]),
+    ([(0, 4), (1, 2)], [(0, 1), (1, 1)]),  # dim_gas > dim_container: zero eigenvalues
+])
+def test_batched_reduction_matches_density_matrix(gas_levels, container_levels, monkeypatch):
+    comp = compose(build_spectrum(gas_levels), build_spectrum(container_levels))
+    rng = np.random.default_rng(23)
+    states = [random_state(comp, rng) for _ in range(40)]
+    amplitudes = np.array([s.amplitudes for s in states])
+    purity, entropy = gas_purity_entropy(comp, amplitudes)
+    for k, state in enumerate(states):
+        rho = state.reduce_gas()
+        assert abs(purity[k] - rho.purity()) <= 1e-14
+        assert abs(entropy[k] - rho.entropy()) <= 1e-14
+    # 3 rows per chunk, a short last chunk, and single rows give the same values
+    monkeypatch.setattr(hsmc.state, "BATCH_ELEMENTS", 3 * comp.dim)
+    np.testing.assert_array_equal(gas_purity_entropy(comp, amplitudes), (purity, entropy))
+    singles = np.array([gas_purity_entropy(comp, a[None]) for a in amplitudes])[:, :, 0]
+    np.testing.assert_array_equal(singles.T, (purity, entropy))
+
+
+def test_batched_reduction_runs_the_density_checks():
+    comp = compose(build_spectrum([(0, 2), (1, 3)]), build_spectrum([(0, 2), (1, 2)]))
+    rng = np.random.default_rng(29)
+    amplitudes = np.array([random_state(comp, rng).amplitudes for _ in range(6)])
+    gas_purity_entropy(comp, amplitudes)
+    wrong_trace = amplitudes.copy()
+    wrong_trace[4] *= 1.01
+    with pytest.raises(ValueError, match="trace = 1.020"):
+        gas_purity_entropy(comp, wrong_trace)
+    not_a_state = amplitudes.copy()
+    not_a_state[2, 3] = np.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        gas_purity_entropy(comp, not_a_state)
+    with pytest.raises(ValueError, match="shape"):
+        gas_purity_entropy(comp, amplitudes[:, :-1])
+    with pytest.raises(ValueError, match="shape"):
+        gas_purity_entropy(comp, amplitudes[0])
 
 
 def test_entropy_rejects_corrupted_density_matrix():
