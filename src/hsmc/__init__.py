@@ -21,7 +21,7 @@ from .sampling import (CANONICAL, MICROCANONICAL, ConstraintProfile,
                        McEstimate, canonical_profile, mc_average,
                        microcanonical_profile, product_constraint,
                        sample_batch, sample_canonical, sample_chunks,
-                       sample_microcanonical, sample_stream, substream)
+                       sample_microcanonical, substream)
 from .spectrum import (CompositeSpectrum, Shell, Spectrum, Subspace,
                        build_spectrum, compose)
 from .state import (DensityMatrix, PureState, WeightProfile,
@@ -42,7 +42,7 @@ __all__ = [
     "MICROCANONICAL", "CANONICAL", "ConstraintProfile",
     "microcanonical_profile", "canonical_profile", "product_constraint",
     "McEstimate", "substream", "sample_microcanonical", "sample_canonical",
-    "sample_batch", "sample_chunks", "sample_stream", "mc_average",
+    "sample_batch", "sample_chunks", "mc_average",
     "MomentQuery", "DominantDistribution",
     "min_purity_state", "max_entropy_micro",
     "expected_purity_exact", "expected_purity_approx", "lubkin_average",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .sampling import McEstimate, mc_estimate, substream
 from .spectrum import CompositeSpectrum, Spectrum
-from .state import DensityMatrix, checked_weights
+from .state import checked_weights
 
 __all__ = [
     "MomentQuery",
@@ -37,17 +37,17 @@ __all__ = [
 ]
 
 
-def min_purity_state(gas: Spectrum, gas_weights) -> tuple[DensityMatrix, float]:
+def min_purity_state(gas: Spectrum, gas_weights) -> tuple[np.ndarray, float]:
     """Lowest-purity gas state compatible with fixed level weights {W_A}.
 
     The minimizer spreads each level's weight evenly over its degenerate
-    states: rho = diag(W_A / N_A), with purity sum_A W_A^2 / N_A.
+    states: rho = diag(W_A / N_A), with purity sum_A W_A^2 / N_A.  Returns
+    the diagonal of rho (length ``gas.dim``, one population per gas state)
+    and the purity.
     """
     w = checked_weights(gas_weights, gas.n_levels, "gas weights")
     n = np.asarray(gas.degeneracies, dtype=float)
-    diag = np.repeat(w / n, gas.degeneracies)
-    rho = DensityMatrix(np.diag(diag.astype(complex)))
-    return rho, float(np.sum(w * w / n))
+    return np.repeat(w / n, gas.degeneracies), float(np.sum(w * w / n))
 
 
 def max_entropy_micro(weights, degeneracies) -> float:

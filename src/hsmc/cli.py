@@ -8,7 +8,8 @@ Every run writes its fully resolved config, config hash, and code version
 alongside the results; rerunning the same config file with the same seed
 reproduces every output byte for byte.  No artifact contains a timestamp.
 
-Exit codes: 0 success, 2 config error, 3 numerical-validation failure.
+Exit codes: 0 success, 2 config error (a run too large for memory included),
+3 numerical-validation failure.
 """
 
 from __future__ import annotations
@@ -345,6 +346,9 @@ def main(argv=None) -> int:
     except NumericalValidationError as exc:
         print(f"numerical validation failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"config error: the run does not fit in memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

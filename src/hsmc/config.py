@@ -34,6 +34,8 @@ DEFAULT_N_SAMPLES = 10_000
 DEFAULT_COUPLING = 0.1
 DEFAULT_N_TIMES = 201
 DEFAULT_CONSERVATION_TOLERANCE = 1e-10
+# Counts must fit a signed 64-bit array size; larger ones cannot even be tried.
+MAX_COUNT = 2**63
 
 
 class ConfigError(Exception):
@@ -227,8 +229,8 @@ def build_experiment(raw: dict, command: str, seed: int | None = None,
         raise ConfigError(f"run.seed must be in [0, 2**64), got {seed}")
 
     n_samples = n if n is not None else _int_field(run, "run", "n_samples", DEFAULT_N_SAMPLES)
-    if n_samples < 1:
-        raise ConfigError("run.n_samples must be >= 1")
+    if not 1 <= n_samples < MAX_COUNT:
+        raise ConfigError(f"run.n_samples must be in [1, 2**63), got {n_samples}")
 
     out_dir = out if out is not None else str(output.get("dir", "out"))
     if quiet is None:
@@ -247,9 +249,9 @@ def build_experiment(raw: dict, command: str, seed: int | None = None,
     n_times = _int_field(run, "run", "n_times", DEFAULT_N_TIMES)
     if t_max <= 0:
         raise ConfigError("run.t_max must be > 0")
-    if n_times < 2:
-        raise ConfigError("run.n_times must be >= 2")
-    times = np.linspace(0.0, t_max, n_times)
+    if not 2 <= n_times < MAX_COUNT:
+        raise ConfigError(f"run.n_times must be in [2, 2**63), got {n_times}")
+    times = np.linspace(0.0, t_max, n_times) if command == "evolve" else None
 
     initial_kind = str(run.get("initial", "product"))
     if initial_kind not in ("product", "sample"):

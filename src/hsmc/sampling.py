@@ -38,7 +38,6 @@ __all__ = [
     "sample_canonical",
     "sample_chunks",
     "sample_batch",
-    "sample_stream",
     "mc_average",
 ]
 
@@ -308,24 +307,25 @@ def sample_batch(composite: CompositeSpectrum, profile: ConstraintProfile,
     return out
 
 
-def sample_stream(sampler: Callable[[np.random.Generator], PureState],
-                  seed: int, start: int = 0) -> Iterator[PureState]:
-    """Endless stream of independent samples; sample i uses substream(seed, i)."""
-    i = start
-    while True:
-        yield sampler(substream(seed, i))
-        i += 1
+def mc_average(measure: Callable[[np.ndarray], np.ndarray], composite: CompositeSpectrum,
+               profile: ConstraintProfile, n: int, seed: int) -> McEstimate:
+    """Sample mean and standard error of ``measure`` over draws 0 to ``n - 1`` of run ``seed``.
 
-
-def mc_average(measure: Callable[[PureState], float],
-               sampler: Callable[[np.random.Generator], PureState],
-               n: int, seed: int) -> McEstimate:
-    """Sample mean and standard error of ``measure`` over ``n`` independent draws.
-
-    Deterministic given ``seed``; the i-th draw always comes from
-    substream(seed, i) regardless of batching.
+    ``measure`` maps one (rows, dim) chunk of flat-layout amplitudes from
+    :func:`sample_chunks` to ``rows`` values, one per draw, e.g.
+    ``lambda a: gas_purity_entropy(composite, a)[0]``; any other shape is a
+    ValueError.  Draw i is the draw of ``substream(seed, i)``, so the estimate
+    is deterministic given ``seed``.
     """
     if n < 2:
         raise ValueError("mc_average needs n >= 2 to estimate a standard error")
-    values = [float(measure(sampler(substream(seed, i)))) for i in range(n)]
-    return mc_estimate([values], seed)
+
+    def values() -> Iterator[np.ndarray]:
+        for amplitudes in sample_chunks(composite, profile, seed, 0, n):
+            chunk = np.asarray(measure(amplitudes), dtype=float)
+            if chunk.shape != (len(amplitudes),):
+                raise ValueError(f"measure gave shape {chunk.shape} for a chunk of "
+                                 f"{len(amplitudes)} draws, expected ({len(amplitudes)},)")
+            yield chunk
+
+    return mc_estimate(values(), seed)

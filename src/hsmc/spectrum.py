@@ -176,14 +176,8 @@ class CompositeSpectrum:
             raise KeyError(f"no shell at energy {energy!r} (nearest is {float(energies[i])!r})")
         return int(self._shell_of_subspace[i])
 
-    def shell_energies(self) -> np.ndarray:
-        return np.array([s.energy for s in self.shells])
-
     def subspace_dims(self) -> np.ndarray:
         return np.array([s.n_states for s in self.subspaces])
-
-    def shell_dims(self) -> np.ndarray:
-        return np.array([s.n_states for s in self.shells])
 
     def subspace_sums(self, flat) -> np.ndarray:
         """Sum the trailing flat-layout axis (length dim) over each subspace block."""

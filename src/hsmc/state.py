@@ -180,9 +180,6 @@ class PureState:
         self.composite = composite
         self.amplitudes = amplitudes
 
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
     def to_matrix(self) -> np.ndarray:
         """Amplitudes as the dim_gas x dim_container matrix Psi with rho_g = Psi Psi^dagger."""
         c = self.composite
@@ -222,14 +219,12 @@ class PureState:
         return DensityMatrix(psi.T @ psi.conj())
 
     def purity(self) -> float:
-        """Local purity of the gas, Tr (rho_g)^2."""
-        psi = self.to_matrix()
-        rho = psi @ psi.conj().T
-        return float(np.einsum("ij,ji->", rho, rho).real)
+        """Local purity of the gas, Tr (rho_g)^2, from :func:`gas_purity_entropy`."""
+        return float(gas_purity_entropy(self.composite, self.amplitudes[None])[0][0])
 
     def entropy(self) -> float:
-        """Local von Neumann entropy of the gas (natural log)."""
-        return self.reduce_gas().entropy()
+        """Local von Neumann entropy of the gas (natural log), from :func:`gas_purity_entropy`."""
+        return float(gas_purity_entropy(self.composite, self.amplitudes[None])[1][0])
 
 
 class DensityMatrix:

@@ -19,10 +19,10 @@ from hsmc import (MomentQuery, WeightProfile, build_microcanonical_hamiltonian,
                   fit_temperature, gas_purity_entropy, hypersphere_moment,
                   hypersphere_moment_mc, lubkin_average,
                   marginal_gas_distribution, max_drift, max_entropy_micro,
-                  microcanonical_profile, min_purity_state, path_average,
-                  product_constraint, product_state, region_log_size,
-                  sample_chunks, sample_microcanonical, time_average,
-                  uniform_profile)
+                  mc_average, microcanonical_profile, min_purity_state,
+                  path_average, product_constraint, product_state,
+                  region_log_size, sample_chunks, sample_microcanonical,
+                  time_average, uniform_profile)
 from hsmc.sampling import mc_estimate
 
 
@@ -38,11 +38,6 @@ def announce(capsys):
     return _say
 
 
-def _purities(comp, profile, seed, n):
-    """Purities of draws 0 .. n-1 of run ``seed``, a chunk at a time."""
-    return (gas_purity_entropy(comp, amps)[0] for amps in sample_chunks(comp, profile, seed, 0, n))
-
-
 def _subspace_weights(comp, amps):
     return comp.subspace_sums(np.abs(amps) ** 2)
 
@@ -54,7 +49,7 @@ def test_1_unconstrained_purity_matches_closed_form(announce):
     for n_c, seed in ((2, 103), (8, 109), (32, 131)):
         comp = compose(build_spectrum([(0.0, 2)]), build_spectrum([(0.0, n_c)]))
         profile = microcanonical_profile({(0, 0): 1.0})
-        est = mc_estimate(_purities(comp, profile, seed, n), seed)
+        est = mc_average(lambda a: gas_purity_entropy(comp, a)[0], comp, profile, n, seed)
         target = lubkin_average(2, n_c)
         z_scores[n_c] = abs(est.mean - target) / est.std_error
     worst = max(z_scores.values())
@@ -89,7 +84,7 @@ def test_2_exact_average_purity_over_five_composites(announce):
             WeightProfile(gas, w_gas),
             WeightProfile(container, w_cont),
         )
-        est = mc_estimate(_purities(comp, profile, seed, n), seed)
+        est = mc_average(lambda a: gas_purity_entropy(comp, a)[0], comp, profile, n, seed)
         exact = expected_purity_exact(comp, w_gas, w_cont)
         z_scores.append(abs(est.mean - exact) / est.std_error)
     elapsed = time.time() - t0

@@ -5,10 +5,11 @@ import pytest
 
 from hsmc import (MomentQuery, build_spectrum, compose, dominant_distribution,
                   expected_purity_approx, expected_purity_exact,
-                  fit_temperature, hypersphere_moment, hypersphere_moment_mc,
-                  lubkin_average, marginal_gas_distribution, max_entropy_micro,
-                  mc_average, microcanonical_profile, min_purity_state,
-                  region_log_size, region_size_ratio, sample_microcanonical)
+                  fit_temperature, gas_purity_entropy, hypersphere_moment,
+                  hypersphere_moment_mc, lubkin_average,
+                  marginal_gas_distribution, max_entropy_micro, mc_average,
+                  microcanonical_profile, min_purity_state, region_log_size,
+                  region_size_ratio)
 
 
 def composite_one():
@@ -30,24 +31,26 @@ def antidiagonal_composite():
 
 def test_min_purity_single_level_is_maximally_mixed():
     gas = build_spectrum([(0, 4)])
-    rho, p_min = min_purity_state(gas, [1.0])
-    np.testing.assert_allclose(rho.matrix, np.eye(4) / 4, atol=1e-15)
+    populations, p_min = min_purity_state(gas, [1.0])
+    np.testing.assert_allclose(populations, np.full(4, 0.25), atol=1e-15)
     assert p_min == pytest.approx(0.25)
 
 
 def test_min_purity_two_levels():
     gas = build_spectrum([(0, 2), (1, 2)])
-    rho, p_min = min_purity_state(gas, [0.5, 0.5])
+    populations, p_min = min_purity_state(gas, [0.5, 0.5])
     assert p_min == pytest.approx(0.25)
-    np.testing.assert_allclose(np.diag(rho.matrix).real, [0.25] * 4, atol=1e-15)
+    np.testing.assert_allclose(populations, [0.25] * 4, atol=1e-15)
 
 
 def test_min_purity_uneven_degeneracies():
     gas = build_spectrum([(0, 1), (1, 3)])
-    rho, p_min = min_purity_state(gas, [0.3, 0.7])
+    populations, p_min = min_purity_state(gas, [0.3, 0.7])
     assert p_min == pytest.approx(0.09 + 0.49 / 3)
-    # the returned density matrix must actually have that purity
-    assert rho.purity() == pytest.approx(p_min, abs=1e-14)
+    # one population per gas state, not a dim_gas x dim_gas matrix
+    assert populations.shape == (gas.dim,)
+    # the returned diagonal state must actually have that purity
+    assert np.sum(populations ** 2) == pytest.approx(p_min, abs=1e-14)
 
 
 def test_min_purity_rejects_bad_weights():
@@ -69,8 +72,8 @@ def test_max_entropy_values():
 def test_max_entropy_matches_density_matrix_oracle():
     gas = build_spectrum([(0, 2), (1, 3)])
     weights = [0.4, 0.6]
-    rho, _ = min_purity_state(gas, weights)
-    want = rho.entropy()
+    populations, _ = min_purity_state(gas, weights)
+    want = -np.sum(populations * np.log(populations))
     assert max_entropy_micro(weights, gas.degeneracies) == pytest.approx(want, abs=1e-12)
 
 
@@ -107,8 +110,7 @@ def test_expected_purity_matches_monte_carlo():
     exact = expected_purity_exact(comp, [0.5, 0.5], [0.5, 0.5])
     profile = microcanonical_profile(
         {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25})
-    sampler = lambda rng: sample_microcanonical(comp, profile, rng)
-    est = mc_average(lambda s: s.purity(), sampler, 3000, seed=314)
+    est = mc_average(lambda a: gas_purity_entropy(comp, a)[0], comp, profile, 3000, seed=314)
     assert abs(est.mean - exact) < 4 * est.std_error
 
 

@@ -16,7 +16,7 @@ import yaml
 from hsmc import (WeightProfile, build_spectrum, compose, dominant_distribution,
                   expected_purity_exact, microcanonical_profile, min_purity_state,
                   region_log_size)
-from hsmc.cli import main
+from hsmc.cli import COMMANDS, main
 
 C1_YAML = """
 gas:
@@ -406,6 +406,34 @@ def test_non_finite_input_rejected(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["predict", "sample", "evolve"])
+@pytest.mark.parametrize("text, flags, key", [
+    (C1_YAML.replace("n_samples: 400", f"n_samples: {2**63}"), [], "run.n_samples"),
+    (C1_YAML, ["--n", str(2**63)], "run.n_samples"),
+    (C1_YAML + f"  n_times: {2**63}\n", [], "run.n_times"),
+    (C1_YAML + "  n_times: 1.0e+300\n", [], "run.n_times"),
+], ids=["n_samples", "flag_n", "n_times", "n_times_1e300"])
+def test_counts_of_2_63_or_more_exit_2(tmp_path, capsys, command, text, flags, key):
+    # refused before any array or loop of that size is started
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, *flags, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "2**63" in err
+
+
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
+    def too_large(cfg):
+        raise MemoryError("Unable to allocate 728. TiB for an array")
+
+    monkeypatch.setitem(COMMANDS, "sample", too_large)
+    cfg = write_config(tmp_path, C1_YAML)
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "728. TiB" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subspace_weight_exits_2(tmp_path, capsys):
     yaml_text = """
 gas:
@@ -561,7 +589,8 @@ def fuzz_configs(draw):
         if draw(st.booleans()):
             run[key] = _mostly(draw, st.floats(1e-3, 10), ODD_FLOATS)
     if draw(st.booleans()):
-        run["n_times"] = _mostly(draw, st.integers(2, 5), st.integers(-1, 1))
+        run["n_times"] = _mostly(draw, st.integers(2, 5),
+                                 st.sampled_from([-1, 0, 1, 2**63, 1e300]))
     u_l, u_m = _mostly(draw, st.sampled_from([(0, 0), (0, 1), (1, 1), (0, 2), (2, 2), (4, 0)]),
                        st.tuples(st.integers(-1, 5), st.integers(-1, 5)))
     moments = {"R": _mostly(draw, st.floats(0.1, 3), ODD_FLOATS),
@@ -573,7 +602,7 @@ def fuzz_configs(draw):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(config=fuzz_configs(), command=st.sampled_from(["predict", "sample", "evolve", "moments"]),
-       n=st.sampled_from([1, 2, 5]))
+       n=st.sampled_from([1, 2, 5, 2**63]))
 def test_fuzzed_configs_exit_cleanly(config, command, n):
     """Any config runs (exit 0), is refused (2) or fails a numerical check (3)."""
     with tempfile.TemporaryDirectory() as tmp:

@@ -5,10 +5,10 @@ import scipy.linalg
 from hsmc import (NumericalValidationError, PureState,
                   build_canonical_hamiltonian, build_microcanonical_hamiltonian,
                   build_spectrum, compose, effective_velocity, evolve,
-                  expected_purity_exact, max_drift, mc_average,
-                  microcanonical_profile, path_average, product_state,
-                  sample_microcanonical, substream, time_average,
-                  uniform_profile)
+                  expected_purity_exact, gas_purity_entropy, max_drift,
+                  mc_average, microcanonical_profile, path_average,
+                  product_state, sample_microcanonical, substream,
+                  time_average, uniform_profile)
 
 
 def composite_three():
@@ -370,7 +370,6 @@ def test_monte_carlo_average_matches_time_average_loosely():
     comp = composite_three()
     profile = microcanonical_profile(
         {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25})
-    sampler = lambda rng: sample_microcanonical(comp, profile, rng)
-    est = mc_average(lambda s: s.purity(), sampler, 2000, seed=99)
+    est = mc_average(lambda a: gas_purity_entropy(comp, a)[0], comp, profile, 2000, seed=99)
     exact = expected_purity_exact(comp, [0.5, 0.5], [0.5, 0.5])
     assert abs(est.mean - exact) < 4 * est.std_error

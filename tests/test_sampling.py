@@ -3,10 +3,10 @@ import pytest
 
 import hsmc.state
 from hsmc import (ConstraintProfile, McEstimate, WeightProfile, build_spectrum,
-                  canonical_profile, compose, lubkin_average, mc_average,
-                  microcanonical_profile, product_constraint, sample_batch,
-                  sample_canonical, sample_chunks, sample_microcanonical,
-                  sample_stream, substream)
+                  canonical_profile, compose, gas_purity_entropy, lubkin_average,
+                  mc_average, microcanonical_profile, product_constraint,
+                  sample_batch, sample_canonical, sample_chunks,
+                  sample_microcanonical, substream)
 
 
 def two_by_two():
@@ -260,13 +260,11 @@ def test_component_second_moment_is_uniform():
     comp = three_block_composite()
     weights = {(0, 0): 0.1, (0, 1): 0.2, (1, 0): 0.3, (1, 1): 0.4}
     profile = microcanonical_profile(weights)
-    sampler = lambda rng: sample_microcanonical(comp, profile, rng)
     n = 4000
     expected = {(0, 0): 0.1 / 4, (0, 1): 0.2 / 4, (1, 0): 0.3 / 6, (1, 1): 0.4 / 6}
     for (A, B), want in expected.items():
         sl = comp.block_slice(comp.subspace_index(A, B))
-        est = mc_average(lambda s: float(np.abs(s.amplitudes[sl.start]) ** 2),
-                         sampler, n, seed=101)
+        est = mc_average(lambda a: np.abs(a[:, sl.start]) ** 2, comp, profile, n, seed=101)
         assert abs(est.mean - want) < 4.5 * est.std_error
 
 
@@ -276,11 +274,9 @@ def test_component_fourth_moment_matches_sphere_value():
     container = build_spectrum([(0, 4)])
     comp = compose(gas, container)
     profile = microcanonical_profile({(0, 0): 1.0})
-    sampler = lambda rng: sample_microcanonical(comp, profile, rng)
     n_states = 12
     want = 2.0 / (n_states * (n_states + 1))
-    est = mc_average(lambda s: float(np.abs(s.amplitudes[0]) ** 4),
-                     sampler, 4000, seed=77)
+    est = mc_average(lambda a: np.abs(a[:, 0]) ** 4, comp, profile, 4000, seed=77)
     assert abs(est.mean - want) < 5 * est.std_error
 
 
@@ -288,20 +284,18 @@ def test_canonical_mean_subspace_weight():
     # within a shell the expected subspace weight is N_AB * W_E / N_E
     comp = three_block_composite()  # shell E=1 holds (0,1) [4 states] and (1,0) [6]
     profile = canonical_profile({0.0: 0.2, 1.0: 0.5, 2.0: 0.3})
-    sampler = lambda rng: sample_canonical(comp, profile, rng)
     n = 4000
     for (A, B), want in [((0, 1), 0.5 * 4 / 10), ((1, 0), 0.5 * 6 / 10)]:
         idx = comp.subspace_index(A, B)
-        est = mc_average(lambda s: float(s.subspace_weights()[idx]),
-                         sampler, n, seed=55)
+        est = mc_average(lambda a: comp.subspace_sums(np.abs(a) ** 2)[:, idx],
+                         comp, profile, n, seed=55)
         assert abs(est.mean - want) < 4.5 * est.std_error
 
 
 def test_purity_average_matches_bipartite_formula():
     comp = two_by_two()
     profile = microcanonical_profile({(0, 0): 1.0})
-    sampler = lambda rng: sample_microcanonical(comp, profile, rng)
-    est = mc_average(lambda s: s.purity(), sampler, 4000, seed=2024)
+    est = mc_average(lambda a: gas_purity_entropy(comp, a)[0], comp, profile, 4000, seed=2024)
     want = lubkin_average(2, 2)  # 0.8
     assert abs(est.mean - want) < 3.5 * est.std_error
     # Page, PRL 71, 1291 (1993): for m <= n the mean entropy of the
@@ -309,7 +303,7 @@ def test_purity_average_matches_bipartite_formula():
     m = n = 2
     page = sum(1.0 / k for k in range(n + 1, m * n + 1)) - (m - 1) / (2 * n)
     assert page == pytest.approx(1 / 3)
-    est = mc_average(lambda s: s.entropy(), sampler, 4000, seed=2024)
+    est = mc_average(lambda a: gas_purity_entropy(comp, a)[1], comp, profile, 4000, seed=2024)
     assert abs(est.mean - page) < 3.5 * est.std_error
 
 
@@ -318,8 +312,7 @@ def test_purity_average_matches_bipartite_formula():
 def test_mc_average_constant_measure():
     comp = two_by_two()
     profile = microcanonical_profile({(0, 0): 1.0})
-    sampler = lambda rng: sample_microcanonical(comp, profile, rng)
-    est = mc_average(lambda s: 1.25, sampler, 50, seed=0)
+    est = mc_average(lambda a: np.full(len(a), 1.25), comp, profile, 50, seed=0)
     assert est.mean == 1.25
     assert est.std_error == 0.0
     assert est.n_samples == 50
@@ -328,31 +321,32 @@ def test_mc_average_constant_measure():
 def test_mc_average_needs_two_samples():
     comp = two_by_two()
     profile = microcanonical_profile({(0, 0): 1.0})
-    sampler = lambda rng: sample_microcanonical(comp, profile, rng)
     with pytest.raises(ValueError, match="n >= 2"):
-        mc_average(lambda s: 0.0, sampler, 1, seed=0)
+        mc_average(lambda a: np.zeros(len(a)), comp, profile, 1, seed=0)
 
 
-def test_mc_average_matches_plain_mean_over_stream():
-    comp = three_block_composite()
-    profile = microcanonical_profile({(0, 0): 0.5, (1, 1): 0.5})
-    sampler = lambda rng: sample_microcanonical(comp, profile, rng)
-    n = 200
-    stream = sample_stream(sampler, seed=9)
-    values = np.array([next(stream).purity() for _ in range(n)])
-    est = mc_average(lambda s: s.purity(), sampler, n, seed=9)
-    assert est.mean == pytest.approx(values.mean(), abs=1e-13)
-    assert est.std_error == pytest.approx(values.std(ddof=1) / np.sqrt(n), abs=1e-13)
-
-
-def test_sample_stream_start_offset():
+def test_mc_average_refuses_a_measure_without_one_value_per_draw():
     comp = two_by_two()
     profile = microcanonical_profile({(0, 0): 1.0})
-    sampler = lambda rng: sample_microcanonical(comp, profile, rng)
-    full = sample_stream(sampler, seed=31)
-    next(full)  # drop sample 0
-    shifted = sample_stream(sampler, seed=31, start=1)
-    np.testing.assert_array_equal(next(full).amplitudes, next(shifted).amplitudes)
+    with pytest.raises(ValueError, match="shape"):
+        mc_average(lambda a: float(np.sum(np.abs(a) ** 2)), comp, profile, 10, seed=0)
+
+
+def test_mc_average_matches_the_per_draw_reference(monkeypatch):
+    # draw i is sample_microcanonical's draw from substream(seed, i), however
+    # the draws are chunked
+    comp = three_block_composite()
+    profile = microcanonical_profile({(0, 0): 0.5, (1, 1): 0.5})
+    n = 200
+    values = np.array([sample_microcanonical(comp, profile, substream(9, i)).purity()
+                       for i in range(n)])
+    measure = lambda a: gas_purity_entropy(comp, a)[0]
+    for elements in (hsmc.state.BATCH_ELEMENTS, 3 * comp.dim):
+        monkeypatch.setattr(hsmc.state, "BATCH_ELEMENTS", elements)
+        est = mc_average(measure, comp, profile, n, seed=9)
+        assert est.n_samples == n
+        assert est.mean == pytest.approx(values.mean(), abs=1e-13)
+        assert est.std_error == pytest.approx(values.std(ddof=1) / np.sqrt(n), abs=1e-13)
 
 
 def test_product_constraint_matches_outer_weights():
