@@ -25,9 +25,9 @@ from .sampling import (CANONICAL, MICROCANONICAL, ConstraintProfile,
 from .spectrum import (CompositeSpectrum, Shell, Spectrum, Subspace,
                        build_spectrum, compose)
 from .state import (DensityMatrix, PureState, WeightProfile,
-                    gas_purity_entropy, product_state, purity_from_amplitudes,
-                    read_amplitudes_csv, shell_weights, subspace_weights,
-                    uniform_profile, write_amplitudes_csv)
+                    gas_purity_entropy, product_state, read_amplitudes_csv,
+                    shell_weights, subspace_weights, uniform_profile,
+                    write_amplitudes_csv)
 
 __version__ = "0.1.0"
 
@@ -36,8 +36,7 @@ __all__ = [
     "Spectrum", "Subspace", "Shell", "CompositeSpectrum",
     "build_spectrum", "compose",
     "WeightProfile", "uniform_profile", "subspace_weights", "shell_weights",
-    "PureState", "DensityMatrix", "gas_purity_entropy", "purity_from_amplitudes",
-    "product_state",
+    "PureState", "DensityMatrix", "gas_purity_entropy", "product_state",
     "write_amplitudes_csv", "read_amplitudes_csv",
     "MICROCANONICAL", "CANONICAL", "ConstraintProfile",
     "microcanonical_profile", "canonical_profile", "product_constraint",

@@ -8,8 +8,8 @@ Every run writes its fully resolved config, config hash, and code version
 alongside the results; rerunning the same config file with the same seed
 reproduces every output byte for byte.  No artifact contains a timestamp.
 
-Exit codes: 0 success, 2 config error (a run too large for memory included),
-3 numerical-validation failure.
+Exit codes: 0 success, 2 config error (a run too large for memory or output
+that cannot be written included), 3 numerical-validation failure.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .dynamics import (NumericalValidationError, build_canonical_hamiltonian,
                        evolve, max_drift)
 from .sampling import (MICROCANONICAL, mc_estimate, sample_batch, sample_chunks,
                        substream)
-from .state import PureState, gas_purity_entropy, product_state, write_amplitudes_csv
+from .state import PureState, gas_purity_entropy, product_state, write_state_snapshots
 
 ENERGY_DRIFT_TOLERANCE = 1e-9
 
@@ -214,40 +214,22 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
                  + sub_cols + shell_cols + gas_cols),
     ]
     m = traj.measures
-    lines = list(header)
-    for k, t in enumerate(traj.times):
-        cells = [repr(float(t))]
-        for name in ("norm", "energy", "v_eff", "purity", "entropy"):
-            cells.append(repr(float(m[name][k])))
-        cells += [repr(float(v)) for v in m["subspace_weights"][k]]
-        cells += [repr(float(v)) for v in m["shell_weights"][k]]
-        cells += [repr(float(v)) for v in m["gas_level_weights"][k]]
-        lines.append(",".join(cells))
+    table = np.column_stack([traj.times, *(m[name] for name in (
+        "norm", "energy", "v_eff", "purity", "entropy", "subspace_weights",
+        "shell_weights", "gas_level_weights"))])
+    lines = header + [",".join(map(repr, row)) for row in table.tolist()]
     with open(os.path.join(out_dir, "trajectory.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
     if cfg.dump_states:
-        state_dir = os.path.join(out_dir, "states")
-        os.makedirs(state_dir, exist_ok=True)
-        for k, psi in enumerate(traj.amplitudes):
-            write_amplitudes_csv(PureState(composite, psi, check=False),
-                                 os.path.join(state_dir, f"state_{k:05d}.csv"))
+        write_state_snapshots(composite, traj.amplitudes, os.path.join(out_dir, "states"))
 
-    drifts = {
-        "norm": max_drift(traj, "norm"),
-        "energy": max_drift(traj, "energy"),
-        "v_eff": max_drift(traj, "v_eff"),
-        "subspace_weights": max_drift(traj, "subspace_weights"),
-        "shell_weights": max_drift(traj, "shell_weights"),
-    }
-    breaches = []
-    if not drifts[conserved] <= cfg.conservation_tolerance:
-        breaches.append(f"{conserved} drift {drifts[conserved]:.3e} exceeds "
-                        f"{cfg.conservation_tolerance:.1e}")
-    for name in ("norm", "energy", "v_eff"):
-        if not drifts[name] <= ENERGY_DRIFT_TOLERANCE:
-            breaches.append(f"{name} drift {drifts[name]:.3e} exceeds "
-                            f"{ENERGY_DRIFT_TOLERANCE:.1e}")
+    drifts = {name: max_drift(traj, name) for name in
+              ("norm", "energy", "v_eff", "subspace_weights", "shell_weights")}
+    limits = [(conserved, cfg.conservation_tolerance)] + [
+        (name, ENERGY_DRIFT_TOLERANCE) for name in ("norm", "energy", "v_eff")]
+    breaches = [f"{name} drift {drifts[name]:.3e} exceeds {limit:.1e}"
+                for name, limit in limits if not drifts[name] <= limit]
 
     report = dict(
         _run_header(cfg),
@@ -348,6 +330,9 @@ def main(argv=None) -> int:
         return 3
     except MemoryError as exc:
         print(f"config error: the run does not fit in memory: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # reading the config is a ConfigError, so this is output
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

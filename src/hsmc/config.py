@@ -83,8 +83,8 @@ def load_config(path) -> dict:
             raw = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: e.g. a 5000-digit integer
+        raise ConfigError(f"config file {path} cannot be parsed as YAML: {exc}") from exc
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

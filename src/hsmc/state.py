@@ -10,29 +10,18 @@ Conventions: k_B = 1 and entropies use the natural logarithm, with 0 ln 0 = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import os
+import sys
 
 import numpy as np
 
 from .spectrum import CompositeSpectrum, Spectrum
 
 __all__ = [
-    "NORMALIZATION_TOLERANCE",
-    "WEIGHT_SUM_TOLERANCE",
-    "BATCH_ELEMENTS",
-    "batch_rows",
-    "checked_weights",
-    "check_normalized",
-    "WeightProfile",
-    "uniform_profile",
-    "subspace_weights",
-    "shell_weights",
-    "PureState",
-    "DensityMatrix",
-    "gas_purity_entropy",
-    "purity_from_amplitudes",
-    "product_state",
-    "write_amplitudes_csv",
-    "read_amplitudes_csv",
+    "NORMALIZATION_TOLERANCE", "WEIGHT_SUM_TOLERANCE", "BATCH_ELEMENTS", "batch_rows",
+    "checked_weights", "check_normalized", "WeightProfile", "uniform_profile",
+    "subspace_weights", "shell_weights", "PureState", "DensityMatrix", "gas_purity_entropy",
+    "product_state", "write_amplitudes_csv", "write_state_snapshots", "read_amplitudes_csv",
 ]
 
 NORMALIZATION_TOLERANCE = 1e-10
@@ -213,11 +202,6 @@ class PureState:
         psi = self.to_matrix()
         return DensityMatrix(psi @ psi.conj().T)
 
-    def reduce_container(self) -> "DensityMatrix":
-        """Partial trace over the gas: rho_c = Psi^T Psi^*."""
-        psi = self.to_matrix()
-        return DensityMatrix(psi.T @ psi.conj())
-
     def purity(self) -> float:
         """Local purity of the gas, Tr (rho_g)^2, from :func:`gas_purity_entropy`."""
         return float(gas_purity_entropy(self.composite, self.amplitudes[None])[0][0])
@@ -326,27 +310,67 @@ def write_amplitudes_csv(state: PureState, path) -> None:
         f"# shell_tolerance={c.shell_tolerance!r}",
         "index,re,im",
     ]
-    for i, a in enumerate(state.amplitudes):
-        lines.append(f"{i},{float(a.real)!r},{float(a.imag)!r}")
+    re, im = state.amplitudes.real.tolist(), state.amplitudes.imag.tolist()
+    lines += [f"{i},{r!r},{m!r}" for i, (r, m) in enumerate(zip(re, im))]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_state_snapshots(composite: CompositeSpectrum, amplitudes, directory) -> None:
+    """Write row k of ``amplitudes`` to ``directory/state_{k:05d}.csv`` by
+    :func:`write_amplitudes_csv`, over m writers: one per CPU, at most one per row.
+
+    The caller writes rows 0, m, 2m, ... and forked children, which only format
+    and write (a fork has no BLAS threads), the other residues mod m.  The bytes
+    do not depend on m.  Every child is reaped; a failed one is an OSError.
+    """
+    os.makedirs(directory, exist_ok=True)
+    n = len(amplitudes)
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    m = max(1, min(n, len(os.sched_getaffinity(0)))) if can_fork else 1
+
+    def write_rows(w: int) -> None:
+        for k in range(w, n, m):
+            write_amplitudes_csv(PureState(composite, amplitudes[k], check=False),
+                                 os.path.join(directory, f"state_{k:05d}.csv"))
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = {}
+    try:
+        for w in range(1, m):
+            if (pid := os.fork()) == 0:
+                try:
+                    write_rows(w)
+                    os._exit(0)
+                except Exception as exc:
+                    print(f"hsmc: state writer {w} of {m}: {exc}", file=sys.stderr, flush=True)
+                finally:
+                    os._exit(1)
+            children[pid] = w
+        write_rows(0)
+    finally:
+        failed = [w for pid, w in children.items() if os.waitpid(pid, 0)[1] != 0]
+    if failed:
+        raise OSError(f"state writers {failed} of {m} failed (snapshots k, k % {m} in {failed})")
 
 
 def read_amplitudes_csv(path, composite: CompositeSpectrum) -> PureState:
     """Load a state written by :func:`write_amplitudes_csv` onto ``composite``.
 
-    Refuses to load if the recorded layout does not match the composite.
+    Refuses to load if the recorded layout does not match the composite, or
+    unless the data rows hold the indices 0..dim-1 once each, in order.
     """
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
     header = {}
     data_lines = []
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         if line.startswith("# ") and "=" in line:
             key, _, value = line[2:].partition("=")
             header[key] = value
         elif line and not line.startswith("#") and not line.startswith("index"):
-            data_lines.append(line)
+            data_lines.append((number, line))
     expected_gas = repr(list(zip(composite.gas.energies, composite.gas.degeneracies)))
     expected_container = repr(
         list(zip(composite.container.energies, composite.container.degeneracies)))
@@ -354,20 +378,12 @@ def read_amplitudes_csv(path, composite: CompositeSpectrum) -> PureState:
         raise ValueError("state file was written for a different gas spectrum")
     if header.get("container_levels") != expected_container:
         raise ValueError("state file was written for a different container spectrum")
+    if len(data_lines) != composite.dim:
+        raise ValueError(f"{path}: {len(data_lines)} data rows, expected {composite.dim}")
     amplitudes = np.zeros(composite.dim, dtype=complex)
-    for line in data_lines:
+    for k, (number, line) in enumerate(data_lines):
         idx, re, im = line.split(",")
-        amplitudes[int(idx)] = float(re) + 1j * float(im)
+        if int(idx) != k:
+            raise ValueError(f"{path}, line {number}: index {idx}, expected {k}")
+        amplitudes[k] = float(re) + 1j * float(im)
     return PureState(composite, amplitudes)
-
-
-def purity_from_amplitudes(psi: np.ndarray) -> float:
-    """Tr (rho_g)^2 straight from the amplitude matrix, without forming rho_g.
-
-    Deliberately a one-line contraction of the defining sum
-    sum_{a b c d} psi_ab psi*_cb psi_cd psi*_ad, kept independent of
-    :meth:`DensityMatrix.purity` so the two can cross-check each other.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    value = np.einsum("ab,cb,cd,ad->", psi, psi.conj(), psi, psi.conj(), optimize=False)
-    return float(value.real)

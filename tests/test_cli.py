@@ -320,6 +320,58 @@ def test_evolve_dump_states_round_trip(tmp_path):
     assert state.purity() == pytest.approx(table[0][names.index("purity")])
 
 
+def _dump_states(tmp_path, monkeypatch, cpus, n_times=7, prepare=None):
+    """Run evolve with dump_states as if the process may use ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    yaml_text = CANONICAL_EVOLVE_YAML.replace("n_times: 51", f"n_times: {n_times}")
+    cfg = write_config(tmp_path, yaml_text + "  dump_states: true\n", name=f"c{cpus}.yaml")
+    out = tmp_path / f"out{cpus}"
+    if prepare is not None:
+        prepare(out / "states")
+    return main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]), out / "states"
+
+
+def test_evolve_state_files_do_not_depend_on_the_writer_count(tmp_path, monkeypatch):
+    code_1, serial = _dump_states(tmp_path, monkeypatch, 1)
+    code_3, forked = _dump_states(tmp_path, monkeypatch, 3)
+    assert code_1 == code_3 == 0
+    names = sorted(p.name for p in serial.iterdir())
+    assert names == [f"state_{k:05d}.csv" for k in range(7)]
+    assert sorted(p.name for p in forked.iterdir()) == names
+    for name in names:
+        assert (forked / name).read_bytes() == (serial / name).read_bytes()
+
+
+@pytest.mark.parametrize("blocked, hint", [(1, "writers [1] of 3 failed"),
+                                            (0, "state_00000.csv")],
+                         ids=["forked_writer", "calling_writer"])
+def test_failed_state_writer_exits_2_and_is_reaped(tmp_path, monkeypatch, capsys,
+                                                   blocked, hint):
+    # of 3 writers, the caller writes snapshot 0 and the first forked child snapshot 1
+    code, _ = _dump_states(tmp_path, monkeypatch, 3, prepare=lambda states: os.makedirs(
+        states / f"state_{blocked:05d}.csv"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output:") and hint in err
+    assert "Traceback" not in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("predict", C1_YAML), ("sample", C1_YAML), ("evolve", C1_YAML + "  n_times: 3\n"),
+    ("moments", MOMENTS_YAML),
+], ids=["predict", "sample", "evolve", "moments"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, text):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(blocker / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output:") and "a_file" in err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------------ moments
 
 def test_moments_command(tmp_path):
@@ -351,6 +403,7 @@ def test_moments_odd_exponent_zero(tmp_path):
     (lambda t: t.replace("kind: microcanonical", "kind: grand"), "kind"),
     (lambda t: t.replace("constraint:\n", "ignored:\n"), "constraint"),
     (lambda t: t.replace("gas:\n", "fog:\n"), "gas"),
+    (lambda t: t.replace("  seed: 11\n", f"  seed: {'9' * 5000}\n"), "4300 digits"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, mangle, hint):
     cfg = write_config(tmp_path, mangle(LUBKIN_YAML))

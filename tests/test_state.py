@@ -5,13 +5,25 @@ from hypothesis import strategies as st
 
 import hsmc.state
 from hsmc import (DensityMatrix, PureState, WeightProfile, build_spectrum,
-                  compose, gas_purity_entropy, product_state, purity_from_amplitudes,
-                  read_amplitudes_csv, shell_weights, subspace_weights,
-                  uniform_profile, write_amplitudes_csv)
+                  compose, gas_purity_entropy, product_state, read_amplitudes_csv,
+                  shell_weights, subspace_weights, uniform_profile,
+                  write_amplitudes_csv)
 
 
 def two_by_two():
     return compose(build_spectrum([(0, 2)]), build_spectrum([(0, 2)]))
+
+
+def purity_from_amplitudes(psi: np.ndarray) -> float:
+    """Tr (rho_g)^2 straight from the amplitude matrix, without forming rho_g.
+
+    Deliberately a one-line contraction of the defining sum
+    sum_{a b c d} psi_ab psi*_cb psi_cd psi*_ad, kept independent of
+    :meth:`DensityMatrix.purity` so the two can cross-check each other.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    value = np.einsum("ab,cb,cd,ad->", psi, psi.conj(), psi, psi.conj(), optimize=False)
+    return float(value.real)
 
 
 def random_state(comp, rng):
@@ -175,8 +187,9 @@ def test_gas_container_purity_symmetry():
     comp = compose(build_spectrum([(0, 1), (1, 2)]), build_spectrum([(0, 3), (1, 2)]))
     for _ in range(10):
         state = random_state(comp, rng)
-        assert state.reduce_gas().purity() == pytest.approx(
-            state.reduce_container().purity(), abs=1e-12)
+        psi = state.to_matrix()
+        rho_c = DensityMatrix(psi.T @ psi.conj())  # partial trace over the gas
+        assert state.reduce_gas().purity() == pytest.approx(rho_c.purity(), abs=1e-12)
 
 
 def test_unitary_invariance_of_measures():
@@ -299,6 +312,23 @@ def test_amplitude_csv_round_trip(tmp_path):
     write_amplitudes_csv(state, path)
     loaded = read_amplitudes_csv(path, comp)
     np.testing.assert_array_equal(loaded.amplitudes, state.amplitudes)
+
+
+@pytest.mark.parametrize("edit, hint", [
+    (lambda rows: rows[:-1] + [rows[-1].replace("11,", "-1,", 1)], "line 17: index -1"),
+    (lambda rows: rows[:3] + [rows[2]] + rows[4:], "line 9: index 2, expected 3"),
+    (lambda rows: rows[:3] + rows[4:], "11 data rows, expected 12"),
+], ids=["negative", "duplicate", "missing"])
+def test_amplitude_csv_refuses_malformed_index_column(tmp_path, edit, hint):
+    comp = compose(build_spectrum([(0, 1), (1, 3)]), build_spectrum([(0, 2), (1, 1)]))
+    path = tmp_path / "state.csv"
+    write_amplitudes_csv(random_state(comp, np.random.default_rng(4)), path)
+    lines = path.read_text().splitlines()
+    header, rows = lines[:5], lines[5:]
+    assert len(rows) == comp.dim == 12
+    path.write_text("\n".join(header + edit(rows)) + "\n")
+    with pytest.raises(ValueError, match=hint):
+        read_amplitudes_csv(path, comp)
 
 
 def test_amplitude_csv_layout_mismatch(tmp_path):
