@@ -266,7 +266,7 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
     if estimate.std_error > 0:
         z = (estimate.mean - exact) / estimate.std_error
     out_dir = _prepare_out_dir(cfg)
-    report = dict(_run_header(cfg), moment={
+    report = dict(_run_header(cfg), format="hsmc moments v2", moment={
         "R": query.R, "d": query.d, "u_l": query.u_l, "u_m": query.u_m,
         "exact": exact,
         "mc_mean": estimate.mean,

@@ -20,7 +20,7 @@ import math
 import numpy as np
 import yaml
 
-from .analytics import MomentQuery, hypersphere_moment
+from .analytics import MomentQuery
 from .sampling import (CANONICAL, MICROCANONICAL, ConstraintProfile,
                        canonical_profile, microcanonical_profile,
                        product_constraint)
@@ -36,6 +36,8 @@ DEFAULT_N_TIMES = 201
 DEFAULT_CONSERVATION_TOLERANCE = 1e-10
 # Counts must fit a signed 64-bit array size; larger ones cannot even be tried.
 MAX_COUNT = 2**63
+# Most Monte Carlo points of one `moments` run: about a minute at ~1.7e7 points/s.
+MAX_MOMENT_POINTS = 2**30
 
 
 class ConfigError(Exception):
@@ -131,8 +133,8 @@ def _int_field(section: dict, section_name: str, key: str, default):
     value = section.get(key, default)
     if value is None:
         return None
-    if isinstance(value, bool) or (isinstance(value, float) and value != int(value)):
-        raise ConfigError(f"{section_name}.{key} must be an integer, got {value!r}")
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{section_name}.{key} must be a finite integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -291,11 +293,13 @@ def build_experiment(raw: dict, command: str, seed: int | None = None,
                 u_l=_int_field(section, "moments", "u_l", None),
                 u_m=_int_field(section, "moments", "u_m", None),
             )
-            hypersphere_moment(moment_query)  # refuses pairs without a closed form
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"moments section invalid: {exc}") from exc
         if n_samples < 2:
             raise ConfigError("the moments command needs run.n_samples >= 2")
+        if n_samples > MAX_MOMENT_POINTS:
+            raise ConfigError(f"the moments command takes at most run.n_samples = 2**30 "
+                              f"points, got {n_samples}")
         resolved["moments"] = {
             "R": moment_query.R, "d": moment_query.d,
             "u_l": moment_query.u_l, "u_m": moment_query.u_m,

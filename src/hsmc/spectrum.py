@@ -77,8 +77,8 @@ def build_spectrum(levels, label: str = "") -> Spectrum:
         energy = float(energy)
         if not np.isfinite(energy):
             raise ValueError(f"level energy {energy!r} is not finite")
-        if isinstance(degeneracy, float) and degeneracy != int(degeneracy):
-            raise ValueError(f"degeneracy {degeneracy!r} is not an integer")
+        if isinstance(degeneracy, float) and not degeneracy.is_integer():
+            raise ValueError(f"degeneracy {degeneracy!r} is not a finite integer")
         degeneracy = int(degeneracy)
         if degeneracy < 1:
             raise ValueError(f"degeneracy {degeneracy} must be >= 1")

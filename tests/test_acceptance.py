@@ -101,7 +101,7 @@ MOMENT_PAIRS = [(0, 0), (0, 1), (1, 1), (0, 2), (2, 2), (0, 4)]
 
 
 def test_3_moment_closed_forms_match_sphere_mc(announce):
-    """All six coordinate-moment closed forms versus 10^6-point sphere MC."""
+    """The coordinate-moment closed form at six exponent pairs versus 10^6-point sphere MC."""
     n = 1_000_000
     worst_z = 0.0
     failures = []

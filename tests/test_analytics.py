@@ -1,3 +1,4 @@
+from fractions import Fraction
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hsmc import (MomentQuery, build_spectrum, compose, dominant_distribution,
                   marginal_gas_distribution, max_entropy_micro, mc_average,
                   microcanonical_profile, min_purity_state, region_log_size,
                   region_size_ratio)
+from hsmc.analytics import MAX_MOMENT_ORDER
 
 
 def composite_one():
@@ -190,11 +192,70 @@ def test_moment_exchange_symmetry():
         assert a == b
 
 
-def test_moment_unsupported_pair():
-    with pytest.raises(ValueError, match="unsupported"):
-        hypersphere_moment(MomentQuery(R=1, d=4, u_l=1, u_m=2))
-    with pytest.raises(ValueError, match="unsupported"):
-        hypersphere_moment(MomentQuery(R=1, d=4, u_l=6, u_m=0))
+def test_moment_pairs_outside_the_former_table():
+    # (1, 2) and (6, 0) were refused before the one formula
+    assert hypersphere_moment(MomentQuery(R=1, d=4, u_l=1, u_m=2)) == 0.0
+    for R, d in [(1.0, 4), (1.7, 3), (0.4, 11)]:
+        want = 15 * R ** 6 / (d * (d + 2) * (d + 4))
+        got = hypersphere_moment(MomentQuery(R=R, d=d, u_l=6, u_m=0))
+        assert got == pytest.approx(want, rel=1e-15)
+
+
+def _former_closed_form(R, d, pair):
+    """The six hand-written cases hsmc had before the one formula."""
+    if pair == (0, 0):
+        return 1.0
+    if pair in ((0, 1), (1, 1)):
+        return 0.0
+    if pair == (0, 2):
+        return float(R ** 2 / d)
+    base = float(R ** 4 / (d * (d + 2)))
+    return base if pair == (2, 2) else 3.0 * base
+
+
+def test_moment_matches_the_six_former_forms():
+    for R in (0.3, 1.3, 2.0, 7.1):
+        for d in range(1, 200):
+            for pair in [(0, 0), (0, 1), (1, 1), (0, 2), (2, 2), (0, 4)]:
+                if d == 1 and pair[0] > 0:
+                    continue
+                got = hypersphere_moment(MomentQuery(R=R, d=d, u_l=pair[0], u_m=pair[1]))
+                want = _former_closed_form(R, d, pair)
+                assert abs(got - want) <= 4.5e-16 * abs(want), (R, d, pair)
+
+
+def test_moment_stays_exact_at_large_dimension():
+    # lgamma-based forms lose about 1e-9 relative here; the integer ratio does not
+    d = 10 ** 9
+    got = hypersphere_moment(MomentQuery(R=1, d=d, u_l=2, u_m=4))
+    want = float(Fraction(3, d * (d + 2) * (d + 4)))
+    assert got == want
+
+
+@pytest.mark.parametrize("d", [2, 3, 7], ids=lambda d: f"d{d}")
+@pytest.mark.parametrize("pair", [(2, 4), (0, 6), (4, 4), (1, 3)], ids=lambda p: f"{p[0]}_{p[1]}")
+def test_moment_new_pairs_match_mc(d, pair):
+    query = MomentQuery(R=1.2, d=d, u_l=pair[0], u_m=pair[1])
+    exact = hypersphere_moment(query)
+    est = hypersphere_moment_mc(query, 200_000, seed=100 * d + 10 * pair[0] + pair[1])
+    assert abs(est.mean - exact) < 5 * est.std_error
+
+
+def test_moment_on_a_line():
+    # d = 1: the sphere is {-R, R}, so x_1^4 averages to R^4 exactly
+    query = MomentQuery(R=1.5, d=1, u_l=0, u_m=4)
+    assert hypersphere_moment(query) == 1.5 ** 4
+    est = hypersphere_moment_mc(query, 1000, seed=3)
+    assert est.mean == pytest.approx(1.5 ** 4, rel=1e-15) and est.std_error < 1e-14
+
+
+def test_moment_order_limit():
+    MomentQuery(R=1, d=4, u_l=MAX_MOMENT_ORDER, u_m=0)
+    MomentQuery(R=1, d=4, u_l=MAX_MOMENT_ORDER - 2, u_m=2)
+    with pytest.raises(ValueError, match="maximum"):
+        MomentQuery(R=1, d=4, u_l=MAX_MOMENT_ORDER - 1, u_m=2)
+    with pytest.raises(ValueError, match="maximum"):
+        MomentQuery(R=0.5, d=4, u_l=10 ** 9, u_m=0)  # would otherwise hang
 
 
 def test_moment_two_coordinates_need_two_dimensions():
@@ -211,6 +272,8 @@ def test_moment_query_validation():
         MomentQuery(R=1, d=4, u_l=-2, u_m=0)
     with pytest.raises(ValueError, match="exponent"):
         MomentQuery(R=1, d=4, u_l=0.5, u_m=0)
+    with pytest.raises(ValueError, match="dimension"):
+        MomentQuery(R=1, d=2**63, u_l=0, u_m=2)
     with pytest.raises(ValueError, match="too large"):
         MomentQuery(R=1e300, d=4, u_l=0, u_m=2)
     MomentQuery(R=1e300, d=4, u_l=0, u_m=0)

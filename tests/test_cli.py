@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from hsmc import (WeightProfile, build_spectrum, compose, dominant_distribution,
                   expected_purity_exact, microcanonical_profile, min_purity_state,
                   region_log_size)
 from hsmc.cli import COMMANDS, main
+from hsmc.config import MAX_MOMENT_POINTS
 
 C1_YAML = """
 gas:
@@ -378,7 +380,9 @@ def test_moments_command(tmp_path):
     cfg = write_config(tmp_path, MOMENTS_YAML)
     out = tmp_path / "out"
     assert main(["moments", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    report = json.loads((out / "moments.json").read_text())["moment"]
+    full = json.loads((out / "moments.json").read_text())
+    assert full["format"] == "hsmc moments v2"
+    report = full["moment"]
     assert report["exact"] == pytest.approx(0.25)
     assert abs(report["mc_mean"] - report["exact"]) < 5 * report["mc_std_error"]
     assert abs(report["z_score"]) < 5
@@ -392,6 +396,35 @@ def test_moments_odd_exponent_zero(tmp_path):
     report = json.loads((out / "moments.json").read_text())["moment"]
     assert report["exact"] == 0.0
     assert abs(report["mc_mean"]) < 5 * report["mc_std_error"]
+
+
+@pytest.mark.parametrize("exponents, d, exact", [
+    ((1, 2), 4, 0.0),
+    ((6, 0), 4, 15 / (4 * 6 * 8)),
+    ((2, 0), 10 ** 9, 1e-9),
+], ids=["1_2", "6_0", "d_1e9"])
+def test_moments_any_exponent_pair(tmp_path, exponents, d, exact):
+    # d = 10**9 draws 3 variates per point, not d
+    yaml_text = (MOMENTS_YAML.replace("u_l: 0", f"u_l: {exponents[0]}")
+                 .replace("u_m: 2", f"u_m: {exponents[1]}").replace("d: 4", f"d: {d}")
+                 .replace("n_samples: 20000", "n_samples: 2000"))
+    cfg = write_config(tmp_path, yaml_text)
+    out = tmp_path / "out"
+    assert main(["moments", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "moments.json").read_text())["moment"]
+    assert report["exact"] == pytest.approx(exact, rel=1e-15)
+    assert abs(report["mc_mean"] - exact) < 5 * report["mc_std_error"]
+
+
+def test_moments_point_count_limit_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, MOMENTS_YAML)
+    start = time.perf_counter()
+    assert main(["moments", "--config", cfg, "--n", str(MAX_MOMENT_POINTS + 1),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert time.perf_counter() - start < 1.0  # refused before any point is drawn
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "run.n_samples" in err
+    assert not (tmp_path / "o").exists()
 
 
 # ------------------------------------------------------------- config errors
@@ -441,6 +474,11 @@ run:
                                "  conservation_tolerance: .nan\n"),
     "total_energy": ("sample", C1_YAML.replace("[1, 2]]", "[1.0e+308, 2]]")
                      .replace("[1, 4]]", "[1.0e+308, 4]]")),
+    "n_times_inf": ("evolve", C1_YAML + "  n_times: .inf\n"),
+    "n_times_nan": ("evolve", C1_YAML + "  n_times: .nan\n"),
+    "seed_nan": ("sample", C1_YAML.replace("seed: 7", "seed: .nan")),
+    "degeneracy_inf": ("predict", C1_YAML.replace("[1, 2]]", "[1, .inf]]")),
+    "moments_d_inf": ("moments", MOMENTS_YAML.replace("d: 4", "d: .inf")),
 }
 
 
@@ -523,7 +561,7 @@ def test_moments_missing_section_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mangle, n, hint", [
-    (lambda t: t.replace("u_m: 2", "u_m: 3"), None, "unsupported exponent pair"),
+    (lambda t: t.replace("u_m: 2", "u_m: 1025"), None, "maximum 1024"),
     (lambda t: t.replace("d: 4", "d: 1").replace("u_l: 0", "u_l: 1")
      .replace("u_m: 2", "u_m: 1"), None, "d >= 2"),
     (lambda t: t, 1, "n_samples >= 2"),
@@ -614,7 +652,8 @@ def fuzz_configs(draw):
         n = draw(st.integers(1, 3))
         energies = draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n, unique=True))
         return [[_mostly(draw, st.just(e), ODD_FLOATS),
-                 _mostly(draw, st.integers(1, 3), st.sampled_from([0, -1, 2.5]))]
+                 _mostly(draw, st.integers(1, 3),
+                         st.sampled_from([0, -1, 2.5, math.inf, math.nan]))]
                 for e in energies]
 
     gas, container = levels(), levels()
@@ -634,7 +673,8 @@ def fuzz_configs(draw):
         energies = draw(st.lists(st.one_of(sums, ODD_FLOATS), min_size=1, max_size=3))
         constraint["weights"] = [[e, w] for e, w
                                  in zip(energies, _fuzz_weights(draw, len(energies)))]
-    run = {"seed": _mostly(draw, st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64])),
+    run = {"seed": _mostly(draw, st.integers(0, 2**64 - 1),
+                           st.sampled_from([-1, 2**64, math.inf, math.nan])),
            "initial": _mostly(draw, st.sampled_from(["sample", "product", "sample"]),
                               st.just("bogus")),
            "dump_states": draw(st.booleans())}
@@ -643,12 +683,15 @@ def fuzz_configs(draw):
             run[key] = _mostly(draw, st.floats(1e-3, 10), ODD_FLOATS)
     if draw(st.booleans()):
         run["n_times"] = _mostly(draw, st.integers(2, 5),
-                                 st.sampled_from([-1, 0, 1, 2**63, 1e300]))
-    u_l, u_m = _mostly(draw, st.sampled_from([(0, 0), (0, 1), (1, 1), (0, 2), (2, 2), (4, 0)]),
-                       st.tuples(st.integers(-1, 5), st.integers(-1, 5)))
+                                 st.sampled_from([-1, 0, 1, 2**63, 1e300, math.inf, math.nan]))
+    def exponent():
+        # every pair has a closed form; 1025 exceeds the maximum total order alone
+        return _mostly(draw, st.integers(0, 8), st.sampled_from([-1, 1025]))
+
     moments = {"R": _mostly(draw, st.floats(0.1, 3), ODD_FLOATS),
-               "d": _mostly(draw, st.integers(2, 6), st.integers(-1, 1)),
-               "u_l": u_l, "u_m": u_m}
+               "d": _mostly(draw, st.integers(2, 6),
+                            st.sampled_from([-1, 0, 1, math.inf, math.nan])),
+               "u_l": exponent(), "u_m": exponent()}
     return {"gas": {"levels": gas}, "container": {"levels": container},
             "constraint": constraint, "run": run, "moments": moments}
 
