@@ -135,9 +135,10 @@ class MomentQuery:
     def __post_init__(self):
         if not self.R >= 0:
             raise ValueError(f"radius {self.R!r} must be >= 0")
-        if int(self.d) != self.d or not 1 <= self.d < 2**63:
+        # abs(x) < inf is False for NaN and +-inf, so int() below never sees them
+        if not abs(self.d) < math.inf or int(self.d) != self.d or not 1 <= self.d < 2**63:
             raise ValueError(f"dimension {self.d!r} must be an integer in [1, 2**63)")
-        if any(int(u) != u or u < 0 for u in (self.u_l, self.u_m)):
+        if any(not abs(u) < math.inf or int(u) != u or u < 0 for u in (self.u_l, self.u_m)):
             raise ValueError(f"exponents {self.u_l!r}, {self.u_m!r} must be nonnegative integers")
         if (order := int(self.u_l + self.u_m)) > MAX_MOMENT_ORDER:
             raise ValueError(f"total order {order} exceeds the maximum {MAX_MOMENT_ORDER}")

@@ -7,7 +7,7 @@ subspace weight.  A canonical interaction couples all subspaces within a
 total-energy shell, conserving only the shell weights while letting energy
 flow between gas and container.
 
-H is stored only block by block, each block with the eigendecomposition of H
+H is stored only block by block, each block as the eigendecomposition of H
 restricted to it.  Propagation (hbar = 1) rotates each block's eigenbasis
 coefficients, so unitarity is exact up to roundoff and there is no step-error
 accumulation.  Trajectories carry named measure series; time averages
@@ -46,11 +46,11 @@ class NumericalValidationError(RuntimeError):
 
 
 class HamiltonianBlock(NamedTuple):
-    """Flat basis ``indices`` of one block, I on them, and the eigenvalues
-    ``energies`` and eigenvector columns ``vectors`` of H restricted to them."""
+    """Flat basis ``indices`` of one block, and the eigenvalues ``energies`` and
+    eigenvector columns ``vectors`` of H restricted to them: the only copy of H
+    there, H_b = V diag(E) V^dagger with the local diagonal included."""
 
     indices: np.ndarray
-    interaction: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray
 
@@ -80,44 +80,43 @@ class Hamiltonian:
     def commutator_norms(self) -> dict[str, float]:
         """Frobenius norms of [H_g, I], [H_c, I] and [H_g + H_c, I].
 
-        For a diagonal D, [D, I] has entries (d_j - d_k) I_jk, which vanish
-        outside I's blocks, so the norms are summed block by block without
-        forming matrix products.
+        For a diagonal D, [D, I] = [D, H] has entries (d_j - d_k) H_jk, which
+        vanish outside H's blocks, so the norms are summed block by block.  A
+        block on which D is constant contributes exactly 0; H_b = V diag(E)
+        V^dagger is rebuilt only on the other blocks.
         """
         out = {}
-        for name, diag in (
-            ("gas", self.gas_diagonal),
-            ("container", self.container_diagonal),
-            ("total", self.gas_diagonal + self.container_diagonal),
-        ):
+        for name, diag in (("gas", self.gas_diagonal), ("container", self.container_diagonal),
+                           ("total", self.gas_diagonal + self.container_diagonal)):
             out[name] = float(np.linalg.norm([
-                np.linalg.norm((diag[b.indices, None] - diag[None, b.indices]) * b.interaction)
-                for b in self.blocks]))
+                np.linalg.norm((d[:, None] - d[None, :])
+                               * ((b.vectors * b.energies) @ b.vectors.conj().T))
+                for b in self.blocks if np.any((d := diag[b.indices]) != d[0])]))
         return out
 
     def weak_coupling_ratio(self, state: PureState) -> float:
         """|<I>| / min(|<H_g>|, |<H_c>|) for ``state``; inf if a local part averages to 0.
 
-        Diagnostic only: the weak-coupling picture needs this to be small, but
-        nothing is enforced.
+        <I> = <H> - <H_g> - <H_c>.  Diagnostic only: the weak-coupling picture
+        needs this to be small, but nothing is enforced.
         """
         psi = state.amplitudes
         mass = np.abs(psi) ** 2
-        e_gas = abs(float(np.dot(mass, self.gas_diagonal)))
-        e_container = abs(float(np.dot(mass, self.container_diagonal)))
-        e_int = abs(sum(float(np.vdot(psi[b.indices], b.interaction @ psi[b.indices]).real)
-                        for b in self.blocks))
-        denom = min(e_gas, e_container)
+        e_gas = float(np.dot(mass, self.gas_diagonal))
+        e_container = float(np.dot(mass, self.container_diagonal))
+        e_int = float(np.vdot(psi, _apply(self, psi)).real) - e_gas - e_container
+        denom = min(abs(e_gas), abs(e_container))
         if denom == 0.0:
             return float("inf")
-        return e_int / denom
+        return abs(e_int) / denom
 
 
 def _apply(hamiltonian: Hamiltonian, flat: np.ndarray) -> np.ndarray:
     """H applied along the trailing flat axis of ``flat``, block by block."""
-    out = flat * (hamiltonian.gas_diagonal + hamiltonian.container_diagonal)
+    out = np.empty_like(flat, dtype=complex)
     for b in hamiltonian.blocks:
-        out[..., b.indices] += flat[..., b.indices] @ b.interaction.T
+        coeffs = flat[..., b.indices] @ b.vectors.conj()
+        out[..., b.indices] = (coeffs * b.energies) @ b.vectors.T
     return out
 
 
@@ -135,7 +134,7 @@ def _local_diagonals(composite: CompositeSpectrum) -> tuple[np.ndarray, np.ndarr
 def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
               groups: list[np.ndarray], rng: np.random.Generator) -> Hamiltonian:
     """Draw one GUE block per index group, scaled so the largest spectral radius
-    equals ``coupling``, and diagonalize H on every group.
+    equals ``coupling``, and keep only the eigenpairs of H on every group.
 
     Where H_g + H_c is one constant d on a group and the coupling is nonzero,
     H there is d + scale * x, so one ``eigh`` of the draw x gives both its
@@ -152,10 +151,9 @@ def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
     scale = coupling / max(float(np.max(np.abs(e))) for e, _ in spectra)
     blocks = []
     for idx, x, (e, v) in zip(groups, draws, spectra):
-        x *= scale
         d = diag[idx]
-        pairs = np.linalg.eigh(np.diag(d) + x) if v is None else (d[0] + scale * e, v)
-        blocks.append(HamiltonianBlock(idx, x, *pairs))
+        pairs = np.linalg.eigh(np.diag(d) + scale * x) if v is None else (d[0] + scale * e, v)
+        blocks.append(HamiltonianBlock(idx, *pairs))
     for arr in (gas_diag, container_diag, *(a for block in blocks for a in block)):
         arr.flags.writeable = False
     return Hamiltonian(composite, kind, float(coupling), gas_diag, container_diag,

@@ -274,6 +274,12 @@ def test_moment_query_validation():
         MomentQuery(R=1, d=4, u_l=0.5, u_m=0)
     with pytest.raises(ValueError, match="dimension"):
         MomentQuery(R=1, d=2**63, u_l=0, u_m=2)
+    with pytest.raises(ValueError, match="dimension"):
+        MomentQuery(R=1.0, d=math.inf, u_l=2, u_m=0)
+    with pytest.raises(ValueError, match="dimension"):
+        MomentQuery(R=1.0, d=math.nan, u_l=2, u_m=0)
+    with pytest.raises(ValueError, match="exponents"):
+        MomentQuery(R=1.0, d=4, u_l=math.inf, u_m=0)
     with pytest.raises(ValueError, match="too large"):
         MomentQuery(R=1e300, d=4, u_l=0, u_m=2)
     MomentQuery(R=1e300, d=4, u_l=0, u_m=0)

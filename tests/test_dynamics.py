@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,14 +26,43 @@ def uniform_product_state(comp):
     return product_state(comp, gp, cp)
 
 
-def _dense(h, interaction_only=False):
-    """Scatter the blocks of ``h`` into a dense dim x dim matrix: H, or only I."""
-    out = np.zeros((h.dim, h.dim), dtype=complex)
-    if not interaction_only:
-        np.fill_diagonal(out, h.gas_diagonal + h.container_diagonal)
-    for b in h.blocks:
-        out[np.ix_(b.indices, b.indices)] += b.interaction
-    return out
+def _replay(comp, kind, coupling, seed):
+    """Dense H, I and the local diagonal from the documented draw, without
+    the blocks under test.
+
+    One GUE block per group from ``substream(seed, 0)``, in group order:
+    subspaces for a microcanonical H, total-energy shells for a canonical one.
+    The blocks are scaled so the largest block spectral radius equals
+    ``coupling``; H adds the local diagonal E_g(A) + E_c(B).
+    """
+    rng = substream(seed, 0)
+    if kind == "microcanonical":
+        groups = [np.arange(s.offset, s.offset + s.n_states) for s in comp.subspaces]
+    else:
+        groups = [comp.shell_flat_indices(j) for j in range(comp.n_shells)]
+    draws = []
+    for idx in groups:
+        n = len(idx)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        draws.append((x + x.conj().T) / 2.0)
+    scale = coupling / max(np.max(np.abs(np.linalg.eigvalsh(x))) for x in draws)
+    interaction = np.zeros((comp.dim, comp.dim), dtype=complex)
+    for idx, x in zip(groups, draws):
+        interaction[np.ix_(idx, idx)] = scale * x
+    local = np.zeros(comp.dim)
+    for s in comp.subspaces:
+        local[s.offset:s.offset + s.n_states] = (
+            comp.gas.energies[s.A] + comp.container.energies[s.B])
+    return np.diag(local) + interaction, interaction, local
+
+
+def _block_matrices(h):
+    """(indices, V diag(E) V^dagger) of every block of ``h``."""
+    return [(b.indices, (b.vectors * b.energies) @ b.vectors.conj().T) for b in h.blocks]
+
+
+BUILDERS = {"microcanonical": build_microcanonical_hamiltonian,
+            "canonical": build_canonical_hamiltonian}
 
 
 # ------------------------------------------------------------- construction
@@ -39,10 +70,11 @@ def _dense(h, interaction_only=False):
 def test_zero_coupling_is_free_evolution():
     comp = composite_three()
     h = build_microcanonical_hamiltonian(comp, 0.0, substream(0, 0))
-    np.testing.assert_array_equal(_dense(h, interaction_only=True), 0.0)
-    np.testing.assert_allclose(
-        np.diag(_dense(h)).real,
-        h.gas_diagonal + h.container_diagonal, atol=0)
+    want, interaction, local = _replay(comp, "microcanonical", 0.0, 0)
+    np.testing.assert_array_equal(interaction, 0.0)
+    np.testing.assert_array_equal(local, h.gas_diagonal + h.container_diagonal)
+    for idx, block in _block_matrices(h):
+        np.testing.assert_array_equal(block, want[np.ix_(idx, idx)])
 
 
 def test_negative_coupling_rejected():
@@ -54,39 +86,52 @@ def test_negative_coupling_rejected():
 
 
 def test_hamiltonian_is_hermitian_and_assembled():
-    comp = composite_three()
-    for build in (build_microcanonical_hamiltonian, build_canonical_hamiltonian):
+    # the detuned composite has a shell {1, 1.3} whose local diagonal is not constant
+    detuned = compose(build_spectrum([(0, 1), (1, 2)]), build_spectrum([(0, 1), (1.3, 2)]),
+                      shell_tolerance=0.5)
+    for (kind, build), comp in itertools.product(BUILDERS.items(), (composite_three(), detuned)):
         h = build(comp, 0.7, substream(5, 0))
-        assert np.linalg.norm(_dense(h) - _dense(h).conj().T) < 1e-12
-        np.testing.assert_array_equal(
-            _dense(h),
-            np.diag((h.gas_diagonal + h.container_diagonal).astype(complex))
-            + _dense(h, interaction_only=True))
+        want, _, local = _replay(comp, kind, 0.7, 5)
+        np.testing.assert_array_equal(local, h.gas_diagonal + h.container_diagonal)
         # the blocks partition the basis and hold the eigenpairs of H on it
         np.testing.assert_array_equal(
             np.sort(np.concatenate([b.indices for b in h.blocks])), np.arange(comp.dim))
         for b in h.blocks:
-            np.testing.assert_allclose(
-                (b.vectors * b.energies) @ b.vectors.conj().T,
-                _dense(h)[np.ix_(b.indices, b.indices)], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b.vectors.conj().T @ b.vectors, np.eye(len(b.indices)),
+                                       rtol=0, atol=1e-12)
+            block = (b.vectors * b.energies) @ b.vectors.conj().T
+            assert np.linalg.norm(block - block.conj().T) < 1e-12
+            np.testing.assert_allclose(block, want[np.ix_(b.indices, b.indices)],
+                                       rtol=0, atol=1e-12)
+
+
+def test_blocks_store_only_eigenpairs():
+    comp = composite_three()
+    for build in BUILDERS.values():
+        for coupling in (0.0, 0.5):
+            h = build(comp, coupling, substream(3, 0))
+            sizes = [len(b.indices) for b in h.blocks]
+            for b in h.blocks:
+                assert b._fields == ("indices", "energies", "vectors")
+            assert sum(a.nbytes for b in h.blocks for a in b) == \
+                sum(16 * n + 16 * n * n for n in sizes)
 
 
 def test_coupling_sets_largest_block_spectral_radius():
     comp = composite_three()
     lam = 0.37
-    for build in (build_microcanonical_hamiltonian, build_canonical_hamiltonian):
+    for kind, build in BUILDERS.items():
         h = build(comp, lam, substream(8, 0))
-        radius = float(np.max(np.abs(np.linalg.eigvalsh(_dense(h, interaction_only=True)))))
+        _, _, local = _replay(comp, kind, lam, 8)
+        radius = max(float(np.max(np.abs(np.linalg.eigvalsh(block - np.diag(local[idx])))))
+                     for idx, block in _block_matrices(h))
         assert radius == pytest.approx(lam, rel=1e-12)
 
 
 def test_microcanonical_commutators_vanish():
     comp = composite_three()
     h = build_microcanonical_hamiltonian(comp, 0.5, substream(1, 0))
-    norms = h.commutator_norms()
-    assert norms["gas"] < 1e-12
-    assert norms["container"] < 1e-12
-    assert norms["total"] < 1e-12
+    assert h.commutator_norms() == {"gas": 0.0, "container": 0.0, "total": 0.0}
 
 
 def test_canonical_commutators_conserve_only_total():
@@ -98,9 +143,10 @@ def test_canonical_commutators_conserve_only_total():
     assert norms["gas"] > 1e-3
     assert norms["container"] > 1e-3
     # the block-by-block norms equal the dense (d_j - d_k) I_jk reference
+    _, interaction, _ = _replay(comp, "canonical", 0.5, 1)
     for name, d in (("gas", h.gas_diagonal), ("container", h.container_diagonal),
                     ("total", h.gas_diagonal + h.container_diagonal)):
-        dense = np.linalg.norm((d[:, None] - d[None, :]) * _dense(h, interaction_only=True))
+        dense = np.linalg.norm((d[:, None] - d[None, :]) * interaction)
         assert norms[name] == pytest.approx(dense, rel=1e-12, abs=1e-15)
 
 
@@ -109,7 +155,9 @@ def test_canonical_reduces_to_microcanonical_for_singleton_shells():
     assert comp.n_shells == comp.n_subspaces
     a = build_microcanonical_hamiltonian(comp, 0.4, substream(9, 0))
     b = build_canonical_hamiltonian(comp, 0.4, substream(9, 0))
-    np.testing.assert_array_equal(_dense(a), _dense(b))
+    for block_a, block_b in zip(a.blocks, b.blocks, strict=True):
+        for array_a, array_b in zip(block_a, block_b):
+            np.testing.assert_array_equal(array_a, array_b)
 
 
 def test_weak_coupling_ratio():
@@ -119,7 +167,8 @@ def test_weak_coupling_ratio():
     ratio = h.weak_coupling_ratio(state)
     assert 0 <= ratio < 1.0
     psi = state.amplitudes
-    e_int = abs(np.vdot(psi, _dense(h, interaction_only=True) @ psi).real)
+    _, interaction, _ = _replay(comp, "canonical", 0.01, 2)
+    e_int = abs(np.vdot(psi, interaction @ psi).real)
     e_gas = abs(np.dot(np.abs(psi) ** 2, h.gas_diagonal))
     e_container = abs(np.dot(np.abs(psi) ** 2, h.container_diagonal))
     assert ratio == pytest.approx(e_int / min(e_gas, e_container), rel=1e-12)
@@ -161,7 +210,7 @@ def test_two_level_resonance_period_matches_eigen_gap():
     comp = compose(build_spectrum([(0, 1), (1, 1)]), build_spectrum([(0, 1), (1, 1)]))
     h = build_canonical_hamiltonian(comp, 0.5, substream(4, 0))
     shell = comp.shell_flat_indices(comp.shell_index_at(1.0))
-    block = _dense(h)[np.ix_(shell, shell)]
+    block = _replay(comp, "canonical", 0.5, 4)[0][np.ix_(shell, shell)]
     gap = float(np.diff(np.linalg.eigvalsh(block))[0])
     period = 2 * np.pi / gap
     amps = np.zeros(comp.dim, dtype=complex)
@@ -178,11 +227,12 @@ def test_evolve_matches_dense_matrix_exponential():
     comp = composite_three()
     state = uniform_product_state(comp)
     times = np.array([0.0, 0.3, 2.0, 17.5])
-    for build in (build_microcanonical_hamiltonian, build_canonical_hamiltonian):
+    for kind, build in BUILDERS.items():
         h = build(comp, 0.6, substream(15, 0))
+        dense, _, _ = _replay(comp, kind, 0.6, 15)
         traj = evolve(state, h, times)
         for t, psi in zip(times, traj.amplitudes):
-            want = scipy.linalg.expm(-1j * t * _dense(h)) @ state.amplitudes
+            want = scipy.linalg.expm(-1j * t * dense) @ state.amplitudes
             np.testing.assert_allclose(psi, want, rtol=0, atol=1e-10)
 
 
