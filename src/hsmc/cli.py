@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import mmap
 import os
 import sys
 
@@ -31,6 +32,7 @@ from .config import ConfigError, ExperimentConfig, build_experiment, load_config
 from .dynamics import (NumericalValidationError, build_canonical_hamiltonian,
                        build_microcanonical_hamiltonian, effective_velocity,
                        evolve, max_drift)
+from .fanout import fan_out
 from .sampling import (MICROCANONICAL, mc_estimate, sample_batch, sample_chunks,
                        substream)
 from .state import PureState, gas_purity_entropy, product_state, write_state_snapshots
@@ -142,13 +144,26 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
 def cmd_sample(cfg: ExperimentConfig) -> int:
     composite = cfg.composite
     n = cfg.n_samples
-    purities = np.empty(n)
-    entropies = np.empty(n)
-    start = 0
-    for amplitudes in sample_chunks(composite, cfg.constraint, cfg.seed, 0, n):
-        stop = start + len(amplitudes)
-        purities[start:stop], entropies[start:stop] = gas_purity_entropy(composite, amplitudes)
-        start = stop
+    try:  # purities and entropies, in memory shared with the forked workers
+        results = np.frombuffer(mmap.mmap(-1, 2 * n * 8)).reshape(2, n)
+    except (OverflowError, OSError) as exc:  # more bytes than addresses, or ENOMEM
+        raise MemoryError(f"cannot map {2 * n} results: {exc}") from exc
+
+    def draw(w: int, m: int) -> None:
+        """Purity and entropy of draws n w / m to n (w + 1) / m - 1 into ``results``."""
+        first, stop = n * w // m, n * (w + 1) // m
+        start = first
+        try:
+            for amplitudes in sample_chunks(composite, cfg.constraint, cfg.seed,
+                                            first, stop - first):
+                results[:, start:start + len(amplitudes)] = gas_purity_entropy(
+                    composite, amplitudes)
+                start += len(amplitudes)
+        except ValueError as exc:  # a failed norm or density check
+            raise NumericalValidationError(f"draws {first} to {stop - 1}: {exc}") from exc
+
+    fan_out(draw, n, "sample worker", needs_blas=True)
+    purities, entropies = results
 
     out_dir = _prepare_out_dir(cfg)
     header = [
@@ -157,7 +172,8 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
         f"seed={cfg.seed} n={n}",
         "sample,purity,entropy",
     ]
-    rows = [f"{i},{float(purities[i])!r},{float(entropies[i])!r}" for i in range(n)]
+    rows = [f"{i},{p!r},{s!r}"
+            for i, (p, s) in enumerate(zip(purities.tolist(), entropies.tolist()))]
     with open(os.path.join(out_dir, "samples.csv"), "w") as fh:
         fh.write("\n".join(header + rows) + "\n")
 

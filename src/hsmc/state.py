@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import os
-import sys
 
 import numpy as np
 
+from .fanout import fan_out
 from .spectrum import CompositeSpectrum, Spectrum
 
 __all__ = [
@@ -320,39 +320,20 @@ def write_state_snapshots(composite: CompositeSpectrum, amplitudes, directory) -
     """Write row k of ``amplitudes`` to ``directory/state_{k:05d}.csv`` by
     :func:`write_amplitudes_csv`, over m writers: one per CPU, at most one per row.
 
-    The caller writes rows 0, m, 2m, ... and forked children, which only format
-    and write (a fork has no BLAS threads), the other residues mod m.  The bytes
-    do not depend on m.  Every child is reaped; a failed one is an OSError.
+    Writer w writes rows w, w + m, w + 2m, ...; the caller is writer 0 and
+    forked children are the others (see :func:`~hsmc.fanout.fan_out`).  The
+    bytes do not depend on m.  Every child is reaped, and a failed one's
+    exception reaches the caller with its class.
     """
     os.makedirs(directory, exist_ok=True)
     n = len(amplitudes)
-    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    m = max(1, min(n, len(os.sched_getaffinity(0)))) if can_fork else 1
 
-    def write_rows(w: int) -> None:
+    def write_rows(w: int, m: int) -> None:
         for k in range(w, n, m):
             write_amplitudes_csv(PureState(composite, amplitudes[k], check=False),
                                  os.path.join(directory, f"state_{k:05d}.csv"))
 
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children = {}
-    try:
-        for w in range(1, m):
-            if (pid := os.fork()) == 0:
-                try:
-                    write_rows(w)
-                    os._exit(0)
-                except Exception as exc:
-                    print(f"hsmc: state writer {w} of {m}: {exc}", file=sys.stderr, flush=True)
-                finally:
-                    os._exit(1)
-            children[pid] = w
-        write_rows(0)
-    finally:
-        failed = [w for pid, w in children.items() if os.waitpid(pid, 0)[1] != 0]
-    if failed:
-        raise OSError(f"state writers {failed} of {m} failed (snapshots k, k % {m} in {failed})")
+    fan_out(write_rows, n, "state writer", needs_blas=False)
 
 
 def read_amplitudes_csv(path, composite: CompositeSpectrum) -> PureState:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 import yaml
 
+import hsmc.state
 from hsmc import (WeightProfile, build_spectrum, compose, dominant_distribution,
-                  expected_purity_exact, microcanonical_profile, min_purity_state,
-                  region_log_size)
+                  expected_purity_exact, gas_purity_entropy, microcanonical_profile,
+                  min_purity_state, region_log_size, sample_batch)
+from hsmc import cli, fanout
 from hsmc.cli import COMMANDS, main
 from hsmc.config import MAX_MOMENT_POINTS
 
@@ -227,6 +230,100 @@ def test_sample_csv_layout(tmp_path):
     assert lines[1].startswith("# config_hash=")
     assert lines[2] == "sample,purity,entropy"
     assert len(lines) == 6
+
+
+def _sample(tmp_path, monkeypatch, cpus, n, text=GEOMETRIC_YAML):
+    """Run sample as if the process may use ``cpus`` CPUs; (exit code, output dir)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    cfg = write_config(tmp_path, text, name=f"s{cpus}.yaml")
+    out = tmp_path / f"sample{cpus}_{n}"
+    return main(["sample", "--config", cfg, "--n", str(n), "--out", str(out), "--quiet"]), out
+
+
+@pytest.mark.parametrize("n", [7, 1], ids=["uneven_split", "fewer_draws_than_cpus"])
+def test_sample_files_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, n):
+    # 7 draws of 10 rows per chunk: one chunk serially, 3 + 4 rows on 2 workers,
+    # 2 + 2 + 3 on 3
+    runs = [_sample(tmp_path, monkeypatch, cpus, n) for cpus in (1, 2, 3)]
+    assert [code for code, _ in runs] == [0, 0, 0]
+    for name in ("samples.csv", "summary.csv"):
+        serial = (runs[0][1] / name).read_bytes()
+        assert all((out / name).read_bytes() == serial for _, out in runs[1:])
+
+
+def test_sample_restores_the_blas_thread_count(tmp_path, monkeypatch):
+    blas = fanout._blas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS has no thread-count control here")
+    get_threads, set_threads = blas
+    seen = []
+
+    def recording(composite, amplitudes):
+        seen.append(get_threads())  # in the calling worker; children's calls are lost
+        return gas_purity_entropy(composite, amplitudes)
+
+    monkeypatch.setattr(cli, "gas_purity_entropy", recording)
+    before = get_threads()
+    set_threads(2)
+    try:
+        code, _ = _sample(tmp_path, monkeypatch, 2, 7)
+        after = get_threads()
+    finally:
+        set_threads(before)
+    assert code == 0 and after == 2
+    assert seen and set(seen) == {1}
+
+
+def test_sample_without_blas_thread_control_runs_one_worker(tmp_path, monkeypatch):
+    _, serial = _sample(tmp_path, monkeypatch, 1, 7)
+    monkeypatch.setattr(fanout, "_blas_threads", lambda: None)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("sample forked without BLAS control"))
+    code, out = _sample(tmp_path, monkeypatch, 3, 7)
+    assert code == 0
+    for name in ("samples.csv", "summary.csv"):
+        assert (out / name).read_bytes() == (serial / name).read_bytes()
+
+
+@pytest.mark.parametrize("draw, hint", [(5, "sample workers [1] of 2 failed: draws 3 to 6"),
+                                        (1, "draws 0 to 2")],
+                         ids=["forked_worker", "calling_worker"])
+def test_failed_sample_check_exits_3_and_is_reaped(tmp_path, monkeypatch, capsys, draw, hint):
+    # of 2 workers over 7 draws, the caller draws 0 to 2 and the forked child 3 to 6
+    comp = compose(build_spectrum([(0, 2)]), build_spectrum([(0, 2)]))
+    psi = sample_batch(comp, microcanonical_profile({(0, 0): 1.0}), 11, draw, 1).reshape(2, 2)
+    bad = psi @ psi.conj().T
+    check = hsmc.state._check_density
+
+    def failing(matrices):
+        check(matrices)
+        if np.any(np.max(np.abs(matrices - bad), axis=(1, 2)) < 1e-12):
+            raise ValueError("trace = 2.0 deviates from 1")
+
+    monkeypatch.setattr(hsmc.state, "_check_density", failing)
+    code, _ = _sample(tmp_path, monkeypatch, 2, 7, text=LUBKIN_YAML)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical validation failure:") and hint in err
+    assert "trace = 2.0 deviates from 1" in err and "Traceback" not in err
+    assert err.count("\n") == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n, fail", [
+    (7, OSError(errno.ENOMEM, "Cannot allocate memory")),
+    (2**62, None),  # 2**66 bytes: more than an address space holds
+], ids=["enomem", "too_large"])
+def test_sample_results_that_do_not_fit_exit_2(tmp_path, monkeypatch, capsys, n, fail):
+    if fail is not None:
+        def mmap(*args):
+            raise fail
+        monkeypatch.setattr(cli.mmap, "mmap", mmap)
+    code, _ = _sample(tmp_path, monkeypatch, 2, n, text=C1_YAML)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the run does not fit in memory:")
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------- evolve
