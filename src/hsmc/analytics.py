@@ -60,15 +60,18 @@ def min_purity_state(gas: Spectrum, gas_weights) -> tuple[np.ndarray, float]:
 def max_entropy_micro(weights, degeneracies) -> float:
     """Largest gas entropy compatible with fixed level weights.
 
-    Equals -sum_A W_A ln(W_A / N_A), the entropy of the minimum-purity state;
-    zero-weight levels contribute nothing.
+    Equals -sum_A W_A (ln W_A - ln N_A), the entropy of the minimum-purity
+    state; zero-weight levels contribute nothing.  The logs are taken apart so
+    a subnormal W_A cannot underflow W_A / N_A to 0 and the log to -inf; its
+    term is then a subnormal, which is still the rounded product.
     """
     w = np.asarray(weights, dtype=float)
     n = np.asarray(degeneracies, dtype=float)
     if w.shape != n.shape:
         raise ValueError("weights and degeneracies must have matching lengths")
     mask = w > 0
-    return float(-np.sum(w[mask] * np.log(w[mask] / n[mask])))
+    with np.errstate(under="ignore"):
+        return float(-np.sum(w[mask] * (np.log(w[mask]) - np.log(n[mask]))))
 
 
 def expected_purity_exact(composite: CompositeSpectrum, gas_weights,
@@ -182,7 +185,17 @@ def hypersphere_moment_mc(query: MomentQuery, n: int, seed: int,
             x[bad] = points(int(bad.sum()))
         return x
     chunks = (points(min(chunk, n - start)) for start in range(0, n, chunk))
-    return mc_estimate((x[:, 0] ** query.u_l * x[:, -1] ** query.u_m for x in chunks), seed)
+    return mc_estimate((_power(x[:, 0], query.u_l) * _power(x[:, -1], query.u_m)
+                        for x in chunks), seed)
+
+
+def _power(x: np.ndarray, u) -> np.ndarray:
+    """``x ** u`` for an integral u >= 0; above 2 by repeated squaring, where numpy
+    calls libm ``pow``, about 20x slower.  Each product rounds: the last bits may move."""
+    if u <= 2:
+        return x ** u
+    half = _power(x, int(u) // 2)
+    return half * half * x if u % 2 else half * half
 
 
 def region_log_size(composite: CompositeSpectrum, subspace_weights,

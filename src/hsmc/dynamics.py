@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectrum import CompositeSpectrum
-from .state import PureState, gas_purity_entropy
+from .state import PureState, batch_rows, gas_purity_entropy
 
 __all__ = [
     "NumericalValidationError",
@@ -125,6 +125,16 @@ def _gue_block(rng: np.random.Generator, n: int) -> np.ndarray:
     return (x + x.conj().T) / 2.0
 
 
+def _draw_spectrum(rng: np.random.Generator, d: np.ndarray, coupling: float) -> tuple:
+    """(draw x, eigenvalues, eigenvectors) of one GUE draw over a group with local
+    diagonal ``d``.  Where ``eigh`` of x is all the block needs (d constant, a
+    nonzero coupling), x is dropped (None); elsewhere only ``eigvalsh`` is taken."""
+    x = _gue_block(rng, len(d))
+    if coupling > 0 and np.all(d == d[0]):
+        return None, *np.linalg.eigh(x)
+    return x, np.linalg.eigvalsh(x), None
+
+
 def _local_diagonals(composite: CompositeSpectrum) -> tuple[np.ndarray, np.ndarray]:
     subs, dims = composite.subspaces, composite.subspace_dims()
     return (np.repeat([composite.gas.energies[s.A] for s in subs], dims),
@@ -139,18 +149,20 @@ def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
     Where H_g + H_c is one constant d on a group and the coupling is nonzero,
     H there is d + scale * x, so one ``eigh`` of the draw x gives both its
     spectral radius and the eigenpairs of H.  Other groups take the radius
-    from ``eigvalsh`` of the draw and the eigenpairs from ``eigh`` of H.
+    from ``eigvalsh`` of the draw and the eigenpairs from ``eigh`` of H.  Each
+    draw is freed once its block has the eigenpairs, so the only draws held
+    together are those of the other groups, until the scale is known.
     """
     if not coupling >= 0:
         raise ValueError("coupling must be >= 0")
     gas_diag, container_diag = _local_diagonals(composite)
     diag = gas_diag + container_diag
-    draws = [_gue_block(rng, len(idx)) for idx in groups]
-    spectra = [np.linalg.eigh(x) if coupling > 0 and np.all(diag[idx] == diag[idx[0]])
-               else (np.linalg.eigvalsh(x), None) for idx, x in zip(groups, draws)]
-    scale = coupling / max(float(np.max(np.abs(e))) for e, _ in spectra)
+    spectra = [_draw_spectrum(rng, diag[idx], coupling) for idx in groups]
+    scale = coupling / max(float(np.max(np.abs(e))) for _, e, _ in spectra)
     blocks = []
-    for idx, x, (e, v) in zip(groups, draws, spectra):
+    for k, idx in enumerate(groups):
+        x, e, v = spectra[k]
+        spectra[k] = None  # the draw goes with the next iteration's rebinding of x
         d = diag[idx]
         pairs = np.linalg.eigh(np.diag(d) + scale * x) if v is None else (d[0] + scale * e, v)
         blocks.append(HamiltonianBlock(idx, *pairs))
@@ -224,6 +236,13 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times) -> Trajectory:
     Rotates each block's coefficients through that block's eigenbasis; t = 0
     entries reproduce the initial amplitudes bit for bit.  Raises
     NumericalValidationError if any snapshot norm drifts beyond 1e-9.
+
+    The (n_times, dim) trajectory is the only array that grows with both
+    axes.  States are propagated and measured over chunks of
+    max(2, ``batch_rows(dim)``, n_max^2 // dim) times, n_max the largest
+    block, so each temporary is about as large as the largest block of H or
+    ``BATCH_ELEMENTS`` amplitudes.  Every row's values depend on that row
+    alone (a chord on its two rows), so the chunks do not show in them.
     """
     if initial.composite is not hamiltonian.composite:
         raise ValueError("state and Hamiltonian live on different composites")
@@ -236,30 +255,42 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times) -> Trajectory:
         raise ValueError("times must be strictly increasing")
 
     composite = initial.composite
-    amplitudes = np.empty((len(times), composite.dim), dtype=complex)
-    for b in hamiltonian.blocks:
-        coeffs = b.vectors.conj().T @ initial.amplitudes[b.indices]
-        phases = np.exp(-1j * np.outer(times, b.energies))
-        amplitudes[:, b.indices] = (phases * coeffs) @ b.vectors.T
+    n, dim = len(times), composite.dim
+    blocks = hamiltonian.blocks
+    coeffs = [b.vectors.conj().T @ initial.amplitudes[b.indices] for b in blocks]
     exact_zero = times == 0.0
-    if np.any(exact_zero):
-        amplitudes[exact_zero] = initial.amplitudes
+    amplitudes = np.empty((n, dim), dtype=complex)
+    norms, energy, v_eff, chords = np.empty(n), np.empty(n), np.empty(n), np.empty(n - 1)
+    w_sub = np.empty((n, composite.n_subspaces))
+    rows = max(2, batch_rows(dim), max(len(b.indices) for b in blocks) ** 2 // dim)
+    # numpy multiplies a 1-row matrix by gemv, whose last bits differ from
+    # gemm's, so a lone last row joins the chunk before it.
+    starts = list(range(0, max(n - 1, 1), rows))
+    for start, stop in zip(starts, starts[1:] + [n]):
+        span = slice(start, stop)
+        chunk = amplitudes[span]
+        for b, c in zip(blocks, coeffs):
+            phases = np.exp(-1j * np.outer(times[span], b.energies))
+            chunk[:, b.indices] = (phases * c) @ b.vectors.T
+        chunk[exact_zero[span]] = initial.amplitudes
+        norms[span] = np.linalg.norm(chunk, axis=1)
+        h_psi = _apply(hamiltonian, chunk)
+        energy[span] = np.einsum("ki,ki->k", chunk.conj(), h_psi).real
+        v_eff[span] = np.linalg.norm(h_psi, axis=1)
+        w_sub[span] = composite.subspace_sums(np.abs(chunk) ** 2)
+        # each chord ends in this chunk; the first starts on the previous one's last row
+        first = max(start - 1, 0)
+        chords[first:stop - 1] = np.linalg.norm(np.diff(amplitudes[first:stop], axis=0), axis=1)
 
-    norms = np.linalg.norm(amplitudes, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))
     if not worst <= NORM_DRIFT_TOLERANCE:
         raise NumericalValidationError(f"propagation lost normalization by {worst:.3e}")
 
-    h_psi = _apply(hamiltonian, amplitudes)
-    energy_series = np.einsum("ki,ki->k", amplitudes.conj(), h_psi).real
-    v_eff_series = np.linalg.norm(h_psi, axis=1)
-
     purities, entropies = gas_purity_entropy(composite, amplitudes)
-    w_sub = composite.subspace_sums(np.abs(amplitudes) ** 2)
     measures = {
         "norm": norms,
-        "energy": energy_series,
-        "v_eff": v_eff_series,
+        "energy": energy,
+        "v_eff": v_eff,
         "purity": purities,
         "entropy": entropies,
         "subspace_weights": w_sub,
@@ -267,8 +298,7 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times) -> Trajectory:
         "gas_level_weights": composite.gas_level_sums(w_sub),
     }
     return Trajectory(times=times, amplitudes=amplitudes, measures=measures,
-                      chords=np.linalg.norm(np.diff(amplitudes, axis=0), axis=1),
-                      hamiltonian=hamiltonian)
+                      chords=chords, hamiltonian=hamiltonian)
 
 
 def _series(traj: Trajectory, measure_name: str) -> np.ndarray:

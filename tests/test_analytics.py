@@ -11,7 +11,7 @@ from hsmc import (MomentQuery, build_spectrum, compose, dominant_distribution,
                   marginal_gas_distribution, max_entropy_micro, mc_average,
                   microcanonical_profile, min_purity_state, region_log_size,
                   region_size_ratio)
-from hsmc.analytics import MAX_MOMENT_ORDER
+from hsmc.analytics import MAX_MOMENT_ORDER, _power
 
 
 def composite_one():
@@ -69,6 +69,14 @@ def test_max_entropy_values():
     assert max_entropy_micro([1.0], [4]) == pytest.approx(np.log(4))
     assert max_entropy_micro([0.5, 0.5], [1, 1]) == pytest.approx(np.log(2))
     assert max_entropy_micro([0.5, 0.5], [2, 2]) == pytest.approx(np.log(4))
+
+
+def test_max_entropy_of_a_subnormal_weight_is_finite():
+    # W_A / N_A underflows to 0 here, and its log was -inf
+    with np.errstate(all="raise"):
+        s = max_entropy_micro([1.0, 5e-324], [1, 3])
+    assert np.isfinite(s) and s >= 0.0
+    assert s == pytest.approx(5e-324 * (np.log(3) - np.log(5e-324)), rel=1e-2)
 
 
 def test_max_entropy_matches_density_matrix_oracle():
@@ -169,6 +177,15 @@ def test_moment_values():
     assert hypersphere_moment(MomentQuery(R=1, d=2, u_l=2, u_m=2)) == pytest.approx(0.125)
     assert hypersphere_moment(MomentQuery(R=1, d=2, u_l=0, u_m=4)) == pytest.approx(0.375)
     assert hypersphere_moment(MomentQuery(R=1, d=1, u_l=0, u_m=0)) == 1.0
+
+
+def test_moment_powers_match_numpy_pow():
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, 4096)
+    for u in (0, 1, 2, 2.0):
+        np.testing.assert_array_equal(_power(x, u), x ** u)
+    for u in range(3, 13):
+        # repeated squaring rounds once per product: at most u - 1 roundings
+        np.testing.assert_array_max_ulp(_power(x, u), x ** u, maxulp=u)
 
 
 def test_moment_odd_exponents_vanish():

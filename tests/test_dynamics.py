@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hsmc import (NumericalValidationError, PureState,
                   mc_average, microcanonical_profile, path_average,
                   product_state, sample_microcanonical, substream,
                   time_average, uniform_profile)
+from hsmc import dynamics
 
 
 def composite_three():
@@ -234,6 +236,84 @@ def test_evolve_matches_dense_matrix_exponential():
         for t, psi in zip(times, traj.amplitudes):
             want = scipy.linalg.expm(-1j * t * dense) @ state.amplitudes
             np.testing.assert_allclose(psi, want, rtol=0, atol=1e-10)
+
+
+def _whole_array_trajectory(state, h, times):
+    """Amplitudes and measures in one pass over the whole time axis, by the
+    formulas of the chunks under test but without them."""
+    comp = state.composite
+    amplitudes = np.empty((len(times), comp.dim), dtype=complex)
+    for b in h.blocks:
+        coeffs = b.vectors.conj().T @ state.amplitudes[b.indices]
+        phases = np.exp(-1j * np.outer(times, b.energies))
+        amplitudes[:, b.indices] = (phases * coeffs) @ b.vectors.T
+    amplitudes[times == 0.0] = state.amplitudes
+    h_psi = np.empty_like(amplitudes)
+    for b in h.blocks:
+        h_psi[:, b.indices] = (
+            (amplitudes[:, b.indices] @ b.vectors.conj()) * b.energies) @ b.vectors.T
+    return amplitudes, {
+        "norm": np.linalg.norm(amplitudes, axis=1),
+        "energy": np.einsum("ki,ki->k", amplitudes.conj(), h_psi).real,
+        "v_eff": np.linalg.norm(h_psi, axis=1),
+        "chords": np.linalg.norm(np.diff(amplitudes, axis=0), axis=1),
+        "subspace_weights": comp.subspace_sums(np.abs(amplitudes) ** 2),
+    }
+
+
+@pytest.mark.parametrize("kind", BUILDERS)
+@pytest.mark.parametrize("n_times", [9, 10, 11])
+def test_chunked_measures_match_the_whole_array(kind, n_times, monkeypatch):
+    # chunks of 3 rows (4 on the canonical H, whose largest block holds 8 of
+    # the 16 states): among these grids are even splits, a ragged last chunk
+    # and a lone last row that joins the chunk before it
+    monkeypatch.setattr(dynamics, "batch_rows", lambda dim: 3)
+    chunk_rows = []
+    apply = dynamics._apply
+    monkeypatch.setattr(dynamics, "_apply",
+                        lambda h, flat: chunk_rows.append(len(flat)) or apply(h, flat))
+    comp = composite_three()
+    rng = np.random.default_rng(21)
+    amps = rng.standard_normal(comp.dim) + 1j * rng.standard_normal(comp.dim)
+    state = PureState(comp, amps / np.linalg.norm(amps))
+    h = BUILDERS[kind](comp, 0.6, substream(21, 0))
+    times = np.linspace(0.0, 9.0, n_times)
+    traj = evolve(state, h, times)
+    assert len(chunk_rows) > 1 and min(chunk_rows) >= 2 and sum(chunk_rows) == n_times
+
+    amplitudes, want = _whole_array_trajectory(state, h, times)
+    np.testing.assert_array_equal(traj.amplitudes, amplitudes)
+    np.testing.assert_array_equal(traj.chords, want["chords"])
+    w_sub = want["subspace_weights"]
+    purity, entropy = gas_purity_entropy(comp, amplitudes)
+    for name, value in (("norm", want["norm"]), ("subspace_weights", w_sub),
+                        ("shell_weights", comp.shell_sums(w_sub)),
+                        ("gas_level_weights", comp.gas_level_sums(w_sub)),
+                        ("purity", purity), ("entropy", entropy)):
+        np.testing.assert_array_equal(traj.measures[name], value, err_msg=name)
+    for name in ("energy", "v_eff"):
+        np.testing.assert_allclose(traj.measures[name], want[name], rtol=1e-14, atol=0,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("kind", BUILDERS)
+def test_evolve_temporaries_do_not_grow_with_the_time_axis(kind):
+    comp = compose(build_spectrum([(0, 2), (1, 2)]), build_spectrum([(0, 50), (1, 50)]))
+    h = BUILDERS[kind](comp, 0.1, substream(2, 0))
+    state = uniform_product_state(comp)
+    held, extra = {}, {}
+    for n in (201, 1601):
+        tracemalloc.start()
+        try:
+            traj = evolve(state, h, np.linspace(0.0, 100.0, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held[n] = (traj.amplitudes.nbytes + traj.chords.nbytes
+                   + sum(m.nbytes for m in traj.measures.values()))
+        extra[n] = peak - held[n]
+    # whole-array temporaries would grow it by about 3 trajectories
+    assert extra[1601] <= extra[201] + (held[1601] - held[201]) / 100, extra
 
 
 def test_microcanonical_weights_conserved():
