@@ -242,13 +242,17 @@ def dominant_distribution(composite: CompositeSpectrum,
     Within each shell the region size is maximized by splitting the shell
     weight in proportion to subspace dimension: W^d_AB = N_AB * W_E / N_E.
     Shells with zero weight get zero subspace weights and no multiplier.
+    Raises ValueError, naming the shell, where the multiplier overflows.
     """
     w_e = checked_weights(shell_weights, composite.n_shells, "shell weights")
     w_d = {}
     lambdas = {}
     for shell, w in zip(composite.shells, w_e):
         if w > 0:
-            lambdas[shell.energy] = float(shell.n_states / w)
+            lambdas[shell.energy] = shell.n_states / float(w)  # float division: no warning
+            if lambdas[shell.energy] == math.inf:
+                raise ValueError(
+                    f"shell at E={shell.energy!r}: weight {float(w)!r} overflows N_E / W_E")
         for i in shell.member_indices:
             sub = composite.subspaces[i]
             w_d[(sub.A, sub.B)] = float(sub.n_states * w / shell.n_states)

@@ -114,7 +114,10 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
         predictions["lubkin_average"] = None
 
     # Shell weights implied by the constraint drive the canonical attractor.
-    dd = dominant_distribution(composite, w_shell)
+    try:
+        dd = dominant_distribution(composite, w_shell)
+    except ValueError as exc:  # a shell weight too small for a finite multiplier
+        raise ConfigError(str(exc)) from None
     marginal = marginal_gas_distribution(dd)
     attractor_entropy = max_entropy_micro(marginal, cfg.gas.degeneracies)
     attractor_purity = float(np.sum(
@@ -214,7 +217,9 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
         hamiltonian = build_canonical_hamiltonian(composite, cfg.coupling, rng)
         conserved = "shell_weights"
     initial = _initial_state(cfg)
-    traj = evolve(initial, hamiltonian, cfg.times)
+    states = np.empty((len(cfg.times), composite.dim), dtype=complex) if cfg.dump_states else None
+    traj = evolve(initial, hamiltonian, cfg.times, None if states is None else
+                  lambda start, rows: np.copyto(states[start:start + len(rows)], rows))
 
     out_dir = _prepare_out_dir(cfg)
     sub_cols = [f"w_{s.A}_{s.B}" for s in composite.subspaces]
@@ -238,7 +243,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
         fh.write("\n".join(lines) + "\n")
 
     if cfg.dump_states:
-        write_state_snapshots(composite, traj.amplitudes, os.path.join(out_dir, "states"))
+        write_state_snapshots(composite, states, os.path.join(out_dir, "states"))
 
     drifts = {name: max_drift(traj, name) for name in
               ("norm", "energy", "v_eff", "subspace_weights", "shell_weights")}

@@ -111,18 +111,26 @@ class Hamiltonian:
         return abs(e_int) / denom
 
 
-def _apply(hamiltonian: Hamiltonian, flat: np.ndarray) -> np.ndarray:
-    """H applied along the trailing flat axis of ``flat``, block by block."""
-    out = np.empty_like(flat, dtype=complex)
+def _apply(hamiltonian: Hamiltonian, flat: np.ndarray, out=None) -> np.ndarray:
+    """H applied along the trailing flat axis of ``flat``, block by block, into ``out``
+    if given.  conj(conj(psi) V) is psi conj(V) bit for bit, with no n_b x n_b temporary."""
+    out = np.empty_like(flat, dtype=complex) if out is None else out
     for b in hamiltonian.blocks:
-        coeffs = flat[..., b.indices] @ b.vectors.conj()
+        coeffs = np.conjugate(flat[..., b.indices].conj() @ b.vectors)
         out[..., b.indices] = (coeffs * b.energies) @ b.vectors.T
     return out
 
 
 def _gue_block(rng: np.random.Generator, n: int) -> np.ndarray:
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (x + x.conj().T) / 2.0
+    """(x + x^dagger) / 2 for x = a + ib, a then b standard normal (n, n) draws, bit
+    for bit, built in one complex array from one float draw buffer, row by row."""
+    x, draw = np.empty((n, n), dtype=complex), np.empty((n, n))
+    x.real = rng.standard_normal(out=draw)
+    x.imag = rng.standard_normal(out=draw)
+    for j in range(n):
+        row = (x[j, j:] + x[j:, j].conj()) / 2.0
+        x[j:, j], x[j, j:] = row.conj(), row  # the diagonal keeps row[0]
+    return x
 
 
 def _draw_spectrum(rng: np.random.Generator, d: np.ndarray, coupling: float) -> tuple:
@@ -202,15 +210,14 @@ def build_canonical_hamiltonian(composite: CompositeSpectrum, coupling: float,
 class Trajectory:
     """Time series of states under one Hamiltonian, with derived measures.
 
-    ``amplitudes`` holds one flat-layout state per row, time along the first
-    axis.  ``measures`` maps names to arrays with time along the first axis:
-    1-D series norm, energy, v_eff, purity, entropy; 2-D series
-    subspace_weights, shell_weights, gas_level_weights.  ``chords`` are the
-    distances the unit state vector moves between consecutive snapshots.
+    ``measures`` maps names to arrays with time along the first axis: 1-D
+    series norm, energy, v_eff, purity, entropy; 2-D series subspace_weights,
+    shell_weights, gas_level_weights.  ``chords`` are the distances the unit
+    state vector moves between consecutive snapshots.  The states themselves
+    are not kept: :func:`evolve` hands them to a sink as it goes.
     """
 
     times: np.ndarray
-    amplitudes: np.ndarray = field(repr=False)
     measures: dict[str, np.ndarray]
     chords: np.ndarray = field(repr=False)
     hamiltonian: Hamiltonian
@@ -230,19 +237,26 @@ def effective_velocity(state: PureState, hamiltonian: Hamiltonian) -> float:
     return float(np.linalg.norm(_apply(hamiltonian, state.amplitudes)))
 
 
-def evolve(initial: PureState, hamiltonian: Hamiltonian, times) -> Trajectory:
+def _row_norms(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(rows, axis=1)`` bit for bit, its temporaries in ``scratch``."""
+    np.multiply(np.conjugate(rows, out=scratch), rows, out=scratch)
+    return np.sqrt(scratch.real.sum(axis=1))
+
+
+def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Trajectory:
     """Propagate |psi(t)> = exp(-iHt)|psi(0)> on a strictly increasing time grid.
 
     Rotates each block's coefficients through that block's eigenbasis; t = 0
     entries reproduce the initial amplitudes bit for bit.  Raises
     NumericalValidationError if any snapshot norm drifts beyond 1e-9.
 
-    The (n_times, dim) trajectory is the only array that grows with both
-    axes.  States are propagated and measured over chunks of
-    max(2, ``batch_rows(dim)``, n_max^2 // dim) times, n_max the largest
-    block, so each temporary is about as large as the largest block of H or
-    ``BATCH_ELEMENTS`` amplitudes.  Every row's values depend on that row
-    alone (a chord on its two rows), so the chunks do not show in them.
+    No (n_times, dim) array is kept.  States are propagated and measured over
+    chunks of max(2, ``batch_rows(dim)``, n_max^2 // dim) times, n_max the
+    largest block, in buffers allocated once for the largest chunk.  Each
+    chunk's rows go to ``sink(start, rows)`` if given: ``rows`` holds states
+    ``start`` to ``start + len(rows) - 1`` as a read-only view that is valid
+    only during the call.  Every row's values depend on that row alone (a
+    chord on its two rows), so the chunks do not show in them.
     """
     if initial.composite is not hamiltonian.composite:
         raise ValueError("state and Hamiltonian live on different composites")
@@ -258,47 +272,44 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times) -> Trajectory:
     n, dim = len(times), composite.dim
     blocks = hamiltonian.blocks
     coeffs = [b.vectors.conj().T @ initial.amplitudes[b.indices] for b in blocks]
-    exact_zero = times == 0.0
-    amplitudes = np.empty((n, dim), dtype=complex)
-    norms, energy, v_eff, chords = np.empty(n), np.empty(n), np.empty(n), np.empty(n - 1)
+    norms, energy, v_eff, purities, entropies, chords = (np.empty(n) for _ in range(6))
     w_sub = np.empty((n, composite.n_subspaces))
     rows = max(2, batch_rows(dim), max(len(b.indices) for b in blocks) ** 2 // dim)
     # numpy multiplies a 1-row matrix by gemv, whose last bits differ from
-    # gemm's, so a lone last row joins the chunk before it.
+    # gemm's, so a lone last row joins the chunk before it: no chunk tops rows + 1.
     starts = list(range(0, max(n - 1, 1), rows))
+    # Row 0 of ``states`` holds the state before the chunk (zero before the first,
+    # so chord 0 is dropped); the two flat work buffers take each shape in turn.
+    states = np.zeros((min(n, rows + 1) + 1, dim), dtype=complex)
+    h_psi, work = np.empty((2, states[1:].size), dtype=complex)
+    readonly = np.lib.stride_tricks.as_strided(states[1:], writeable=False)  # what a sink gets
     for start, stop in zip(starts, starts[1:] + [n]):
-        span = slice(start, stop)
-        chunk = amplitudes[span]
+        m, span = stop - start, slice(start, stop)
+        chunk, scratch = states[1:m + 1], work[:m * dim].reshape(m, dim)
         for b, c in zip(blocks, coeffs):
-            phases = np.exp(-1j * np.outer(times[span], b.energies))
-            chunk[:, b.indices] = (phases * c) @ b.vectors.T
-        chunk[exact_zero[span]] = initial.amplitudes
-        norms[span] = np.linalg.norm(chunk, axis=1)
-        h_psi = _apply(hamiltonian, chunk)
-        energy[span] = np.einsum("ki,ki->k", chunk.conj(), h_psi).real
-        v_eff[span] = np.linalg.norm(h_psi, axis=1)
-        w_sub[span] = composite.subspace_sums(np.abs(chunk) ** 2)
-        # each chord ends in this chunk; the first starts on the previous one's last row
-        first = max(start - 1, 0)
-        chords[first:stop - 1] = np.linalg.norm(np.diff(amplitudes[first:stop], axis=0), axis=1)
+            p, r = (w[:m * len(c)].reshape(m, len(c)) for w in (h_psi, work))
+            np.exp(np.multiply(np.outer(times[span], b.energies, out=p), -1j, out=p), out=p)
+            chunk[:, b.indices] = np.matmul(np.multiply(p, c, out=p), b.vectors.T, out=r)
+        chunk[times[span] == 0.0] = initial.amplitudes
+        norms[span] = _row_norms(chunk, scratch)
+        worst = float(np.max(np.abs(norms[span] - 1.0)))
+        if not worst <= NORM_DRIFT_TOLERANCE:
+            raise NumericalValidationError(f"propagation lost normalization by {worst:.3e}")
+        hp = _apply(hamiltonian, chunk, out=h_psi[:m * dim].reshape(m, dim))
+        energy[span] = np.einsum("ki,ki->k", np.conjugate(chunk, out=scratch), hp).real
+        v_eff[span] = _row_norms(hp, scratch)
+        chords[span] = _row_norms(np.subtract(chunk, states[:m], out=hp), scratch)
+        mass = np.abs(chunk, out=work.view(float)[:m * dim].reshape(m, dim))
+        w_sub[span] = composite.subspace_sums(np.square(mass, out=mass))
+        purities[span], entropies[span] = gas_purity_entropy(composite, chunk)
+        if sink is not None:
+            sink(start, readonly[:m])
+        states[0] = chunk[-1]
 
-    worst = float(np.max(np.abs(norms - 1.0)))
-    if not worst <= NORM_DRIFT_TOLERANCE:
-        raise NumericalValidationError(f"propagation lost normalization by {worst:.3e}")
-
-    purities, entropies = gas_purity_entropy(composite, amplitudes)
-    measures = {
-        "norm": norms,
-        "energy": energy,
-        "v_eff": v_eff,
-        "purity": purities,
-        "entropy": entropies,
-        "subspace_weights": w_sub,
-        "shell_weights": composite.shell_sums(w_sub),
-        "gas_level_weights": composite.gas_level_sums(w_sub),
-    }
-    return Trajectory(times=times, amplitudes=amplitudes, measures=measures,
-                      chords=chords, hamiltonian=hamiltonian)
+    measures = dict(norm=norms, energy=energy, v_eff=v_eff, purity=purities, entropy=entropies,
+                    subspace_weights=w_sub, shell_weights=composite.shell_sums(w_sub),
+                    gas_level_weights=composite.gas_level_sums(w_sub))
+    return Trajectory(times=times, measures=measures, chords=chords[1:], hamiltonian=hamiltonian)
 
 
 def _series(traj: Trajectory, measure_name: str) -> np.ndarray:

@@ -359,6 +359,15 @@ def test_dominant_single_shell_split():
     assert dd.lambdas[1.0] == pytest.approx(4.0)
 
 
+def test_dominant_multiplier_overflow_names_the_shell():
+    comp = antidiagonal_composite()
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=r"E=1\.0.*5e-324"):
+        dominant_distribution(comp, [1.0, 5e-324, 0.0])
+    # the smallest weight whose multiplier N_E / W_E stays finite
+    dd = dominant_distribution(comp, [1.0, 4 / np.finfo(float).max, 0.0])
+    assert math.isfinite(dd.lambdas[1.0])
+
+
 def test_dominant_equal_blocks_split_uniformly():
     comp = composite_one()  # middle shell holds two 8-state subspaces
     dd = dominant_distribution(comp, [0.0, 1.0, 0.0])

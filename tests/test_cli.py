@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -638,6 +639,29 @@ run:
     assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--quiet"]) == 2
     assert "inconsistent" in capsys.readouterr().err
+
+
+def test_predict_shell_multiplier_overflow_exits_2(tmp_path, capsys):
+    # N_E / W_E = 8 / 5e-324 overflows: a config error, not an inf in report.json
+    yaml_text = """
+gas:
+  levels: [[0, 2], [1, 2]]
+container:
+  levels: [[0, 2], [1, 2]]
+constraint:
+  kind: canonical
+  weights: [[0, 1.0], [1, 5e-324]]
+run:
+  seed: 1
+"""
+    cfg = write_config(tmp_path, yaml_text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["predict", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "E=1.0" in err and "5e-324" in err
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_both_weight_styles_rejected(tmp_path, capsys):

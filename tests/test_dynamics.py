@@ -67,6 +67,27 @@ BUILDERS = {"microcanonical": build_microcanonical_hamiltonian,
             "canonical": build_canonical_hamiltonian}
 
 
+def evolve_keeping_rows(state, h, times):
+    """``evolve`` with a sink that copies every row out: (trajectory, states).
+
+    The sink checks what it is promised: rows arrive in order, each once, as a
+    read-only view.
+    """
+    times = np.asarray(times, dtype=float)
+    states = np.full((len(times), state.composite.dim), np.nan, dtype=complex)
+    seen = []
+
+    def keep(start, rows):
+        assert not rows.flags.writeable
+        seen.append((start, len(rows)))
+        states[start:start + len(rows)] = rows
+
+    traj = evolve(state, h, times, sink=keep)
+    assert [start for start, _ in seen] == list(np.cumsum([0] + [k for _, k in seen])[:-1])
+    assert sum(k for _, k in seen) == len(times)
+    return traj, states
+
+
 # ------------------------------------------------------------- construction
 
 def test_zero_coupling_is_free_evolution():
@@ -188,10 +209,10 @@ def test_evolve_free_eigenstate_keeps_purity_one():
     h = build_microcanonical_hamiltonian(comp, 0.0, substream(0, 0))
     amps = np.zeros(comp.dim, dtype=complex)
     amps[0] = 1.0
-    traj = evolve(PureState(comp, amps), h, np.linspace(0, 10, 41))
+    traj, states = evolve_keeping_rows(PureState(comp, amps), h, np.linspace(0, 10, 41))
     np.testing.assert_allclose(traj.measures["purity"], 1.0, atol=1e-12)
     # only a global phase moves: every population is frozen
-    populations = np.abs(traj.amplitudes) ** 2
+    populations = np.abs(states) ** 2
     np.testing.assert_allclose(
         populations, np.broadcast_to(np.abs(amps) ** 2, populations.shape),
         atol=1e-12)
@@ -204,8 +225,8 @@ def test_evolve_time_zero_is_bit_exact():
         comp, microcanonical_profile(
             {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25}),
         substream(3, 1))
-    traj = evolve(state, h, np.array([0.0, 0.5, 1.0]))
-    np.testing.assert_array_equal(traj.amplitudes[0], state.amplitudes)
+    _, states = evolve_keeping_rows(state, h, np.array([0.0, 0.5, 1.0]))
+    np.testing.assert_array_equal(states[0], state.amplitudes)
 
 
 def test_two_level_resonance_period_matches_eigen_gap():
@@ -232,8 +253,8 @@ def test_evolve_matches_dense_matrix_exponential():
     for kind, build in BUILDERS.items():
         h = build(comp, 0.6, substream(15, 0))
         dense, _, _ = _replay(comp, kind, 0.6, 15)
-        traj = evolve(state, h, times)
-        for t, psi in zip(times, traj.amplitudes):
+        _, states = evolve_keeping_rows(state, h, times)
+        for t, psi in zip(times, states):
             want = scipy.linalg.expm(-1j * t * dense) @ state.amplitudes
             np.testing.assert_allclose(psi, want, rtol=0, atol=1e-10)
 
@@ -270,19 +291,19 @@ def test_chunked_measures_match_the_whole_array(kind, n_times, monkeypatch):
     monkeypatch.setattr(dynamics, "batch_rows", lambda dim: 3)
     chunk_rows = []
     apply = dynamics._apply
-    monkeypatch.setattr(dynamics, "_apply",
-                        lambda h, flat: chunk_rows.append(len(flat)) or apply(h, flat))
+    monkeypatch.setattr(dynamics, "_apply", lambda h, flat, **kwargs:
+                        chunk_rows.append(len(flat)) or apply(h, flat, **kwargs))
     comp = composite_three()
     rng = np.random.default_rng(21)
     amps = rng.standard_normal(comp.dim) + 1j * rng.standard_normal(comp.dim)
     state = PureState(comp, amps / np.linalg.norm(amps))
     h = BUILDERS[kind](comp, 0.6, substream(21, 0))
     times = np.linspace(0.0, 9.0, n_times)
-    traj = evolve(state, h, times)
+    traj, states = evolve_keeping_rows(state, h, times)
     assert len(chunk_rows) > 1 and min(chunk_rows) >= 2 and sum(chunk_rows) == n_times
 
     amplitudes, want = _whole_array_trajectory(state, h, times)
-    np.testing.assert_array_equal(traj.amplitudes, amplitudes)
+    np.testing.assert_array_equal(states, amplitudes)
     np.testing.assert_array_equal(traj.chords, want["chords"])
     w_sub = want["subspace_weights"]
     purity, entropy = gas_purity_entropy(comp, amplitudes)
@@ -296,24 +317,37 @@ def test_chunked_measures_match_the_whole_array(kind, n_times, monkeypatch):
                                    err_msg=name)
 
 
+def _traced_peak(fn, *args):
+    """(result, tracemalloc peak in bytes) of ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("kind", BUILDERS)
 def test_evolve_temporaries_do_not_grow_with_the_time_axis(kind):
+    # dim 400: a kept trajectory would add 1400 * 400 * 16 bytes, 8.5 MiB, from
+    # 201 to 1601 times; the measure series add about 0.2 MiB
     comp = compose(build_spectrum([(0, 2), (1, 2)]), build_spectrum([(0, 50), (1, 50)]))
     h = BUILDERS[kind](comp, 0.1, substream(2, 0))
     state = uniform_product_state(comp)
-    held, extra = {}, {}
-    for n in (201, 1601):
-        tracemalloc.start()
-        try:
-            traj = evolve(state, h, np.linspace(0.0, 100.0, n))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        held[n] = (traj.amplitudes.nbytes + traj.chords.nbytes
-                   + sum(m.nbytes for m in traj.measures.values()))
-        extra[n] = peak - held[n]
-    # whole-array temporaries would grow it by about 3 trajectories
-    assert extra[1601] <= extra[201] + (held[1601] - held[201]) / 100, extra
+    peak = {n: _traced_peak(evolve, state, h, np.linspace(0.0, 100.0, n))[1]
+            for n in (201, 1601)}
+    assert peak[1601] - peak[201] < 2 ** 20, peak
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 400])
+def test_gue_block_is_the_documented_draw_in_one_array(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    want = (x + x.conj().T) / 2.0
+    got, peak = _traced_peak(dynamics._gue_block, np.random.default_rng(n), n)
+    np.testing.assert_array_equal(got, want)
+    if n == 400:  # small n are all array headers; the draw (x + x^H) / 2 peaks near 3x
+        assert peak <= 1.6 * 16 * n * n, peak / (16 * n * n)
 
 
 def test_microcanonical_weights_conserved():
