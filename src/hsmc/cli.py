@@ -29,13 +29,13 @@ from .analytics import (dominant_distribution, expected_purity_approx,
                         lubkin_average, marginal_gas_distribution,
                         max_entropy_micro, min_purity_state)
 from .config import ConfigError, ExperimentConfig, build_experiment, load_config
-from .dynamics import (NumericalValidationError, build_canonical_hamiltonian,
+from .dynamics import (NumericalValidationError, Trajectory, build_canonical_hamiltonian,
                        build_microcanonical_hamiltonian, effective_velocity,
                        evolve, max_drift)
 from .fanout import fan_out
 from .sampling import (MICROCANONICAL, mc_estimate, sample_batch, sample_chunks,
                        substream)
-from .state import PureState, gas_purity_entropy, product_state, write_state_snapshots
+from .state import PureState, gas_purity_entropy, product_state, write_amplitudes_csv
 
 ENERGY_DRIFT_TOLERANCE = 1e-9
 
@@ -144,13 +144,18 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _shared_floats(count: int, what: str) -> np.ndarray:
+    """``count`` zeros in memory that forked workers write into and the caller reads."""
+    try:
+        return np.frombuffer(mmap.mmap(-1, count * 8))
+    except (OverflowError, OSError) as exc:  # more bytes than addresses, or ENOMEM
+        raise MemoryError(f"cannot map {count} {what}: {exc}") from exc
+
+
 def cmd_sample(cfg: ExperimentConfig) -> int:
     composite = cfg.composite
     n = cfg.n_samples
-    try:  # purities and entropies, in memory shared with the forked workers
-        results = np.frombuffer(mmap.mmap(-1, 2 * n * 8)).reshape(2, n)
-    except (OverflowError, OSError) as exc:  # more bytes than addresses, or ENOMEM
-        raise MemoryError(f"cannot map {2 * n} results: {exc}") from exc
+    results = _shared_floats(2 * n, "results").reshape(2, n)  # purities, entropies
 
     def draw(w: int, m: int) -> None:
         """Purity and entropy of draws n w / m to n (w + 1) / m - 1 into ``results``."""
@@ -165,7 +170,7 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
         except ValueError as exc:  # a failed norm or density check
             raise NumericalValidationError(f"draws {first} to {stop - 1}: {exc}") from exc
 
-    fan_out(draw, n, "sample worker", needs_blas=True)
+    fan_out(draw, n, "sample worker")
     purities, entropies = results
 
     out_dir = _prepare_out_dir(cfg)
@@ -217,9 +222,35 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
         hamiltonian = build_canonical_hamiltonian(composite, cfg.coupling, rng)
         conserved = "shell_weights"
     initial = _initial_state(cfg)
-    states = np.empty((len(cfg.times), composite.dim), dtype=complex) if cfg.dump_states else None
-    traj = evolve(initial, hamiltonian, cfg.times, None if states is None else
-                  lambda start, rows: np.copyto(states[start:start + len(rows)], rows))
+    names = ("norm", "energy", "v_eff", "purity", "entropy")
+    n, states_dir = len(cfg.times), os.path.join(cfg.out_dir, "states")
+    if cfg.dump_states:
+        os.makedirs(states_dir, exist_ok=True)
+    shared = _shared_floats(n * (6 + composite.n_subspaces), "measures")
+    # the rows of series: the five named measures, then the chord into each time
+    series, w_sub = shared[:6 * n].reshape(6, n), shared[6 * n:].reshape(n, -1)
+
+    def run(w: int, m: int) -> None:
+        """Evolve, measure and dump times n w / m to n (w + 1) / m - 1."""
+        first, stop = n * w // m, n * (w + 1) // m
+        begin = max(first - 1, 0)  # a forked worker starts early to take its first chord
+
+        def dump(start: int, rows: np.ndarray) -> None:
+            for k, row in enumerate(rows, begin + start):
+                if k >= first:
+                    write_amplitudes_csv(PureState(composite, row, check=False),
+                                         os.path.join(states_dir, f"state_{k:05d}.csv"))
+
+        seg = evolve(initial, hamiltonian, cfg.times[begin:stop], dump if cfg.dump_states else None)
+        for row, name in zip(series, names):
+            row[first:stop] = seg.measures[name][first - begin:]
+        series[-1, begin + 1:stop] = seg.chords
+        w_sub[first:stop] = seg.measures["subspace_weights"][first - begin:]
+
+    # every worker's evolve covers 2 times or more, so no product is a one-row gemv
+    fan_out(run, n // 2, "evolve worker")
+    traj = Trajectory.from_series(cfg.times, hamiltonian, series[-1, 1:],
+                                  subspace_weights=w_sub, **dict(zip(names, series)))
 
     out_dir = _prepare_out_dir(cfg)
     sub_cols = [f"w_{s.A}_{s.B}" for s in composite.subspaces]
@@ -231,19 +262,13 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
         "# hsmc trajectory v1",
         f"# config_hash={cfg.config_hash()} version={__version__} seed={cfg.seed}",
         f"# shells: {shell_legend}",
-        ",".join(["t", "norm", "energy", "v_eff", "purity", "entropy"]
-                 + sub_cols + shell_cols + gas_cols),
+        ",".join(["t", *names] + sub_cols + shell_cols + gas_cols),
     ]
-    m = traj.measures
-    table = np.column_stack([traj.times, *(m[name] for name in (
-        "norm", "energy", "v_eff", "purity", "entropy", "subspace_weights",
-        "shell_weights", "gas_level_weights"))])
+    table = np.column_stack([traj.times, *(traj.measures[name] for name in (
+        *names, "subspace_weights", "shell_weights", "gas_level_weights"))])
     lines = header + [",".join(map(repr, row)) for row in table.tolist()]
     with open(os.path.join(out_dir, "trajectory.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-    if cfg.dump_states:
-        write_state_snapshots(composite, states, os.path.join(out_dir, "states"))
 
     drifts = {name: max_drift(traj, name) for name in
               ("norm", "energy", "v_eff", "subspace_weights", "shell_weights")}

@@ -222,6 +222,14 @@ class Trajectory:
     chords: np.ndarray = field(repr=False)
     hamiltonian: Hamiltonian
 
+    @classmethod
+    def from_series(cls, times, hamiltonian: Hamiltonian, chords, **series) -> "Trajectory":
+        """A trajectory from ``series`` and the shell and gas-level sums of its subspace_weights."""
+        composite, w_sub = hamiltonian.composite, series["subspace_weights"]
+        return cls(times, dict(series, shell_weights=composite.shell_sums(w_sub),
+                               gas_level_weights=composite.gas_level_sums(w_sub)),
+                   chords, hamiltonian)
+
     @property
     def path_length(self) -> float:
         """Total chord length the unit state vector travels."""
@@ -306,10 +314,9 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Tr
             sink(start, readonly[:m])
         states[0] = chunk[-1]
 
-    measures = dict(norm=norms, energy=energy, v_eff=v_eff, purity=purities, entropy=entropies,
-                    subspace_weights=w_sub, shell_weights=composite.shell_sums(w_sub),
-                    gas_level_weights=composite.gas_level_sums(w_sub))
-    return Trajectory(times=times, measures=measures, chords=chords[1:], hamiltonian=hamiltonian)
+    return Trajectory.from_series(times, hamiltonian, chords[1:], norm=norms, energy=energy,
+                                  v_eff=v_eff, purity=purities, entropy=entropies,
+                                  subspace_weights=w_sub)
 
 
 def _series(traj: Trajectory, measure_name: str) -> np.ndarray:

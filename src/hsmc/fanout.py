@@ -43,22 +43,20 @@ def _blas_threads():
     return None
 
 
-def fan_out(work: Callable[[int, int], None], n: int, name: str, needs_blas: bool) -> None:
+def fan_out(work: Callable[[int, int], None], n: int, name: str) -> None:
     """Run ``work(w, m)`` for w = 0 .. m-1 over m workers, one per CPU and at most ``n``.
 
-    The calling process runs w = 0 and forked children the others.  m is 1
-    where ``os.fork`` is missing, or where ``needs_blas`` and the OpenBLAS
-    thread count cannot be set.  Every child is reaped, also when ``work``
-    fails here.  A failed child ends in an exception of the class that ended
-    it, naming ``name``, e.g. "sample workers [1] of 2 failed: ..."; one that
-    leaves no report (it was killed, say) counts as an OSError.
+    The calling process runs w = 0 and forked children the others, each on one
+    OpenBLAS thread, a lone worker too: a gemv's last bits follow the thread
+    count.  m is 1 where ``os.fork`` is missing or the thread count cannot be
+    set.  Every child is reaped, also when ``work`` fails here.  A failed child
+    ends in an exception of the class that ended it, naming ``name``, e.g.
+    "sample workers [1] of 2 failed: ..."; one that leaves no report (it was
+    killed, say) counts as an OSError.
     """
-    m = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    blas, m = _blas_threads(), 1
+    if blas is not None and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         m = max(1, min(n, len(os.sched_getaffinity(0))))
-    blas = _blas_threads() if m > 1 else None
-    if blas is None and needs_blas:
-        m = 1
     sys.stdout.flush()
     sys.stderr.flush()
     if blas:

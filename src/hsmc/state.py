@@ -10,18 +10,16 @@ Conventions: k_B = 1 and entropies use the natural logarithm, with 0 ln 0 = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import os
 
 import numpy as np
 
-from .fanout import fan_out
 from .spectrum import CompositeSpectrum, Spectrum
 
 __all__ = [
     "NORMALIZATION_TOLERANCE", "WEIGHT_SUM_TOLERANCE", "BATCH_ELEMENTS", "batch_rows",
     "checked_weights", "check_normalized", "WeightProfile", "uniform_profile",
     "subspace_weights", "shell_weights", "PureState", "DensityMatrix", "gas_purity_entropy",
-    "product_state", "write_amplitudes_csv", "write_state_snapshots", "read_amplitudes_csv",
+    "product_state", "write_amplitudes_csv", "read_amplitudes_csv",
 ]
 
 NORMALIZATION_TOLERANCE = 1e-10
@@ -314,26 +312,6 @@ def write_amplitudes_csv(state: PureState, path) -> None:
     lines += [f"{i},{r!r},{m!r}" for i, (r, m) in enumerate(zip(re, im))]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def write_state_snapshots(composite: CompositeSpectrum, amplitudes, directory) -> None:
-    """Write row k of ``amplitudes`` to ``directory/state_{k:05d}.csv`` by
-    :func:`write_amplitudes_csv`, over m writers: one per CPU, at most one per row.
-
-    Writer w writes rows w, w + m, w + 2m, ...; the caller is writer 0 and
-    forked children are the others (see :func:`~hsmc.fanout.fan_out`).  The
-    bytes do not depend on m.  Every child is reaped, and a failed one's
-    exception reaches the caller with its class.
-    """
-    os.makedirs(directory, exist_ok=True)
-    n = len(amplitudes)
-
-    def write_rows(w: int, m: int) -> None:
-        for k in range(w, n, m):
-            write_amplitudes_csv(PureState(composite, amplitudes[k], check=False),
-                                 os.path.join(directory, f"state_{k:05d}.csv"))
-
-    fan_out(write_rows, n, "state writer", needs_blas=False)
 
 
 def read_amplitudes_csv(path, composite: CompositeSpectrum) -> PureState:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +18,7 @@ import pytest
 import yaml
 
 import hsmc.state
-from hsmc import (WeightProfile, build_spectrum, compose, dominant_distribution,
+from hsmc import (PureState, WeightProfile, build_spectrum, compose, dominant_distribution,
                   expected_purity_exact, gas_purity_entropy, microcanonical_profile,
                   min_purity_state, region_log_size, sample_batch)
 from hsmc import cli, fanout
@@ -420,35 +421,55 @@ def test_evolve_dump_states_round_trip(tmp_path):
     assert state.purity() == pytest.approx(table[0][names.index("purity")])
 
 
-def _dump_states(tmp_path, monkeypatch, cpus, n_times=7, prepare=None):
-    """Run evolve with dump_states as if the process may use ``cpus`` CPUs."""
+MICRO_EVOLVE_YAML = C1_YAML + "  coupling: 0.4\n  t_max: 50\n  n_times: 51\n"
+
+
+def _evolve(tmp_path, monkeypatch, cpus, n_times=7, text=CANONICAL_EVOLVE_YAML, dump=True,
+            prepare=None):
+    """Run evolve as if the process may use ``cpus`` CPUs: (exit code, output dir)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    yaml_text = CANONICAL_EVOLVE_YAML.replace("n_times: 51", f"n_times: {n_times}")
-    cfg = write_config(tmp_path, yaml_text + "  dump_states: true\n", name=f"c{cpus}.yaml")
-    out = tmp_path / f"out{cpus}"
+    yaml_text = text.replace("n_times: 51", f"n_times: {n_times}")
+    cfg = write_config(tmp_path, yaml_text + f"  dump_states: {str(dump).lower()}\n",
+                       name=f"c{cpus}.yaml")
+    out = tmp_path / f"out{cpus}_{n_times}"
     if prepare is not None:
         prepare(out / "states")
-    return main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]), out / "states"
+    return main(["evolve", "--config", cfg, "--out", str(out), "--quiet"]), out
 
 
-def test_evolve_state_files_do_not_depend_on_the_writer_count(tmp_path, monkeypatch):
-    code_1, serial = _dump_states(tmp_path, monkeypatch, 1)
-    code_3, forked = _dump_states(tmp_path, monkeypatch, 3)
-    assert code_1 == code_3 == 0
-    names = sorted(p.name for p in serial.iterdir())
-    assert names == [f"state_{k:05d}.csv" for k in range(7)]
-    assert sorted(p.name for p in forked.iterdir()) == names
-    for name in names:
-        assert (forked / name).read_bytes() == (serial / name).read_bytes()
+@pytest.mark.parametrize("n_times", [2, 3, 7])
+@pytest.mark.parametrize("text, dump", [(CANONICAL_EVOLVE_YAML, True),
+                                        (MICRO_EVOLVE_YAML, False)],
+                         ids=["canonical_dump", "microcanonical"])
+def test_evolve_files_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, text, dump,
+                                                        n_times):
+    # a worker's evolve covers 2 times or more, so 7 times run on 1, 2 or 3 workers
+    # (7, 3 + 4, 2 + 2 + 3 times) and 2 or 3 times on one
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    runs = {}
+    for cpus in (1, 2, 3):
+        del forks[:]
+        code, out = _evolve(tmp_path, monkeypatch, cpus, n_times, text, dump)
+        assert code == 0 and len(forks) == min(cpus, n_times // 2) - 1
+        report = json.loads((out / "conservation.json").read_text())
+        del report["config"]["output"]
+        states = sorted((out / "states").iterdir()) if dump else []
+        assert [p.name for p in states] == [f"state_{k:05d}.csv" for k in range(n_times)
+                                            if dump]
+        runs[cpus] = ((out / "trajectory.csv").read_bytes(), report,
+                      [p.read_bytes() for p in states])
+    assert runs[2] == runs[1] and runs[3] == runs[1]
 
 
-@pytest.mark.parametrize("blocked, hint", [(1, "writers [1] of 3 failed"),
+@pytest.mark.parametrize("blocked, hint", [(6, "evolve workers [2] of 3 failed"),
                                             (0, "state_00000.csv")],
                          ids=["forked_writer", "calling_writer"])
 def test_failed_state_writer_exits_2_and_is_reaped(tmp_path, monkeypatch, capsys,
                                                    blocked, hint):
-    # of 3 writers, the caller writes snapshot 0 and the first forked child snapshot 1
-    code, _ = _dump_states(tmp_path, monkeypatch, 3, prepare=lambda states: os.makedirs(
+    # of 3 workers over 7 times, the caller writes snapshots 0 and 1 and the last
+    # forked worker snapshots 4 to 6
+    code, _ = _evolve(tmp_path, monkeypatch, 3, prepare=lambda states: os.makedirs(
         states / f"state_{blocked:05d}.csv"))
     assert code == 2
     err = capsys.readouterr().err
@@ -456,6 +477,55 @@ def test_failed_state_writer_exits_2_and_is_reaped(tmp_path, monkeypatch, capsys
     assert "Traceback" not in err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_norm_drift_in_a_forked_evolve_worker_exits_3_and_is_reaped(tmp_path, monkeypatch,
+                                                                    capsys):
+    def drifting(initial, hamiltonian, times, sink=None):
+        if times[0] > 0:  # a forked worker's range
+            initial = PureState(initial.composite, initial.amplitudes * (1 + 1e-6), check=False)
+        return real(initial, hamiltonian, times, sink)
+
+    real = cli.evolve
+    monkeypatch.setattr(cli, "evolve", drifting)
+    code, _ = _evolve(tmp_path, monkeypatch, 2)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical validation failure: evolve workers [1] of 2 failed: "
+                          "propagation lost normalization by 1.000e-06")
+    assert "Traceback" not in err and err.count("\n") == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_evolve_dump_memory_does_not_grow_with_the_time_axis(tmp_path, monkeypatch):
+    # dim 400: a dump held in memory would add 1400 * 400 * 16 bytes, 8.5 MiB,
+    # from 201 to 1601 times; a first run of 2 times makes the one-time allocations
+    text = """
+gas:
+  levels: [[0, 2], [1, 2]]
+container:
+  levels: [[0, 50], [1, 50]]
+constraint:
+  kind: canonical
+  gas_weights: [0.5, 0.5]
+  container_weights: [0.5, 0.5]
+run:
+  seed: 2
+  coupling: 0.1
+  t_max: 100
+  n_times: 51
+"""
+    peak = {}
+    for n_times in (2, 201, 1601):
+        tracemalloc.start()
+        try:
+            code, _ = _evolve(tmp_path, monkeypatch, 1, n_times, text)
+            peak[n_times] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peak[1601] - peak[201] < 2 ** 20, peak
 
 
 @pytest.mark.parametrize("command, text", [

@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from hsmc import NumericalValidationError
+from hsmc import NumericalValidationError, fanout
 from hsmc.fanout import fan_out
+
+pytestmark = pytest.mark.skipif(fanout._blas_threads() is None,
+                                reason="fan_out runs one worker without BLAS thread control")
 
 
 @pytest.mark.parametrize("cpus, n, m", [(1, 5, 1), (3, 5, 3), (3, 2, 2), (3, 0, 1)])
@@ -17,7 +20,7 @@ def test_every_worker_runs_once_and_knows_the_count(monkeypatch, cpus, n, m):
         calls[w] += 1
         calls[3] = count
 
-    fan_out(work, n, "worker", needs_blas=False)
+    fan_out(work, n, "worker")
     assert calls.tolist() == [1] * m + [0] * (3 - m) + [m]
 
 
@@ -30,7 +33,7 @@ def test_a_failed_child_keeps_the_class_of_its_exception(monkeypatch, kind):
             raise kind("boom")
 
     with pytest.raises(kind, match=r"^workers \[2\] of 3 failed: boom$"):
-        fan_out(work, 3, "worker", needs_blas=False)
+        fan_out(work, 3, "worker")
 
 
 def test_a_child_that_leaves_no_report_is_an_oserror(monkeypatch):
@@ -41,4 +44,4 @@ def test_a_child_that_leaves_no_report_is_an_oserror(monkeypatch):
             os._exit(7)
 
     with pytest.raises(OSError, match=r"workers \[1\] of 2 failed: exit code 7"):
-        fan_out(work, 2, "worker", needs_blas=False)
+        fan_out(work, 2, "worker")
