@@ -35,7 +35,7 @@ from .dynamics import (NumericalValidationError, Trajectory, build_canonical_ham
 from .fanout import fan_out
 from .sampling import (MICROCANONICAL, mc_estimate, sample_batch, sample_chunks,
                        substream)
-from .state import PureState, gas_purity_entropy, product_state, write_amplitudes_csv
+from .state import PureState, _write_csv, gas_purity_entropy, product_state, write_amplitudes_csv
 
 ENERGY_DRIFT_TOLERANCE = 1e-9
 
@@ -49,7 +49,7 @@ def _jsonable(value):
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
     if isinstance(value, float) and (value != value or value in (float("inf"), float("-inf"))):
         return repr(value)
     return value
@@ -174,21 +174,13 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
     purities, entropies = results
 
     out_dir = _prepare_out_dir(cfg)
-    header = [
+    _write_csv(os.path.join(out_dir, "samples.csv"), [
         "# hsmc samples v1",
-        f"# config_hash={cfg.config_hash()} version={__version__} "
-        f"seed={cfg.seed} n={n}",
+        f"# config_hash={cfg.config_hash()} version={__version__} seed={cfg.seed} n={n}",
         "sample,purity,entropy",
-    ]
-    rows = [f"{i},{p!r},{s!r}"
-            for i, (p, s) in enumerate(zip(purities.tolist(), entropies.tolist()))]
-    with open(os.path.join(out_dir, "samples.csv"), "w") as fh:
-        fh.write("\n".join(header + rows) + "\n")
+    ], [purities, entropies])
 
-    summary_lines = [
-        "# hsmc mc-summary v1",
-        "measure,mean,std_error,n_samples,seed",
-    ]
+    summary_lines = ["# hsmc mc-summary v1", "measure,mean,std_error,n_samples,seed"]
     if n >= 2:
         for name, values in (("purity", purities), ("entropy", entropies)):
             est = mc_estimate([values], cfg.seed)
@@ -258,17 +250,13 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
     gas_cols = [f"wA_{a}" for a in range(cfg.gas.n_levels)]
     shell_legend = " ".join(
         f"wE_{k}:E={shell.energy!r}" for k, shell in enumerate(composite.shells))
-    header = [
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), [
         "# hsmc trajectory v1",
         f"# config_hash={cfg.config_hash()} version={__version__} seed={cfg.seed}",
         f"# shells: {shell_legend}",
         ",".join(["t", *names] + sub_cols + shell_cols + gas_cols),
-    ]
-    table = np.column_stack([traj.times, *(traj.measures[name] for name in (
-        *names, "subspace_weights", "shell_weights", "gas_level_weights"))])
-    lines = header + [",".join(map(repr, row)) for row in table.tolist()]
-    with open(os.path.join(out_dir, "trajectory.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ], [traj.times, *(traj.measures[name] for name in (
+        *names, "subspace_weights", "shell_weights", "gas_level_weights"))], indexed=False)
 
     drifts = {name: max_drift(traj, name) for name in
               ("norm", "energy", "v_eff", "subspace_weights", "shell_weights")}

@@ -145,7 +145,8 @@ def mc_estimate(chunks: Iterable[np.ndarray], seed: int) -> McEstimate:
         delta = chunk_mean - mean
         total = count + m
         mean = chunk_mean if count == 0 else mean + delta * m / total
-        m2 += float(np.sum((values - chunk_mean) ** 2)) + delta * delta * count * m / total
+        d = values - chunk_mean
+        m2 += float(np.sum(np.square(d, out=d))) + delta * delta * count * m / total
         count = total
     if count < 2:
         raise ValueError("a standard error needs at least 2 values")

@@ -291,6 +291,21 @@ def product_state(composite: CompositeSpectrum, gas_profile: WeightProfile,
     return PureState.from_matrix(composite, np.outer(u, v))
 
 
+def _write_csv(path, header: list[str], columns, indexed: bool = True) -> None:
+    """Write the ``header`` lines, then row i of the equal-length 1-D or 2-D float
+    ``columns``: i if ``indexed``, then their values at i, each with ``repr`` (``%r``).
+    Rows are formatted ``batch_rows(width)`` at a time, so the text held does not grow."""
+    width = sum(np.size(c[0]) for c in columns)
+    line, rows = ",%r" * width + "\n", batch_rows(width)  # a row after its index
+    with open(path, "w") as fh:
+        fh.write("".join(f"{h}\n" for h in header))
+        for a in range(0, len(columns[0]), rows):
+            values = np.column_stack([c[a:a + rows] for c in columns])
+            m = len(values)
+            template = line.join(map(str, range(a, a + m))) + line if indexed else line[1:] * m
+            fh.write(template % tuple(values.ravel().tolist()))
+
+
 def write_amplitudes_csv(state: PureState, path) -> None:
     """Dump a state's amplitudes as CSV with the composite layout in the header.
 
@@ -299,19 +314,13 @@ def write_amplitudes_csv(state: PureState, path) -> None:
     loading the state onto the right composite.
     """
     c = state.composite
-    gas_levels = list(zip(c.gas.energies, c.gas.degeneracies))
-    container_levels = list(zip(c.container.energies, c.container.degeneracies))
-    lines = [
+    _write_csv(path, [
         "# hsmc state v1",
-        f"# gas_levels={gas_levels!r}",
-        f"# container_levels={container_levels!r}",
+        f"# gas_levels={list(zip(c.gas.energies, c.gas.degeneracies))!r}",
+        f"# container_levels={list(zip(c.container.energies, c.container.degeneracies))!r}",
         f"# shell_tolerance={c.shell_tolerance!r}",
         "index,re,im",
-    ]
-    re, im = state.amplitudes.real.tolist(), state.amplitudes.imag.tolist()
-    lines += [f"{i},{r!r},{m!r}" for i, (r, m) in enumerate(zip(re, im))]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ], [state.amplitudes.real, state.amplitudes.imag])
 
 
 def read_amplitudes_csv(path, composite: CompositeSpectrum) -> PureState:
@@ -344,5 +353,5 @@ def read_amplitudes_csv(path, composite: CompositeSpectrum) -> PureState:
         idx, re, im = line.split(",")
         if int(idx) != k:
             raise ValueError(f"{path}, line {number}: index {idx}, expected {k}")
-        amplitudes[k] = float(re) + 1j * float(im)
+        amplitudes[k] = complex(float(re), float(im))
     return PureState(composite, amplitudes)

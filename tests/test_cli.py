@@ -10,6 +10,7 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -92,6 +93,9 @@ run:
   seed: 13
   n_samples: 20000
 """
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, text, name="config.yaml"):
@@ -516,16 +520,41 @@ run:
   t_max: 100
   n_times: 51
 """
+    peak = _peaks(lambda n_times: _evolve(tmp_path, monkeypatch, 1, n_times, text), (2, 201, 1601))
+    assert peak[1601] - peak[201] < 2 ** 20, peak
+
+
+def _peaks(run, sizes) -> dict:
+    """tracemalloc peak of ``run(size)``, which returns (exit code, output dir), per size."""
     peak = {}
-    for n_times in (2, 201, 1601):
+    for size in sizes:
         tracemalloc.start()
         try:
-            code, _ = _evolve(tmp_path, monkeypatch, 1, n_times, text)
-            peak[n_times] = tracemalloc.get_traced_memory()[1]
+            code, _ = run(size)
+            peak[size] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
-    assert peak[1601] - peak[201] < 2 ** 20, peak
+    return peak
+
+
+def test_evolve_memory_does_not_grow_with_the_text_of_its_trajectory(tmp_path, monkeypatch):
+    # equilibration (dim 400, 4 subspaces) with no dump; the trajectory text held
+    # whole would grow by about 2.5 MiB from 201 to 4001 times
+    raw = yaml.safe_load((CONFIGS / "equilibration.yaml").read_text())
+    del raw["output"]
+    text = yaml.safe_dump(dict(raw, run=dict(raw["run"], n_times=51)))
+    peak = _peaks(lambda n_times: _evolve(tmp_path, monkeypatch, 1, n_times, text, dump=False),
+                  (2, 201, 4001))
+    assert peak[4001] - peak[201] < 2 ** 20, peak
+
+
+def test_sample_memory_does_not_grow_with_the_text_of_its_samples(tmp_path, monkeypatch):
+    # the draws' results are mapped, not traced; samples.csv held whole would grow
+    # by about 2.5 MiB from 2000 to 20 000 draws
+    text = (CONFIGS / "lubkin.yaml").read_text()
+    peak = _peaks(lambda n: _sample(tmp_path, monkeypatch, 1, n, text), (2, 2000, 20000))
+    assert peak[20000] - peak[2000] < 2 ** 20, peak
 
 
 @pytest.mark.parametrize("command, text", [
@@ -540,6 +569,18 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command, text):
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write output:") and "a_file" in err
     assert "Traceback" not in err
+
+
+def test_json_artifacts_write_non_finite_numpy_scalars_as_strings(tmp_path):
+    def refuse(constant):
+        raise ValueError(f"bare {constant} is not JSON")
+
+    payload = {"nan": np.float64("nan"), "inf": np.float32("inf"), "neg": [np.float64("-inf")],
+               "float": float("nan"), "int": np.int64(3), "finite": np.float64(0.25)}
+    path = tmp_path / "report.json"
+    cli._write_json(str(path), payload)
+    assert json.loads(path.read_text(), parse_constant=refuse) == {
+        "nan": "nan", "inf": "inf", "neg": ["-inf"], "float": "nan", "int": 3, "finite": 0.25}
 
 
 # ------------------------------------------------------------------ moments

@@ -314,6 +314,36 @@ def test_amplitude_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.amplitudes, state.amplitudes)
 
 
+def test_amplitude_csv_rewrites_the_same_bytes(tmp_path):
+    # assert_array_equal takes -0.0 for 0.0; the bytes of a second write do not
+    comp = compose(build_spectrum([(0, 1), (1, 3)]), build_spectrum([(0, 2), (1, 2)]))
+    amplitudes = np.zeros(comp.dim, dtype=complex)
+    amplitudes[:5] = [complex(-0.0, 0.5), complex(0.5, -0.0), complex(-0.5, 0.0),
+                      complex(0.0, -0.5), complex(-0.0, -0.0)]
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_amplitudes_csv(PureState(comp, amplitudes), first)
+    write_amplitudes_csv(read_amplitudes_csv(first, comp), second)
+    assert "\n0,-0.0,0.5\n" in first.read_text()
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
+@pytest.mark.parametrize("indexed", [True, False], ids=["indexed", "plain"])
+def test_csv_writer_matches_one_repr_per_value(tmp_path, extra, indexed):
+    # rows of 3 values (a column and a 2-column block) across a chunk boundary,
+    # against a one-shot f-string reference
+    n = hsmc.state.batch_rows(3) + extra
+    special = [-0.0, 5e-324, 1e-300, 1e16, float("nan"), float("inf"), -float("inf"), 0.1]
+    x = np.array([special[i % len(special)] for i in range(n)])
+    y = np.array([special[(3 * i + 1) % len(special)] for i in range(n)])
+    path = tmp_path / "rows.csv"
+    hsmc.state._write_csv(path, ["# rows v1", "head"], [x, np.column_stack([y, -x])], indexed)
+    rows = [f"{a!r},{b!r},{-a!r}" for a, b in zip(x.tolist(), y.tolist())]
+    if indexed:
+        rows = [f"{i},{row}" for i, row in enumerate(rows)]
+    assert path.read_text() == "".join(f"{line}\n" for line in ["# rows v1", "head", *rows])
+
+
 @pytest.mark.parametrize("edit, hint", [
     (lambda rows: rows[:-1] + [rows[-1].replace("11,", "-1,", 1)], "line 17: index -1"),
     (lambda rows: rows[:3] + [rows[2]] + rows[4:], "line 9: index 2, expected 3"),
