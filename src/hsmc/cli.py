@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import mmap
 import os
 import sys
 
@@ -32,7 +31,7 @@ from .config import ConfigError, ExperimentConfig, build_experiment, load_config
 from .dynamics import (NumericalValidationError, Trajectory, build_canonical_hamiltonian,
                        build_microcanonical_hamiltonian, effective_velocity,
                        evolve, max_drift)
-from .fanout import fan_out
+from .fanout import fan_out, one_blas_thread, shared_array
 from .sampling import (MICROCANONICAL, mc_estimate, sample_batch, sample_chunks,
                        substream)
 from .state import PureState, _write_csv, gas_purity_entropy, product_state, write_amplitudes_csv
@@ -144,18 +143,10 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _shared_floats(count: int, what: str) -> np.ndarray:
-    """``count`` zeros in memory that forked workers write into and the caller reads."""
-    try:
-        return np.frombuffer(mmap.mmap(-1, count * 8))
-    except (OverflowError, OSError) as exc:  # more bytes than addresses, or ENOMEM
-        raise MemoryError(f"cannot map {count} {what}: {exc}") from exc
-
-
 def cmd_sample(cfg: ExperimentConfig) -> int:
     composite = cfg.composite
     n = cfg.n_samples
-    results = _shared_floats(2 * n, "results").reshape(2, n)  # purities, entropies
+    results = shared_array(2 * n, "results").reshape(2, n)  # purities, entropies
 
     def draw(w: int, m: int) -> None:
         """Purity and entropy of draws n w / m to n (w + 1) / m - 1 into ``results``."""
@@ -218,7 +209,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
     n, states_dir = len(cfg.times), os.path.join(cfg.out_dir, "states")
     if cfg.dump_states:
         os.makedirs(states_dir, exist_ok=True)
-    shared = _shared_floats(n * (6 + composite.n_subspaces), "measures")
+    shared = shared_array(n * (6 + composite.n_subspaces), "measures")
     # the rows of series: the five named measures, then the chord into each time
     series, w_sub = shared[:6 * n].reshape(6, n), shared[6 * n:].reshape(n, -1)
 
@@ -265,25 +256,26 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
     breaches = [f"{name} drift {drifts[name]:.3e} exceeds {limit:.1e}"
                 for name, limit in limits if not drifts[name] <= limit]
 
-    report = dict(
-        _run_header(cfg),
-        conservation={
-            "hamiltonian_kind": hamiltonian.kind,
-            "coupling": cfg.coupling,
-            "conserved_measure": conserved,
-            "commutator_norms": hamiltonian.commutator_norms(),
-            "weak_coupling_ratio": hamiltonian.weak_coupling_ratio(initial),
-            "effective_velocity": effective_velocity(initial, hamiltonian),
-            "path_length": traj.path_length,
-            "drifts": drifts,
-            "tolerances": {
-                "conserved_weights": cfg.conservation_tolerance,
-                "norm_energy_veff": ENERGY_DRIFT_TOLERANCE,
+    with one_blas_thread():  # as in the workers, so no bit follows the start-up count
+        report = dict(
+            _run_header(cfg),
+            conservation={
+                "hamiltonian_kind": hamiltonian.kind,
+                "coupling": cfg.coupling,
+                "conserved_measure": conserved,
+                "commutator_norms": hamiltonian.commutator_norms(),
+                "weak_coupling_ratio": hamiltonian.weak_coupling_ratio(initial),
+                "effective_velocity": effective_velocity(initial, hamiltonian),
+                "path_length": traj.path_length,
+                "drifts": drifts,
+                "tolerances": {
+                    "conserved_weights": cfg.conservation_tolerance,
+                    "norm_energy_veff": ENERGY_DRIFT_TOLERANCE,
+                },
+                "pass": not breaches,
+                "breaches": breaches,
             },
-            "pass": not breaches,
-            "breaches": breaches,
-        },
-    )
+        )
     _write_json(os.path.join(out_dir, "conservation.json"), report)
     _say(cfg, f"evolved {len(traj.times)} steps to t={float(traj.times[-1])!r}; "
               f"{conserved} drift {drifts[conserved]:.3e}")

@@ -17,13 +17,16 @@ travels.
 
 from __future__ import annotations
 
+import copy
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from .fanout import fan_out, shared_array
 from .spectrum import CompositeSpectrum
-from .state import PureState, batch_rows, gas_purity_entropy
+from .state import BATCH_ELEMENTS, PureState, batch_rows, gas_purity_entropy
 
 __all__ = [
     "NumericalValidationError",
@@ -133,14 +136,37 @@ def _gue_block(rng: np.random.Generator, n: int) -> np.ndarray:
     return x
 
 
-def _draw_spectrum(rng: np.random.Generator, d: np.ndarray, coupling: float) -> tuple:
-    """(draw x, eigenvalues, eigenvectors) of one GUE draw over a group with local
-    diagonal ``d``.  Where ``eigh`` of x is all the block needs (d constant, a
-    nonzero coupling), x is dropped (None); elsewhere only ``eigvalsh`` is taken."""
-    x = _gue_block(rng, len(d))
-    if coupling > 0 and np.all(d == d[0]):
-        return None, *np.linalg.eigh(x)
-    return x, np.linalg.eigvalsh(x), None
+def _split(sizes: list[int], m: int) -> list[int]:
+    """The worker of each block: m contiguous ranges balanced by n_b^3, the last to
+    worker 0.  A block goes to the range that holds its cost's midpoint."""
+    costs = [n ** 3 for n in sizes]
+    ends = list(itertools.accumulate(reversed(costs)))[::-1]  # cost from each block on
+    return [m * (2 * end - c) // (2 * ends[0]) for end, c in zip(ends, costs)]
+
+
+def _fan_blocks(pairs: list, pick: list[int], rng: np.random.Generator, solve) -> None:
+    """Write ``solve(k, x)``, (eigenvalues,) or (eigenvalues, eigenvectors) of block
+    k's GUE draw x, into ``pairs[k]`` for k in ``pick``, on workers that own the
+    :func:`_split` ranges of ``pick``, none of them empty.  Each replays ``rng``'s
+    draws of blocks 0, 1, ... through its last one, discarding those it does not own."""
+    sizes = [len(e) for e, _ in pairs]
+    picked = [sizes[k] for k in pick]
+
+    def work(w: int, m: int) -> None:
+        mine = {k for k, owner in zip(pick, _split(picked, m)) if owner == w}
+        batch = np.empty(BATCH_ELEMENTS)  # for discards: a freed draw-sized array raised the peak
+        for k, n in enumerate(sizes[:max(mine) + 1]):
+            if k in mine:
+                for out, part in zip(pairs[k], solve(k, _gue_block(rng, n))):
+                    out[:] = part
+            else:
+                for first in range(0, 2 * n * n, len(batch)):
+                    rng.standard_normal(out=batch[:2 * n * n - first])
+
+    if pick:  # forked workers draw from their copies of rng, the caller from rng itself
+        most = next((m - 1 for m in range(2, len(pick) + 1) if len(set(_split(picked, m))) < m),
+                    len(pick))
+        fan_out(work, most, "Hamiltonian worker")
 
 
 def _local_diagonals(composite: CompositeSpectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -154,30 +180,33 @@ def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
     """Draw one GUE block per index group, scaled so the largest spectral radius
     equals ``coupling``, and keep only the eigenpairs of H on every group.
 
+    Workers write the eigenpairs into one shared buffer (see :func:`_fan_blocks`).
     Where H_g + H_c is one constant d on a group and the coupling is nonzero,
-    H there is d + scale * x, so one ``eigh`` of the draw x gives both its
-    spectral radius and the eigenpairs of H.  Other groups take the radius
-    from ``eigvalsh`` of the draw and the eigenpairs from ``eigh`` of H.  Each
-    draw is freed once its block has the eigenpairs, so the only draws held
-    together are those of the other groups, until the scale is known.
+    one ``eigh`` of the draw x gives the radius and the eigenpairs of d + scale * x.
+    The other groups take the radius from ``eigvalsh`` of x; a second pass draws
+    x again for the ``eigh`` of H.
     """
     if not coupling >= 0:
         raise ValueError("coupling must be >= 0")
     gas_diag, container_diag = _local_diagonals(composite)
     diag = gas_diag + container_diag
-    spectra = [_draw_spectrum(rng, diag[idx], coupling) for idx in groups]
-    scale = coupling / max(float(np.max(np.abs(e))) for _, e, _ in spectra)
-    blocks = []
-    for k, idx in enumerate(groups):
-        x, e, v = spectra[k]
-        spectra[k] = None  # the draw goes with the next iteration's rebinding of x
-        d = diag[idx]
-        pairs = np.linalg.eigh(np.diag(d) + scale * x) if v is None else (d[0] + scale * e, v)
-        blocks.append(HamiltonianBlock(idx, *pairs))
+    offsets = np.cumsum([0] + [2 * len(idx) ** 2 + len(idx) for idx in groups]).tolist()
+    shared = shared_array(offsets[-1], "Hamiltonian eigenpair floats")
+    pairs = [(shared[o:o + n], shared[o + n:o + n + 2 * n * n].view(complex).reshape(n, n))
+             for o, n in zip(offsets, map(len, groups))]
+    plain = {k for k, i in enumerate(groups) if coupling > 0 and np.all(diag[i] == diag[i[0]])}
+    start = copy.deepcopy(rng)
+    _fan_blocks(pairs, list(range(len(groups))), rng,
+                lambda k, x: np.linalg.eigh(x) if k in plain else (np.linalg.eigvalsh(x),))
+    scale = coupling / max(float(np.max(np.abs(e))) for e, _ in pairs)
+    for k in plain:
+        pairs[k][0][:] = diag[groups[k][0]] + scale * pairs[k][0]
+    _fan_blocks(pairs, [k for k in range(len(groups)) if k not in plain], start,
+                lambda k, x: np.linalg.eigh(np.diag(diag[groups[k]]) + scale * x))
+    blocks = tuple(HamiltonianBlock(idx, *pair) for idx, pair in zip(groups, pairs))
     for arr in (gas_diag, container_diag, *(a for block in blocks for a in block)):
         arr.flags.writeable = False
-    return Hamiltonian(composite, kind, float(coupling), gas_diag, container_diag,
-                       tuple(blocks))
+    return Hamiltonian(composite, kind, float(coupling), gas_diag, container_diag, blocks)
 
 
 def build_microcanonical_hamiltonian(composite: CompositeSpectrum, coupling: float,
@@ -188,6 +217,12 @@ def build_microcanonical_hamiltonian(composite: CompositeSpectrum, coupling: flo
     largest block spectral radius equals ``coupling``.  Because each block
     lives inside one degeneracy subspace, [H_g, I] = [H_c, I] = 0 to machine
     precision and every subspace weight is a constant of motion.
+
+    The blocks are diagonalized on forked workers, one per CPU and at most one per
+    block (do not call it while other threads run), after stdout and stderr are
+    flushed; OpenBLAS runs one thread in every process, the caller's until the
+    call returns.  A worker's exception comes back with its class, as
+    "Hamiltonian workers [w] of m failed: ...".
     """
     groups = [np.arange(s.offset, s.offset + s.n_states) for s in composite.subspaces]
     return _assemble(composite, "microcanonical", coupling, groups, rng)
@@ -200,7 +235,8 @@ def build_canonical_hamiltonian(composite: CompositeSpectrum, coupling: float,
     Each block couples all subspaces inside its shell, so [H_g + H_c, I] = 0
     (shell weights conserved) while [H_g, I] != 0 in general: energy flows
     between gas and container.  For spectra where every shell has a single
-    subspace this coincides with the microcanonical builder.
+    subspace this coincides with the microcanonical builder.  The blocks are
+    built on forked workers, as :func:`build_microcanonical_hamiltonian` says.
     """
     groups = [composite.shell_flat_indices(j) for j in range(composite.n_shells)]
     return _assemble(composite, "canonical", coupling, groups, rng)
@@ -259,8 +295,9 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Tr
     NumericalValidationError if any snapshot norm drifts beyond 1e-9.
 
     No (n_times, dim) array is kept.  States are propagated and measured over
-    chunks of max(2, ``batch_rows(dim)``, n_max^2 // dim) times, n_max the
-    largest block, in buffers allocated once for the largest chunk.  Each
+    chunks of max(2, b, min(4 b, n_max^2 // dim)) times, b = ``batch_rows(dim)``
+    and n_max the largest block, in buffers allocated once for the largest
+    chunk; so they stay below what building H takes.  Each
     chunk's rows go to ``sink(start, rows)`` if given: ``rows`` holds states
     ``start`` to ``start + len(rows) - 1`` as a read-only view that is valid
     only during the call.  Every row's values depend on that row alone (a
@@ -282,7 +319,7 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Tr
     coeffs = [b.vectors.conj().T @ initial.amplitudes[b.indices] for b in blocks]
     norms, energy, v_eff, purities, entropies, chords = (np.empty(n) for _ in range(6))
     w_sub = np.empty((n, composite.n_subspaces))
-    rows = max(2, batch_rows(dim), max(len(b.indices) for b in blocks) ** 2 // dim)
+    rows = max(2, batch_rows(dim), min(4 * batch_rows(dim), max(map(len, coeffs)) ** 2 // dim))
     # numpy multiplies a 1-row matrix by gemv, whose last bits differ from
     # gemm's, so a lone last row joins the chunk before it: no chunk tops rows + 1.
     starts = list(range(0, max(n - 1, 1), rows))

@@ -8,8 +8,10 @@ in every worker, so m workers do not start 2m or more BLAS threads on m CPUs.
 from __future__ import annotations
 
 from collections.abc import Callable
+import contextlib
 import ctypes
 import functools
+import mmap
 import os
 import pickle
 import sys
@@ -43,6 +45,28 @@ def _blas_threads():
     return None
 
 
+def shared_array(count: int, what: str, dtype=np.float64) -> np.ndarray:
+    """``count`` zeros of ``dtype`` in memory that forked workers write into and the
+    caller reads; a MemoryError naming ``what`` if they cannot be mapped."""
+    try:
+        return np.frombuffer(mmap.mmap(-1, count * np.dtype(dtype).itemsize), dtype)
+    except (OverflowError, OSError) as exc:  # more bytes than addresses, or ENOMEM
+        raise MemoryError(f"cannot map {count} {what}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread inside the block, where the thread count
+    can be set; the count it had comes back afterwards."""
+    get_threads, set_threads = _blas_threads() or (lambda: 1, lambda threads: None)
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
 def fan_out(work: Callable[[int, int], None], n: int, name: str) -> None:
     """Run ``work(w, m)`` for w = 0 .. m-1 over m workers, one per CPU and at most ``n``.
 
@@ -54,46 +78,40 @@ def fan_out(work: Callable[[int, int], None], n: int, name: str) -> None:
     "sample workers [1] of 2 failed: ..."; one that leaves no report (it was
     killed, say) counts as an OSError.
     """
-    blas, m = _blas_threads(), 1
-    if blas is not None and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    m = 1
+    if _blas_threads() is not None and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         m = max(1, min(n, len(os.sched_getaffinity(0))))
     sys.stdout.flush()
     sys.stderr.flush()
-    if blas:
-        get_threads, set_threads = blas
-        threads = get_threads()
-        set_threads(1)  # forked children inherit the count
-    children = {}
-    try:
-        for w in range(1, m):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
+    children, failed = {}, {}
+    with one_blas_thread():  # forked children inherit the count
+        try:
+            for w in range(1, m):
+                read_end, write_end = os.pipe()
                 try:
-                    work(w, m)
-                    os._exit(0)
-                except BaseException as exc:
-                    os.write(write_end, pickle.dumps((type(exc), str(exc)[:_REPORT_CHARS])))
-                finally:
-                    os._exit(1)
-            os.close(write_end)
-            children[pid] = (w, read_end)
-        work(0, m)
-    finally:
-        if blas:
-            set_threads(threads)
-        failed = {}
-        for pid, (w, read_end) in children.items():
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            with os.fdopen(read_end, "rb") as fh:
-                report = fh.read()
-            if code != 0:
-                failed[w] = pickle.loads(report) if report else (OSError, f"exit code {code}")
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_end)
+                    os.close(write_end)
+                    raise
+                if pid == 0:
+                    try:
+                        work(w, m)
+                        os._exit(0)
+                    except BaseException as exc:
+                        os.write(write_end, pickle.dumps((type(exc), str(exc)[:_REPORT_CHARS])))
+                    finally:
+                        os._exit(1)
+                os.close(write_end)
+                children[pid] = (w, read_end)
+            work(0, m)
+        finally:
+            for pid, (w, read_end) in children.items():
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                with os.fdopen(read_end, "rb") as fh:
+                    report = fh.read()
+                if code != 0:
+                    failed[w] = pickle.loads(report) if report else (OSError, f"exit code {code}")
     if failed:
         kind, text = next(iter(failed.values()))
         raise kind(f"{name}s {sorted(failed)} of {m} failed: {text}")

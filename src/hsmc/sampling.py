@@ -266,11 +266,11 @@ def _chunks(blocks, rows: int, seed: int, start: int, count: int) -> Iterator[np
     n_normals = 2 * blocks[0][-1]
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
-    state = bitgen.state
+    state = bitgen.state  # a copy: setting it copies back the reused key and zero counter
+    key = state["state"]["key"]
 
     def stream(index: int) -> np.random.Generator:
-        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-        state["state"]["key"] = np.array([seed, index], dtype=np.uint64)
+        key[1] = index
         state["buffer_pos"], state["has_uint32"] = 4, 0
         bitgen.state = state
         return gen

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -22,7 +23,7 @@ import hsmc.state
 from hsmc import (PureState, WeightProfile, build_spectrum, compose, dominant_distribution,
                   expected_purity_exact, gas_purity_entropy, microcanonical_profile,
                   min_purity_state, region_log_size, sample_batch)
-from hsmc import cli, fanout
+from hsmc import cli, dynamics, fanout
 from hsmc.cli import COMMANDS, main
 from hsmc.config import MAX_MOMENT_POINTS
 
@@ -324,7 +325,7 @@ def test_sample_results_that_do_not_fit_exit_2(tmp_path, monkeypatch, capsys, n,
     if fail is not None:
         def mmap(*args):
             raise fail
-        monkeypatch.setattr(cli.mmap, "mmap", mmap)
+        monkeypatch.setattr(fanout.mmap, "mmap", mmap)
     code, _ = _sample(tmp_path, monkeypatch, 2, n, text=C1_YAML)
     assert code == 2
     err = capsys.readouterr().err
@@ -442,20 +443,23 @@ def _evolve(tmp_path, monkeypatch, cpus, n_times=7, text=CANONICAL_EVOLVE_YAML, 
 
 
 @pytest.mark.parametrize("n_times", [2, 3, 7])
-@pytest.mark.parametrize("text, dump", [(CANONICAL_EVOLVE_YAML, True),
-                                        (MICRO_EVOLVE_YAML, False)],
+@pytest.mark.parametrize("text, dump, blocks", [(CANONICAL_EVOLVE_YAML, True, 3),
+                                                (MICRO_EVOLVE_YAML, False, 4)],
                          ids=["canonical_dump", "microcanonical"])
 def test_evolve_files_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, text, dump,
-                                                        n_times):
+                                                        blocks, n_times):
     # a worker's evolve covers 2 times or more, so 7 times run on 1, 2 or 3 workers
-    # (7, 3 + 4, 2 + 2 + 3 times) and 2 or 3 times on one
+    # (7, 3 + 4, 2 + 2 + 3 times) and 2 or 3 times on one; H is built before, on
+    # one worker per block and CPU (the canonical shells and the microcanonical
+    # subspaces all have a constant local diagonal, so there is no second pass)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     runs = {}
     for cpus in (1, 2, 3):
         del forks[:]
         code, out = _evolve(tmp_path, monkeypatch, cpus, n_times, text, dump)
-        assert code == 0 and len(forks) == min(cpus, n_times // 2) - 1
+        assert code == 0
+        assert len(forks) == (min(cpus, blocks) - 1) + (min(cpus, n_times // 2) - 1)
         report = json.loads((out / "conservation.json").read_text())
         del report["config"]["output"]
         states = sorted((out / "states").iterdir()) if dump else []
@@ -464,6 +468,46 @@ def test_evolve_files_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, t
         runs[cpus] = ((out / "trajectory.csv").read_bytes(), report,
                       [p.read_bytes() for p in states])
     assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+CANONICAL_WIDE_YAML = """
+gas:
+  levels: [[0, 2], [1, 2]]
+container:
+  levels: [[0, 50], [1, 50]]
+constraint:
+  kind: canonical
+  gas_weights: [0.5, 0.5]
+  container_weights: [0.5, 0.5]
+run:
+  seed: 19
+  coupling: 0.1
+  initial: product
+  n_times: 3
+  dump_states: true
+"""
+
+
+@pytest.mark.parametrize("config", [CONFIGS / "equilibration.yaml", CANONICAL_WIDE_YAML],
+                         ids=["microcanonical", "canonical_dump"])
+def test_evolve_files_do_not_depend_on_the_blas_thread_count(tmp_path, config):
+    # blocks of 100 and 200 states, whose eigh takes other last bits on 1 and on 2
+    # OpenBLAS threads: H is built on one thread whatever the process started with
+    cfg = str(config) if isinstance(config, Path) else write_config(tmp_path, config)
+    out, runs = tmp_path / "out", []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hsmc.cli", "evolve", "--config", cfg, "--out", str(out),
+             "--quiet"], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                     OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        files = [out / "trajectory.csv", out / "conservation.json",
+                 *sorted((out / "states").glob("*.csv"))]
+        runs.append({p.name: p.read_bytes() for p in files})
+        shutil.rmtree(out)
+    assert len(runs[0]) == (2 if isinstance(config, Path) else 5)
+    assert runs[1] == runs[0]
 
 
 @pytest.mark.parametrize("blocked, hint", [(6, "evolve workers [2] of 3 failed"),
@@ -497,6 +541,26 @@ def test_norm_drift_in_a_forked_evolve_worker_exits_3_and_is_reaped(tmp_path, mo
     err = capsys.readouterr().err
     assert err.startswith("numerical validation failure: evolve workers [1] of 2 failed: "
                           "propagation lost normalization by 1.000e-06")
+    assert "Traceback" not in err and err.count("\n") == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_memory_error_in_a_forked_build_worker_exits_2_and_is_reaped(tmp_path, monkeypatch,
+                                                                     capsys):
+    caller, real = os.getpid(), dynamics._gue_block
+
+    def draw(rng, n):
+        if os.getpid() != caller:
+            raise MemoryError("no room for the draw")
+        return real(rng, n)
+
+    monkeypatch.setattr(dynamics, "_gue_block", draw)
+    code, _ = _evolve(tmp_path, monkeypatch, 2)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the run does not fit in memory: Hamiltonian workers "
+                          "[1] of 2 failed: no room for the draw")
     assert "Traceback" not in err and err.count("\n") == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

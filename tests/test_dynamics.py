@@ -1,4 +1,5 @@
 import itertools
+import os
 import tracemalloc
 
 import numpy as np
@@ -126,6 +127,69 @@ def test_hamiltonian_is_hermitian_and_assembled():
             assert np.linalg.norm(block - block.conj().T) < 1e-12
             np.testing.assert_allclose(block, want[np.ix_(b.indices, b.indices)],
                                        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.7])
+@pytest.mark.parametrize("kind", BUILDERS)
+def test_blocks_do_not_depend_on_the_worker_count(monkeypatch, kind, coupling):
+    # the canonical shell {1, 1.3} has no constant local diagonal, so it takes the
+    # second pass; at zero coupling every block does
+    comp = compose(build_spectrum([(0, 1), (1, 2)]), build_spectrum([(0, 1), (1.3, 2)]),
+                   shell_tolerance=0.5)
+    replay = substream(5, 0)
+    for b in BUILDERS[kind](comp, coupling, substream(5, 0)).blocks:
+        replay.standard_normal(2 * len(b.indices) ** 2)
+    after, built = replay.standard_normal(), {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        rng = substream(5, 0)
+        h = BUILDERS[kind](comp, coupling, rng)
+        assert not any(a.flags.writeable for b in h.blocks for a in b)
+        built[cpus] = [a.tobytes() for b in h.blocks for a in b]
+        assert rng.standard_normal() == after, cpus
+    assert built[2] == built[1] and built[3] == built[1]
+
+
+def test_no_build_worker_is_forked_without_a_block(monkeypatch):
+    # subspaces of 10, 10, 1 and 1 states: split in 3 by n_b^3, the middle range is
+    # empty, so 3 CPUs run 2 workers with the blocks of 1 CPU
+    comp = compose(build_spectrum([(0, 10), (1, 1)]), build_spectrum([(0, 1), (1, 1)]))
+    sizes = [s.n_states for s in comp.subspaces]
+    assert sorted(sizes) == [1, 1, 10, 10] and len(set(dynamics._split(sizes, 3))) == 2
+    forks, fork, built = [], os.fork, {}
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        del forks[:]
+        h = build_microcanonical_hamiltonian(comp, 0.5, substream(2, 0))
+        built[cpus] = [a.tobytes() for b in h.blocks for a in b]
+        assert len(forks) == min(cpus, 2) - 1
+    assert built[3] == built[1]
+
+
+def test_a_forked_build_worker_failure_keeps_its_class(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    caller, real = os.getpid(), np.linalg.eigh
+
+    def eigh(x):
+        if os.getpid() != caller:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(x)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"Hamiltonian workers \[1\] of 2 failed: Eigenvalues did not"):
+        build_microcanonical_hamiltonian(composite_three(), 0.5, substream(1, 0))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_blocks_split_into_ranges_balanced_by_cost_the_last_to_worker_0():
+    assert dynamics._split([4, 4, 4, 4], 2) == [1, 1, 0, 0]
+    assert dynamics._split([4, 4, 4, 4], 3) == [2, 1, 1, 0]
+    assert dynamics._split([1, 1, 1, 10], 2) == [1, 1, 1, 0]
+    assert dynamics._split([10, 1, 1, 1], 3) == [1, 0, 0, 0]
+    assert dynamics._split([3], 1) == [0]
 
 
 def test_blocks_store_only_eigenpairs():

@@ -1,11 +1,10 @@
-import mmap
 import os
 
 import numpy as np
 import pytest
 
 from hsmc import NumericalValidationError, fanout
-from hsmc.fanout import fan_out
+from hsmc.fanout import fan_out, shared_array
 
 pytestmark = pytest.mark.skipif(fanout._blas_threads() is None,
                                 reason="fan_out runs one worker without BLAS thread control")
@@ -14,7 +13,7 @@ pytestmark = pytest.mark.skipif(fanout._blas_threads() is None,
 @pytest.mark.parametrize("cpus, n, m", [(1, 5, 1), (3, 5, 3), (3, 2, 2), (3, 0, 1)])
 def test_every_worker_runs_once_and_knows_the_count(monkeypatch, cpus, n, m):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    calls = np.frombuffer(mmap.mmap(-1, 8 * 4), dtype=np.int64)
+    calls = shared_array(4, "counts", np.int64)
 
     def work(w, count):
         calls[w] += 1
@@ -45,3 +44,15 @@ def test_a_child_that_leaves_no_report_is_an_oserror(monkeypatch):
 
     with pytest.raises(OSError, match=r"workers \[1\] of 2 failed: exit code 7"):
         fan_out(work, 2, "worker")
+
+
+def test_a_shared_array_starts_zeroed_and_shows_what_forked_workers_write(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    shared = shared_array(6, "values", np.int64)
+    assert shared.dtype == np.int64 and shared.tolist() == [0] * 6
+
+    def work(w, m):
+        shared[2 * w:2 * w + 2] = w + 1
+
+    fan_out(work, 3, "worker")
+    assert shared.tolist() == [1, 1, 2, 2, 3, 3]
