@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fanout import fan_out, shared_array
+from .fanout import fan_out, shared_array, zheevd
 from .spectrum import CompositeSpectrum
 from .state import BATCH_ELEMENTS, PureState, batch_rows, gas_purity_entropy
 
@@ -85,16 +85,23 @@ class Hamiltonian:
 
         For a diagonal D, [D, I] = [D, H] has entries (d_j - d_k) H_jk, which
         vanish outside H's blocks, so the norms are summed block by block.  A
-        block on which D is constant contributes exactly 0; H_b = V diag(E)
-        V^dagger is rebuilt only on the other blocks.
+        block on which D is constant contributes exactly 0; on the others the
+        conjugate of H_b = V diag(E) V^dagger is rebuilt about ``BATCH_ELEMENTS``
+        values at a time, as conj(V diag(E)) V^T, with no n_b x n_b temporary.
         """
         out = {}
         for name, diag in (("gas", self.gas_diagonal), ("container", self.container_diagonal),
                            ("total", self.gas_diagonal + self.container_diagonal)):
-            out[name] = float(np.linalg.norm([
-                np.linalg.norm((d[:, None] - d[None, :])
-                               * ((b.vectors * b.energies) @ b.vectors.conj().T))
-                for b in self.blocks if np.any((d := diag[b.indices]) != d[0])]))
+            squares = 0.0
+            for b in self.blocks:
+                if np.any((d := diag[b.indices]) != d[0]):
+                    rows = batch_rows(len(d))
+                    for first in range(0, len(d), rows):
+                        part = slice(first, first + rows)
+                        h = np.conjugate(b.vectors[part] * b.energies) @ b.vectors.T
+                        h *= d[part, None] - d
+                        squares += float(np.vdot(h, h).real)
+            out[name] = float(np.sqrt(squares))
         return out
 
     def weak_coupling_ratio(self, state: PureState) -> float:
@@ -124,16 +131,35 @@ def _apply(hamiltonian: Hamiltonian, flat: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _gue_block(rng: np.random.Generator, n: int) -> np.ndarray:
-    """(x + x^dagger) / 2 for x = a + ib, a then b standard normal (n, n) draws, bit
-    for bit, built in one complex array from one float draw buffer, row by row."""
-    x, draw = np.empty((n, n), dtype=complex), np.empty((n, n))
-    x.real = rng.standard_normal(out=draw)
-    x.imag = rng.standard_normal(out=draw)
+def _gue_block(rng: np.random.Generator, out: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """Draw M = (x + x^dagger) / 2, x = a + ib from a then b standard normal (n, n)
+    draws, into ``out`` as its transpose M^T = conj(M), which is M read column-major:
+    bit for bit, the diagonal's imaginary zeros too.  The normals pass through the
+    float buffer ``batch``; nothing of size n^2 is allocated."""
+    n, flat = len(out), out.reshape(-1)
+    for part in (flat.real, flat.imag):
+        for first in range(0, n * n, len(batch)):
+            draw = rng.standard_normal(out=batch[:n * n - first])
+            part[first:first + len(draw)] = draw
     for j in range(n):
-        row = (x[j, j:] + x[j:, j].conj()) / 2.0
-        x[j:, j], x[j, j:] = row.conj(), row  # the diagonal keeps row[0]
-    return x
+        row = (out[j, j:] + out[j:, j].conj()) / 2.0  # row j of M
+        out[j, j:], out[j:, j] = row.conj(), row  # the diagonal keeps row[0]
+    return out
+
+
+def _eigh(x: np.ndarray, values: np.ndarray, vectors: bool) -> None:
+    """The eigenvalues of the Hermitian M = ``x``^T into ``values``, and, if
+    ``vectors``, its eigenvector columns into ``x`` in C order: bit for bit
+    ``np.linalg.eigh(M)`` or ``np.linalg.eigvalsh(M)``, which also serve where
+    numpy's BLAS exports no zheevd.  Without ``vectors`` x is overwritten."""
+    if zheevd(x, values, "V" if vectors else "N"):
+        if vectors:  # eigenvector j is row j: transpose back, row by row
+            for j in range(len(x)):
+                x[j, j + 1:], x[j + 1:, j] = x[j + 1:, j].copy(), x[j, j + 1:].copy()
+    elif vectors:
+        values[:], x[:] = np.linalg.eigh(x.T)
+    else:
+        values[:] = np.linalg.eigvalsh(x.T)
 
 
 def _split(sizes: list[int], m: int) -> list[int]:
@@ -145,23 +171,23 @@ def _split(sizes: list[int], m: int) -> list[int]:
 
 
 def _fan_blocks(pairs: list, pick: list[int], rng: np.random.Generator, solve) -> None:
-    """Write ``solve(k, x)``, (eigenvalues,) or (eigenvalues, eigenvectors) of block
-    k's GUE draw x, into ``pairs[k]`` for k in ``pick``, on workers that own the
-    :func:`_split` ranges of ``pick``, none of them empty.  Each replays ``rng``'s
-    draws of blocks 0, 1, ... through its last one, discarding those it does not own."""
+    """For k in ``pick``, draw block k's GUE into its eigenvector slot (see
+    :func:`_gue_block`) and call ``solve(k, values, slot)``, which leaves block k's
+    eigenpairs there, on workers that own the :func:`_split` ranges of ``pick``,
+    none of them empty.  Each replays ``rng``'s draws of blocks 0, 1, ... through
+    its last one, discarding those it does not own, through one float buffer."""
     sizes = [len(e) for e, _ in pairs]
     picked = [sizes[k] for k in pick]
 
     def work(w: int, m: int) -> None:
         mine = {k for k, owner in zip(pick, _split(picked, m)) if owner == w}
-        batch = np.empty(BATCH_ELEMENTS)  # for discards: a freed draw-sized array raised the peak
-        for k, n in enumerate(sizes[:max(mine) + 1]):
+        batch = np.empty(BATCH_ELEMENTS)
+        for k, (values, slot) in enumerate(pairs[:max(mine) + 1]):
             if k in mine:
-                for out, part in zip(pairs[k], solve(k, _gue_block(rng, n))):
-                    out[:] = part
+                solve(k, values, _gue_block(rng, slot, batch))
             else:
-                for first in range(0, 2 * n * n, len(batch)):
-                    rng.standard_normal(out=batch[:2 * n * n - first])
+                for first in range(0, 2 * slot.size, len(batch)):
+                    rng.standard_normal(out=batch[:2 * slot.size - first])
 
     if pick:  # forked workers draw from their copies of rng, the caller from rng itself
         most = next((m - 1 for m in range(2, len(pick) + 1) if len(set(_split(picked, m))) < m),
@@ -180,11 +206,12 @@ def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
     """Draw one GUE block per index group, scaled so the largest spectral radius
     equals ``coupling``, and keep only the eigenpairs of H on every group.
 
-    Workers write the eigenpairs into one shared buffer (see :func:`_fan_blocks`).
-    Where H_g + H_c is one constant d on a group and the coupling is nonzero,
-    one ``eigh`` of the draw x gives the radius and the eigenpairs of d + scale * x.
-    The other groups take the radius from ``eigvalsh`` of x; a second pass draws
-    x again for the ``eigh`` of H.
+    Workers draw each block into its eigenvector slot of one shared buffer and
+    diagonalize it there (see :func:`_fan_blocks` and :func:`_eigh`).  Where
+    H_g + H_c is one constant d on a group and the coupling is nonzero, the
+    eigenpairs of the draw x give the radius and those of d + scale * x.  The
+    other groups take the radius from the eigenvalues of x; a second pass draws x
+    again and makes it diag(d) + scale * x in place, as numpy would, bit for bit.
     """
     if not coupling >= 0:
         raise ValueError("coupling must be >= 0")
@@ -197,12 +224,20 @@ def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
     plain = {k for k, i in enumerate(groups) if coupling > 0 and np.all(diag[i] == diag[i[0]])}
     start = copy.deepcopy(rng)
     _fan_blocks(pairs, list(range(len(groups))), rng,
-                lambda k, x: np.linalg.eigh(x) if k in plain else (np.linalg.eigvalsh(x),))
+                lambda k, e, x: _eigh(x, e, vectors=k in plain))
     scale = coupling / max(float(np.max(np.abs(e))) for e, _ in pairs)
     for k in plain:
         pairs[k][0][:] = diag[groups[k][0]] + scale * pairs[k][0]
-    _fan_blocks(pairs, [k for k in range(len(groups)) if k not in plain], start,
-                lambda k, x: np.linalg.eigh(np.diag(diag[groups[k]]) + scale * x))
+
+    def shifted(k: int, e: np.ndarray, x: np.ndarray) -> None:
+        d, diag_row = diag[groups[k]], np.zeros(len(x))
+        for j, row in enumerate(np.multiply(x, scale, out=x)):  # adds np.diag(d) row by row
+            diag_row[j] = d[j]
+            np.add(diag_row, row, out=row)
+            diag_row[j] = 0.0
+        _eigh(x, e, vectors=True)
+
+    _fan_blocks(pairs, [k for k in range(len(groups)) if k not in plain], start, shifted)
     blocks = tuple(HamiltonianBlock(idx, *pair) for idx, pair in zip(groups, pairs))
     for arr in (gas_diag, container_diag, *(a for block in blocks for a in block)):
         arr.flags.writeable = False
@@ -287,6 +322,21 @@ def _row_norms(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.sqrt(scratch.real.sum(axis=1))
 
 
+def _coefficients(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``vectors.conj().T @ psi`` with no n_b x n_b conjugate copy: in pieces of a
+    multiple of 8 columns of ``vectors``, about ``BATCH_ELEMENTS`` values, the last
+    one of 8 or more.  On one OpenBLAS thread, as in ``hsmc evolve``'s workers, the
+    bits are those of the whole product.  Other pieces are not: numpy makes a
+    1-column piece a dot product, and OpenBLAS's gemv takes other bits in the last
+    rows of a piece whose width is not a multiple of 4."""
+    n = len(psi)
+    out = np.empty(n, dtype=complex)
+    starts = list(range(0, max(n - 7, 1), max(8, BATCH_ELEMENTS // n // 8 * 8)))
+    for first, stop in zip(starts, starts[1:] + [n]):
+        out[first:stop] = vectors[:, first:stop].conj().T @ psi
+    return out
+
+
 def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Trajectory:
     """Propagate |psi(t)> = exp(-iHt)|psi(0)> on a strictly increasing time grid.
 
@@ -294,10 +344,9 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Tr
     entries reproduce the initial amplitudes bit for bit.  Raises
     NumericalValidationError if any snapshot norm drifts beyond 1e-9.
 
-    No (n_times, dim) array is kept.  States are propagated and measured over
-    chunks of max(2, b, min(4 b, n_max^2 // dim)) times, b = ``batch_rows(dim)``
-    and n_max the largest block, in buffers allocated once for the largest
-    chunk; so they stay below what building H takes.  Each
+    No (n_times, dim) array is kept, nor any n_b x n_b temporary.  States are
+    propagated and measured over chunks of max(2, ``batch_rows(dim)``) times, in
+    buffers allocated once for the largest chunk.  Each
     chunk's rows go to ``sink(start, rows)`` if given: ``rows`` holds states
     ``start`` to ``start + len(rows) - 1`` as a read-only view that is valid
     only during the call.  Every row's values depend on that row alone (a
@@ -316,10 +365,10 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Tr
     composite = initial.composite
     n, dim = len(times), composite.dim
     blocks = hamiltonian.blocks
-    coeffs = [b.vectors.conj().T @ initial.amplitudes[b.indices] for b in blocks]
+    coeffs = [_coefficients(b.vectors, initial.amplitudes[b.indices]) for b in blocks]
     norms, energy, v_eff, purities, entropies, chords = (np.empty(n) for _ in range(6))
     w_sub = np.empty((n, composite.n_subspaces))
-    rows = max(2, batch_rows(dim), min(4 * batch_rows(dim), max(map(len, coeffs)) ** 2 // dim))
+    rows = max(2, batch_rows(dim))
     # numpy multiplies a 1-row matrix by gemv, whose last bits differ from
     # gemm's, so a lone last row joins the chunk before it: no chunk tops rows + 1.
     starts = list(range(0, max(n - 1, 1), rows))

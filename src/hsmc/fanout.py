@@ -3,6 +3,12 @@
 :func:`fan_out` runs ``work(w, m)`` for w = 0 .. m-1: the calling process runs
 w = 0 and forked children the rest.  While they run, OpenBLAS uses one thread
 in every worker, so m workers do not start 2m or more BLAS threads on m CPUs.
+
+:func:`zheevd` is LAPACK's Hermitian eigensolver from the library that holds
+that thread count, bound through ctypes, so that a worker can diagonalize a
+matrix in the array where its eigenvectors are to stay: numpy's ``eigh`` has
+no ``out`` and copies its input and its result.  Symbols are looked up lazily,
+on first use, not at import.
 """
 
 from __future__ import annotations
@@ -24,25 +30,96 @@ _REPORT_CHARS = 1000
 
 
 @functools.cache
-def _blas_threads():
-    """The (get, set) thread-count calls of the OpenBLAS numpy runs on, or None.
-
-    The symbols are looked up through numpy's linear-algebra extension, whose
-    dependencies include the BLAS library; builds differ in prefix and suffix.
-    """
+def _library():
+    """numpy's linear-algebra extension, whose dependencies include its BLAS and
+    LAPACK, as a ctypes library; None where it cannot be loaded."""
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
         return None
-    for prefix in ("scipy_openblas", "openblas"):
+
+
+def _symbol(name: str):
+    """(function, whether its integers are 64-bit) for ``name`` in numpy's BLAS, or
+    None.  Builds differ in prefix (``scipy_`` or none) and suffix (``64_`` or none)."""
+    lib = _library()
+    if lib is None:
+        return None
+    for prefix in ("scipy_", ""):
         for suffix in ("64_", ""):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+            function = getattr(lib, f"{prefix}{name}{suffix}", None)
+            if function is not None:
+                return function, suffix == "64_"
     return None
+
+
+@functools.cache
+def _blas_threads():
+    """The (get, set) thread-count calls of the OpenBLAS numpy runs on, or None."""
+    found = [_symbol(f"openblas_{verb}_num_threads") for verb in ("get", "set")]
+    if None in found:
+        return None
+    (get, _), (put, _) = found
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+_ZHEEVD_ARGUMENTS = "JOBZ UPLO N A LDA W WORK LWORK RWORK LRWORK IWORK LIWORK INFO".split()
+
+
+@functools.cache
+def _zheevd():
+    """(LAPACK's zheevd from numpy's BLAS, its Fortran integer type), or None."""
+    found = _symbol("zheevd_")
+    if found is None:
+        return None
+    function, wide = found
+    integer = ctypes.c_int64 if wide else ctypes.c_int32
+    arrays = {"A", "W", "WORK", "RWORK", "IWORK"}  # the rest are integers, by reference
+    function.argtypes = ([ctypes.c_char_p] * 2
+                         + [ctypes.c_void_p if name in arrays else ctypes.POINTER(integer)
+                            for name in _ZHEEVD_ARGUMENTS[2:]]
+                         + [ctypes.c_size_t] * 2)  # the lengths of JOBZ and UPLO
+    function.restype = None
+    return function, integer
+
+
+def zheevd(a: np.ndarray, w: np.ndarray, jobz: str) -> bool:
+    """LAPACK's zheevd in place, called as ``np.linalg.eigh`` (``jobz`` 'V') and
+    ``eigvalsh`` ('N') call it; False, with nothing done, where numpy's BLAS has none.
+
+    LAPACK reads the C-ordered (n, n) complex ``a`` column-major, so ``a`` holds M^T
+    for the Hermitian M.  M's eigenvalues go into the n floats ``w``; with 'V' row j
+    of ``a`` becomes eigenvector j, with 'N' ``a`` is overwritten.  Call it only on
+    one OpenBLAS thread (inside :func:`fan_out`): the last bits follow the count.
+    Raises numpy's LinAlgError where it does not converge, ValueError on an illegal
+    argument.
+    """
+    found = _zheevd()
+    if found is None:
+        return False
+    function, integer = found
+    n = len(a)
+    if not (a.shape == (n, n) and a.dtype == complex and a.flags.c_contiguous and a.flags.writeable
+            and w.shape == (n,) and w.dtype == np.float64 and w.flags.c_contiguous
+            and w.flags.writeable):
+        raise ValueError("zheevd needs a writable C-ordered (n, n) complex array and n floats")
+    work, rwork, iwork = np.empty(1, complex), np.empty(1), np.empty(1, integer)
+    sizes, info = [-1] * 3, integer(0)  # LWORK, LRWORK, LIWORK: -1 asks for the sizes
+    for query in (True, False):
+        function(jobz.encode(), b"L", integer(n), a.ctypes.data, integer(max(n, 1)),
+                 w.ctypes.data, work.ctypes.data, integer(sizes[0]), rwork.ctypes.data,
+                 integer(sizes[1]), iwork.ctypes.data, integer(sizes[2]), info, 1, 1)
+        if info.value > 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        if info.value < 0:
+            raise ValueError(f"zheevd: argument {-info.value} "
+                             f"({_ZHEEVD_ARGUMENTS[-info.value - 1]}) had an illegal value")
+        if query:
+            sizes = [int(space[0].real) for space in (work, rwork, iwork)]
+            work, rwork, iwork = (np.empty(k, t) for k, t in zip(sizes, (complex, float, integer)))
+    return True
 
 
 def shared_array(count: int, what: str, dtype=np.float64) -> np.ndarray:

@@ -550,10 +550,10 @@ def test_memory_error_in_a_forked_build_worker_exits_2_and_is_reaped(tmp_path, m
                                                                      capsys):
     caller, real = os.getpid(), dynamics._gue_block
 
-    def draw(rng, n):
+    def draw(rng, out, batch):
         if os.getpid() != caller:
             raise MemoryError("no room for the draw")
-        return real(rng, n)
+        return real(rng, out, batch)
 
     monkeypatch.setattr(dynamics, "_gue_block", draw)
     code, _ = _evolve(tmp_path, monkeypatch, 2)

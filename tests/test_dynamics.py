@@ -13,7 +13,8 @@ from hsmc import (NumericalValidationError, PureState,
                   mc_average, microcanonical_profile, path_average,
                   product_state, sample_microcanonical, substream,
                   time_average, uniform_profile)
-from hsmc import dynamics
+from hsmc import dynamics, fanout
+from hsmc.state import BATCH_ELEMENTS
 
 
 def composite_three():
@@ -140,14 +141,17 @@ def test_blocks_do_not_depend_on_the_worker_count(monkeypatch, kind, coupling):
     for b in BUILDERS[kind](comp, coupling, substream(5, 0)).blocks:
         replay.standard_normal(2 * len(b.indices) ** 2)
     after, built = replay.standard_normal(), {}
-    for cpus in (1, 2, 3):
+    # numpy's own eigh where no zheevd resolves: the same bits
+    for cpus, lapack in ((1, True), (2, True), (3, True), (2, False)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        if not lapack:
+            monkeypatch.setattr(fanout, "_zheevd", lambda: None)
         rng = substream(5, 0)
         h = BUILDERS[kind](comp, coupling, rng)
         assert not any(a.flags.writeable for b in h.blocks for a in b)
-        built[cpus] = [a.tobytes() for b in h.blocks for a in b]
-        assert rng.standard_normal() == after, cpus
-    assert built[2] == built[1] and built[3] == built[1]
+        built[cpus, lapack] = [a.tobytes() for b in h.blocks for a in b]
+        assert rng.standard_normal() == after, (cpus, lapack)
+    assert all(blocks == built[1, True] for blocks in built.values())
 
 
 def test_no_build_worker_is_forked_without_a_block(monkeypatch):
@@ -169,14 +173,14 @@ def test_no_build_worker_is_forked_without_a_block(monkeypatch):
 
 def test_a_forked_build_worker_failure_keeps_its_class(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    caller, real = os.getpid(), np.linalg.eigh
+    caller, real = os.getpid(), dynamics.zheevd
 
-    def eigh(x):
+    def zheevd(a, w, jobz):
         if os.getpid() != caller:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(x)
+        return real(a, w, jobz)
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(dynamics, "zheevd", zheevd)
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"Hamiltonian workers \[1\] of 2 failed: Eigenvalues did not"):
         build_microcanonical_hamiltonian(composite_three(), 0.5, substream(1, 0))
@@ -403,15 +407,54 @@ def test_evolve_temporaries_do_not_grow_with_the_time_axis(kind):
     assert peak[1601] - peak[201] < 2 ** 20, peak
 
 
+def test_evolve_holds_no_block_sized_temporary():
+    # dim 1600, four blocks of 400: one conjugate copy of a block's V alone would
+    # be 16 n_b^2 bytes
+    comp = compose(build_spectrum([(0, 2), (1, 2)]), build_spectrum([(0, 200), (1, 200)]))
+    h = build_microcanonical_hamiltonian(comp, 0.1, substream(3, 0))
+    _, peak = _traced_peak(evolve, uniform_product_state(comp), h, np.linspace(0.0, 500.0, 201))
+    assert peak < 16 * 400 ** 2, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 41, 399, 400, 401, 1600])
+def test_start_coefficients_are_the_whole_product_in_pieces(n):
+    rng = np.random.default_rng(n)
+    vectors = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    with fanout.one_blas_thread():  # as in hsmc evolve's workers
+        want = vectors.conj().T @ psi
+        got, peak = _traced_peak(dynamics._coefficients, vectors, psi)
+    assert got.tobytes() == want.tobytes()
+    assert peak < 2 * 16 * BATCH_ELEMENTS, peak  # a piece and the conjugate's ufunc buffer
+
+
+def test_commutator_norms_hold_no_block_sized_temporary():
+    # canonical shells of 200, 400 and 200 states; H_g is constant on all but the middle one
+    comp = compose(build_spectrum([(0, 2), (1, 2)]), build_spectrum([(0, 100), (1, 100)]))
+    h = build_canonical_hamiltonian(comp, 0.1, substream(3, 0))
+    got, peak = _traced_peak(h.commutator_norms)
+    assert peak < 16 * 400 ** 2, peak / 2 ** 20
+    gas = [(d[:, None] - d) * block for idx, block in _block_matrices(h)
+           for d in [h.gas_diagonal[idx]]]
+    want = np.sqrt(sum(np.linalg.norm(c) ** 2 for c in gas))
+    assert got["gas"] == pytest.approx(want, rel=1e-13) and got["total"] == 0.0
+    assert got["container"] == pytest.approx(want, rel=1e-13)  # H_c = H_E - H_g on a shell
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 400])
 def test_gue_block_is_the_documented_draw_in_one_array(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     want = (x + x.conj().T) / 2.0
-    got, peak = _traced_peak(dynamics._gue_block, np.random.default_rng(n), n)
-    np.testing.assert_array_equal(got, want)
-    if n == 400:  # small n are all array headers; the draw (x + x^H) / 2 peaks near 3x
-        assert peak <= 1.6 * 16 * n * n, peak / (16 * n * n)
+    got = np.full((n, n), np.nan, dtype=complex)
+    rng = np.random.default_rng(n)
+    _, peak = _traced_peak(lambda: dynamics._gue_block(rng, got, np.empty(BATCH_ELEMENTS)))
+    # stored as its transpose, M read column-major, the diagonal's +0.0 imaginary parts too
+    assert got.tobytes() == want.T.tobytes()
+    assert rng.standard_normal() == np.random.default_rng(n).standard_normal(2 * n * n + 1)[-1]
+    # the block goes into the caller's array: only the float buffer and a few rows
+    # are allocated, where a new (n, n) array alone would be 16 n^2 bytes
+    assert peak <= 8 * BATCH_ELEMENTS + 4 * 16 * n + 4096, peak
 
 
 def test_microcanonical_weights_conserved():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from hsmc import NumericalValidationError, fanout
-from hsmc.fanout import fan_out, shared_array
+from hsmc.fanout import fan_out, one_blas_thread, shared_array, zheevd
 
 pytestmark = pytest.mark.skipif(fanout._blas_threads() is None,
                                 reason="fan_out runs one worker without BLAS thread control")
+needs_zheevd = pytest.mark.skipif(fanout._zheevd() is None,
+                                  reason="numpy's BLAS exports no zheevd")
 
 
 @pytest.mark.parametrize("cpus, n, m", [(1, 5, 1), (3, 5, 3), (3, 2, 2), (3, 0, 1)])
@@ -56,3 +58,28 @@ def test_a_shared_array_starts_zeroed_and_shows_what_forked_workers_write(monkey
 
     fan_out(work, 3, "worker")
     assert shared.tolist() == [1, 1, 2, 2, 3, 3]
+
+
+@needs_zheevd
+@pytest.mark.parametrize("n", [1, 2, 7, 400])
+def test_zheevd_in_place_is_numpys_eigh_and_eigvalsh_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = (x + x.conj().T) / 2.0
+    vectors, values = m.T.copy(), np.empty(n)  # M^T in C order is M read column-major
+    destroyed, only = m.T.copy(), np.empty(n)
+    with one_blas_thread():
+        want, want_vectors = np.linalg.eigh(m)
+        want_only = np.linalg.eigvalsh(m)
+        assert zheevd(vectors, values, "V") and zheevd(destroyed, only, "N")
+    assert values.tobytes() == want.tobytes() and only.tobytes() == want_only.tobytes()
+    assert vectors.T.tobytes() == want_vectors.tobytes()  # row j is eigenvector j
+
+
+@needs_zheevd
+def test_zheevd_fails_as_numpy_does():
+    w = np.empty(3)
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        zheevd(np.full((3, 3), np.nan, dtype=complex), w, "V")
+    with pytest.raises(ValueError, match=r"^zheevd: argument 1 \(JOBZ\) had an illegal value$"):
+        zheevd(np.eye(3, dtype=complex), w, "X")
