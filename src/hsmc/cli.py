@@ -32,8 +32,7 @@ from .dynamics import (NumericalValidationError, Trajectory, build_canonical_ham
                        build_microcanonical_hamiltonian, effective_velocity,
                        evolve, max_drift)
 from .fanout import fan_out, one_blas_thread, shared_array
-from .sampling import (MICROCANONICAL, mc_estimate, sample_batch, sample_chunks,
-                       substream)
+from .sampling import MICROCANONICAL, mc_estimate, measure_draws, sample_batch, substream
 from .state import PureState, _write_csv, gas_purity_entropy, product_state, write_amplitudes_csv
 
 ENERGY_DRIFT_TOLERANCE = 1e-9
@@ -146,23 +145,11 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
 def cmd_sample(cfg: ExperimentConfig) -> int:
     composite = cfg.composite
     n = cfg.n_samples
-    results = shared_array(2 * n, "results").reshape(2, n)  # purities, entropies
-
-    def draw(w: int, m: int) -> None:
-        """Purity and entropy of draws n w / m to n (w + 1) / m - 1 into ``results``."""
-        first, stop = n * w // m, n * (w + 1) // m
-        start = first
-        try:
-            for amplitudes in sample_chunks(composite, cfg.constraint, cfg.seed,
-                                            first, stop - first):
-                results[:, start:start + len(amplitudes)] = gas_purity_entropy(
-                    composite, amplitudes)
-                start += len(amplitudes)
-        except ValueError as exc:  # a failed norm or density check
-            raise NumericalValidationError(f"draws {first} to {stop - 1}: {exc}") from exc
-
-    fan_out(draw, n, "sample worker")
-    purities, entropies = results
+    try:
+        purities, entropies = measure_draws(lambda a: gas_purity_entropy(composite, a), 2,
+                                            composite, cfg.constraint, n, cfg.seed)
+    except ValueError as exc:  # a failed norm or density check
+        raise NumericalValidationError(str(exc)) from exc
 
     out_dir = _prepare_out_dir(cfg)
     _write_csv(os.path.join(out_dir, "samples.csv"), [

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from .fanout import fan_out, shared_array
 from .spectrum import CompositeSpectrum
 from .state import (PureState, WeightProfile, batch_rows, check_normalized,
                     checked_weights, subspace_weights)
@@ -38,6 +39,7 @@ __all__ = [
     "sample_canonical",
     "sample_chunks",
     "sample_batch",
+    "measure_draws",
     "mc_average",
 ]
 
@@ -308,6 +310,36 @@ def sample_batch(composite: CompositeSpectrum, profile: ConstraintProfile,
     return out
 
 
+def measure_draws(measure: Callable[[np.ndarray], np.ndarray], k: int,
+                  composite: CompositeSpectrum, profile: ConstraintProfile,
+                  n: int, seed: int) -> np.ndarray:
+    """(k, n) array whose column i holds the k values of ``measure`` on draw i of run ``seed``.
+
+    ``measure`` maps one (rows, dim) chunk from :func:`sample_chunks` to k arrays of
+    ``rows`` values, or to one such array if k is 1; any other shape is a ValueError.  The draws are split over
+    :func:`~hsmc.fanout.fan_out`'s workers, and a ValueError names a worker's draws.
+    """
+    values = shared_array(k * n, "results").reshape(k, n)
+
+    def draw(w: int, m: int) -> None:
+        first, stop = n * w // m, n * (w + 1) // m
+        start = first
+        try:
+            for amplitudes in sample_chunks(composite, profile, seed, first, stop - first):
+                chunk = np.asarray(measure(amplitudes), dtype=float)
+                expected = (len(amplitudes),) if k == 1 else (k, len(amplitudes))
+                if chunk.shape != expected:
+                    raise ValueError(f"measure gave shape {chunk.shape} for a chunk of "
+                                     f"{len(amplitudes)} draws, expected {expected}")
+                values[:, start:start + len(amplitudes)] = chunk
+                start += len(amplitudes)
+        except ValueError as exc:  # a failed norm, density or shape check
+            raise ValueError(f"draws {first} to {stop - 1}: {exc}") from exc
+
+    fan_out(draw, n, "sample worker")
+    return values
+
+
 def mc_average(measure: Callable[[np.ndarray], np.ndarray], composite: CompositeSpectrum,
                profile: ConstraintProfile, n: int, seed: int) -> McEstimate:
     """Sample mean and standard error of ``measure`` over draws 0 to ``n - 1`` of run ``seed``.
@@ -316,17 +348,14 @@ def mc_average(measure: Callable[[np.ndarray], np.ndarray], composite: Composite
     :func:`sample_chunks` to ``rows`` values, one per draw, e.g.
     ``lambda a: gas_purity_entropy(composite, a)[0]``; any other shape is a
     ValueError.  Draw i is the draw of ``substream(seed, i)``, so the estimate
-    is deterministic given ``seed``.
+    is deterministic given ``seed``, whatever the number of CPUs.
+
+    It forks (:func:`measure_draws`), as the Hamiltonian builders do: do not call
+    it while other threads run.  ``measure`` runs on one OpenBLAS thread, and its
+    side effects in forked workers do not reach the caller.  It holds 8 B per draw.
     """
     if n < 2:
         raise ValueError("mc_average needs n >= 2 to estimate a standard error")
-
-    def values() -> Iterator[np.ndarray]:
-        for amplitudes in sample_chunks(composite, profile, seed, 0, n):
-            chunk = np.asarray(measure(amplitudes), dtype=float)
-            if chunk.shape != (len(amplitudes),):
-                raise ValueError(f"measure gave shape {chunk.shape} for a chunk of "
-                                 f"{len(amplitudes)} draws, expected ({len(amplitudes)},)")
-            yield chunk
-
-    return mc_estimate(values(), seed)
+    values = measure_draws(measure, 1, composite, profile, n, seed)[0]
+    rows = batch_rows(composite.dim)
+    return mc_estimate((values[a:a + rows] for a in range(0, n, rows)), seed)

@@ -10,6 +10,7 @@ Conventions: k_B = 1 and entropies use the natural logarithm, with 0 ln 0 = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -291,18 +292,23 @@ def product_state(composite: CompositeSpectrum, gas_profile: WeightProfile,
     return PureState.from_matrix(composite, np.outer(u, v))
 
 
+@functools.lru_cache(maxsize=1)  # every snapshot of a dump has one key, so it is built once
+def _csv_template(start: int, rows: int, width: int, indexed: bool) -> str:
+    line = ",%r" * width + "\n"  # a row after its index
+    return line.join(map(str, range(start, start + rows))) + line if indexed else line[1:] * rows
+
+
 def _write_csv(path, header: list[str], columns, indexed: bool = True) -> None:
     """Write the ``header`` lines, then row i of the equal-length 1-D or 2-D float
     ``columns``: i if ``indexed``, then their values at i, each with ``repr`` (``%r``).
     Rows are formatted ``batch_rows(width)`` at a time, so the text held does not grow."""
     width = sum(np.size(c[0]) for c in columns)
-    line, rows = ",%r" * width + "\n", batch_rows(width)  # a row after its index
+    rows = batch_rows(width)
     with open(path, "w") as fh:
         fh.write("".join(f"{h}\n" for h in header))
         for a in range(0, len(columns[0]), rows):
             values = np.column_stack([c[a:a + rows] for c in columns])
-            m = len(values)
-            template = line.join(map(str, range(a, a + m))) + line if indexed else line[1:] * m
+            template = _csv_template(a, len(values), width, indexed)
             fh.write(template % tuple(values.ravel().tolist()))
 
 

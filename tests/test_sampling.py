@@ -1,12 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
+import hsmc.fanout
 import hsmc.state
 from hsmc import (ConstraintProfile, McEstimate, WeightProfile, build_spectrum,
                   canonical_profile, compose, gas_purity_entropy, lubkin_average,
                   mc_average, microcanonical_profile, product_constraint,
                   sample_batch, sample_canonical, sample_chunks,
                   sample_microcanonical, substream)
+from hsmc.sampling import mc_estimate
 
 
 def two_by_two():
@@ -325,16 +329,32 @@ def test_mc_average_needs_two_samples():
         mc_average(lambda a: np.zeros(len(a)), comp, profile, 1, seed=0)
 
 
-def test_mc_average_refuses_a_measure_without_one_value_per_draw():
+def test_mc_average_refuses_a_measure_without_one_value_per_draw(monkeypatch):
+    # on 2 CPUs draws 0 to 4 are measured here and 5 to 9 in a forked worker;
+    # the wrong shape comes from every worker, then from the forked one alone
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     comp = two_by_two()
     profile = microcanonical_profile({(0, 0): 1.0})
-    with pytest.raises(ValueError, match="shape"):
-        mc_average(lambda a: float(np.sum(np.abs(a) ** 2)), comp, profile, 10, seed=0)
+    caller = os.getpid()
+    forks = hsmc.fanout._blas_threads() is not None  # else fan_out runs one worker
+    for forked_only in (False, True) if forks else (False,):
+        def measure(a):
+            if forked_only and os.getpid() == caller:
+                return np.zeros(len(a))
+            return float(np.sum(np.abs(a) ** 2))
+
+        with pytest.raises(ValueError, match="shape") as failure:
+            mc_average(measure, comp, profile, 10, seed=0)
+        if forked_only:
+            assert str(failure.value).startswith("sample workers [1] of 2 failed: draws 5 to 9: ")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_mc_average_matches_the_per_draw_reference(monkeypatch):
     # draw i is sample_microcanonical's draw from substream(seed, i), however
-    # the draws are chunked
+    # the draws are chunked and whatever the number of workers; the estimate is,
+    # bit for bit, the serial merge of sample_chunks' chunks
     comp = three_block_composite()
     profile = microcanonical_profile({(0, 0): 0.5, (1, 1): 0.5})
     n = 200
@@ -343,7 +363,11 @@ def test_mc_average_matches_the_per_draw_reference(monkeypatch):
     measure = lambda a: gas_purity_entropy(comp, a)[0]
     for elements in (hsmc.state.BATCH_ELEMENTS, 3 * comp.dim):
         monkeypatch.setattr(hsmc.state, "BATCH_ELEMENTS", elements)
-        est = mc_average(measure, comp, profile, n, seed=9)
+        serial = mc_estimate((measure(a) for a in sample_chunks(comp, profile, 9, 0, n)), 9)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            est = mc_average(measure, comp, profile, n, seed=9)
+            assert est == serial
         assert est.n_samples == n
         assert est.mean == pytest.approx(values.mean(), abs=1e-13)
         assert est.std_error == pytest.approx(values.std(ddof=1) / np.sqrt(n), abs=1e-13)
