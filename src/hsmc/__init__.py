@@ -12,7 +12,7 @@ from .analytics import (DominantDistribution, MomentQuery,
                         hypersphere_moment, hypersphere_moment_mc,
                         lubkin_average, marginal_gas_distribution,
                         max_entropy_micro, min_purity_state, region_log_size,
-                        region_size_ratio)
+                        region_mean_purity, region_size_ratio)
 from .dynamics import (Hamiltonian, NumericalValidationError, Trajectory,
                        build_canonical_hamiltonian,
                        build_microcanonical_hamiltonian, effective_velocity,
@@ -44,7 +44,7 @@ __all__ = [
     "sample_batch", "sample_chunks", "mc_average",
     "MomentQuery", "DominantDistribution",
     "min_purity_state", "max_entropy_micro",
-    "expected_purity_exact", "expected_purity_approx", "lubkin_average",
+    "region_mean_purity", "expected_purity_exact", "expected_purity_approx", "lubkin_average",
     "hypersphere_moment", "hypersphere_moment_mc",
     "region_log_size", "dominant_distribution", "region_size_ratio",
     "marginal_gas_distribution", "fit_temperature",

@@ -1,8 +1,8 @@
 """Closed-form predictions for constrained bipartite pure states.
 
 Covers the minimum local purity and maximum local entropy compatible with
-fixed level weights, the exact Hilbert-space average of the gas purity for
-product constraints, the weight distribution that dominates a canonically
+fixed level weights, the exact Hilbert-space average of the gas purity over
+every accessible region, the weight distribution that dominates a canonically
 constrained region together with its size geometry, a Boltzmann temperature
 fit for the gas marginal, and the moments of single cartesian coordinates
 over uniform hyperspheres that underpin all of the above: one exact closed
@@ -17,9 +17,10 @@ import math
 
 import numpy as np
 
-from .sampling import McEstimate, mc_estimate, substream
+from .sampling import (CANONICAL, ConstraintProfile, McEstimate, mc_estimate,
+                       product_constraint, substream)
 from .spectrum import CompositeSpectrum, Spectrum
-from .state import checked_weights
+from .state import BATCH_ELEMENTS, WeightProfile, checked_weights
 
 __all__ = [
     "MAX_MOMENT_ORDER",
@@ -27,6 +28,7 @@ __all__ = [
     "DominantDistribution",
     "min_purity_state",
     "max_entropy_micro",
+    "region_mean_purity",
     "expected_purity_exact",
     "expected_purity_approx",
     "lubkin_average",
@@ -74,30 +76,41 @@ def max_entropy_micro(weights, degeneracies) -> float:
         return float(-np.sum(w[mask] * (np.log(w[mask]) - np.log(n[mask]))))
 
 
+def region_mean_purity(composite: CompositeSpectrum, profile: ConstraintProfile) -> float:
+    """Exact average gas purity Tr rho_g^2 over the accessible region of ``profile``.
+
+    The region is a product of complex spheres, one per block k: a subspace
+    (microcanonical) or a shell (canonical) of N_k states and radius sqrt(W_k),
+    where E|z_i|^2 |z_j|^2 = (1 + delta_ij) W_k^2 / (N_k (N_k + 1)).  If gas row a
+    holds n_k states of block k, its mean weight is r_a = sum_k n_k W_k / N_k;
+    m_k and s_c are the same for container column c.  With q_k = sum_a n_k^2 + sum_c m_k^2,
+
+        E[P] = sum_a r_a^2 + sum_c s_c^2 - sum_k W_k^2 q_k / (N_k^2 (N_k + 1)),
+
+    at O(levels x blocks) cost, as all states of one level share their counts.
+    """
+    w = profile.resolve(composite)
+    a, b = np.array([(s.A, s.B) for s in composite.subspaces]).T
+    n_gas = np.asarray(composite.gas.degeneracies, dtype=float)
+    n_container = np.asarray(composite.container.degeneracies, dtype=float)
+    # the states of each subspace in one row of each gas level, one column of each container level
+    rows = (np.arange(composite.gas.n_levels)[:, None] == a) * n_container[b]
+    cols = (np.arange(composite.container.n_levels)[:, None] == b) * n_gas[a]
+    if profile.kind == CANONICAL:
+        rows, cols = composite.shell_sums(rows), composite.shell_sums(cols)
+    size = n_gas @ rows
+    r, s = rows @ (w / size), cols @ (w / size)
+    q = n_gas @ (rows * rows) + n_container @ (cols * cols)
+    return float(n_gas @ (r * r) + n_container @ (s * s)
+                 - np.sum(w * w * q / (size * size * (size + 1.0))))
+
+
 def expected_purity_exact(composite: CompositeSpectrum, gas_weights,
                           container_weights) -> float:
-    """Exact average gas purity over the product-constrained accessible region.
-
-    The average of Tr rho_g^2 over states with every subspace weight fixed to
-    W_AB = W_A * W_B, uniform on the product of amplitude spheres:
-
-        sum_A W_A^2/N_A (1 - sum_B W_B^2)
-      + sum_B W_B^2/N_B (1 - sum_A W_A^2)
-      + sum_AB W_A^2 W_B^2 (N_A + N_B) / (N_A N_B + 1)
-    """
-    w_a = checked_weights(gas_weights, composite.gas.n_levels, "gas weights")
-    w_b = checked_weights(container_weights, composite.container.n_levels,
-                          "container weights")
-    n_a = np.asarray(composite.gas.degeneracies, dtype=float)
-    n_b = np.asarray(composite.container.degeneracies, dtype=float)
-
-    term_gas = np.sum(w_a ** 2 / n_a) * (1.0 - np.sum(w_b ** 2))
-    term_container = np.sum(w_b ** 2 / n_b) * (1.0 - np.sum(w_a ** 2))
-    cross = np.sum(
-        np.outer(w_a ** 2, w_b ** 2) * (n_a[:, None] + n_b[None, :])
-        / (np.outer(n_a, n_b) + 1.0)
-    )
-    return float(term_gas + term_container + cross)
+    """:func:`region_mean_purity` of the microcanonical region with W_AB = W_A * W_B."""
+    return region_mean_purity(composite, product_constraint(
+        composite, WeightProfile(composite.gas, gas_weights),
+        WeightProfile(composite.container, container_weights)))
 
 
 def expected_purity_approx(gas_weights, gas_degeneracies, container_weights,
@@ -165,7 +178,7 @@ def hypersphere_moment(query: MomentQuery) -> float:
 
 
 def hypersphere_moment_mc(query: MomentQuery, n: int, seed: int,
-                          chunk: int = 1 << 17) -> McEstimate:
+                          chunk: int = BATCH_ELEMENTS) -> McEstimate:
     """Monte Carlo check of a sphere moment, 3 variates per uniform point.
 
     x_i = R g_i / sqrt(g_1^2 + g_2^2 + c), with g_1, g_2 normals from stream 0

@@ -22,17 +22,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analytics import (dominant_distribution, expected_purity_approx,
-                        expected_purity_exact, fit_temperature,
+from .analytics import (dominant_distribution, expected_purity_approx, fit_temperature,
                         hypersphere_moment, hypersphere_moment_mc,
                         lubkin_average, marginal_gas_distribution,
-                        max_entropy_micro, min_purity_state)
+                        max_entropy_micro, min_purity_state, region_mean_purity)
 from .config import ConfigError, ExperimentConfig, build_experiment, load_config
 from .dynamics import (NumericalValidationError, Trajectory, build_canonical_hamiltonian,
                        build_microcanonical_hamiltonian, effective_velocity,
                        evolve, max_drift)
 from .fanout import fan_out, one_blas_thread, shared_array
-from .sampling import MICROCANONICAL, mc_estimate, measure_draws, sample_batch, substream
+from .sampling import MICROCANONICAL, draws_estimate, measure_draws, sample_batch, substream
 from .state import PureState, _write_csv, gas_purity_entropy, product_state, write_amplitudes_csv
 
 ENERGY_DRIFT_TOLERANCE = 1e-9
@@ -80,36 +79,24 @@ def _say(cfg: ExperimentConfig, message: str) -> None:
 
 
 def cmd_predict(cfg: ExperimentConfig) -> int:
-    composite = cfg.composite
-    predictions: dict = {"constraint_kind": cfg.constraint.kind}
-
+    composite, degeneracies = cfg.composite, cfg.gas.degeneracies
+    micro = cfg.constraint.kind == MICROCANONICAL
     # A microcanonical constraint fixes subspace weights, hence the gas level
     # weights and the shell weights; a canonical one fixes shell weights only.
     w_shell = weights = cfg.constraint.resolve(composite)
-    if cfg.constraint.kind == MICROCANONICAL:
-        gas_marginal = composite.gas_level_sums(weights)
-        w_shell = composite.shell_sums(weights)
-        _, p_min = min_purity_state(cfg.gas, gas_marginal)
-        predictions["min_purity"] = p_min
-        predictions["max_entropy"] = max_entropy_micro(gas_marginal, cfg.gas.degeneracies)
-    else:
-        predictions["min_purity"] = None
-        predictions["max_entropy"] = None
-
-    if cfg.gas_profile is not None and cfg.constraint.kind == MICROCANONICAL:
-        predictions["expected_purity_exact"] = expected_purity_exact(
-            composite, cfg.gas_profile.as_array(), cfg.container_profile.as_array())
-        predictions["expected_purity_approx"] = expected_purity_approx(
-            cfg.gas_profile.as_array(), cfg.gas.degeneracies,
-            cfg.container_profile.as_array(), cfg.container.degeneracies)
-    else:
-        predictions["expected_purity_exact"] = None
-        predictions["expected_purity_approx"] = None
-
-    if cfg.gas.n_levels == 1 and cfg.container.n_levels == 1:
-        predictions["lubkin_average"] = lubkin_average(cfg.gas.dim, cfg.container.dim)
-    else:
-        predictions["lubkin_average"] = None
+    if micro:
+        gas_marginal, w_shell = composite.gas_level_sums(weights), composite.shell_sums(weights)
+    predictions = {
+        "constraint_kind": cfg.constraint.kind,
+        "min_purity": min_purity_state(cfg.gas, gas_marginal)[1] if micro else None,
+        "max_entropy": max_entropy_micro(gas_marginal, degeneracies) if micro else None,
+        "expected_purity_exact": region_mean_purity(composite, cfg.constraint),
+        "expected_purity_approx": expected_purity_approx(
+            cfg.gas_profile.as_array(), degeneracies, cfg.container_profile.as_array(),
+            cfg.container.degeneracies) if micro and cfg.gas_profile is not None else None,
+        "lubkin_average": (lubkin_average(cfg.gas.dim, cfg.container.dim)
+                           if cfg.gas.n_levels == cfg.container.n_levels == 1 else None),
+    }
 
     # Shell weights implied by the constraint drive the canonical attractor.
     try:
@@ -117,9 +104,6 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
     except ValueError as exc:  # a shell weight too small for a finite multiplier
         raise ConfigError(str(exc)) from None
     marginal = marginal_gas_distribution(dd)
-    attractor_entropy = max_entropy_micro(marginal, cfg.gas.degeneracies)
-    attractor_purity = float(np.sum(
-        marginal ** 2 / np.asarray(cfg.gas.degeneracies, dtype=float)))
     try:
         kt, residual = fit_temperature(cfg.gas, marginal)
     except ValueError:
@@ -129,8 +113,8 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
         "lambdas": [[energy, lam] for energy, lam in dd.lambdas.items()],
         "w_d": [[A, B, w] for (A, B), w in dd.w_d.items()],
         "marginal_gas": marginal,
-        "attractor_entropy": attractor_entropy,
-        "attractor_purity": attractor_purity,
+        "attractor_entropy": max_entropy_micro(marginal, degeneracies),
+        "attractor_purity": float(np.sum(marginal ** 2 / np.asarray(degeneracies, dtype=float))),
         "kT": kt,
         "fit_residual": residual,
     }
@@ -143,8 +127,7 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
 
 
 def cmd_sample(cfg: ExperimentConfig) -> int:
-    composite = cfg.composite
-    n = cfg.n_samples
+    composite, n = cfg.composite, cfg.n_samples
     try:
         purities, entropies = measure_draws(lambda a: gas_purity_entropy(composite, a), 2,
                                             composite, cfg.constraint, n, cfg.seed)
@@ -161,7 +144,7 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
     summary_lines = ["# hsmc mc-summary v1", "measure,mean,std_error,n_samples,seed"]
     if n >= 2:
         for name, values in (("purity", purities), ("entropy", entropies)):
-            est = mc_estimate([values], cfg.seed)
+            est = draws_estimate(values, composite.dim, cfg.seed)
             summary_lines.append(f"{name},{est.mean!r},{est.std_error!r},{n},{cfg.seed}")
             _say(cfg, f"{name}: mean={est.mean!r} std_error={est.std_error!r} "
                       f"(n={n}, seed={cfg.seed})")
@@ -275,9 +258,7 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
     query = cfg.moment_query
     exact = hypersphere_moment(query)
     estimate = hypersphere_moment_mc(query, cfg.n_samples, cfg.seed)
-    z = None
-    if estimate.std_error > 0:
-        z = (estimate.mean - exact) / estimate.std_error
+    z = (estimate.mean - exact) / estimate.std_error if estimate.std_error > 0 else None
     out_dir = _prepare_out_dir(cfg)
     report = dict(_run_header(cfg), format="hsmc moments v2", moment={
         "R": query.R, "d": query.d, "u_l": query.u_l, "u_m": query.u_m,

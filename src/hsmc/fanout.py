@@ -125,8 +125,8 @@ def zheevd(a: np.ndarray, w: np.ndarray, jobz: str) -> bool:
 def shared_array(count: int, what: str, dtype=np.float64) -> np.ndarray:
     """``count`` zeros of ``dtype`` in memory that forked workers write into and the
     caller reads; a MemoryError naming ``what`` if they cannot be mapped."""
-    try:
-        return np.frombuffer(mmap.mmap(-1, count * np.dtype(dtype).itemsize), dtype)
+    try:  # at least 1 byte: an anonymous mmap of 0 bytes is refused
+        return np.frombuffer(mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize)), dtype, count)
     except (OverflowError, OSError) as exc:  # more bytes than addresses, or ENOMEM
         raise MemoryError(f"cannot map {count} {what}: {exc}") from exc
 

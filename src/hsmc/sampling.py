@@ -41,6 +41,7 @@ __all__ = [
     "sample_batch",
     "measure_draws",
     "mc_average",
+    "draws_estimate",
 ]
 
 MICROCANONICAL = "microcanonical"
@@ -356,6 +357,11 @@ def mc_average(measure: Callable[[np.ndarray], np.ndarray], composite: Composite
     """
     if n < 2:
         raise ValueError("mc_average needs n >= 2 to estimate a standard error")
-    values = measure_draws(measure, 1, composite, profile, n, seed)[0]
-    rows = batch_rows(composite.dim)
-    return mc_estimate((values[a:a + rows] for a in range(0, n, rows)), seed)
+    return draws_estimate(measure_draws(measure, 1, composite, profile, n, seed)[0],
+                          composite.dim, seed)
+
+
+def draws_estimate(values: np.ndarray, dim: int, seed: int) -> McEstimate:
+    """:func:`mc_estimate` of one value per draw, merged in :func:`sample_chunks`' chunks."""
+    rows = batch_rows(dim)
+    return mc_estimate((values[a:a + rows] for a in range(0, len(values), rows)), seed)

@@ -1,6 +1,6 @@
 """End-to-end acceptance checks at production sample sizes.
 
-Each test prints one ``[acceptance k/8] PASS/FAIL`` line with its observed
+Each test prints one ``[acceptance k/9] PASS/FAIL`` line with its observed
 margin (the prints bypass pytest's capture), then asserts.  Tolerances are
 the contract: z-score bounds for Monte Carlo agreement, absolute bounds for
 conservation and closed-form identities.
@@ -21,8 +21,8 @@ from hsmc import (MomentQuery, WeightProfile, build_microcanonical_hamiltonian,
                   marginal_gas_distribution, max_drift, max_entropy_micro,
                   mc_average, microcanonical_profile, min_purity_state,
                   path_average, product_constraint, product_state,
-                  region_log_size, sample_chunks, sample_microcanonical,
-                  time_average, uniform_profile)
+                  region_log_size, region_mean_purity, sample_chunks,
+                  sample_microcanonical, time_average, uniform_profile)
 from hsmc.sampling import mc_estimate
 
 
@@ -54,7 +54,7 @@ def test_1_unconstrained_purity_matches_closed_form(announce):
         z_scores[n_c] = abs(est.mean - target) / est.std_error
     worst = max(z_scores.values())
     ok = worst <= 3.0
-    announce("1/8", ok,
+    announce("1/9", ok,
              f"unconstrained purity, N_c in (2, 8, 32), n={n}: "
              f"max |z| = {worst:.2f} (bound 3)")
     assert ok, f"z-scores {z_scores}"
@@ -71,7 +71,7 @@ PRODUCT_CONFIGS = [
 
 
 def test_2_exact_average_purity_over_five_composites(announce):
-    """Monte Carlo agrees with the three-term exact average on varied composites."""
+    """Monte Carlo agrees with the exact product-weight average on varied composites."""
     n = 100_000
     t0 = time.time()
     z_scores = []
@@ -90,7 +90,7 @@ def test_2_exact_average_purity_over_five_composites(announce):
     elapsed = time.time() - t0
     worst = max(z_scores)
     ok = worst <= 3.0
-    announce("2/8", ok,
+    announce("2/9", ok,
              f"exact average purity, 5 composites, n={n}: "
              f"max |z| = {worst:.2f} (bound 3), {elapsed:.0f}s")
     assert ok, f"z-scores {z_scores}"
@@ -122,7 +122,7 @@ def test_3_moment_closed_forms_match_sphere_mc(announce):
             if swapped != exact:
                 failures.append((d, u_l, u_m, "exchange"))
     ok = not failures
-    announce("3/8", ok,
+    announce("3/9", ok,
              f"moment suite, 6 pairs x d in (2, 4, 16, 64), n={n}: "
              f"max |z| = {worst_z:.2f} (bound 5), exchange symmetry exact")
     assert ok, f"failures {failures}"
@@ -148,7 +148,7 @@ def test_4_entropy_concentration_near_maximum(announce):
     frac_entropy = hits_entropy / n
     frac_purity = hits_purity / n
     ok = frac_entropy >= 0.99 and frac_purity > 0.99
-    announce("4/8", ok,
+    announce("4/9", ok,
              f"concentration, gas (2,2) x container (100,100), n={n}: "
              f"S >= 0.95 S_max for {frac_entropy:.2%} (bound 99%), "
              f"P <= 1.1 P_min for {frac_purity:.2%} (bound 99%)")
@@ -229,7 +229,7 @@ def test_5_dominant_distribution_is_sampled_and_maximal(announce):
     gap = float(np.max(np.abs(optimum - target)))
 
     ok = worst_z <= 4.0 and gap <= 1e-8
-    announce("5/8", ok,
+    announce("5/9", ok,
              f"dominant weights, 3-shell composite, n={n}: "
              f"max |z| = {worst_z:.2f} (bound 4), "
              f"optimizer gap = {gap:.1e} (bound 1e-8)")
@@ -259,7 +259,7 @@ def test_6_geometric_container_gives_boltzmann_temperature(announce):
     err_mc = abs(kt_mc / kt_target - 1.0)
 
     ok = err_exact <= 1e-6 and err_mc <= 0.05
-    announce("6/8", ok,
+    announce("6/9", ok,
              f"geometric container, kT target 1/ln 2: exact off by "
              f"{err_exact:.1e} (bound 1e-6, residual {residual:.1e}), "
              f"MC off by {err_mc:.2%} at n={n} (bound 5%)")
@@ -305,7 +305,7 @@ def test_7_conservation_across_random_hamiltonians(announce):
 
     ok = (worst["commutator"] < 1e-12 and worst["subspace"] < 1e-10
           and worst["v_eff"] < 1e-9 and worst["shell"] < 1e-10)
-    announce("7/8", ok,
+    announce("7/9", ok,
              "conservation over 10 random Hamiltonians: "
              f"commutators {worst['commutator']:.1e} (bound 1e-12), "
              f"subspace drift {worst['subspace']:.1e} (bound 1e-10), "
@@ -345,9 +345,40 @@ def test_8_product_state_equilibrates_to_the_attractor(announce):
     grid_err = abs(p_path - p_time) / abs(p_time)
 
     ok = p_err <= 0.10 and s_bar >= s_floor and grid_err <= 0.01
-    announce("8/8", ok,
+    announce("8/9", ok,
              f"equilibration, product start, container (50,50): second-half "
              f"purity off exact by {p_err:.2%} (bound 10%), second-half entropy "
              f"{s_bar:.4f} vs floor {s_floor:.4f}, path-vs-time gap "
              f"{grid_err:.1e} (bound 1%)")
     assert ok, (p_bar, exact, s_bar, s_floor, grid_err)
+
+
+# (gas levels, container levels, profile, n, seed): the canonical composites of
+# sample-canonical-wide, evolve-canonical-dump and configs/geometric_container.yaml,
+# and a microcanonical one whose weights are no product and miss one subspace
+REGION_PURITY_CASES = [
+    ([(0, 8), (1, 8), (2, 8)], [(e, 2 ** e) for e in range(8)],
+     canonical_profile({7: 0.5, 8: 0.3, 9: 0.2}), 2_000, 11),
+    ([(0, 1), (1, 1), (2, 1)], [(e, 2 ** e) for e in range(7)],
+     canonical_profile({6: 0.6, 7: 0.4}), 20_000, 5),
+    ([(0, 1), (1, 1), (2, 1)], [(e, 2 ** e) for e in range(9)],
+     canonical_profile({8: 1.0}), 20_000, 3),
+    ([(0, 2), (1, 3)], [(0, 2), (1, 4)],
+     microcanonical_profile({(0, 0): 0.1, (0, 1): 0.4, (1, 1): 0.5}), 20_000, 7),
+]
+
+
+def test_9_region_mean_purity_matches_sampling(announce):
+    """The mean gas purity of canonical and non-product regions matches sampling."""
+    t0 = time.time()
+    z_scores = []
+    for gas_levels, cont_levels, profile, n, seed in REGION_PURITY_CASES:
+        comp = compose(build_spectrum(gas_levels), build_spectrum(cont_levels))
+        est = mc_average(lambda a: gas_purity_entropy(comp, a)[0], comp, profile, n, seed)
+        z_scores.append((est.mean - region_mean_purity(comp, profile)) / est.std_error)
+    worst = max(abs(z) for z in z_scores)
+    ok = worst <= 4.0
+    announce("9/9", ok,
+             f"region mean purity, 3 canonical and 1 non-product region: "
+             f"max |z| = {worst:.2f} (bound 4), {time.time() - t0:.1f}s")
+    assert ok, f"z-scores {z_scores}"

@@ -1,17 +1,19 @@
 from fractions import Fraction
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hsmc import (MomentQuery, build_spectrum, compose, dominant_distribution,
-                  expected_purity_approx, expected_purity_exact,
+from hsmc import (MICROCANONICAL, MomentQuery, build_spectrum, canonical_profile, compose,
+                  dominant_distribution, expected_purity_approx, expected_purity_exact,
                   fit_temperature, gas_purity_entropy, hypersphere_moment,
                   hypersphere_moment_mc, lubkin_average,
                   marginal_gas_distribution, max_entropy_micro, mc_average,
                   microcanonical_profile, min_purity_state, region_log_size,
-                  region_size_ratio)
+                  region_mean_purity, region_size_ratio)
 from hsmc.analytics import MAX_MOMENT_ORDER, _power
+from hsmc.state import BATCH_ELEMENTS
 
 
 def composite_one():
@@ -157,6 +159,85 @@ def test_exact_approx_gap_small_for_large_blocks():
         exact = expected_purity_exact(comp, w_a, w_b)
         approx = expected_purity_approx(w_a, n_a, w_b, n_b)
         assert abs(exact - approx) / exact < 1e-2
+
+
+def _pair_sum_mean_purity(comp, profile):
+    """E Tr rho_g^2 summed over amplitude pairs from the sphere moments, O(dim^2).
+
+    Tr rho_g^2 = sum |z_ac|^2 |z_a'c'|^2 over the pairs of cells that share a
+    gas row or a container column, each pair in both once.  Within a block
+    of N states and weight W, E|z_i|^2 |z_j|^2 = (1 + delta_ij) W^2 / (N (N + 1));
+    across blocks the means W/N multiply.
+    """
+    w = profile.resolve(comp)
+    gas_start, container_start = comp.gas.level_offsets(), comp.container.level_offsets()
+    row, col, block = [], [], []
+    for i, s in enumerate(comp.subspaces):  # lexicographic blocks, row-major (a, b) inside
+        k = i if profile.kind == MICROCANONICAL else next(
+            j for j, shell in enumerate(comp.shells) if i in shell.member_indices)
+        for a in range(comp.gas.degeneracies[s.A]):
+            for b in range(comp.container.degeneracies[s.B]):
+                row.append(gas_start[s.A] + a)
+                col.append(container_start[s.B] + b)
+                block.append(k)
+    row, col, block = map(np.array, (row, col, block))
+    size = np.bincount(block, minlength=len(w)).astype(float)
+    mean = (w / size)[block]
+    within = (w * w / (size * (size + 1.0)))[block]
+    second = np.where(block[:, None] == block[None, :], within[:, None], np.outer(mean, mean))
+    second[np.diag_indices_from(second)] *= 2.0
+    shared = (row[:, None] == row[None, :]) | (col[:, None] == col[None, :])
+    return float(second[shared].sum())
+
+
+PAIR_SUM_CASES = [  # (gas levels, container levels, kind, weights); dim <= 60
+    ([(0, 3)], [(0, 7)], "micro", {(0, 0): 1.0}),
+    ([(0, 2), (1, 3)], [(0, 2), (1, 4)], "micro", {(0, 0): 0.1, (0, 1): 0.4, (1, 1): 0.5}),
+    ([(0, 1), (1, 2), (2, 1)], [(0, 2), (1, 3), (2, 2)], "micro",
+     {(0, 2): 0.2, (1, 0): 0.3, (1, 1): 0.15, (2, 1): 0.35}),
+    ([(0, 2), (1, 2)], [(0, 4), (1, 4)], "micro",
+     {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25}),
+    ([(0, 2), (1, 2)], [(0, 4), (1, 4)], "canonical", {0: 0.2, 1: 0.5, 2: 0.3}),
+    ([(0, 1), (1, 2), (2, 1)], [(0, 2), (1, 3), (2, 2)], "canonical", {1: 0.6, 3: 0.4}),
+    ([(0, 1), (1, 1), (2, 1)], [(e, 2 ** e) for e in range(4)], "canonical",
+     {2: 0.1, 3: 0.3, 4: 0.6}),
+    ([(0, 3), (1, 1)], [(0, 5), (2, 3)], "canonical", {0: 0.5, 1: 0.1, 3: 0.4}),
+]
+
+
+@pytest.mark.parametrize("gas, container, kind, weights", PAIR_SUM_CASES)
+def test_region_mean_purity_is_the_sum_over_amplitude_pairs(gas, container, kind, weights):
+    comp = compose(build_spectrum(gas), build_spectrum(container))
+    assert comp.dim <= 60
+    profile = (microcanonical_profile if kind == "micro" else canonical_profile)(weights)
+    want = _pair_sum_mean_purity(comp, profile)
+    assert region_mean_purity(comp, profile) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def _three_term_product_purity(w_a, n_a, w_b, n_b):
+    """The product-weight closed form expected_purity_exact once summed itself."""
+    w_a, n_a, w_b, n_b = (np.asarray(x, dtype=float) for x in (w_a, n_a, w_b, n_b))
+    cross = np.sum(np.outer(w_a ** 2, w_b ** 2) * (n_a[:, None] + n_b[None, :])
+                   / (np.outer(n_a, n_b) + 1.0))
+    return float(np.sum(w_a ** 2 / n_a) * (1.0 - np.sum(w_b ** 2))
+                 + np.sum(w_b ** 2 / n_b) * (1.0 - np.sum(w_a ** 2)) + cross)
+
+
+def test_region_mean_purity_keeps_the_product_and_lubkin_forms():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n_a = rng.integers(1, 40, size=rng.integers(1, 5))
+        n_b = rng.integers(1, 200, size=rng.integers(1, 5))
+        w_a, w_b = rng.dirichlet(np.ones(len(n_a))), rng.dirichlet(np.ones(len(n_b)))
+        comp = compose(build_spectrum(list(enumerate(n_a.tolist()))),
+                       build_spectrum(list(enumerate(n_b.tolist()))))
+        want = _three_term_product_purity(w_a, n_a, w_b, n_b)
+        assert expected_purity_exact(comp, w_a, w_b) == pytest.approx(want, rel=1e-15, abs=0)
+    for n_gas in range(1, 12):
+        for n_container in range(1, 40):
+            comp = compose(build_spectrum([(0, n_gas)]), build_spectrum([(0, n_container)]))
+            assert region_mean_purity(comp, microcanonical_profile({(0, 0): 1.0})) == \
+                pytest.approx(lubkin_average(n_gas, n_container), rel=1e-15, abs=0)
 
 
 def test_lubkin_values():
@@ -319,6 +400,19 @@ def test_moment_mc_deterministic_and_chunk_independent():
     c = hypersphere_moment_mc(query, 500, seed=11, chunk=64)
     assert c.mean == pytest.approx(a.mean, rel=1e-12)
     assert c.std_error == pytest.approx(a.std_error, rel=1e-10)
+
+
+def test_moment_mc_memory_does_not_grow_with_the_points():
+    # chunks of BATCH_ELEMENTS points; 100 000 points were once one chunk of about 5 MB
+    query = MomentQuery(R=1, d=4, u_l=0, u_m=2)
+    hypersphere_moment_mc(query, 10, seed=13)  # numpy imports modules on first use
+    tracemalloc.start()
+    try:
+        hypersphere_moment_mc(query, 100_000, seed=13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * BATCH_ELEMENTS, peak
 
 
 # ---------------------------------------------------------- region geometry

@@ -20,12 +20,13 @@ import pytest
 import yaml
 
 import hsmc.state
-from hsmc import (PureState, WeightProfile, build_spectrum, compose, dominant_distribution,
-                  expected_purity_exact, gas_purity_entropy, microcanonical_profile,
-                  min_purity_state, region_log_size, sample_batch)
+from hsmc import (PureState, WeightProfile, build_spectrum, canonical_profile, compose,
+                  dominant_distribution, expected_purity_exact, gas_purity_entropy, mc_average,
+                  microcanonical_profile, min_purity_state, region_log_size,
+                  region_mean_purity, sample_batch)
 from hsmc import cli, dynamics, fanout
 from hsmc.cli import COMMANDS, main
-from hsmc.config import MAX_MOMENT_POINTS
+from hsmc.config import MAX_MOMENT_POINTS, build_experiment, load_config
 
 C1_YAML = """
 gas:
@@ -171,6 +172,25 @@ def test_predict_geometric_container_temperature(tmp_path):
                                atol=1e-12)
     # canonical constraints fix no per-level gas weights up front
     assert report["predictions"]["min_purity"] is None
+    comp = compose(build_spectrum([(0, 1), (1, 1), (2, 1)]),
+                   build_spectrum([(e, 2 ** e) for e in range(9)]))
+    want = region_mean_purity(comp, canonical_profile({8: 1.0}))
+    assert report["predictions"]["expected_purity_exact"] == want
+    assert want == pytest.approx(0.429844, abs=5e-7)  # the attractor purity is 3/7
+
+
+REGION_CONFIGS = [path for path in sorted([*CONFIGS.glob("*.yaml"),
+                                           *(CONFIGS.parent / "tests/fixtures").glob("*/config.yaml")])
+                  if "constraint" in yaml.safe_load(path.read_text())]  # not a moments config
+
+
+@pytest.mark.parametrize("config", REGION_CONFIGS,
+                         ids=lambda path: path.parent.name if path.name == "config.yaml" else path.stem)
+def test_predict_writes_the_mean_purity_of_every_config(tmp_path, config):
+    out = tmp_path / "out"
+    assert main(["predict", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    exact = json.loads((out / "report.json").read_text())["predictions"]["expected_purity_exact"]
+    assert isinstance(exact, float) and 0.0 < exact <= 1.0
 
 
 def test_run_header_in_every_artifact(tmp_path):
@@ -215,6 +235,20 @@ def test_sample_lubkin_mean(tmp_path):
     mean, std_error, n, seed = summary["purity"]
     assert abs(mean - 0.8) < 4 * std_error
     assert n == 1000 and seed == 11
+
+
+def test_sample_summary_is_the_mc_average_estimate(tmp_path):
+    # both merge the values chunk by chunk as sample_chunks yields the draws:
+    # 20 000 draws of dim 16 are 20 chunks
+    config = str(CONFIGS / "lubkin.yaml")
+    out = tmp_path / "out"
+    assert main(["sample", "--config", config, "--out", str(out), "--quiet"]) == 0
+    summary = read_summary(out / "summary.csv")
+    cfg = build_experiment(load_config(config), command="sample")
+    for column, name in enumerate(("purity", "entropy")):
+        est = mc_average(lambda a: gas_purity_entropy(cfg.composite, a)[column],
+                         cfg.composite, cfg.constraint, cfg.n_samples, cfg.seed)
+        assert summary[name] == (est.mean, est.std_error, est.n_samples, est.seed)
 
 
 def test_sample_agrees_with_predict(tmp_path):

@@ -60,6 +60,12 @@ def test_a_shared_array_starts_zeroed_and_shows_what_forked_workers_write(monkey
     assert shared.tolist() == [1, 1, 2, 2, 3, 3]
 
 
+def test_an_empty_shared_array_maps_nothing():
+    # an anonymous mmap of 0 bytes is refused, so this was a MemoryError
+    empty = shared_array(0, "values", np.int64)
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+
+
 @needs_zheevd
 @pytest.mark.parametrize("n", [1, 2, 7, 400])
 def test_zheevd_in_place_is_numpys_eigh_and_eigvalsh_bit_for_bit(n):

@@ -10,7 +10,7 @@ from hsmc import (ConstraintProfile, McEstimate, WeightProfile, build_spectrum,
                   mc_average, microcanonical_profile, product_constraint,
                   sample_batch, sample_canonical, sample_chunks,
                   sample_microcanonical, substream)
-from hsmc.sampling import mc_estimate
+from hsmc.sampling import mc_estimate, measure_draws
 
 
 def two_by_two():
@@ -371,6 +371,13 @@ def test_mc_average_matches_the_per_draw_reference(monkeypatch):
         assert est.n_samples == n
         assert est.mean == pytest.approx(values.mean(), abs=1e-13)
         assert est.std_error == pytest.approx(values.std(ddof=1) / np.sqrt(n), abs=1e-13)
+
+
+def test_measure_draws_of_no_draws_is_empty():
+    comp = three_block_composite()
+    profile = microcanonical_profile({(0, 0): 0.5, (1, 1): 0.5})
+    values = measure_draws(lambda a: gas_purity_entropy(comp, a), 2, comp, profile, 0, seed=9)
+    assert values.shape == (2, 0)
 
 
 def test_product_constraint_matches_outer_weights():
