@@ -20,7 +20,7 @@ from .dynamics import (Hamiltonian, NumericalValidationError, Trajectory,
 from .sampling import (CANONICAL, MICROCANONICAL, ConstraintProfile,
                        McEstimate, canonical_profile, mc_average,
                        microcanonical_profile, product_constraint,
-                       sample_batch, sample_canonical, sample_chunks,
+                       sample_canonical, sample_chunks,
                        sample_microcanonical, substream)
 from .spectrum import (CompositeSpectrum, Shell, Spectrum, Subspace,
                        build_spectrum, compose)
@@ -41,7 +41,7 @@ __all__ = [
     "MICROCANONICAL", "CANONICAL", "ConstraintProfile",
     "microcanonical_profile", "canonical_profile", "product_constraint",
     "McEstimate", "substream", "sample_microcanonical", "sample_canonical",
-    "sample_batch", "sample_chunks", "mc_average",
+    "sample_chunks", "mc_average",
     "MomentQuery", "DominantDistribution",
     "min_purity_state", "max_entropy_micro",
     "region_mean_purity", "expected_purity_exact", "expected_purity_approx", "lubkin_average",

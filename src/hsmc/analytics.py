@@ -177,13 +177,13 @@ def hypersphere_moment(query: MomentQuery) -> float:
     return numerator / math.prod(range(d, d + a + b - 1, 2)) * float(query.R) ** (a + b)
 
 
-def hypersphere_moment_mc(query: MomentQuery, n: int, seed: int,
-                          chunk: int = BATCH_ELEMENTS) -> McEstimate:
+def hypersphere_moment_mc(query: MomentQuery, n: int, seed: int) -> McEstimate:
     """Monte Carlo check of a sphere moment, 3 variates per uniform point.
 
     x_i = R g_i / sqrt(g_1^2 + g_2^2 + c), with g_1, g_2 normals from stream 0
     and c ~ chi^2(d - 2), the rest of the squared norm, from stream 1; stream k
-    is ``substream(seed, k)``.  The values do not depend on ``chunk``.
+    is ``substream(seed, k)``.  Points are drawn and measured ``BATCH_ELEMENTS`` at
+    a time, one chunk held at once; the points do not depend on that size.
     """
     normals, rest = substream(seed, 0), substream(seed, 1)
     def points(m):
@@ -197,9 +197,13 @@ def hypersphere_moment_mc(query: MomentQuery, n: int, seed: int,
         if bad.any():
             x[bad] = points(int(bad.sum()))
         return x
-    chunks = (points(min(chunk, n - start)) for start in range(0, n, chunk))
-    return mc_estimate((_power(x[:, 0], query.u_l) * _power(x[:, -1], query.u_m)
-                        for x in chunks), seed)
+
+    def values(m):
+        x = points(m)
+        return _power(x[:, 0], query.u_l) * _power(x[:, -1], query.u_m)
+
+    return mc_estimate((values(min(BATCH_ELEMENTS, n - start))
+                        for start in range(0, n, BATCH_ELEMENTS)), seed)
 
 
 def _power(x: np.ndarray, u) -> np.ndarray:

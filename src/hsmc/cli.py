@@ -30,8 +30,8 @@ from .config import ConfigError, ExperimentConfig, build_experiment, load_config
 from .dynamics import (NumericalValidationError, Trajectory, build_canonical_hamiltonian,
                        build_microcanonical_hamiltonian, effective_velocity,
                        evolve, max_drift)
-from .fanout import fan_out, one_blas_thread, shared_array
-from .sampling import MICROCANONICAL, draws_estimate, measure_draws, sample_batch, substream
+from .fanout import fan_out, shared_array
+from .sampling import MICROCANONICAL, mc_estimate, measure_draws, sample_chunks, substream
 from .state import PureState, _write_csv, gas_purity_entropy, product_state, write_amplitudes_csv
 
 ENERGY_DRIFT_TOLERANCE = 1e-9
@@ -144,7 +144,7 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
     summary_lines = ["# hsmc mc-summary v1", "measure,mean,std_error,n_samples,seed"]
     if n >= 2:
         for name, values in (("purity", purities), ("entropy", entropies)):
-            est = draws_estimate(values, composite.dim, cfg.seed)
+            est = mc_estimate([values], cfg.seed)
             summary_lines.append(f"{name},{est.mean!r},{est.std_error!r},{n},{cfg.seed}")
             _say(cfg, f"{name}: mean={est.mean!r} std_error={est.std_error!r} "
                       f"(n={n}, seed={cfg.seed})")
@@ -161,8 +161,8 @@ def _initial_state(cfg: ExperimentConfig):
                 "(gas_weights + container_weights); use run.initial=sample"
             )
         return product_state(cfg.composite, cfg.gas_profile, cfg.container_profile)
-    return PureState(cfg.composite,
-                     sample_batch(cfg.composite, cfg.constraint, cfg.seed, 1, 1)[0], check=False)
+    return PureState(cfg.composite, next(sample_chunks(cfg.composite, cfg.constraint,
+                                                       cfg.seed, 1, 1))[0], check=False)
 
 
 def cmd_evolve(cfg: ExperimentConfig) -> int:
@@ -226,26 +226,25 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
     breaches = [f"{name} drift {drifts[name]:.3e} exceeds {limit:.1e}"
                 for name, limit in limits if not drifts[name] <= limit]
 
-    with one_blas_thread():  # as in the workers, so no bit follows the start-up count
-        report = dict(
-            _run_header(cfg),
-            conservation={
-                "hamiltonian_kind": hamiltonian.kind,
-                "coupling": cfg.coupling,
-                "conserved_measure": conserved,
-                "commutator_norms": hamiltonian.commutator_norms(),
-                "weak_coupling_ratio": hamiltonian.weak_coupling_ratio(initial),
-                "effective_velocity": effective_velocity(initial, hamiltonian),
-                "path_length": traj.path_length,
-                "drifts": drifts,
-                "tolerances": {
-                    "conserved_weights": cfg.conservation_tolerance,
-                    "norm_energy_veff": ENERGY_DRIFT_TOLERANCE,
-                },
-                "pass": not breaches,
-                "breaches": breaches,
+    report = dict(
+        _run_header(cfg),
+        conservation={
+            "hamiltonian_kind": hamiltonian.kind,
+            "coupling": cfg.coupling,
+            "conserved_measure": conserved,
+            "commutator_norms": hamiltonian.commutator_norms(),
+            "weak_coupling_ratio": hamiltonian.weak_coupling_ratio(initial),
+            "effective_velocity": effective_velocity(initial, hamiltonian),
+            "path_length": traj.path_length,
+            "drifts": drifts,
+            "tolerances": {
+                "conserved_weights": cfg.conservation_tolerance,
+                "norm_energy_veff": ENERGY_DRIFT_TOLERANCE,
             },
-        )
+            "pass": not breaches,
+            "breaches": breaches,
+        },
+    )
     _write_json(os.path.join(out_dir, "conservation.json"), report)
     _say(cfg, f"evolved {len(traj.times)} steps to t={float(traj.times[-1])!r}; "
               f"{conserved} drift {drifts[conserved]:.3e}")

@@ -12,7 +12,8 @@ restricted to it.  Propagation (hbar = 1) rotates each block's eigenbasis
 coefficients, so unitarity is exact up to roundoff and there is no step-error
 accumulation.  Trajectories carry named measure series; time averages
 integrate over t, path averages weight by the chord lengths the state vector
-travels.
+travels.  Propagation, :func:`effective_velocity` and the diagnostics of
+:class:`Hamiltonian` run on one OpenBLAS thread, whatever the process's count.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fanout import fan_out, shared_array, zheevd
+from .fanout import fan_out, one_blas_thread, shared_array, zheevd
 from .spectrum import CompositeSpectrum
 from .state import BATCH_ELEMENTS, PureState, batch_rows, gas_purity_entropy
 
@@ -80,6 +81,7 @@ class Hamiltonian:
     def dim(self) -> int:
         return self.composite.dim
 
+    @one_blas_thread()
     def commutator_norms(self) -> dict[str, float]:
         """Frobenius norms of [H_g, I], [H_c, I] and [H_g + H_c, I].
 
@@ -104,6 +106,7 @@ class Hamiltonian:
             out[name] = float(np.sqrt(squares))
         return out
 
+    @one_blas_thread()
     def weak_coupling_ratio(self, state: PureState) -> float:
         """|<I>| / min(|<H_g>|, |<H_c>|) for ``state``; inf if a local part averages to 0.
 
@@ -307,6 +310,7 @@ class Trajectory:
         return float(self.chords.sum())
 
 
+@one_blas_thread()
 def effective_velocity(state: PureState, hamiltonian: Hamiltonian) -> float:
     """Speed of the state vector in Hilbert space: sqrt(<psi|H^2|psi>), hbar = 1.
 
@@ -325,7 +329,7 @@ def _row_norms(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 def _coefficients(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """``vectors.conj().T @ psi`` with no n_b x n_b conjugate copy: in pieces of a
     multiple of 8 columns of ``vectors``, about ``BATCH_ELEMENTS`` values, the last
-    one of 8 or more.  On one OpenBLAS thread, as in ``hsmc evolve``'s workers, the
+    one of 8 or more.  On one OpenBLAS thread, as in :func:`evolve`, the
     bits are those of the whole product.  Other pieces are not: numpy makes a
     1-column piece a dot product, and OpenBLAS's gemv takes other bits in the last
     rows of a piece whose width is not a multiple of 4."""
@@ -337,6 +341,7 @@ def _coefficients(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return out
 
 
+@one_blas_thread()
 def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Trajectory:
     """Propagate |psi(t)> = exp(-iHt)|psi(0)> on a strictly increasing time grid.
 

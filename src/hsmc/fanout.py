@@ -137,11 +137,13 @@ def one_blas_thread():
     can be set; the count it had comes back afterwards."""
     get_threads, set_threads = _blas_threads() or (lambda: 1, lambda threads: None)
     threads = get_threads()
-    set_threads(1)
+    if threads != 1:  # nested, or in a worker, the count is left as it is
+        set_threads(1)
     try:
         yield
     finally:
-        set_threads(threads)
+        if threads != 1:
+            set_threads(threads)
 
 
 def fan_out(work: Callable[[int, int], None], n: int, name: str) -> None:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .fanout import fan_out, shared_array
 from .spectrum import CompositeSpectrum
-from .state import (PureState, WeightProfile, batch_rows, check_normalized,
-                    checked_weights, subspace_weights)
+from .state import (BATCH_ELEMENTS, PureState, WeightProfile, batch_rows,
+                    check_normalized, checked_weights, subspace_weights)
 
 __all__ = [
     "MICROCANONICAL",
@@ -38,10 +38,8 @@ __all__ = [
     "sample_microcanonical",
     "sample_canonical",
     "sample_chunks",
-    "sample_batch",
     "measure_draws",
     "mc_average",
-    "draws_estimate",
 ]
 
 MICROCANONICAL = "microcanonical"
@@ -132,25 +130,28 @@ class McEstimate:
 
 
 def mc_estimate(chunks: Iterable[np.ndarray], seed: int) -> McEstimate:
-    """Mean and standard error of all values in ``chunks``, merged chunk by chunk.
+    """Mean and standard error of all values in ``chunks``, merged piece by piece.
 
-    Each chunk contributes its mean and sum of squared deviations; chunks are
-    combined with the pairwise update of Chan, Golub and LeVeque.  A single
-    chunk gives exactly ``values.mean()``.  Needs at least 2 values in total.
+    Each chunk is cut into pieces of at most ``BATCH_ELEMENTS`` values, whose means
+    and sums of squared deviations are combined with the pairwise update of Chan,
+    Golub and LeVeque; a lone chunk of no more values gives exactly ``values.mean()``.
+    A chunk is let go before the next is pulled.  Needs at least 2 values in total.
     """
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    for values in chunks:
-        values = np.asarray(values, dtype=float)
-        m = values.size
-        chunk_mean = float(values.mean())
-        delta = chunk_mean - mean
-        total = count + m
-        mean = chunk_mean if count == 0 else mean + delta * m / total
-        d = values - chunk_mean
-        m2 += float(np.sum(np.square(d, out=d))) + delta * delta * count * m / total
-        count = total
+    count, mean, m2 = 0, 0.0, 0.0
+    for chunk in chunks:
+        chunk = np.asarray(chunk, dtype=float).ravel()
+        for first in range(0, chunk.size, BATCH_ELEMENTS):
+            values = chunk[first:first + BATCH_ELEMENTS]
+            m = values.size
+            piece_mean = float(values.mean())
+            delta = piece_mean - mean
+            total = count + m
+            mean = piece_mean if count == 0 else mean + delta * m / total
+            d = values - piece_mean
+            m2 += float(np.sum(np.square(d, out=d))) + delta * delta * count * m / total
+            count = total
+            del values, d
+        del chunk
     if count < 2:
         raise ValueError("a standard error needs at least 2 values")
     std_error = math.sqrt(m2 / (count - 1) / count)
@@ -255,10 +256,14 @@ def sample_chunks(composite: CompositeSpectrum, profile: ConstraintProfile,
     """Draws ``start`` to ``start + count - 1`` of run ``seed``, ``batch_rows(dim)`` rows at a time.
 
     Yields (rows, dim) flat-layout amplitude arrays whose rows, in order, are
-    the draws; see :func:`sample_batch` for the contract they keep.  The
-    profile is resolved and the blocks laid out once, and one Philox
-    generator is re-keyed to [seed, index] for each row.  Memory stays at a
-    few chunks however large ``count`` is.
+    the draws: row k is, bit for bit, the amplitudes that
+    :func:`sample_microcanonical` or :func:`sample_canonical` (after
+    ``profile.kind``) draws from ``substream(seed, start + k)``.  A row depends
+    on its index alone, so any split of an index range into calls, and any
+    chunking inside a call, gives the same rows, and every row passes the norm
+    check of :class:`PureState`.  The profile is resolved and the blocks laid
+    out once, and one Philox generator is re-keyed to [seed, index] for each
+    row.  Memory stays at a few chunks however large ``count`` is.
     """
     _check_keys(seed, start, count)
     return _chunks(_sphere_blocks(composite, profile), batch_rows(composite.dim),
@@ -288,27 +293,6 @@ def _chunks(blocks, rows: int, seed: int, start: int, count: int) -> Iterator[np
         for r in range(m):
             stream(first + r).standard_normal(out=normals[r, :n_normals])
         yield _fill(blocks, normals[:m], lambda r: after_first_call(first + r))
-
-
-def sample_batch(composite: CompositeSpectrum, profile: ConstraintProfile,
-                 seed: int, start: int, count: int) -> np.ndarray:
-    """Draws ``start`` to ``start + count - 1`` of run ``seed``, one flat-layout state per row.
-
-    Row k is, bit for bit, the amplitudes that :func:`sample_microcanonical`
-    or :func:`sample_canonical` (after ``profile.kind``) draws from
-    ``substream(seed, start + k)``.  A row depends on its index alone, so
-    any split of an index range into calls, and any chunking inside a call,
-    gives the same rows.  Every row passes the norm check of
-    :class:`PureState`.  The rows come from :func:`sample_chunks`, which
-    yields the same draws without holding them all.
-    """
-    chunks = sample_chunks(composite, profile, seed, start, count)
-    out = np.empty((count, composite.dim), dtype=complex)
-    first = 0
-    for chunk in chunks:
-        out[first:first + len(chunk)] = chunk
-        first += len(chunk)
-    return out
 
 
 def measure_draws(measure: Callable[[np.ndarray], np.ndarray], k: int,
@@ -357,11 +341,4 @@ def mc_average(measure: Callable[[np.ndarray], np.ndarray], composite: Composite
     """
     if n < 2:
         raise ValueError("mc_average needs n >= 2 to estimate a standard error")
-    return draws_estimate(measure_draws(measure, 1, composite, profile, n, seed)[0],
-                          composite.dim, seed)
-
-
-def draws_estimate(values: np.ndarray, dim: int, seed: int) -> McEstimate:
-    """:func:`mc_estimate` of one value per draw, merged in :func:`sample_chunks`' chunks."""
-    rows = batch_rows(dim)
-    return mc_estimate((values[a:a + rows] for a in range(0, len(values), rows)), seed)
+    return mc_estimate(measure_draws(measure, 1, composite, profile, n, seed), seed)

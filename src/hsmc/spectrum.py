@@ -168,11 +168,16 @@ class CompositeSpectrum:
         """Shell of the subspace whose energy is nearest ``energy``, within tolerance.
 
         A shell's mean energy always resolves: it lies within half the shell
-        tolerance of some member, since members chain by gaps within it."""
+        tolerance of some member, since members chain by gaps within it.  A
+        non-finite energy resolves to no shell."""
+        if not np.isfinite(energy):
+            raise KeyError(f"no shell at energy {energy!r}")
         energies = np.array([s.energy for s in self.subspaces])
-        i = int(np.argmin(np.abs(energies - energy)))
+        with np.errstate(over="ignore"):  # a gap past the float range is just far
+            gaps = np.abs(energies - energy)
+        i = int(np.argmin(gaps))
         atol = max(self.shell_tolerance, 1e-12) * (1.0 + abs(energy))
-        if not abs(energies[i] - energy) <= atol:
+        if not gaps[i] <= atol:
             raise KeyError(f"no shell at energy {energy!r} (nearest is {float(energies[i])!r})")
         return int(self._shell_of_subspace[i])
 
@@ -254,7 +259,11 @@ def compose(gas: Spectrum, container: Spectrum,
     for shell_idx, group in enumerate(groups):
         group = sorted(group, key=lambda i: (subspaces[i].A, subspaces[i].B))
         members = tuple((subspaces[i].A, subspaces[i].B) for i in group)
-        energy = float(np.mean([subspaces[i].energy for i in group]))
+        energies = np.array([subspaces[i].energy for i in group])
+        with np.errstate(over="ignore"):
+            energy = float(np.mean(energies))
+        if not np.isfinite(energy):  # the sum overflowed: scale the members first
+            energy = float(np.clip(np.sum(energies / len(group)), energies.min(), energies.max()))
         n_states = int(sum(subspaces[i].n_states for i in group))
         shells.append(Shell(energy=energy, members=members,
                             member_indices=tuple(group), n_states=n_states))

@@ -14,6 +14,7 @@ import functools
 
 import numpy as np
 
+from .fanout import one_blas_thread
 from .spectrum import CompositeSpectrum, Spectrum
 
 __all__ = [
@@ -241,6 +242,7 @@ class DensityMatrix:
         return float(_entropy(self.eigenvalues()))
 
 
+@one_blas_thread()
 def gas_purity_entropy(composite: CompositeSpectrum,
                        amplitudes) -> tuple[np.ndarray, np.ndarray]:
     """Purity Tr rho_g^2 and entropy of the reduced gas state of every row.
@@ -252,7 +254,7 @@ def gas_purity_entropy(composite: CompositeSpectrum,
     values depend on that row alone, so splitting a batch anywhere gives the
     same numbers.  Every rho_g passes the checks of :class:`DensityMatrix`
     (Hermiticity, unit trace, eigenvalue floor) and fails with the same
-    ValueError.
+    ValueError.  It runs on one OpenBLAS thread (:func:`~hsmc.fanout.one_blas_thread`).
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
     if amplitudes.ndim != 2 or amplitudes.shape[1] != composite.dim:

@@ -12,6 +12,7 @@ from hsmc import (MICROCANONICAL, MomentQuery, build_spectrum, canonical_profile
                   marginal_gas_distribution, max_entropy_micro, mc_average,
                   microcanonical_profile, min_purity_state, region_log_size,
                   region_mean_purity, region_size_ratio)
+import hsmc.analytics
 from hsmc.analytics import MAX_MOMENT_ORDER, _power
 from hsmc.state import BATCH_ELEMENTS
 
@@ -392,12 +393,13 @@ def test_moment_mc_agrees_with_closed_form():
     assert abs(est.mean - 0.125) < 5 * est.std_error
 
 
-def test_moment_mc_deterministic_and_chunk_independent():
+def test_moment_mc_deterministic_and_chunk_independent(monkeypatch):
     query = MomentQuery(R=1, d=3, u_l=0, u_m=2)
     a = hypersphere_moment_mc(query, 500, seed=11)
     b = hypersphere_moment_mc(query, 500, seed=11)
     assert a.mean == b.mean and a.std_error == b.std_error
-    c = hypersphere_moment_mc(query, 500, seed=11, chunk=64)
+    monkeypatch.setattr(hsmc.analytics, "BATCH_ELEMENTS", 64)
+    c = hypersphere_moment_mc(query, 500, seed=11)
     assert c.mean == pytest.approx(a.mean, rel=1e-12)
     assert c.std_error == pytest.approx(a.std_error, rel=1e-10)
 
@@ -413,6 +415,22 @@ def test_moment_mc_memory_does_not_grow_with_the_points():
     finally:
         tracemalloc.stop()
     assert peak < 128 * BATCH_ELEMENTS, peak
+
+
+def test_moment_mc_holds_one_chunk_at_a_time():
+    # a chunk's points and values die before the next chunk is drawn: once two
+    # chunks were alive, 1.40 MB against 0.87 MB for one
+    query = MomentQuery(R=1, d=4, u_l=0, u_m=2)
+    hypersphere_moment_mc(query, 2 * BATCH_ELEMENTS, seed=13)  # numpy imports modules on first use
+    peak = {}
+    for n in (BATCH_ELEMENTS, 6 * BATCH_ELEMENTS):
+        tracemalloc.start()
+        try:
+            hypersphere_moment_mc(query, n, seed=13)
+            peak[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak[6 * BATCH_ELEMENTS] <= 1.1 * peak[BATCH_ELEMENTS], peak
 
 
 # ---------------------------------------------------------- region geometry

@@ -23,7 +23,7 @@ import hsmc.state
 from hsmc import (PureState, WeightProfile, build_spectrum, canonical_profile, compose,
                   dominant_distribution, expected_purity_exact, gas_purity_entropy, mc_average,
                   microcanonical_profile, min_purity_state, region_log_size,
-                  region_mean_purity, sample_batch)
+                  region_mean_purity, sample_chunks)
 from hsmc import cli, dynamics, fanout
 from hsmc.cli import COMMANDS, main
 from hsmc.config import MAX_MOMENT_POINTS, build_experiment, load_config
@@ -331,7 +331,8 @@ def test_sample_without_blas_thread_control_runs_one_worker(tmp_path, monkeypatc
 def test_failed_sample_check_exits_3_and_is_reaped(tmp_path, monkeypatch, capsys, draw, hint):
     # of 2 workers over 7 draws, the caller draws 0 to 2 and the forked child 3 to 6
     comp = compose(build_spectrum([(0, 2)]), build_spectrum([(0, 2)]))
-    psi = sample_batch(comp, microcanonical_profile({(0, 0): 1.0}), 11, draw, 1).reshape(2, 2)
+    profile = microcanonical_profile({(0, 0): 1.0})
+    psi = next(sample_chunks(comp, profile, 11, draw, 1)).reshape(2, 2)
     bad = psi @ psi.conj().T
     check = hsmc.state._check_density
 

@@ -1,5 +1,7 @@
 import itertools
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -644,3 +646,32 @@ def test_monte_carlo_average_matches_time_average_loosely():
     est = mc_average(lambda a: gas_purity_entropy(comp, a)[0], comp, profile, 2000, seed=99)
     exact = expected_purity_exact(comp, [0.5, 0.5], [0.5, 0.5])
     assert abs(est.mean - exact) < 4 * est.std_error
+
+
+_LIBRARY_RUN = """
+import hashlib
+import numpy as np
+from hsmc import (build_microcanonical_hamiltonian, build_spectrum, compose, effective_velocity,
+                  evolve, product_state, substream, uniform_profile)
+comp = compose(build_spectrum([(0, 2), (1, 2)]), build_spectrum([(0, 50), (1, 50)]))
+h = build_microcanonical_hamiltonian(comp, 0.1, substream(3, 0))
+state = product_state(comp, uniform_profile(comp.gas), uniform_profile(comp.container))
+traj = evolve(state, h, np.linspace(0.0, 500.0, 201))
+for name, series in [*traj.measures.items(), ("chords", traj.chords)]:
+    print(name, hashlib.sha256(series.tobytes()).hexdigest())
+print(h.commutator_norms(), h.weak_coupling_ratio(state), effective_velocity(state, h))
+"""
+
+
+def test_library_calls_do_not_depend_on_the_blas_thread_count():
+    # the equilibration composite: evolve's norm, energy, v_eff and purity series
+    # once took other last bits on 2 OpenBLAS threads than on 1
+    runs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LIBRARY_RUN], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                     OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert runs[1] == runs[0]

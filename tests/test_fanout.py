@@ -66,6 +66,17 @@ def test_an_empty_shared_array_maps_nothing():
     assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
+def test_one_blas_thread_sets_the_count_only_where_it_is_not_1(monkeypatch):
+    counts = [2]
+    monkeypatch.setattr(fanout, "_blas_threads", lambda: (lambda: counts[-1], counts.append))
+    with one_blas_thread():
+        assert counts == [2, 1]
+        with one_blas_thread():  # nested, as gas_purity_entropy inside evolve
+            pass
+        assert counts == [2, 1]
+    assert counts == [2, 1, 2]
+
+
 @needs_zheevd
 @pytest.mark.parametrize("n", [1, 2, 7, 400])
 def test_zheevd_in_place_is_numpys_eigh_and_eigvalsh_bit_for_bit(n):

@@ -4,17 +4,25 @@ import numpy as np
 import pytest
 
 import hsmc.fanout
+import hsmc.sampling
 import hsmc.state
 from hsmc import (ConstraintProfile, McEstimate, WeightProfile, build_spectrum,
                   canonical_profile, compose, gas_purity_entropy, lubkin_average,
                   mc_average, microcanonical_profile, product_constraint,
-                  sample_batch, sample_canonical, sample_chunks,
+                  sample_canonical, sample_chunks,
                   sample_microcanonical, substream)
 from hsmc.sampling import mc_estimate, measure_draws
 
 
 def two_by_two():
     return compose(build_spectrum([(0, 2)]), build_spectrum([(0, 2)]))
+
+
+def draws(comp, profile, seed, start, count):
+    """The (count, dim) amplitudes of draws ``start`` to ``start + count - 1``: the
+    chunks of :func:`sample_chunks`, joined."""
+    return np.concatenate([np.empty((0, comp.dim), dtype=complex),
+                           *sample_chunks(comp, profile, seed, start, count)])
 
 
 def three_block_composite():
@@ -78,6 +86,22 @@ def test_mc_estimate_validation():
         McEstimate(mean=0.0, std_error=-1.0, n_samples=5, seed=1)
     with pytest.raises(ValueError, match="std_error"):
         McEstimate(mean=0.0, std_error=float("nan"), n_samples=5, seed=1)
+
+
+def test_mc_estimate_merges_in_pieces_of_batch_elements(monkeypatch):
+    values = substream(3, 0).standard_normal(50)
+    whole = mc_estimate([values], 3)
+    assert whole.mean == values.mean()  # one piece
+    assert whole.std_error == pytest.approx(values.std(ddof=1) / np.sqrt(50), rel=1e-14)
+    split = mc_estimate([values[:7], values[7:20], values[20:]], 3)
+    assert split.mean == pytest.approx(whole.mean, rel=1e-14)
+    assert split.std_error == pytest.approx(whole.std_error, rel=1e-14)
+    # a chunk is cut into pieces of at most BATCH_ELEMENTS values, whoever chunked it
+    pieces = mc_estimate((values[a:a + 8] for a in range(0, 50, 8)), 3)
+    monkeypatch.setattr(hsmc.sampling, "BATCH_ELEMENTS", 8)
+    assert mc_estimate([values], 3) == pieces
+    with pytest.raises(ValueError, match="at least 2 values"):
+        mc_estimate([values[:1], values[:0]], 3)
 
 
 def test_sampler_checks_profile_kind():
@@ -184,7 +208,7 @@ BATCH_KEYS = [(5, 10, 7), (2**64 - 1, 2**64 - 3, 3), (2**64 - 1, 0, 2), (0, 0, 1
 def test_batch_rows_are_the_per_draw_samples(sampler, profile):
     comp = three_block_composite()
     for seed, start, count in BATCH_KEYS:
-        batch = sample_batch(comp, profile, seed, start, count)
+        batch = draws(comp, profile, seed, start, count)
         assert batch.shape == (count, comp.dim)
         for k, row in enumerate(batch):
             want = sampler(comp, profile, substream(seed, start + k)).amplitudes
@@ -194,13 +218,12 @@ def test_batch_rows_are_the_per_draw_samples(sampler, profile):
 @pytest.mark.parametrize("sampler, profile", BATCH_PROFILES)
 def test_batch_rows_do_not_depend_on_the_split(sampler, profile, monkeypatch):
     comp = three_block_composite()
-    whole = sample_batch(comp, profile, 8, 3, 50)
-    parts = np.concatenate([sample_batch(comp, profile, 8, 3, 17),
-                            sample_batch(comp, profile, 8, 20, 33)])
+    whole = draws(comp, profile, 8, 3, 50)
+    parts = np.concatenate([draws(comp, profile, 8, 3, 17),
+                            draws(comp, profile, 8, 20, 33)])
     np.testing.assert_array_equal(whole, parts)
     # 3 rows per chunk inside the call, with a short last chunk
     monkeypatch.setattr(hsmc.state, "BATCH_ELEMENTS", 3 * comp.dim)
-    np.testing.assert_array_equal(sample_batch(comp, profile, 8, 3, 50), whole)
     chunks = list(sample_chunks(comp, profile, 8, 3, 50))
     assert [len(c) for c in chunks] == [3] * 16 + [2]
     np.testing.assert_array_equal(np.concatenate(chunks), whole)
@@ -212,10 +235,8 @@ def test_batch_rejects_keys_outside_the_philox_range():
     for seed, start, count in ((-1, 0, 1), (2**64, 0, 1), (0, -1, 1), (0, 0, -1),
                                (0, 2**64 - 1, 2)):
         with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
-            sample_batch(comp, profile, seed, start, count)
-        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
             sample_chunks(comp, profile, seed, start, count)  # before any iteration
-    assert sample_batch(comp, profile, 0, 2**64, 0).shape == (0, comp.dim)
+    assert draws(comp, profile, 0, 2**64, 0).shape == (0, comp.dim)
 
 
 def test_zero_norm_block_is_redrawn_from_the_rows_own_stream(monkeypatch):
@@ -234,7 +255,7 @@ def test_zero_norm_block_is_redrawn_from_the_rows_own_stream(monkeypatch):
     want[first] = np.sqrt(0.5) / np.linalg.norm(redraw) * redraw.view(complex)
     rest = main[2 * n_first:]
     want[comp.block_slice(3)] = np.sqrt(0.5) / np.linalg.norm(rest) * rest.view(complex)
-    others = sample_batch(comp, profile, seed, start, 5)
+    others = draws(comp, profile, seed, start, 5)
 
     class ZeroingGenerator(np.random.Generator):
         """Zeroes block 0 of the main draw of stream [seed, zeroed]."""
@@ -248,7 +269,7 @@ def test_zero_norm_block_is_redrawn_from_the_rows_own_stream(monkeypatch):
             return values
 
     monkeypatch.setattr(np.random, "Generator", ZeroingGenerator)
-    batch = sample_batch(comp, profile, seed, start, 5)
+    batch = draws(comp, profile, seed, start, 5)
     np.testing.assert_array_equal(batch[zeroed - start], want)
     np.testing.assert_array_equal(np.delete(batch, zeroed - start, axis=0),
                                   np.delete(others, zeroed - start, axis=0))
@@ -354,7 +375,7 @@ def test_mc_average_refuses_a_measure_without_one_value_per_draw(monkeypatch):
 def test_mc_average_matches_the_per_draw_reference(monkeypatch):
     # draw i is sample_microcanonical's draw from substream(seed, i), however
     # the draws are chunked and whatever the number of workers; the estimate is,
-    # bit for bit, the serial merge of sample_chunks' chunks
+    # bit for bit, mc_estimate of the values of sample_chunks' chunks, joined
     comp = three_block_composite()
     profile = microcanonical_profile({(0, 0): 0.5, (1, 1): 0.5})
     n = 200
@@ -363,7 +384,8 @@ def test_mc_average_matches_the_per_draw_reference(monkeypatch):
     measure = lambda a: gas_purity_entropy(comp, a)[0]
     for elements in (hsmc.state.BATCH_ELEMENTS, 3 * comp.dim):
         monkeypatch.setattr(hsmc.state, "BATCH_ELEMENTS", elements)
-        serial = mc_estimate((measure(a) for a in sample_chunks(comp, profile, 9, 0, n)), 9)
+        serial = mc_estimate([np.concatenate([measure(a) for a in
+                                              sample_chunks(comp, profile, 9, 0, n)])], 9)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
             est = mc_average(measure, comp, profile, n, seed=9)

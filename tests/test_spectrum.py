@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,23 @@ def test_shell_lookup_by_energy():
     assert chain.n_shells == 1
     for energy in (*(0.9e-9 * k for k in range(5)), chain.shells[0].energy):
         assert chain.shell_index_at(energy) == 0
+
+
+def test_shell_energy_of_huge_members_stays_finite():
+    # the members' sum overflows; np.mean once made the shell energy inf, and
+    # shell_index_at(inf) then passed its tolerance test and returned shell 0
+    gas = build_spectrum([(1e308, 1), (0, 1)])
+    container = build_spectrum([(0, 1), (1e-300, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        comp = compose(gas, container)
+    energies = [shell.energy for shell in comp.shells]
+    assert energies == [5e-301, 1e308]
+    assert comp.shell_index_at(1e308) == comp.n_shells - 1
+    assert comp.shell_index_at(5e-301) == 0
+    for energy in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(KeyError, match="no shell"):
+            comp.shell_index_at(energy)
 
 
 def test_shell_tolerance_groups_close_energies():
