@@ -166,14 +166,10 @@ def _initial_state(cfg: ExperimentConfig):
 
 
 def cmd_evolve(cfg: ExperimentConfig) -> int:
-    composite = cfg.composite
-    rng = substream(cfg.seed, 0)
-    if cfg.constraint.kind == MICROCANONICAL:
-        hamiltonian = build_microcanonical_hamiltonian(composite, cfg.coupling, rng)
-        conserved = "subspace_weights"
-    else:
-        hamiltonian = build_canonical_hamiltonian(composite, cfg.coupling, rng)
-        conserved = "shell_weights"
+    composite, micro = cfg.composite, cfg.constraint.kind == MICROCANONICAL
+    build = build_microcanonical_hamiltonian if micro else build_canonical_hamiltonian
+    hamiltonian = build(composite, cfg.coupling, substream(cfg.seed, 0))
+    conserved = "subspace_weights" if micro else "shell_weights"
     initial = _initial_state(cfg)
     names = ("norm", "energy", "v_eff", "purity", "entropy")
     n, states_dir = len(cfg.times), os.path.join(cfg.out_dir, "states")
@@ -221,8 +217,10 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
 
     drifts = {name: max_drift(traj, name) for name in
               ("norm", "energy", "v_eff", "subspace_weights", "shell_weights")}
-    limits = [(conserved, cfg.conservation_tolerance)] + [
-        (name, ENERGY_DRIFT_TOLERANCE) for name in ("norm", "energy", "v_eff")]
+    # energy and v_eff round off relative to H's scale, the norm does not
+    scale = max(1.0, *(float(np.max(np.abs(b.energies))) for b in hamiltonian.blocks))
+    limits = [(conserved, cfg.conservation_tolerance), ("norm", ENERGY_DRIFT_TOLERANCE)] + [
+        (name, ENERGY_DRIFT_TOLERANCE * scale) for name in ("energy", "v_eff")]
     breaches = [f"{name} drift {drifts[name]:.3e} exceeds {limit:.1e}"
                 for name, limit in limits if not drifts[name] <= limit]
 
@@ -240,6 +238,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
             "tolerances": {
                 "conserved_weights": cfg.conservation_tolerance,
                 "norm_energy_veff": ENERGY_DRIFT_TOLERANCE,
+                "energy_scale": scale,
             },
             "pass": not breaches,
             "breaches": breaches,

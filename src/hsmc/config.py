@@ -141,6 +141,13 @@ def _int_field(section: dict, section_name: str, key: str, default):
         raise ConfigError(f"{section_name}.{key} must be an integer, got {value!r}") from None
 
 
+def _bool_field(section: dict, section_name: str, key: str) -> bool:
+    value = section.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{section_name}.{key} must be true or false, got {value!r}")
+    return value
+
+
 def _weight_profile(spectrum: Spectrum, values, where: str) -> WeightProfile:
     if not isinstance(values, list):
         raise ConfigError(f"{where} must be a list of weights")
@@ -234,9 +241,11 @@ def build_experiment(raw: dict, command: str, seed: int | None = None,
     if not 1 <= n_samples < MAX_COUNT:
         raise ConfigError(f"run.n_samples must be in [1, 2**63), got {n_samples}")
 
-    out_dir = out if out is not None else str(output.get("dir", "out"))
-    if quiet is None:
-        quiet = bool(output.get("quiet", False))
+    out_dir, file_quiet = output.get("dir", "out"), _bool_field(output, "output", "quiet")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"output.dir must be a nonempty string, got {out_dir!r}")
+    out_dir = out if out is not None else out_dir
+    quiet = file_quiet if quiet is None else quiet
 
     coupling = _float_field(run, "run", "coupling", DEFAULT_COUPLING)
     if coupling < 0:
@@ -258,7 +267,7 @@ def build_experiment(raw: dict, command: str, seed: int | None = None,
     initial_kind = str(run.get("initial", "product"))
     if initial_kind not in ("product", "sample"):
         raise ConfigError(f"run.initial must be 'product' or 'sample', got {initial_kind!r}")
-    dump_states = bool(run.get("dump_states", False))
+    dump_states = _bool_field(run, "run", "dump_states")
 
     resolved = {
         "command": command,
@@ -317,6 +326,13 @@ def build_experiment(raw: dict, command: str, seed: int | None = None,
             raise ConfigError(f"gas and container levels cannot be composed: {exc}") from exc
         constraint, gas_profile, container_profile = _build_constraint(
             raw, composite, gas, container)
+        # |H| <= S, and the largest sum of squares of an evolve run is commutator_norms':
+        # sum |H_jk (d_j - d_k)|^2 <= (2 S)^2 |H|_F^2 <= 4 dim S^4.
+        scale = max(map(abs, gas.energies)) + max(map(abs, container.energies)) + coupling
+        if command == "evolve" and not (math.isfinite(t_max * scale) and math.isfinite(
+                4 * composite.dim * (scale * scale) * (scale * scale))):
+            raise ConfigError(f"gas.levels, container.levels and run.coupling give evolve an "
+                              f"energy scale S = {scale!r}: t_max S or 4 dim S^4 overflows")
 
         resolved["gas"] = {"levels": [[e, n_] for e, n_ in
                                       zip(gas.energies, gas.degeneracies)]}

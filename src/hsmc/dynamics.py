@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fanout import fan_out, one_blas_thread, shared_array, zheevd
-from .spectrum import CompositeSpectrum
+from .spectrum import CANONICAL, MICROCANONICAL, CompositeSpectrum
 from .state import BATCH_ELEMENTS, PureState, batch_rows, gas_purity_entropy
 
 __all__ = [
@@ -205,9 +205,9 @@ def _local_diagonals(composite: CompositeSpectrum) -> tuple[np.ndarray, np.ndarr
 
 
 def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
-              groups: list[np.ndarray], rng: np.random.Generator) -> Hamiltonian:
-    """Draw one GUE block per index group, scaled so the largest spectral radius
-    equals ``coupling``, and keep only the eigenpairs of H on every group.
+              rng: np.random.Generator) -> Hamiltonian:
+    """Draw one GUE block per group of ``composite.blocks(kind)``, scaled so the largest
+    spectral radius equals ``coupling``, and keep only the eigenpairs of H on every group.
 
     Workers draw each block into its eigenvector slot of one shared buffer and
     diagonalize it there (see :func:`_fan_blocks` and :func:`_eigh`).  Where
@@ -219,7 +219,7 @@ def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
     if not coupling >= 0:
         raise ValueError("coupling must be >= 0")
     gas_diag, container_diag = _local_diagonals(composite)
-    diag = gas_diag + container_diag
+    diag, groups = gas_diag + container_diag, composite.blocks(kind)
     offsets = np.cumsum([0] + [2 * len(idx) ** 2 + len(idx) for idx in groups]).tolist()
     shared = shared_array(offsets[-1], "Hamiltonian eigenpair floats")
     pairs = [(shared[o:o + n], shared[o + n:o + n + 2 * n * n].view(complex).reshape(n, n))
@@ -262,8 +262,7 @@ def build_microcanonical_hamiltonian(composite: CompositeSpectrum, coupling: flo
     call returns.  A worker's exception comes back with its class, as
     "Hamiltonian workers [w] of m failed: ...".
     """
-    groups = [np.arange(s.offset, s.offset + s.n_states) for s in composite.subspaces]
-    return _assemble(composite, "microcanonical", coupling, groups, rng)
+    return _assemble(composite, MICROCANONICAL, coupling, rng)
 
 
 def build_canonical_hamiltonian(composite: CompositeSpectrum, coupling: float,
@@ -276,8 +275,7 @@ def build_canonical_hamiltonian(composite: CompositeSpectrum, coupling: float,
     subspace this coincides with the microcanonical builder.  The blocks are
     built on forked workers, as :func:`build_microcanonical_hamiltonian` says.
     """
-    groups = [composite.shell_flat_indices(j) for j in range(composite.n_shells)]
-    return _assemble(composite, "canonical", coupling, groups, rng)
+    return _assemble(composite, CANONICAL, coupling, rng)
 
 
 @dataclass(frozen=True)

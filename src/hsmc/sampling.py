@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .fanout import fan_out, shared_array
-from .spectrum import CompositeSpectrum
+from .spectrum import CANONICAL, MICROCANONICAL, CompositeSpectrum
 from .state import (BATCH_ELEMENTS, PureState, WeightProfile, batch_rows,
                     check_normalized, checked_weights, subspace_weights)
 
@@ -41,9 +41,6 @@ __all__ = [
     "measure_draws",
     "mc_average",
 ]
-
-MICROCANONICAL = "microcanonical"
-CANONICAL = "canonical"
 
 
 @dataclass(frozen=True)
@@ -72,26 +69,20 @@ class ConstraintProfile:
         Raises KeyError if a weight key names no subspace / shell of the
         composite, or if two keys land on the same target.
         """
-        if self.kind == MICROCANONICAL:
-            out = np.zeros(composite.n_subspaces)
-            seen = set()
-            for key, w in self.weights.items():
+        micro = self.kind == MICROCANONICAL
+        out, seen = np.zeros(len(composite.blocks(self.kind))), set()
+        for key, w in self.weights.items():
+            if micro:
                 A, B = key
                 i = composite.subspace_index(int(A), int(B))
-                if i in seen:
-                    raise KeyError(f"duplicate weight for subspace {(A, B)}")
-                seen.add(i)
-                out[i] = float(w)
-        else:
-            out = np.zeros(composite.n_shells)
-            seen = set()
-            for energy, w in self.weights.items():
-                i = composite.shell_index_at(float(energy))
-                if i in seen:
-                    raise KeyError(f"two weight keys resolve to the shell at "
-                                   f"E={composite.shells[i].energy}")
-                seen.add(i)
-                out[i] = float(w)
+            else:
+                i = composite.shell_index_at(float(key))
+            if i in seen:
+                raise KeyError(f"duplicate weight for subspace {(A, B)}" if micro else
+                               f"two weight keys resolve to the shell at "
+                               f"E={composite.shells[i].energy}")
+            seen.add(i)
+            out[i] = float(w)
         return out
 
 
@@ -183,11 +174,7 @@ def _sphere_blocks(composite: CompositeSpectrum, profile: ConstraintProfile):
     """
     w = profile.resolve(composite)
     active = np.flatnonzero(w > 0)
-    if profile.kind == MICROCANONICAL:
-        groups = [np.arange(*composite.block_slice(int(i)).indices(composite.dim))
-                  for i in active]
-    else:
-        groups = [composite.shell_flat_indices(int(i)) for i in active]
+    groups = [composite.blocks(profile.kind)[i] for i in active]
     bounds = np.concatenate(([0], np.cumsum([len(g) for g in groups])))
     source = np.full(composite.dim, bounds[-1])
     source[np.concatenate(groups)] = np.arange(bounds[-1])

@@ -6,7 +6,9 @@ the joint degeneracy subspaces (A, B) in lexicographic order; that order fixes
 the flattened amplitude layout used by every other module: the amplitudes of
 subspace (A, B) occupy one contiguous block of length N_AB = N_A * N_B,
 ordered row-major in the local indices (a, b).  Subspaces whose total energies
-E_A + E_B agree within an absolute tolerance are grouped into shells.
+E_A + E_B agree within an absolute tolerance are grouped into shells.  A
+microcanonical constraint fixes the weight of every subspace, a canonical one
+that of every shell: :meth:`CompositeSpectrum.blocks` gives either partition.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "MICROCANONICAL",
+    "CANONICAL",
     "DEFAULT_SHELL_TOLERANCE",
     "Spectrum",
     "Subspace",
@@ -25,6 +29,8 @@ __all__ = [
     "compose",
 ]
 
+MICROCANONICAL = "microcanonical"
+CANONICAL = "canonical"
 DEFAULT_SHELL_TOLERANCE = 1e-9
 
 
@@ -139,7 +145,7 @@ class CompositeSpectrum:
     _gas_level_of_subspace: np.ndarray = field(repr=False)
     _block_offsets: np.ndarray = field(repr=False)
     _flat_index: np.ndarray = field(repr=False)
-    _shell_indices: tuple = field(repr=False)
+    _blocks: dict = field(repr=False)
 
     @property
     def n_subspaces(self) -> int:
@@ -156,13 +162,11 @@ class CompositeSpectrum:
         except KeyError:
             raise KeyError(f"no subspace ({A}, {B}) in this composite") from None
 
-    def block_slice(self, index: int) -> slice:
-        """Flat-layout slice holding the amplitudes of subspace ``index``."""
-        return slice(int(self._block_offsets[index]), int(self._block_offsets[index + 1]))
-
-    def shell_flat_indices(self, shell_index: int) -> np.ndarray:
-        """Flat amplitude indices of all states in shell ``shell_index`` (read-only)."""
-        return self._shell_indices[shell_index]
+    def blocks(self, kind: str) -> tuple[np.ndarray, ...]:
+        """Read-only flat amplitude indices of each block a ``kind`` constraint fixes:
+        the subspaces (:data:`MICROCANONICAL`) or the shells (:data:`CANONICAL`), in
+        order.  A shell's indices are its members' blocks in ``member_indices`` order."""
+        return self._blocks[kind]
 
     def shell_index_at(self, energy: float) -> int:
         """Shell of the subspace whose energy is nearest ``energy``, within tolerance.
@@ -280,20 +284,15 @@ def compose(gas: Spectrum, container: Spectrum,
     gas_level_of_subspace = np.repeat(np.arange(gas.n_levels), container.n_levels)
 
     block_offsets = np.concatenate(([0], np.cumsum([s.n_states for s in subspaces])))
-
-    shell_indices = []
-    for shell in shells:
-        idx = np.concatenate([
-            np.arange(subspaces[i].offset, subspaces[i].offset + subspaces[i].n_states)
-            for i in shell.member_indices
-        ])
-        idx.flags.writeable = False
-        shell_indices.append(idx)
+    sub_blocks = tuple(np.arange(s.offset, s.offset + s.n_states) for s in subspaces)
+    blocks = {MICROCANONICAL: sub_blocks, CANONICAL: tuple(
+        np.concatenate([sub_blocks[i] for i in shell.member_indices]) for shell in shells)}
 
     flat_index = np.empty_like(matrix_index)
     flat_index[matrix_index] = np.arange(dim)
 
-    for arr in (flat_index, block_offsets, shell_of_subspace, gas_level_of_subspace):
+    for arr in (flat_index, block_offsets, shell_of_subspace, gas_level_of_subspace,
+                *sub_blocks, *blocks[CANONICAL]):
         arr.flags.writeable = False
 
     return CompositeSpectrum(
@@ -310,5 +309,5 @@ def compose(gas: Spectrum, container: Spectrum,
         _gas_level_of_subspace=gas_level_of_subspace,
         _block_offsets=block_offsets,
         _flat_index=flat_index,
-        _shell_indices=tuple(shell_indices),
+        _blocks=blocks,
     )

@@ -434,6 +434,42 @@ def test_evolve_tight_tolerance_exits_3(tmp_path, capsys):
     assert report["breaches"]
 
 
+def _evolve_yaml(gas, container, coupling):
+    """A microcanonical evolve from a sample of subspace (0, 0) alone."""
+    return (f"gas:\n  levels: {gas}\ncontainer:\n  levels: {container}\n"
+            "constraint:\n  kind: microcanonical\n  weights: [[0, 0, 1.0]]\n"
+            f"run:\n  seed: 3\n  coupling: {coupling}\n  initial: sample\n")
+
+
+def test_evolve_drift_gate_is_relative_to_the_energy_scale(tmp_path, capsys):
+    # energies near 1e8 round off by about 1e-15 of the energy: an absolute 1e-9 gate failed
+    text = _evolve_yaml("[[0, 1], [1.0e+8, 1]]", "[[0, 20], [1, 20]]", 0.1)
+    cfg = write_config(tmp_path, text.replace("[[0, 0, 1.0]]", "[[0, 0, 0.5], [1, 1, 0.5]]"))
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0, \
+        capsys.readouterr().err
+    report = json.loads((tmp_path / "o" / "conservation.json").read_text())["conservation"]
+    assert report["pass"] and 1e8 < report["tolerances"]["energy_scale"] < 1e8 + 2
+    assert report["drifts"]["energy"] > 1e-9  # what the absolute gate refused
+    assert report["drifts"]["norm"] <= report["tolerances"]["norm_energy_veff"] == 1e-9
+
+
+@pytest.mark.parametrize("gas, container, coupling", [
+    ("[[0, 1], [1.0e+200, 1]]", "[[0, 2]]", 0.1),
+    ("[[1.0e+300, 1]]", "[[0, 2]]", 0.1),
+    ("[[0, 1], [1, 1]]", "[[1.0e+308, 2]]", 0.1),
+    ("[[0, 1], [1, 1]]", "[[0, 2]]", 1.0e+300),
+    ("[[0, 1], [1, 1]]", "[[0, 2]]", 1.0e+308),
+], ids=["gas_1e200", "lone_level_1e300", "container_1e308", "coupling_1e300", "coupling_1e308"])
+def test_evolve_energies_that_overflow_exit_2(tmp_path, capsys, gas, container, coupling):
+    cfg = write_config(tmp_path, _evolve_yaml(gas, container, coupling))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "energy scale" in err and "run.coupling" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_evolve_rerun_identical_bytes(tmp_path):
     cfg = write_config(tmp_path, CANONICAL_EVOLVE_YAML)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -745,6 +781,10 @@ def test_moments_point_count_limit_exits_2(tmp_path, capsys):
     (lambda t: t.replace("constraint:\n", "ignored:\n"), "constraint"),
     (lambda t: t.replace("gas:\n", "fog:\n"), "gas"),
     (lambda t: t.replace("  seed: 11\n", f"  seed: {'9' * 5000}\n"), "4300 digits"),
+    # read as truth values or text they would dump states, silence the run or write to "None"
+    (lambda t: t + '  dump_states: "false"\n', "run.dump_states must be true or false"),
+    (lambda t: t + 'output:\n  quiet: "false"\n', "output.quiet must be true or false"),
+    (lambda t: t + "output:\n  dir: null\n", "output.dir must be a nonempty string"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, mangle, hint):
     cfg = write_config(tmp_path, mangle(LUBKIN_YAML))
@@ -1008,7 +1048,7 @@ def fuzz_configs(draw):
                            st.sampled_from([-1, 2**64, math.inf, math.nan])),
            "initial": _mostly(draw, st.sampled_from(["sample", "product", "sample"]),
                               st.just("bogus")),
-           "dump_states": draw(st.booleans())}
+           "dump_states": _mostly(draw, st.booleans(), st.just("false"))}
     for key in ("coupling", "t_max", "conservation_tolerance"):
         if draw(st.booleans()):
             run[key] = _mostly(draw, st.floats(1e-3, 10), ODD_FLOATS)
@@ -1037,7 +1077,9 @@ def test_fuzzed_configs_exit_cleanly(config, command, n):
         with open(path, "w") as fh:
             yaml.safe_dump(config, fh)
         err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # forked workers inherit it
             code = main([command, "--config", path, "--n", str(n),
                          "--out", os.path.join(tmp, "out"), "--quiet"])
     assert code in (0, 2, 3), err.getvalue()

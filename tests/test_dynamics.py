@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hsmc import (NumericalValidationError, PureState,
+from hsmc import (CANONICAL, MICROCANONICAL, NumericalValidationError, PureState,
                   build_canonical_hamiltonian, build_microcanonical_hamiltonian,
                   build_spectrum, compose, effective_velocity, evolve,
                   expected_purity_exact, gas_purity_entropy, max_drift,
@@ -37,15 +37,15 @@ def _replay(comp, kind, coupling, seed):
     the blocks under test.
 
     One GUE block per group from ``substream(seed, 0)``, in group order:
-    subspaces for a microcanonical H, total-energy shells for a canonical one.
+    subspaces for a microcanonical H, total-energy shells for a canonical one, each
+    shell's states taken member by member from the subspaces' offsets.
     The blocks are scaled so the largest block spectral radius equals
     ``coupling``; H adds the local diagonal E_g(A) + E_c(B).
     """
     rng = substream(seed, 0)
-    if kind == "microcanonical":
-        groups = [np.arange(s.offset, s.offset + s.n_states) for s in comp.subspaces]
-    else:
-        groups = [comp.shell_flat_indices(j) for j in range(comp.n_shells)]
+    groups = [np.arange(s.offset, s.offset + s.n_states) for s in comp.subspaces]
+    if kind == CANONICAL:
+        groups = [np.concatenate([groups[i] for i in sh.member_indices]) for sh in comp.shells]
     draws = []
     for idx in groups:
         n = len(idx)
@@ -67,8 +67,8 @@ def _block_matrices(h):
     return [(b.indices, (b.vectors * b.energies) @ b.vectors.conj().T) for b in h.blocks]
 
 
-BUILDERS = {"microcanonical": build_microcanonical_hamiltonian,
-            "canonical": build_canonical_hamiltonian}
+BUILDERS = {MICROCANONICAL: build_microcanonical_hamiltonian,
+            CANONICAL: build_canonical_hamiltonian}
 
 
 def evolve_keeping_rows(state, h, times):
@@ -97,7 +97,7 @@ def evolve_keeping_rows(state, h, times):
 def test_zero_coupling_is_free_evolution():
     comp = composite_three()
     h = build_microcanonical_hamiltonian(comp, 0.0, substream(0, 0))
-    want, interaction, local = _replay(comp, "microcanonical", 0.0, 0)
+    want, interaction, local = _replay(comp, MICROCANONICAL, 0.0, 0)
     np.testing.assert_array_equal(interaction, 0.0)
     np.testing.assert_array_equal(local, h.gas_diagonal + h.container_diagonal)
     for idx, block in _block_matrices(h):
@@ -123,6 +123,9 @@ def test_hamiltonian_is_hermitian_and_assembled():
         # the blocks partition the basis and hold the eigenpairs of H on it
         np.testing.assert_array_equal(
             np.sort(np.concatenate([b.indices for b in h.blocks])), np.arange(comp.dim))
+        # the composite's own partition, shared rather than copied
+        assert h.kind == kind and len(h.blocks) == len(comp.blocks(kind))
+        assert all(b.indices is g for b, g in zip(h.blocks, comp.blocks(kind)))
         for b in h.blocks:
             np.testing.assert_allclose(b.vectors.conj().T @ b.vectors, np.eye(len(b.indices)),
                                        rtol=0, atol=1e-12)
@@ -236,7 +239,7 @@ def test_canonical_commutators_conserve_only_total():
     assert norms["gas"] > 1e-3
     assert norms["container"] > 1e-3
     # the block-by-block norms equal the dense (d_j - d_k) I_jk reference
-    _, interaction, _ = _replay(comp, "canonical", 0.5, 1)
+    _, interaction, _ = _replay(comp, CANONICAL, 0.5, 1)
     for name, d in (("gas", h.gas_diagonal), ("container", h.container_diagonal),
                     ("total", h.gas_diagonal + h.container_diagonal)):
         dense = np.linalg.norm((d[:, None] - d[None, :]) * interaction)
@@ -260,7 +263,7 @@ def test_weak_coupling_ratio():
     ratio = h.weak_coupling_ratio(state)
     assert 0 <= ratio < 1.0
     psi = state.amplitudes
-    _, interaction, _ = _replay(comp, "canonical", 0.01, 2)
+    _, interaction, _ = _replay(comp, CANONICAL, 0.01, 2)
     e_int = abs(np.vdot(psi, interaction @ psi).real)
     e_gas = abs(np.dot(np.abs(psi) ** 2, h.gas_diagonal))
     e_container = abs(np.dot(np.abs(psi) ** 2, h.container_diagonal))
@@ -302,8 +305,8 @@ def test_evolve_time_zero_is_bit_exact():
 def test_two_level_resonance_period_matches_eigen_gap():
     comp = compose(build_spectrum([(0, 1), (1, 1)]), build_spectrum([(0, 1), (1, 1)]))
     h = build_canonical_hamiltonian(comp, 0.5, substream(4, 0))
-    shell = comp.shell_flat_indices(comp.shell_index_at(1.0))
-    block = _replay(comp, "canonical", 0.5, 4)[0][np.ix_(shell, shell)]
+    shell = comp.blocks(CANONICAL)[comp.shell_index_at(1.0)]
+    block = _replay(comp, CANONICAL, 0.5, 4)[0][np.ix_(shell, shell)]
     gap = float(np.diff(np.linalg.eigvalsh(block))[0])
     period = 2 * np.pi / gap
     amps = np.zeros(comp.dim, dtype=complex)
@@ -511,7 +514,7 @@ def test_effective_velocity_eigenstate():
     comp = composite_three()
     h = build_microcanonical_hamiltonian(comp, 0.0, substream(0, 0))
     amps = np.zeros(comp.dim, dtype=complex)
-    amps[comp.block_slice(comp.subspace_index(1, 1)).start] = 1.0  # E = 2
+    amps[comp.blocks(MICROCANONICAL)[comp.subspace_index(1, 1)][0]] = 1.0  # E = 2
     assert effective_velocity(PureState(comp, amps), h) == pytest.approx(2.0)
 
 

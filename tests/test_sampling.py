@@ -6,7 +6,7 @@ import pytest
 import hsmc.fanout
 import hsmc.sampling
 import hsmc.state
-from hsmc import (ConstraintProfile, McEstimate, WeightProfile, build_spectrum,
+from hsmc import (MICROCANONICAL, ConstraintProfile, McEstimate, WeightProfile, build_spectrum,
                   canonical_profile, compose, gas_purity_entropy, lubkin_average,
                   mc_average, microcanonical_profile, product_constraint,
                   sample_canonical, sample_chunks,
@@ -166,7 +166,7 @@ def test_zero_weight_blocks_are_exactly_zero_and_free():
     b = sample_microcanonical(comp, without, substream(7, 0)).amplitudes
     # explicit zero weight neither fills the block nor advances the stream
     np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(a[comp.block_slice(3)], 0.0)
+    np.testing.assert_array_equal(a[comp.blocks(MICROCANONICAL)[3]], 0.0)
 
 
 def test_single_subspace_shells_reduce_to_microcanonical():
@@ -243,8 +243,8 @@ def test_zero_norm_block_is_redrawn_from_the_rows_own_stream(monkeypatch):
     comp = three_block_composite()
     profile = microcanonical_profile({(0, 0): 0.5, (1, 1): 0.5})
     seed, start, zeroed = 4, 6, 8
-    first = comp.block_slice(0)
-    n_first = first.stop - first.start
+    first = comp.blocks(MICROCANONICAL)[0]
+    n_first = len(first)
     n_total = n_first + comp.subspace_dims()[3]
     # expected row `zeroed`: block 0 comes from the normals drawn after the row's
     # main draw, the other block from the main draw as usual
@@ -254,7 +254,7 @@ def test_zero_norm_block_is_redrawn_from_the_rows_own_stream(monkeypatch):
     want = np.zeros(comp.dim, dtype=complex)
     want[first] = np.sqrt(0.5) / np.linalg.norm(redraw) * redraw.view(complex)
     rest = main[2 * n_first:]
-    want[comp.block_slice(3)] = np.sqrt(0.5) / np.linalg.norm(rest) * rest.view(complex)
+    want[comp.blocks(MICROCANONICAL)[3]] = np.sqrt(0.5) / np.linalg.norm(rest) * rest.view(complex)
     others = draws(comp, profile, seed, start, 5)
 
     class ZeroingGenerator(np.random.Generator):
@@ -288,8 +288,8 @@ def test_component_second_moment_is_uniform():
     n = 4000
     expected = {(0, 0): 0.1 / 4, (0, 1): 0.2 / 4, (1, 0): 0.3 / 6, (1, 1): 0.4 / 6}
     for (A, B), want in expected.items():
-        sl = comp.block_slice(comp.subspace_index(A, B))
-        est = mc_average(lambda a: np.abs(a[:, sl.start]) ** 2, comp, profile, n, seed=101)
+        first = comp.blocks(MICROCANONICAL)[comp.subspace_index(A, B)][0]
+        est = mc_average(lambda a: np.abs(a[:, first]) ** 2, comp, profile, n, seed=101)
         assert abs(est.mean - want) < 4.5 * est.std_error
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsmc import build_spectrum, compose
+from hsmc import CANONICAL, MICROCANONICAL, build_spectrum, compose
 
 
 def test_minimal_spectrum():
@@ -99,8 +99,7 @@ def test_block_slices_and_index_lookup():
     comp = compose(gas, container)
     i = comp.subspace_index(1, 0)
     assert comp.subspaces[i].A == 1 and comp.subspaces[i].B == 0
-    sl = comp.block_slice(i)
-    assert sl.stop - sl.start == comp.subspaces[i].n_states
+    assert len(comp.blocks(MICROCANONICAL)[i]) == comp.subspaces[i].n_states
     with pytest.raises(KeyError):
         comp.subspace_index(5, 0)
 
@@ -119,21 +118,34 @@ def test_flat_to_matrix_maps_are_consistent():
     gas_offsets = gas.level_offsets()
     container_offsets = container.level_offsets()
     for i, sub in enumerate(comp.subspaces):
-        sl = comp.block_slice(i)
-        rows = all_rows[sl]
-        cols = all_cols[sl]
+        rows = all_rows[comp.blocks(MICROCANONICAL)[i]]
+        cols = all_cols[comp.blocks(MICROCANONICAL)[i]]
         assert rows.min() >= gas_offsets[sub.A]
         assert rows.max() < gas_offsets[sub.A + 1]
         assert cols.min() >= container_offsets[sub.B]
         assert cols.max() < container_offsets[sub.B + 1]
 
 
-def test_shell_flat_indices_partition_the_dim():
+def test_blocks_partition_the_dim_for_both_kinds():
     gas = build_spectrum([(0, 2), (1, 1), (3, 2)])
     container = build_spectrum([(0, 1), (1, 2), (2, 1)])
     comp = compose(gas, container)
-    seen = np.concatenate([comp.shell_flat_indices(j) for j in range(comp.n_shells)])
-    assert sorted(seen.tolist()) == list(range(comp.dim))
+    subspaces, shells = comp.blocks(MICROCANONICAL), comp.blocks(CANONICAL)
+    assert len(subspaces) == comp.n_subspaces and len(shells) == comp.n_shells
+    assert any(len(shell.members) > 1 for shell in comp.shells)
+    for blocks in (subspaces, shells):
+        seen = np.concatenate(blocks)
+        assert sorted(seen.tolist()) == list(range(comp.dim))
+        for block in blocks:
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0] = 0
+    for sub, block in zip(comp.subspaces, subspaces):
+        np.testing.assert_array_equal(block, np.arange(sub.offset, sub.offset + sub.n_states))
+    for shell, block in zip(comp.shells, shells):
+        np.testing.assert_array_equal(
+            block, np.concatenate([subspaces[i] for i in shell.member_indices]))
+    assert comp.blocks(MICROCANONICAL) is subspaces  # built once, in compose
 
 
 def test_shell_lookup_by_energy():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsmc.state
-from hsmc import (DensityMatrix, PureState, WeightProfile, build_spectrum,
+from hsmc import (MICROCANONICAL, DensityMatrix, PureState, WeightProfile, build_spectrum,
                   compose, gas_purity_entropy, product_state, read_amplitudes_csv,
                   shell_weights, subspace_weights, uniform_profile,
                   write_amplitudes_csv)
@@ -208,7 +208,7 @@ def test_unitary_invariance_of_measures():
 def test_subspace_weights_single_block():
     comp = compose(build_spectrum([(0, 1), (1, 1)]), build_spectrum([(0, 1), (1, 1)]))
     amps = np.zeros(4, dtype=complex)
-    amps[comp.block_slice(comp.subspace_index(1, 0))] = 1.0
+    amps[comp.blocks(MICROCANONICAL)[comp.subspace_index(1, 0)]] = 1.0
     w = PureState(comp, amps).subspace_weights()
     np.testing.assert_allclose(w, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
 
@@ -264,7 +264,7 @@ def test_batched_weight_sums_match_per_state_weights():
     # loop references: block sums in another order agree to roundoff, sums of
     # subspace weights in subspace order agree exactly
     mass = np.abs(batch) ** 2
-    blocks = [[m[comp.block_slice(i)].sum() for i in range(comp.n_subspaces)] for m in mass]
+    blocks = [[m[block].sum() for block in comp.blocks(MICROCANONICAL)] for m in mass]
     np.testing.assert_allclose(w_sub, blocks, rtol=0, atol=4 * np.finfo(float).eps)
     shells = np.zeros((len(states), comp.n_shells))
     gas_levels = np.zeros((len(states), comp.gas.n_levels))
