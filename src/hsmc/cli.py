@@ -79,7 +79,7 @@ def _say(cfg: ExperimentConfig, message: str) -> None:
 
 
 def cmd_predict(cfg: ExperimentConfig) -> int:
-    composite, degeneracies = cfg.composite, cfg.gas.degeneracies
+    composite, gas, container = cfg.composite, cfg.composite.gas, cfg.composite.container
     micro = cfg.constraint.kind == MICROCANONICAL
     # A microcanonical constraint fixes subspace weights, hence the gas level
     # weights and the shell weights; a canonical one fixes shell weights only.
@@ -88,14 +88,14 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
         gas_marginal, w_shell = composite.gas_level_sums(weights), composite.shell_sums(weights)
     predictions = {
         "constraint_kind": cfg.constraint.kind,
-        "min_purity": min_purity_state(cfg.gas, gas_marginal)[1] if micro else None,
-        "max_entropy": max_entropy_micro(gas_marginal, degeneracies) if micro else None,
+        "min_purity": min_purity_state(gas, gas_marginal)[1] if micro else None,
+        "max_entropy": max_entropy_micro(gas_marginal, gas.degeneracies) if micro else None,
         "expected_purity_exact": region_mean_purity(composite, cfg.constraint),
         "expected_purity_approx": expected_purity_approx(
-            cfg.gas_profile.as_array(), degeneracies, cfg.container_profile.as_array(),
-            cfg.container.degeneracies) if micro and cfg.gas_profile is not None else None,
-        "lubkin_average": (lubkin_average(cfg.gas.dim, cfg.container.dim)
-                           if cfg.gas.n_levels == cfg.container.n_levels == 1 else None),
+            cfg.gas_profile.as_array(), gas.degeneracies, cfg.container_profile.as_array(),
+            container.degeneracies) if micro and cfg.gas_profile is not None else None,
+        "lubkin_average": (lubkin_average(gas.dim, container.dim)
+                           if gas.n_levels == container.n_levels == 1 else None),
     }
 
     # Shell weights implied by the constraint drive the canonical attractor.
@@ -105,7 +105,7 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
         raise ConfigError(str(exc)) from None
     marginal = marginal_gas_distribution(dd)
     try:
-        kt, residual = fit_temperature(cfg.gas, marginal)
+        kt, residual = fit_temperature(gas, marginal)
     except ValueError:
         kt = residual = None
     predictions["dominant"] = {
@@ -113,8 +113,8 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
         "lambdas": [[energy, lam] for energy, lam in dd.lambdas.items()],
         "w_d": [[A, B, w] for (A, B), w in dd.w_d.items()],
         "marginal_gas": marginal,
-        "attractor_entropy": max_entropy_micro(marginal, degeneracies),
-        "attractor_purity": float(np.sum(marginal ** 2 / np.asarray(degeneracies, dtype=float))),
+        "attractor_entropy": max_entropy_micro(marginal, gas.degeneracies),
+        "attractor_purity": min_purity_state(gas, marginal)[1],
         "kT": kt,
         "fit_residual": residual,
     }
@@ -154,12 +154,7 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
 
 
 def _initial_state(cfg: ExperimentConfig):
-    if cfg.initial_kind == "product":
-        if cfg.gas_profile is None:
-            raise ConfigError(
-                "run.initial=product needs a product-form constraint "
-                "(gas_weights + container_weights); use run.initial=sample"
-            )
+    if cfg.initial == "product":  # build_experiment checked the constraint is product-form
         return product_state(cfg.composite, cfg.gas_profile, cfg.container_profile)
     return PureState(cfg.composite, next(sample_chunks(cfg.composite, cfg.constraint,
                                                        cfg.seed, 1, 1))[0], check=False)
@@ -172,7 +167,8 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
     conserved = "subspace_weights" if micro else "shell_weights"
     initial = _initial_state(cfg)
     names = ("norm", "energy", "v_eff", "purity", "entropy")
-    n, states_dir = len(cfg.times), os.path.join(cfg.out_dir, "states")
+    times = np.linspace(0.0, cfg.t_max, cfg.n_times)
+    n, states_dir = cfg.n_times, os.path.join(cfg.out_dir, "states")
     if cfg.dump_states:
         os.makedirs(states_dir, exist_ok=True)
     shared = shared_array(n * (6 + composite.n_subspaces), "measures")
@@ -190,7 +186,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
                     write_amplitudes_csv(PureState(composite, row, check=False),
                                          os.path.join(states_dir, f"state_{k:05d}.csv"))
 
-        seg = evolve(initial, hamiltonian, cfg.times[begin:stop], dump if cfg.dump_states else None)
+        seg = evolve(initial, hamiltonian, times[begin:stop], dump if cfg.dump_states else None)
         for row, name in zip(series, names):
             row[first:stop] = seg.measures[name][first - begin:]
         series[-1, begin + 1:stop] = seg.chords
@@ -198,13 +194,13 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
 
     # every worker's evolve covers 2 times or more, so no product is a one-row gemv
     fan_out(run, n // 2, "evolve worker")
-    traj = Trajectory.from_series(cfg.times, hamiltonian, series[-1, 1:],
+    traj = Trajectory.from_series(times, hamiltonian, series[-1, 1:],
                                   subspace_weights=w_sub, **dict(zip(names, series)))
 
     out_dir = _prepare_out_dir(cfg)
     sub_cols = [f"w_{s.A}_{s.B}" for s in composite.subspaces]
     shell_cols = [f"wE_{k}" for k in range(composite.n_shells)]
-    gas_cols = [f"wA_{a}" for a in range(cfg.gas.n_levels)]
+    gas_cols = [f"wA_{a}" for a in range(composite.gas.n_levels)]
     shell_legend = " ".join(
         f"wE_{k}:E={shell.energy!r}" for k, shell in enumerate(composite.shells))
     _write_csv(os.path.join(out_dir, "trajectory.csv"), [

@@ -12,18 +12,16 @@ back to the exact inputs that produced it.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 import hashlib
 import json
 import math
 
-import numpy as np
 import yaml
 
 from .analytics import MomentQuery
-from .sampling import (CANONICAL, MICROCANONICAL, ConstraintProfile,
-                       canonical_profile, microcanonical_profile,
-                       product_constraint)
+from .sampling import CANONICAL, MICROCANONICAL, ConstraintProfile, product_constraint
 from .spectrum import (DEFAULT_SHELL_TOLERANCE, CompositeSpectrum, Spectrum,
                        build_spectrum, compose)
 from .state import WeightProfile, shell_weights
@@ -46,26 +44,30 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved, validated inputs for one CLI run."""
+    """Fully resolved, validated inputs for one CLI run.
+
+    The fields from ``seed`` on are the entries of ``resolved["run"]``, named
+    after their keys.  The spectra, constraint and moment query are None for
+    the commands that do not read them.
+    """
 
     command: str
     resolved: dict
-    seed: int
     out_dir: str
     quiet: bool
-    gas: Spectrum | None = None
-    container: Spectrum | None = None
-    composite: CompositeSpectrum | None = None
-    constraint: ConstraintProfile | None = None
-    gas_profile: WeightProfile | None = None
-    container_profile: WeightProfile | None = None
-    n_samples: int = DEFAULT_N_SAMPLES
-    coupling: float = DEFAULT_COUPLING
-    times: np.ndarray | None = None
-    conservation_tolerance: float = DEFAULT_CONSERVATION_TOLERANCE
-    initial_kind: str = "product"
-    dump_states: bool = False
-    moment_query: MomentQuery | None = None
+    composite: CompositeSpectrum | None
+    constraint: ConstraintProfile | None
+    gas_profile: WeightProfile | None
+    container_profile: WeightProfile | None
+    moment_query: MomentQuery | None
+    seed: int
+    n_samples: int
+    coupling: float
+    t_max: float
+    n_times: int
+    conservation_tolerance: float
+    initial: str
+    dump_states: bool
 
     def config_hash(self) -> str:
         """sha256 of the canonical JSON form of the resolved config.
@@ -112,33 +114,27 @@ def _spectrum_from(raw: dict, name: str) -> Spectrum:
         raise ConfigError(f"{name}.levels must be a nonempty list of [energy, degeneracy]")
     try:
         return build_spectrum([tuple(entry) for entry in levels], label=name)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}.levels invalid: {exc}") from exc
 
 
-def _float_field(section: dict, section_name: str, key: str, default):
-    value = section.get(key, default)
-    if value is None:
-        return None
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{section_name}.{key} must be a number, got {value!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{section_name}.{key} must be finite, got {value!r}")
-    return value
+def _number(value, where: str, integer: bool = False):
+    """``value`` as a finite float, or as an int if ``integer``; ConfigError naming ``where`` else.
 
-
-def _int_field(section: dict, section_name: str, key: str, default):
-    value = section.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{section_name}.{key} must be a finite integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{section_name}.{key} must be an integer, got {value!r}") from None
+    ``null``, a truth value and, for an integer, a fraction are refused.  Text
+    that parses as a number is read: PyYAML takes ``1e-3`` for a string.
+    """
+    if integer and not isinstance(value, (bool, float)):
+        with contextlib.suppress(TypeError, ValueError):
+            return int(value)  # an int or its text, exactly
+    number = math.nan
+    if value is not None and not isinstance(value, bool):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            number = float(value)
+    if not math.isfinite(number) or (integer and not number.is_integer()):
+        raise ConfigError(f"{where} must be a finite {'integer' if integer else 'number'}, "
+                          f"got {value!r}")
+    return int(number) if integer else number
 
 
 def _bool_field(section: dict, section_name: str, key: str) -> bool:
@@ -151,15 +147,15 @@ def _bool_field(section: dict, section_name: str, key: str) -> bool:
 def _weight_profile(spectrum: Spectrum, values, where: str) -> WeightProfile:
     if not isinstance(values, list):
         raise ConfigError(f"{where} must be a list of weights")
+    weights = tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(values))
     try:
-        return WeightProfile(spectrum=spectrum, weights=tuple(float(v) for v in values))
-    except (TypeError, ValueError) as exc:
+        return WeightProfile(spectrum=spectrum, weights=weights)
+    except ValueError as exc:
         raise ConfigError(f"{where} invalid: {exc}") from exc
 
 
-def _build_constraint(raw: dict, composite: CompositeSpectrum,
-                      gas: Spectrum, container: Spectrum):
-    """Returns (profile, gas_profile | None, container_profile | None)."""
+def _build_constraint(raw: dict, composite: CompositeSpectrum):
+    """Returns (profile, gas_profile | None, container_profile | None, resolved section)."""
     section = raw.get("constraint")
     if not isinstance(section, dict):
         raise ConfigError("missing 'constraint' section")
@@ -168,6 +164,7 @@ def _build_constraint(raw: dict, composite: CompositeSpectrum,
         raise ConfigError(
             f"constraint.kind must be '{MICROCANONICAL}' or '{CANONICAL}', got {kind!r}"
         )
+    micro = kind == MICROCANONICAL
 
     has_product = "gas_weights" in section or "container_weights" in section
     has_explicit = "weights" in section
@@ -181,42 +178,44 @@ def _build_constraint(raw: dict, composite: CompositeSpectrum,
     if has_product:
         if "gas_weights" not in section or "container_weights" not in section:
             raise ConfigError("product constraints need both gas_weights and container_weights")
-        gas_profile = _weight_profile(gas, section["gas_weights"], "constraint.gas_weights")
-        container_profile = _weight_profile(container, section["container_weights"],
+        gas_profile = _weight_profile(composite.gas, section["gas_weights"],
+                                      "constraint.gas_weights")
+        container_profile = _weight_profile(composite.container, section["container_weights"],
                                             "constraint.container_weights")
-        if kind == MICROCANONICAL:
+        if micro:
             profile = product_constraint(composite, gas_profile, container_profile)
         else:
             w_shell = shell_weights(composite, gas_profile, container_profile)
-            profile = canonical_profile({
-                shell.energy: float(w)
-                for shell, w in zip(composite.shells, w_shell)
-            })
+            profile = ConstraintProfile(kind, {
+                shell.energy: float(w) for shell, w in zip(composite.shells, w_shell)})
+        resolved = {"kind": kind, "gas_weights": list(gas_profile.weights),
+                    "container_weights": list(container_profile.weights)}
     else:
         entries = section["weights"]
         if not isinstance(entries, list) or not entries:
             raise ConfigError("constraint.weights must be a nonempty list")
+        mapping = {}
+        for i, entry in enumerate(entries):
+            where = f"constraint.weights[{i}]"
+            if not isinstance(entry, list) or len(entry) != (3 if micro else 2):
+                raise ConfigError(f"{where} must be "
+                                  f"{'[A, B, W_AB]' if micro else '[energy, W_E]'}, got {entry!r}")
+            *key, w = entry
+            key = (tuple(_number(k, where, integer=True) for k in key) if micro
+                   else _number(key[0], where))
+            mapping[key] = _number(w, where)
         try:
-            if kind == MICROCANONICAL:
-                mapping = {}
-                for entry in entries:
-                    A, B, w = entry
-                    mapping[(int(A), int(B))] = float(w)
-                profile = microcanonical_profile(mapping)
-            else:
-                mapping = {}
-                for entry in entries:
-                    energy, w = entry
-                    mapping[float(energy)] = float(w)
-                profile = canonical_profile(mapping)
-        except (TypeError, ValueError) as exc:
+            profile = ConstraintProfile(kind, mapping)
+        except ValueError as exc:
             raise ConfigError(f"constraint.weights invalid: {exc}") from exc
+        resolved = {"kind": kind, "weights": [[*k, w] if micro else [k, w]
+                                              for k, w in mapping.items()]}
 
     try:
         profile.resolve(composite)
     except KeyError as exc:
         raise ConfigError(f"constraint.weights inconsistent with the spectra: {exc}") from exc
-    return profile, gas_profile, container_profile
+    return profile, gas_profile, container_profile, resolved
 
 
 def build_experiment(raw: dict, command: str, seed: int | None = None,
@@ -227,19 +226,20 @@ def build_experiment(raw: dict, command: str, seed: int | None = None,
     ``seed``, ``n``, ``out`` and ``quiet`` override the corresponding file
     entries.  The seed is mandatory: it must come from the file or the flag.
     """
-    run = _section(raw, "run")
+    given = _section(raw, "run")
     output = _section(raw, "output")
 
-    if seed is None:
-        seed = _int_field(run, "run", "seed", None)
-    if seed is None:
-        raise ConfigError("a seed is mandatory: set run.seed or pass --seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"run.seed must be in [0, 2**64), got {seed}")
+    def number(key: str, default, integer: bool = False):
+        return _number(given.get(key, default), f"run.{key}", integer)
 
-    n_samples = n if n is not None else _int_field(run, "run", "n_samples", DEFAULT_N_SAMPLES)
-    if not 1 <= n_samples < MAX_COUNT:
-        raise ConfigError(f"run.n_samples must be in [1, 2**63), got {n_samples}")
+    if seed is None and "seed" not in given:
+        raise ConfigError("a seed is mandatory: set run.seed or pass --seed")
+    run = {"seed": number("seed", None, integer=True) if seed is None else seed}
+    if not 0 <= run["seed"] < 2**64:
+        raise ConfigError(f"run.seed must be in [0, 2**64), got {run['seed']}")
+    run["n_samples"] = n if n is not None else number("n_samples", DEFAULT_N_SAMPLES, integer=True)
+    if not 1 <= run["n_samples"] < MAX_COUNT:
+        raise ConfigError(f"run.n_samples must be in [1, 2**63), got {run['n_samples']}")
 
     out_dir, file_quiet = output.get("dir", "out"), _bool_field(output, "output", "quiet")
     if not isinstance(out_dir, str) or not out_dir:
@@ -247,46 +247,26 @@ def build_experiment(raw: dict, command: str, seed: int | None = None,
     out_dir = out if out is not None else out_dir
     quiet = file_quiet if quiet is None else quiet
 
-    coupling = _float_field(run, "run", "coupling", DEFAULT_COUPLING)
+    run["coupling"] = coupling = number("coupling", DEFAULT_COUPLING)
     if coupling < 0:
         raise ConfigError("run.coupling must be >= 0")
-    conservation_tolerance = _float_field(run, "run", "conservation_tolerance",
-                                          DEFAULT_CONSERVATION_TOLERANCE)
-    if conservation_tolerance <= 0:
-        raise ConfigError("run.conservation_tolerance must be > 0")
-
-    default_t_max = 50.0 / coupling if coupling > 0 else 50.0
-    t_max = _float_field(run, "run", "t_max", default_t_max)
-    n_times = _int_field(run, "run", "n_times", DEFAULT_N_TIMES)
-    if t_max <= 0:
+    run["t_max"] = number("t_max", 50.0 / coupling if coupling > 0 else 50.0)
+    if run["t_max"] <= 0:
         raise ConfigError("run.t_max must be > 0")
-    if not 2 <= n_times < MAX_COUNT:
-        raise ConfigError(f"run.n_times must be in [2, 2**63), got {n_times}")
-    times = np.linspace(0.0, t_max, n_times) if command == "evolve" else None
+    run["n_times"] = number("n_times", DEFAULT_N_TIMES, integer=True)
+    if not 2 <= run["n_times"] < MAX_COUNT:
+        raise ConfigError(f"run.n_times must be in [2, 2**63), got {run['n_times']}")
+    run["conservation_tolerance"] = number("conservation_tolerance",
+                                           DEFAULT_CONSERVATION_TOLERANCE)
+    if run["conservation_tolerance"] <= 0:
+        raise ConfigError("run.conservation_tolerance must be > 0")
+    run["initial"] = str(given.get("initial", "product"))
+    if run["initial"] not in ("product", "sample"):
+        raise ConfigError(f"run.initial must be 'product' or 'sample', got {run['initial']!r}")
+    run["dump_states"] = _bool_field(given, "run", "dump_states")
 
-    initial_kind = str(run.get("initial", "product"))
-    if initial_kind not in ("product", "sample"):
-        raise ConfigError(f"run.initial must be 'product' or 'sample', got {initial_kind!r}")
-    dump_states = _bool_field(run, "run", "dump_states")
-
-    resolved = {
-        "command": command,
-        "run": {
-            "seed": seed,
-            "n_samples": n_samples,
-            "coupling": coupling,
-            "t_max": t_max,
-            "n_times": n_times,
-            "conservation_tolerance": conservation_tolerance,
-            "initial": initial_kind,
-            "dump_states": dump_states,
-        },
-        "output": {"dir": out_dir, "quiet": quiet},
-    }
-
-    gas = container = composite = None
-    constraint = gas_profile = container_profile = None
-    moment_query = None
+    resolved = {"command": command, "run": run, "output": {"dir": out_dir, "quiet": quiet}}
+    composite = constraint = gas_profile = container_profile = moment_query = None
 
     if command == "moments":
         section = raw.get("moments")
@@ -295,80 +275,46 @@ def build_experiment(raw: dict, command: str, seed: int | None = None,
         for key in ("R", "d", "u_l", "u_m"):
             if key not in section:
                 raise ConfigError(f"moments.{key} is required")
+        resolved["moments"] = {key: _number(section[key], f"moments.{key}", key != "R")
+                               for key in ("R", "d", "u_l", "u_m")}
         try:
-            moment_query = MomentQuery(
-                R=_float_field(section, "moments", "R", None),
-                d=_int_field(section, "moments", "d", None),
-                u_l=_int_field(section, "moments", "u_l", None),
-                u_m=_int_field(section, "moments", "u_m", None),
-            )
-        except (TypeError, ValueError) as exc:
+            moment_query = MomentQuery(**resolved["moments"])
+        except ValueError as exc:
             raise ConfigError(f"moments section invalid: {exc}") from exc
-        if n_samples < 2:
+        if run["n_samples"] < 2:
             raise ConfigError("the moments command needs run.n_samples >= 2")
-        if n_samples > MAX_MOMENT_POINTS:
+        if run["n_samples"] > MAX_MOMENT_POINTS:
             raise ConfigError(f"the moments command takes at most run.n_samples = 2**30 "
-                              f"points, got {n_samples}")
-        resolved["moments"] = {
-            "R": moment_query.R, "d": moment_query.d,
-            "u_l": moment_query.u_l, "u_m": moment_query.u_m,
-        }
+                              f"points, got {run['n_samples']}")
     else:
         gas = _spectrum_from(raw, "gas")
         container = _spectrum_from(raw, "container")
-        shell_tolerance = _float_field(raw, "top level", "shell_tolerance",
-                                       DEFAULT_SHELL_TOLERANCE)
+        shell_tolerance = _number(raw.get("shell_tolerance", DEFAULT_SHELL_TOLERANCE),
+                                  "shell_tolerance")
         if shell_tolerance < 0:
             raise ConfigError("shell_tolerance must be >= 0")
         try:
             composite = compose(gas, container, shell_tolerance=shell_tolerance)
         except ValueError as exc:
             raise ConfigError(f"gas and container levels cannot be composed: {exc}") from exc
-        constraint, gas_profile, container_profile = _build_constraint(
-            raw, composite, gas, container)
+        for name, spectrum in (("gas", gas), ("container", container)):
+            resolved[name] = {"levels": [[e, n_] for e, n_ in
+                                         zip(spectrum.energies, spectrum.degeneracies)]}
+        resolved["shell_tolerance"] = shell_tolerance
+        constraint, gas_profile, container_profile, resolved["constraint"] = _build_constraint(
+            raw, composite)
         # |H| <= S, and the largest sum of squares of an evolve run is commutator_norms':
         # sum |H_jk (d_j - d_k)|^2 <= (2 S)^2 |H|_F^2 <= 4 dim S^4.
         scale = max(map(abs, gas.energies)) + max(map(abs, container.energies)) + coupling
-        if command == "evolve" and not (math.isfinite(t_max * scale) and math.isfinite(
+        if command == "evolve" and not (math.isfinite(run["t_max"] * scale) and math.isfinite(
                 4 * composite.dim * (scale * scale) * (scale * scale))):
             raise ConfigError(f"gas.levels, container.levels and run.coupling give evolve an "
                               f"energy scale S = {scale!r}: t_max S or 4 dim S^4 overflows")
+        if command == "evolve" and run["initial"] == "product" and gas_profile is None:
+            raise ConfigError("run.initial=product needs a product-form constraint "
+                              "(gas_weights + container_weights); use run.initial=sample")
 
-        resolved["gas"] = {"levels": [[e, n_] for e, n_ in
-                                      zip(gas.energies, gas.degeneracies)]}
-        resolved["container"] = {"levels": [[e, n_] for e, n_ in
-                                            zip(container.energies, container.degeneracies)]}
-        resolved["shell_tolerance"] = shell_tolerance
-        if gas_profile is not None:
-            resolved["constraint"] = {
-                "kind": constraint.kind,
-                "gas_weights": list(gas_profile.weights),
-                "container_weights": list(container_profile.weights),
-            }
-        else:
-            if constraint.kind == MICROCANONICAL:
-                entries = [[A, B, w] for (A, B), w in constraint.weights.items()]
-            else:
-                entries = [[energy, w] for energy, w in constraint.weights.items()]
-            resolved["constraint"] = {"kind": constraint.kind, "weights": entries}
-
-    return ExperimentConfig(
-        command=command,
-        resolved=resolved,
-        seed=seed,
-        out_dir=out_dir,
-        quiet=quiet,
-        gas=gas,
-        container=container,
-        composite=composite,
-        constraint=constraint,
-        gas_profile=gas_profile,
-        container_profile=container_profile,
-        n_samples=n_samples,
-        coupling=coupling,
-        times=times,
-        conservation_tolerance=conservation_tolerance,
-        initial_kind=initial_kind,
-        dump_states=dump_states,
-        moment_query=moment_query,
-    )
+    return ExperimentConfig(command=command, resolved=resolved, out_dir=out_dir, quiet=quiet,
+                            composite=composite, constraint=constraint,
+                            gas_profile=gas_profile, container_profile=container_profile,
+                            moment_query=moment_query, **run)

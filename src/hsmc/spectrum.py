@@ -68,7 +68,7 @@ def build_spectrum(levels, label: str = "") -> Spectrum:
     Raises
     ------
     ValueError
-        On an empty list, a duplicate energy, or a degeneracy < 1.
+        On an empty list, a duplicate energy, a truth value, or a degeneracy < 1.
     """
     levels = list(levels)
     if not levels:
@@ -80,6 +80,8 @@ def build_spectrum(levels, label: str = "") -> Spectrum:
             energy, degeneracy = entry
         except (TypeError, ValueError):
             raise ValueError(f"level {entry!r} is not an (energy, degeneracy) pair") from None
+        if isinstance(energy, bool) or isinstance(degeneracy, bool):
+            raise ValueError(f"level {entry!r} holds a truth value, not a number")
         energy = float(energy)
         if not np.isfinite(energy):
             raise ValueError(f"level energy {energy!r} is not finite")

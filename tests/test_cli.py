@@ -793,6 +793,62 @@ def test_config_errors_exit_2(tmp_path, capsys, mangle, hint):
     assert hint in capsys.readouterr().err
 
 
+def _with_value(text, path, value):
+    """``text`` with the config entry at ``path`` (keys and list indices) set to ``value``."""
+    raw = yaml.safe_load(text)
+    *parents, last = path
+    node = raw
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return yaml.safe_dump(raw)
+
+
+C1_EXPLICIT_YAML = C1_YAML.replace(
+    "  gas_weights: [0.5, 0.5]\n  container_weights: [0.5, 0.5]\n",
+    "  weights: [[0, 0, 0.5], [1, 1, 0.5]]\n")
+# Every kind of number a config holds: the name its error gives, the command that
+# reads it, a config and the path of the entry in it.
+NUMERIC_KEYS = {
+    "run.seed": ("sample", C1_YAML, ("run", "seed")),
+    "run.n_samples": ("sample", C1_YAML, ("run", "n_samples")),
+    "run.coupling": ("evolve", C1_YAML, ("run", "coupling")),
+    "run.t_max": ("evolve", C1_YAML, ("run", "t_max")),
+    "run.n_times": ("evolve", C1_YAML, ("run", "n_times")),
+    "run.conservation_tolerance": ("evolve", C1_YAML, ("run", "conservation_tolerance")),
+    "shell_tolerance": ("predict", C1_YAML, ("shell_tolerance",)),
+    "moments.R": ("moments", MOMENTS_YAML, ("moments", "R")),
+    "moments.d": ("moments", MOMENTS_YAML, ("moments", "d")),
+    "moments.u_l": ("moments", MOMENTS_YAML, ("moments", "u_l")),
+    "moments.u_m": ("moments", MOMENTS_YAML, ("moments", "u_m")),
+    "constraint.gas_weights[0]": ("predict", C1_YAML, ("constraint", "gas_weights", 0)),
+    "constraint.container_weights[1]": ("predict", C1_YAML,
+                                        ("constraint", "container_weights", 1)),
+    "constraint.weights[1]": ("predict", C1_EXPLICIT_YAML, ("constraint", "weights", 1, 2)),
+    "gas.levels": ("predict", C1_YAML, ("gas", "levels", 1, 1)),
+}
+
+
+@pytest.mark.parametrize("value", [None, True], ids=["null", "true"])
+@pytest.mark.parametrize("name", NUMERIC_KEYS)
+def test_null_or_true_for_a_number_exits_2(tmp_path, capsys, name, value):
+    # neither may reach a comparison (a TypeError) or be read as 1
+    command, text, path = NUMERIC_KEYS[name]
+    cfg = write_config(tmp_path, _with_value(text, path, value))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name}") and "Traceback" not in err
+
+
+def test_a_number_given_as_text_is_read_as_the_number():
+    # PyYAML reads 1e-12 as a string: it is the number 1.0e-12, with the same hash
+    assert yaml.safe_load("x: 1e-12")["x"] == "1e-12"
+    cfgs = [build_experiment(yaml.safe_load(C1_YAML + f"  conservation_tolerance: {text}\n"),
+                             command="evolve") for text in ("1e-12", "1.0e-12")]
+    assert cfgs[0].conservation_tolerance == 1e-12
+    assert cfgs[0].config_hash() == cfgs[1].config_hash()
+
+
 _TWO_LEVELS = build_spectrum([(0, 1), (1, 1)])
 _TWO_SHELLS = compose(_TWO_LEVELS, build_spectrum([(0, 1)]))
 
@@ -951,7 +1007,11 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_product_initial_needs_product_constraint(tmp_path, capsys):
+def test_product_initial_needs_product_constraint(tmp_path, capsys, monkeypatch):
+    def build_h(*args):
+        raise AssertionError("H was built for a refused config")
+
+    monkeypatch.setattr(dynamics, "_assemble", build_h)  # refused before H is built
     yaml_text = """
 gas:
   levels: [[0, 2], [1, 2]]
@@ -997,8 +1057,9 @@ def test_module_entry_point_smoke(tmp_path):
 
 # ------------------------------------------------------------------- fuzzing
 
-ODD_FLOATS = st.sampled_from(
-    [0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e308, 1e-300])
+# null and true stand where a number should: each config number refuses both
+ODD_NUMBERS = st.sampled_from(
+    [0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e308, 1e-300, None, True])
 
 
 def _mostly(draw, valid, odd):
@@ -1013,7 +1074,7 @@ def _fuzz_weights(draw, n):
     total = sum(raw)
     valid = [w / total for w in raw] if total > 0 else [1.0 / n] * n
     return _mostly(draw, st.just(valid),
-                   st.lists(st.one_of(st.floats(-2, 2), ODD_FLOATS), max_size=n + 1))
+                   st.lists(st.one_of(st.floats(-2, 2), ODD_NUMBERS), max_size=n + 1))
 
 
 @st.composite
@@ -1022,9 +1083,9 @@ def fuzz_configs(draw):
     def levels():
         n = draw(st.integers(1, 3))
         energies = draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n, unique=True))
-        return [[_mostly(draw, st.just(e), ODD_FLOATS),
+        return [[_mostly(draw, st.just(e), ODD_NUMBERS),
                  _mostly(draw, st.integers(1, 3),
-                         st.sampled_from([0, -1, 2.5, math.inf, math.nan]))]
+                         st.sampled_from([0, -1, 2.5, math.inf, math.nan, None, True]))]
                 for e in energies]
 
     gas, container = levels(), levels()
@@ -1040,28 +1101,30 @@ def fuzz_configs(draw):
         constraint["weights"] = [[a, b, w] for (a, b), w
                                  in zip(pairs, _fuzz_weights(draw, len(pairs)))]
     else:
-        sums = st.sampled_from([g[0] + c[0] for g in gas for c in container])
-        energies = draw(st.lists(st.one_of(sums, ODD_FLOATS), min_size=1, max_size=3))
+        sums = st.sampled_from([g[0] + c[0] for g in gas for c in container
+                                if g[0] is not None and c[0] is not None] or [0.0])
+        energies = draw(st.lists(st.one_of(sums, ODD_NUMBERS), min_size=1, max_size=3))
         constraint["weights"] = [[e, w] for e, w
                                  in zip(energies, _fuzz_weights(draw, len(energies)))]
     run = {"seed": _mostly(draw, st.integers(0, 2**64 - 1),
-                           st.sampled_from([-1, 2**64, math.inf, math.nan])),
+                           st.sampled_from([-1, 2**64, math.inf, math.nan, None, True])),
            "initial": _mostly(draw, st.sampled_from(["sample", "product", "sample"]),
                               st.just("bogus")),
            "dump_states": _mostly(draw, st.booleans(), st.just("false"))}
     for key in ("coupling", "t_max", "conservation_tolerance"):
         if draw(st.booleans()):
-            run[key] = _mostly(draw, st.floats(1e-3, 10), ODD_FLOATS)
+            run[key] = _mostly(draw, st.floats(1e-3, 10), ODD_NUMBERS)
     if draw(st.booleans()):
         run["n_times"] = _mostly(draw, st.integers(2, 5),
-                                 st.sampled_from([-1, 0, 1, 2**63, 1e300, math.inf, math.nan]))
+                                 st.sampled_from([-1, 0, 1, 2**63, 1e300, math.inf, math.nan,
+                                                  None, True]))
     def exponent():
         # every pair has a closed form; 1025 exceeds the maximum total order alone
-        return _mostly(draw, st.integers(0, 8), st.sampled_from([-1, 1025]))
+        return _mostly(draw, st.integers(0, 8), st.sampled_from([-1, 1025, None, True]))
 
-    moments = {"R": _mostly(draw, st.floats(0.1, 3), ODD_FLOATS),
+    moments = {"R": _mostly(draw, st.floats(0.1, 3), ODD_NUMBERS),
                "d": _mostly(draw, st.integers(2, 6),
-                            st.sampled_from([-1, 0, 1, math.inf, math.nan])),
+                            st.sampled_from([-1, 0, 1, math.inf, math.nan, None, True])),
                "u_l": exponent(), "u_m": exponent()}
     return {"gas": {"levels": gas}, "container": {"levels": container},
             "constraint": constraint, "run": run, "moments": moments}

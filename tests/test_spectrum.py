@@ -41,6 +41,12 @@ def test_bad_degeneracy_rejected():
         build_spectrum([(0, 1.5)])
 
 
+def test_truth_values_rejected():
+    for levels in ([(0, True)], [(True, 1)], [(0, 1), (1, False)]):
+        with pytest.raises(ValueError, match="truth value"):
+            build_spectrum(levels)
+
+
 def test_empty_spectrum_rejected():
     with pytest.raises(ValueError):
         build_spectrum([])
