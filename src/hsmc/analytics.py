@@ -32,6 +32,7 @@ __all__ = [
     "expected_purity_exact",
     "expected_purity_approx",
     "lubkin_average",
+    "page_entropy",
     "hypersphere_moment",
     "hypersphere_moment_mc",
     "region_log_size",
@@ -133,6 +134,18 @@ def lubkin_average(n_gas: int, n_container: int) -> float:
     if n_gas < 1 or n_container < 1:
         raise ValueError("dimensions must be >= 1")
     return (n_gas + n_container) / (n_gas * n_container + 1)
+
+
+def page_entropy(m: int, n: int) -> float:
+    """Average entropy of either part of fully unconstrained states on C^m x C^n.
+
+    For m <= n it is sum_{k=n+1}^{mn} 1/k - (m - 1) / (2n) (Page, PRL 71, 1291,
+    1993; proved by Foong and Kanno, PRL 72, 1148, 1994, and Sen, PRL 77, 1, 1996).
+    """
+    if m < 1 or n < 1:
+        raise ValueError("dimensions must be >= 1")
+    m, n = min(m, n), max(m, n)
+    return math.fsum(1.0 / k for k in range(n + 1, m * n + 1)) - (m - 1) / (2 * n)
 
 
 @dataclass(frozen=True)

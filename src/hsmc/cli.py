@@ -15,6 +15,7 @@ that cannot be written included), 3 numerical-validation failure.
 from __future__ import annotations
 
 import argparse
+from functools import partial
 import json
 import os
 import sys
@@ -31,8 +32,9 @@ from .dynamics import (NumericalValidationError, Trajectory, build_canonical_ham
                        build_microcanonical_hamiltonian, effective_velocity,
                        evolve, max_drift)
 from .fanout import fan_out, shared_array
-from .sampling import MICROCANONICAL, mc_estimate, measure_draws, sample_chunks, substream
-from .state import PureState, _write_csv, gas_purity_entropy, product_state, write_amplitudes_csv
+from .sampling import (MICROCANONICAL, mc_estimate, measure_draws, sample_chunks,
+                       sample_gas_states, substream)
+from .state import PureState, _write_csv, product_state, purity_entropy, write_amplitudes_csv
 
 ENERGY_DRIFT_TOLERANCE = 1e-9
 
@@ -129,14 +131,14 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
 def cmd_sample(cfg: ExperimentConfig) -> int:
     composite, n = cfg.composite, cfg.n_samples
     try:
-        purities, entropies = measure_draws(lambda a: gas_purity_entropy(composite, a), 2,
-                                            composite, cfg.constraint, n, cfg.seed)
+        purities, entropies = measure_draws(
+            purity_entropy, 2, partial(sample_gas_states, composite, cfg.constraint, cfg.seed), n)
     except ValueError as exc:  # a failed norm or density check
         raise NumericalValidationError(str(exc)) from exc
 
     out_dir = _prepare_out_dir(cfg)
     _write_csv(os.path.join(out_dir, "samples.csv"), [
-        "# hsmc samples v1",
+        "# hsmc samples v2",
         f"# config_hash={cfg.config_hash()} version={__version__} seed={cfg.seed} n={n}",
         "sample,purity,entropy",
     ], [purities, entropies])

@@ -203,6 +203,9 @@ def _build_constraint(raw: dict, composite: CompositeSpectrum):
             *key, w = entry
             key = (tuple(_number(k, where, integer=True) for k in key) if micro
                    else _number(key[0], where))
+            if key in mapping:
+                raise ConfigError(f"{where} repeats the {'subspace' if micro else 'shell energy'} "
+                                  f"{key!r} of an earlier entry")
             mapping[key] = _number(w, where)
         try:
             profile = ConstraintProfile(kind, mapping)

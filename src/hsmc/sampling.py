@@ -7,6 +7,12 @@ Sampling draws standard normals for each sphere and rescales them to the
 sphere radius, which is exactly uniform on the product of spheres with no
 rejection step.
 
+Where only the gas state rho_g is wanted, it can be drawn without the
+amplitudes: the Gaussian slice X_b of container level b enters rho_g only
+through its Gram matrix X_b X_b^dagger, a complex Wishart matrix whose Bartlett
+factor has a size free of the container degeneracy (the induced measures of
+Zyczkowski and Sommers, J. Phys. A 34, 7111, 2001).
+
 Reproducibility contract: sample i of a run always comes from the dedicated
 counter-based stream ``substream(seed, i)``, so serial runs, resumed runs and
 parallel fan-outs all produce bit-identical sample sequences.
@@ -16,14 +22,15 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import partial
 import math
 
 import numpy as np
 
-from .fanout import fan_out, shared_array
+from .fanout import fan_out, one_blas_thread, shared_array
 from .spectrum import CANONICAL, MICROCANONICAL, CompositeSpectrum
 from .state import (BATCH_ELEMENTS, PureState, WeightProfile, batch_rows,
-                    check_normalized, checked_weights, subspace_weights)
+                    check_normalized, checked_weights, reduce_gas_states, subspace_weights)
 
 __all__ = [
     "MICROCANONICAL",
@@ -38,9 +45,19 @@ __all__ = [
     "sample_microcanonical",
     "sample_canonical",
     "sample_chunks",
+    "GAMMA_CALL_NORMALS",
+    "gas_state_chunks",
+    "sample_gas_states",
     "measure_draws",
     "mc_average",
 ]
+
+
+# One array-shaped ``standard_gamma`` call costs as much time as drawing this many
+# standard normals: 7.9 us with 3 shapes and 10.2 us with 48, against 20-23 ns a
+# normal (Philox, numpy 2.4, one thread of a 2-core VM).  A layout draws its gas
+# states from Bartlett factors when they save more normals per draw than this.
+GAMMA_CALL_NORMALS = 400
 
 
 @dataclass(frozen=True)
@@ -257,8 +274,9 @@ def sample_chunks(composite: CompositeSpectrum, profile: ConstraintProfile,
                    seed, start, count)
 
 
-def _chunks(blocks, rows: int, seed: int, start: int, count: int) -> Iterator[np.ndarray]:
-    n_normals = 2 * blocks[0][-1]
+def _streams(seed: int) -> Callable[[int], np.random.Generator]:
+    """``stream(index)``: one Philox generator, re-keyed to [seed, index] and rewound
+    by each call, so it draws what ``substream(seed, index)`` draws."""
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # a copy: setting it copies back the reused key and zero counter
@@ -270,8 +288,16 @@ def _chunks(blocks, rows: int, seed: int, start: int, count: int) -> Iterator[np
         bitgen.state = state
         return gen
 
+    return stream
+
+
+def _chunks(blocks, rows: int, seed: int, start: int, count: int) -> Iterator[np.ndarray]:
+    n_normals = 2 * blocks[0][-1]
+    stream = _streams(seed)
+
     def after_first_call(index: int) -> np.random.Generator:
-        stream(index).standard_normal(n_normals)
+        gen = stream(index)
+        gen.standard_normal(n_normals)
         return gen
 
     normals = np.zeros((min(rows, count), n_normals + 2))
@@ -282,13 +308,149 @@ def _chunks(blocks, rows: int, seed: int, start: int, count: int) -> Iterator[np
         yield _fill(blocks, normals[:m], lambda r: after_first_call(first + r))
 
 
-def measure_draws(measure: Callable[[np.ndarray], np.ndarray], k: int,
-                  composite: CompositeSpectrum, profile: ConstraintProfile,
-                  n: int, seed: int) -> np.ndarray:
-    """(k, n) array whose column i holds the k values of ``measure`` on draw i of run ``seed``.
+@dataclass(frozen=True)
+class _Bartlett:
+    """Where the variates of one Bartlett draw go (see :func:`gas_state_chunks`).
 
-    ``measure`` maps one (rows, dim) chunk from :func:`sample_chunks` to k arrays of
-    ``rows`` values, or to one such array if k is 1; any other shape is a ValueError.  The draws are split over
+    A draw's entries are its ``n_lower`` below-diagonal entries, then its
+    diagonal ones, then one zero.  Each positive-weight block has one span of
+    each kind.
+    """
+
+    n_lower: int
+    shapes: np.ndarray  # the Gamma shape of each diagonal entry
+    lower: tuple[slice, ...]  # per block, its below-diagonal entries
+    diagonal: tuple[slice, ...]  # per block, its diagonal entries
+    radii: np.ndarray  # per block, sqrt(W_k)
+    source: np.ndarray  # per cell of the dim_gas x columns factor matrix, its entry
+    columns: int
+    saving: int  # normals per draw saved against drawing the amplitudes
+
+
+def _bartlett(composite: CompositeSpectrum, profile: ConstraintProfile) -> _Bartlett:
+    """The Bartlett factors of ``profile``'s region, laid out once.
+
+    Container level b pairs with the p_b gas states whose subspace (A, b) lies in a
+    positive-weight block; its factor L_b has those p_b rows and min(p_b, m_b)
+    columns, m_b the degeneracy of b.  Each entry of L_b belongs to the block of
+    its row.  The factors sit side by side as the columns of one matrix.
+    """
+    w = profile.resolve(composite)
+    blocks = composite.blocks(profile.kind)
+    owner = np.empty(composite.dim, dtype=np.intp)
+    for k, block in enumerate(blocks):
+        owner[block] = k
+    entries = {"lower": [], "diagonal": []}  # (block, gas row, column, Gamma shape) arrays
+    columns = 0
+    for b, m_b in enumerate(composite.container.degeneracies):
+        owners = np.repeat([owner[composite.subspaces[composite.subspace_index(a, b)].offset]
+                            for a in range(composite.gas.n_levels)], composite.gas.degeneracies)
+        rows = np.flatnonzero(w[owners] > 0)
+        q = min(len(rows), m_b)
+        j, i = np.tril_indices(len(rows), -1, q)
+        entries["lower"].append((owners[rows[j]], rows[j], columns + i, np.zeros_like(i)))
+        d = np.arange(q)
+        entries["diagonal"].append((owners[rows[d]], rows[d], columns + d, m_b - d))
+        columns += q
+    active = np.flatnonzero(w > 0)
+    spans, cells, shapes = {}, [], {}
+    for name, parts in entries.items():
+        owners, rows, cols, shape = map(np.concatenate, zip(*parts))
+        order = np.argsort(owners, kind="stable")  # each block's entries together
+        owners, shapes[name], first = owners[order], shape[order], sum(map(len, cells))
+        spans[name] = tuple(slice(first + a, first + z) for a, z in zip(
+            np.searchsorted(owners, active), np.searchsorted(owners, active, side="right")))
+        cells.append(rows[order] * columns + cols[order])
+    n_lower, n_entries = len(cells[0]), sum(map(len, cells))
+    source = np.full(composite.dim_gas * columns, n_entries)
+    source[np.concatenate(cells)] = np.arange(n_entries)
+    amplitudes = sum(len(blocks[k]) for k in active)
+    return _Bartlett(n_lower=n_lower, shapes=shapes["diagonal"].astype(float),
+                     lower=spans["lower"], diagonal=spans["diagonal"], radii=np.sqrt(w[active]),
+                     source=source, columns=columns, saving=2 * (amplitudes - n_lower))
+
+
+def gas_state_chunks(composite: CompositeSpectrum, profile: ConstraintProfile,
+                     seed: int, start: int, count: int) -> Iterator[np.ndarray]:
+    """Gas states of draws ``start`` to ``start + count - 1`` of run ``seed``, by Bartlett factors.
+
+    Yields (rows, dim_gas, dim_gas) stacks of rho_g, in draw order, with the law
+    of the reduced states of :func:`sample_chunks`' draws but not their values.
+    Draw i reads ``substream(seed, i)``: first the complex normal below-diagonal
+    entries of every factor L_b (2 normals each), then, in one ``standard_gamma``
+    call, its diagonal: |L_jj|^2 ~ Gamma(m_b - j), doubled to match the normals.
+    G_b = L_b L_b^dagger has the law of X_b X_b^dagger for the Gaussian slice X_b of
+    container level b (Bartlett 1933; Goodman 1963), so each block's |X_k|^2 is the
+    sum of its entries' |L|^2, and rho_g = sum_b D_b G_b D_b, where D_b scales a gas
+    row of block k by sqrt(W_k) / |X_k|.  A draw costs O(sum_b p_b^2) variates and
+    O(sum_b p_b^3) flops, free of the container degeneracies m_b.  A block norm that
+    is not positive and finite is a ValueError, and every rho_g passes the checks
+    of :func:`~hsmc.state.purity_entropy` when measured.
+    """
+    _check_keys(seed, start, count)
+    return _gas_chunks(composite, _bartlett(composite, profile), seed, start, count)
+
+
+def _gas_chunks(composite: CompositeSpectrum, factors: _Bartlett, seed: int, start: int,
+                count: int) -> Iterator[np.ndarray]:
+    n_lower, shapes = factors.n_lower, factors.shapes
+    rows = batch_rows(composite.dim_gas * factors.columns)
+    stream = _streams(seed)
+    entries = np.zeros((min(rows, count), n_lower + len(shapes) + 1), dtype=complex)  # last: 0
+    normals = entries.view(float)
+    gammas = np.empty((len(entries), len(shapes)))
+    for first in range(start, start + count, rows):
+        m = min(rows, start + count - first)
+        for r in range(m):
+            gen = stream(first + r)
+            gen.standard_normal(out=normals[r, :2 * n_lower])
+            gen.standard_gamma(shapes, out=gammas[r])
+        chunk = entries[:m]
+        chunk[:, n_lower:-1] = np.sqrt(2.0 * gammas[:m])
+        for radius, lower, diagonal in zip(factors.radii, factors.lower, factors.diagonal):
+            norm_sq = (np.vecdot(chunk[:, lower], chunk[:, lower])
+                       + np.vecdot(chunk[:, diagonal], chunk[:, diagonal])).real
+            bad = ~(np.isfinite(norm_sq) & (norm_sq > 0.0))
+            if np.any(bad):
+                raise ValueError(f"block norm^2 {float(norm_sq[bad][0])!r} "
+                                 f"is not positive and finite")
+            scale = (radius / np.sqrt(norm_sq))[:, None]
+            chunk[:, lower] *= scale
+            chunk[:, diagonal] *= scale
+        psi = np.take(chunk, factors.source, axis=1).reshape(m, composite.dim_gas,
+                                                             factors.columns)
+        with one_blas_thread():
+            rho = psi @ psi.conj().swapaxes(1, 2)
+        del psi
+        yield rho
+
+
+def sample_gas_states(composite: CompositeSpectrum, profile: ConstraintProfile,
+                      seed: int, start: int, count: int) -> Iterator[np.ndarray]:
+    """Gas states of draws ``start`` to ``start + count - 1`` of run ``seed``, the cheaper way.
+
+    Yields (rows, dim_gas, dim_gas) stacks of rho_g.  Where Bartlett factors save
+    more than ``GAMMA_CALL_NORMALS`` normals per draw, they come from
+    :func:`gas_state_chunks`, else from :func:`sample_chunks`' amplitudes, reduced
+    by :func:`~hsmc.state.reduce_gas_states`.  The choice follows from the region's
+    layout alone, so draw i depends on ``substream(seed, i)`` and the region only.
+    """
+    _check_keys(seed, start, count)
+    factors = _bartlett(composite, profile)
+    if factors.saving > GAMMA_CALL_NORMALS:
+        return _gas_chunks(composite, factors, seed, start, count)
+    return map(partial(reduce_gas_states, composite),
+               sample_chunks(composite, profile, seed, start, count))
+
+
+def measure_draws(measure: Callable[[np.ndarray], np.ndarray], k: int,
+                  chunks: Callable[[int, int], Iterable[np.ndarray]], n: int) -> np.ndarray:
+    """(k, n) array whose column i holds the k values of ``measure`` on draw i.
+
+    ``chunks(start, count)`` yields draws ``start`` to ``start + count - 1`` in
+    chunks of rows, e.g. ``partial(sample_chunks, composite, profile, seed)``.
+    ``measure`` maps one chunk to k arrays of one value per row, or to one such
+    array if k is 1; any other shape is a ValueError.  The draws are split over
     :func:`~hsmc.fanout.fan_out`'s workers, and a ValueError names a worker's draws.
     """
     values = shared_array(k * n, "results").reshape(k, n)
@@ -297,14 +459,14 @@ def measure_draws(measure: Callable[[np.ndarray], np.ndarray], k: int,
         first, stop = n * w // m, n * (w + 1) // m
         start = first
         try:
-            for amplitudes in sample_chunks(composite, profile, seed, first, stop - first):
-                chunk = np.asarray(measure(amplitudes), dtype=float)
-                expected = (len(amplitudes),) if k == 1 else (k, len(amplitudes))
+            for rows in chunks(first, stop - first):
+                chunk = np.asarray(measure(rows), dtype=float)
+                expected = (len(rows),) if k == 1 else (k, len(rows))
                 if chunk.shape != expected:
                     raise ValueError(f"measure gave shape {chunk.shape} for a chunk of "
-                                     f"{len(amplitudes)} draws, expected {expected}")
-                values[:, start:start + len(amplitudes)] = chunk
-                start += len(amplitudes)
+                                     f"{len(rows)} draws, expected {expected}")
+                values[:, start:start + len(rows)] = chunk
+                start += len(rows)
         except ValueError as exc:  # a failed norm, density or shape check
             raise ValueError(f"draws {first} to {stop - 1}: {exc}") from exc
 
@@ -328,4 +490,5 @@ def mc_average(measure: Callable[[np.ndarray], np.ndarray], composite: Composite
     """
     if n < 2:
         raise ValueError("mc_average needs n >= 2 to estimate a standard error")
-    return mc_estimate(measure_draws(measure, 1, composite, profile, n, seed), seed)
+    return mc_estimate(measure_draws(measure, 1, partial(sample_chunks, composite, profile, seed),
+                                     n), seed)

@@ -20,8 +20,9 @@ from .spectrum import CompositeSpectrum, Spectrum
 __all__ = [
     "NORMALIZATION_TOLERANCE", "WEIGHT_SUM_TOLERANCE", "BATCH_ELEMENTS", "batch_rows",
     "checked_weights", "check_normalized", "WeightProfile", "uniform_profile",
-    "subspace_weights", "shell_weights", "PureState", "DensityMatrix", "gas_purity_entropy",
-    "product_state", "write_amplitudes_csv", "read_amplitudes_csv",
+    "subspace_weights", "shell_weights", "PureState", "DensityMatrix", "reduce_gas_states",
+    "purity_entropy", "gas_purity_entropy", "product_state", "write_amplitudes_csv",
+    "read_amplitudes_csv",
 ]
 
 NORMALIZATION_TOLERANCE = 1e-10
@@ -243,18 +244,38 @@ class DensityMatrix:
 
 
 @one_blas_thread()
+def reduce_gas_states(composite: CompositeSpectrum, amplitudes: np.ndarray) -> np.ndarray:
+    """The (rows, dim_gas, dim_gas) stack rho_g = Psi Psi^dagger of a (rows, dim) stack of
+    flat-layout states, each gathered into its dim_gas x dim_container matrix Psi.  Each
+    product is one gemm on one OpenBLAS thread, so its bits do not follow ``rows``."""
+    matrices = np.take(amplitudes, composite._flat_index, axis=1).reshape(
+        len(amplitudes), composite.dim_gas, composite.dim_container)
+    return matrices @ matrices.conj().swapaxes(1, 2)
+
+
+@one_blas_thread()
+def purity_entropy(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Purity Tr rho^2 and entropy of every gas state of a (rows, d, d) stack.
+
+    The purities and the eigenvalues come from one stacked call each, so a
+    matrix's values depend on that matrix alone.  Every matrix passes the checks
+    of :class:`DensityMatrix` (Hermiticity, unit trace, eigenvalue floor) and
+    fails with the same ValueError.  It runs on one OpenBLAS thread
+    (:func:`~hsmc.fanout.one_blas_thread`).
+    """
+    _check_density(rho)
+    return _purity(rho), _entropy(_clipped_eigenvalues(rho))
+
+
+@one_blas_thread()
 def gas_purity_entropy(composite: CompositeSpectrum,
                        amplitudes) -> tuple[np.ndarray, np.ndarray]:
     """Purity Tr rho_g^2 and entropy of the reduced gas state of every row.
 
     ``amplitudes`` is an (n, dim) stack of flat-layout states.  Rows are
-    reduced ``batch_rows(dim)`` at a time: each chunk is gathered into
-    (rows, dim_gas, dim_container) matrices Psi, and rho_g = Psi Psi^dagger,
-    the purities and the eigenvalues come from one stacked call each.  A row's
-    values depend on that row alone, so splitting a batch anywhere gives the
-    same numbers.  Every rho_g passes the checks of :class:`DensityMatrix`
-    (Hermiticity, unit trace, eigenvalue floor) and fails with the same
-    ValueError.  It runs on one OpenBLAS thread (:func:`~hsmc.fanout.one_blas_thread`).
+    reduced ``batch_rows(dim)`` at a time (:func:`reduce_gas_states`) and
+    measured by :func:`purity_entropy`, so splitting a batch anywhere gives
+    the same numbers.  It runs on one OpenBLAS thread.
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
     if amplitudes.ndim != 2 or amplitudes.shape[1] != composite.dim:
@@ -264,14 +285,8 @@ def gas_purity_entropy(composite: CompositeSpectrum,
     entropy = np.empty(n)
     rows = batch_rows(composite.dim)
     for start in range(0, n, rows):
-        chunk = amplitudes[start:start + rows]
-        m = len(chunk)
-        matrices = np.take(chunk, composite._flat_index, axis=1).reshape(
-            m, composite.dim_gas, composite.dim_container)
-        rho = matrices @ matrices.conj().swapaxes(1, 2)
-        _check_density(rho)
-        purity[start:start + m] = _purity(rho)
-        entropy[start:start + m] = _entropy(_clipped_eigenvalues(rho))
+        chunk = reduce_gas_states(composite, amplitudes[start:start + rows])
+        purity[start:start + len(chunk)], entropy[start:start + len(chunk)] = purity_entropy(chunk)
     return purity, entropy
 
 

@@ -1,6 +1,6 @@
 """End-to-end acceptance checks at production sample sizes.
 
-Each test prints one ``[acceptance k/9] PASS/FAIL`` line with its observed
+Each test prints one ``[acceptance k/10] PASS/FAIL`` line with its observed
 margin (the prints bypass pytest's capture), then asserts.  Tolerances are
 the contract: z-score bounds for Monte Carlo agreement, absolute bounds for
 conservation and closed-form identities.
@@ -12,15 +12,16 @@ import time
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.stats import ks_2samp
 
 from hsmc import (MomentQuery, WeightProfile, build_microcanonical_hamiltonian,
                   build_canonical_hamiltonian, build_spectrum, canonical_profile,
                   compose, dominant_distribution, evolve, expected_purity_exact,
-                  fit_temperature, gas_purity_entropy, hypersphere_moment,
+                  fit_temperature, gas_purity_entropy, gas_state_chunks, hypersphere_moment,
                   hypersphere_moment_mc, lubkin_average,
                   marginal_gas_distribution, max_drift, max_entropy_micro,
-                  mc_average, microcanonical_profile, min_purity_state,
-                  path_average, product_constraint, product_state,
+                  mc_average, microcanonical_profile, min_purity_state, page_entropy,
+                  path_average, product_constraint, product_state, purity_entropy,
                   region_log_size, region_mean_purity, sample_chunks,
                   sample_microcanonical, time_average, uniform_profile)
 from hsmc.sampling import mc_estimate
@@ -54,7 +55,7 @@ def test_1_unconstrained_purity_matches_closed_form(announce):
         z_scores[n_c] = abs(est.mean - target) / est.std_error
     worst = max(z_scores.values())
     ok = worst <= 3.0
-    announce("1/9", ok,
+    announce("1/10", ok,
              f"unconstrained purity, N_c in (2, 8, 32), n={n}: "
              f"max |z| = {worst:.2f} (bound 3)")
     assert ok, f"z-scores {z_scores}"
@@ -90,7 +91,7 @@ def test_2_exact_average_purity_over_five_composites(announce):
     elapsed = time.time() - t0
     worst = max(z_scores)
     ok = worst <= 3.0
-    announce("2/9", ok,
+    announce("2/10", ok,
              f"exact average purity, 5 composites, n={n}: "
              f"max |z| = {worst:.2f} (bound 3), {elapsed:.0f}s")
     assert ok, f"z-scores {z_scores}"
@@ -122,7 +123,7 @@ def test_3_moment_closed_forms_match_sphere_mc(announce):
             if swapped != exact:
                 failures.append((d, u_l, u_m, "exchange"))
     ok = not failures
-    announce("3/9", ok,
+    announce("3/10", ok,
              f"moment suite, 6 pairs x d in (2, 4, 16, 64), n={n}: "
              f"max |z| = {worst_z:.2f} (bound 5), exchange symmetry exact")
     assert ok, f"failures {failures}"
@@ -148,7 +149,7 @@ def test_4_entropy_concentration_near_maximum(announce):
     frac_entropy = hits_entropy / n
     frac_purity = hits_purity / n
     ok = frac_entropy >= 0.99 and frac_purity > 0.99
-    announce("4/9", ok,
+    announce("4/10", ok,
              f"concentration, gas (2,2) x container (100,100), n={n}: "
              f"S >= 0.95 S_max for {frac_entropy:.2%} (bound 99%), "
              f"P <= 1.1 P_min for {frac_purity:.2%} (bound 99%)")
@@ -229,7 +230,7 @@ def test_5_dominant_distribution_is_sampled_and_maximal(announce):
     gap = float(np.max(np.abs(optimum - target)))
 
     ok = worst_z <= 4.0 and gap <= 1e-8
-    announce("5/9", ok,
+    announce("5/10", ok,
              f"dominant weights, 3-shell composite, n={n}: "
              f"max |z| = {worst_z:.2f} (bound 4), "
              f"optimizer gap = {gap:.1e} (bound 1e-8)")
@@ -259,7 +260,7 @@ def test_6_geometric_container_gives_boltzmann_temperature(announce):
     err_mc = abs(kt_mc / kt_target - 1.0)
 
     ok = err_exact <= 1e-6 and err_mc <= 0.05
-    announce("6/9", ok,
+    announce("6/10", ok,
              f"geometric container, kT target 1/ln 2: exact off by "
              f"{err_exact:.1e} (bound 1e-6, residual {residual:.1e}), "
              f"MC off by {err_mc:.2%} at n={n} (bound 5%)")
@@ -305,7 +306,7 @@ def test_7_conservation_across_random_hamiltonians(announce):
 
     ok = (worst["commutator"] < 1e-12 and worst["subspace"] < 1e-10
           and worst["v_eff"] < 1e-9 and worst["shell"] < 1e-10)
-    announce("7/9", ok,
+    announce("7/10", ok,
              "conservation over 10 random Hamiltonians: "
              f"commutators {worst['commutator']:.1e} (bound 1e-12), "
              f"subspace drift {worst['subspace']:.1e} (bound 1e-10), "
@@ -345,7 +346,7 @@ def test_8_product_state_equilibrates_to_the_attractor(announce):
     grid_err = abs(p_path - p_time) / abs(p_time)
 
     ok = p_err <= 0.10 and s_bar >= s_floor and grid_err <= 0.01
-    announce("8/9", ok,
+    announce("8/10", ok,
              f"equilibration, product start, container (50,50): second-half "
              f"purity off exact by {p_err:.2%} (bound 10%), second-half entropy "
              f"{s_bar:.4f} vs floor {s_floor:.4f}, path-vs-time gap "
@@ -378,7 +379,58 @@ def test_9_region_mean_purity_matches_sampling(announce):
         z_scores.append((est.mean - region_mean_purity(comp, profile)) / est.std_error)
     worst = max(abs(z) for z in z_scores)
     ok = worst <= 4.0
-    announce("9/9", ok,
+    announce("9/10", ok,
              f"region mean purity, 3 canonical and 1 non-product region: "
              f"max |z| = {worst:.2f} (bound 4), {time.time() - t0:.1f}s")
     assert ok, f"z-scores {z_scores}"
+
+
+# (name, gas levels, container levels, profile or gas and container weights, seed):
+# a rank-deficient sphere (6 x 2), the multi-member shells of the canonical_sample
+# fixture, a microcanonical product region, and a sphere far wider than the gas
+GAS_STATE_CASES = [
+    ("6x2", [(0, 6)], [(0, 2)], microcanonical_profile({(0, 0): 1.0}), 1001),
+    ("canonical_sample", [(0, 2), (1, 3)], [(0, 2), (1, 3), (2, 2)],
+     canonical_profile({1: 0.7, 2: 0.3}), 1003),
+    ("product", [(0, 2), (1, 2)], [(0, 4), (1, 4)], ((0.3, 0.7), (0.6, 0.4)), 1005),
+    ("2x400", [(0, 2)], [(0, 400)], microcanonical_profile({(0, 0): 1.0}), 1007),
+]
+GAS_STATE_DRAWS = 20_000
+KS_ALPHA = 1e-3
+
+
+def test_10_bartlett_gas_states_match_the_amplitude_draw(announce):
+    """Gas states drawn from Bartlett factors have the law of reduced amplitude draws."""
+    t0 = time.time()
+    n, worst_z, lowest_p = GAS_STATE_DRAWS, 0.0, 1.0
+    failures = []
+    for name, gas_levels, cont_levels, profile, seed in GAS_STATE_CASES:
+        gas, container = build_spectrum(gas_levels), build_spectrum(cont_levels)
+        comp = compose(gas, container)
+        if isinstance(profile, tuple):
+            profile = product_constraint(comp, WeightProfile(gas, profile[0]),
+                                         WeightProfile(container, profile[1]))
+        purity, entropy = np.concatenate(
+            [purity_entropy(rho) for rho in gas_state_chunks(comp, profile, seed, 0, n)], axis=1)
+        # the amplitude draw reads other streams, so the two samples are independent
+        reference = np.concatenate([gas_purity_entropy(comp, a)[0]
+                                    for a in sample_chunks(comp, profile, seed + 1, 0, n)])
+        checks = [("purity", purity, region_mean_purity(comp, profile))]
+        if len(gas_levels) == len(cont_levels) == 1:
+            checks.append(("entropy", entropy, page_entropy(gas.dim, container.dim)))
+        for what, values, exact in checks:
+            est = mc_estimate([values], seed)
+            z = (est.mean - exact) / est.std_error
+            worst_z = max(worst_z, abs(z))
+            if not abs(z) <= 4.0:
+                failures.append(f"{name} mean {what} z = {z:.2f}")
+        p = ks_2samp(purity, reference).pvalue
+        lowest_p = min(lowest_p, p)
+        if not p >= KS_ALPHA:
+            failures.append(f"{name} purity KS p = {p:.1e}")
+    ok = not failures
+    announce("10/10", ok,
+             f"Bartlett gas states, 4 regions, n={n}: max |z| = {worst_z:.2f} (bound 4), "
+             f"lowest KS p against the amplitude draw {lowest_p:.3f} (bound {KS_ALPHA}), "
+             f"{time.time() - t0:.1f}s")
+    assert ok, failures

@@ -10,7 +10,7 @@ from hsmc import (MICROCANONICAL, MomentQuery, build_spectrum, canonical_profile
                   fit_temperature, gas_purity_entropy, hypersphere_moment,
                   hypersphere_moment_mc, lubkin_average,
                   marginal_gas_distribution, max_entropy_micro, mc_average,
-                  microcanonical_profile, min_purity_state, region_log_size,
+                  microcanonical_profile, min_purity_state, page_entropy, region_log_size,
                   region_mean_purity, region_size_ratio)
 import hsmc.analytics
 from hsmc.analytics import MAX_MOMENT_ORDER, _power
@@ -250,6 +250,17 @@ def test_lubkin_values():
     assert abs(big - 0.5) < 1e-4  # approaches 1/N_g from above
     with pytest.raises(ValueError):
         lubkin_average(0, 5)
+
+
+def test_page_entropy_values():
+    assert page_entropy(2, 2) == pytest.approx(1 / 3, rel=1e-15)
+    for m, n in ((2, 3), (3, 7), (5, 4), (1, 9)):
+        assert page_entropy(m, n) == page_entropy(n, m)
+    # large n: ln m - (m^2 - 1) / (2 m n) + O(1/n^2)
+    m, n = 2, 1000
+    assert abs(page_entropy(m, n) - (math.log(m) - (m * m - 1) / (2 * m * n))) < 1 / n ** 2
+    with pytest.raises(ValueError):
+        page_entropy(0, 5)
 
 
 # --------------------------------------------------------- sphere moments

@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 import yaml
 
+import hsmc.sampling
 import hsmc.state
 from hsmc import (PureState, WeightProfile, build_spectrum, canonical_profile, compose,
                   dominant_distribution, expected_purity_exact, gas_purity_entropy, mc_average,
-                  microcanonical_profile, min_purity_state, region_log_size,
+                  microcanonical_profile, min_purity_state, purity_entropy, region_log_size,
                   region_mean_purity, sample_chunks)
 from hsmc import cli, dynamics, fanout
 from hsmc.cli import COMMANDS, main
@@ -267,7 +268,7 @@ def test_sample_csv_layout(tmp_path):
     out = tmp_path / "out"
     main(["sample", "--config", cfg, "--n", "3", "--out", str(out), "--quiet"])
     lines = (out / "samples.csv").read_text().splitlines()
-    assert lines[0] == "# hsmc samples v1"
+    assert lines[0] == "# hsmc samples v2"
     assert lines[1].startswith("# config_hash=")
     assert lines[2] == "sample,purity,entropy"
     assert len(lines) == 6
@@ -299,11 +300,11 @@ def test_sample_restores_the_blas_thread_count(tmp_path, monkeypatch):
     get_threads, set_threads = blas
     seen = []
 
-    def recording(composite, amplitudes):
+    def recording(rho):
         seen.append(get_threads())  # in the calling worker; children's calls are lost
-        return gas_purity_entropy(composite, amplitudes)
+        return purity_entropy(rho)
 
-    monkeypatch.setattr(cli, "gas_purity_entropy", recording)
+    monkeypatch.setattr(cli, "purity_entropy", recording)
     before = get_threads()
     set_threads(2)
     try:
@@ -350,6 +351,31 @@ def test_failed_sample_check_exits_3_and_is_reaped(tmp_path, monkeypatch, capsys
     assert err.count("\n") == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class _ConstantStream:
+    """Stands in for a draw's generator: every normal and every gamma is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def standard_normal(self, out):
+        out[:] = self.value
+
+    def standard_gamma(self, shape, out):
+        out[:] = self.value
+
+
+@pytest.mark.parametrize("value", [0.0, math.nan], ids=["zero", "nan"])
+def test_a_bartlett_block_norm_that_is_not_positive_exits_3(tmp_path, monkeypatch, capsys,
+                                                            value):
+    monkeypatch.setattr(hsmc.sampling, "_streams", lambda seed: lambda i: _ConstantStream(value))
+    code, out = _sample(tmp_path, monkeypatch, 2, 7)  # GEOMETRIC_YAML draws Bartlett factors
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical validation failure:") and "Traceback" not in err
+    assert "is not positive and finite" in err
+    assert not (out / "samples.csv").exists()
 
 
 @pytest.mark.parametrize("n, fail", [
@@ -838,6 +864,21 @@ def test_null_or_true_for_a_number_exits_2(tmp_path, capsys, name, value):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {name}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, weights, hint", [
+    ("microcanonical", "[[0, 0, 1.0], [0, 0, 1.0]]",
+     "constraint.weights[1] repeats the subspace (0, 0)"),
+    ("canonical", "[[7, 1.0], [7.0, 1.0]]", "constraint.weights[1] repeats the shell energy 7.0"),
+], ids=["subspace", "shell_energy"])
+def test_a_repeated_constraint_entry_exits_2(tmp_path, capsys, kind, weights, hint):
+    # a dict would merge the two entries, and the run would go on with the last
+    text = C1_EXPLICIT_YAML.replace("microcanonical", kind).replace(
+        "[[0, 0, 0.5], [1, 1, 0.5]]", weights).replace("[1, 4]]", "[7, 4]]")
+    cfg = write_config(tmp_path, text)
+    assert main(["predict", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and hint in err and "Traceback" not in err
 
 
 def test_a_number_given_as_text_is_read_as_the_number():

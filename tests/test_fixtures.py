@@ -19,6 +19,7 @@ CELL_TOLERANCE = 1e-12
 
 CASES = {
     "lubkin_sample": "sample",
+    "bartlett_sample": "sample",
     "canonical_sample": "sample",
     "micro_evolve": "evolve",
     "canonical_evolve": "evolve",

@@ -1,3 +1,4 @@
+from functools import partial
 import os
 
 import numpy as np
@@ -8,8 +9,9 @@ import hsmc.sampling
 import hsmc.state
 from hsmc import (MICROCANONICAL, ConstraintProfile, McEstimate, WeightProfile, build_spectrum,
                   canonical_profile, compose, gas_purity_entropy, lubkin_average,
-                  mc_average, microcanonical_profile, product_constraint,
-                  sample_canonical, sample_chunks,
+                  gas_state_chunks, mc_average, microcanonical_profile, page_entropy,
+                  product_constraint, purity_entropy, reduce_gas_states, sample_canonical,
+                  sample_chunks, sample_gas_states,
                   sample_microcanonical, substream)
 from hsmc.sampling import mc_estimate, measure_draws
 
@@ -229,6 +231,41 @@ def test_batch_rows_do_not_depend_on_the_split(sampler, profile, monkeypatch):
     np.testing.assert_array_equal(np.concatenate(chunks), whole)
 
 
+@pytest.mark.parametrize("profile", [canonical_profile({0.0: 0.2, 1.0: 0.5, 2.0: 0.3}),
+                                     microcanonical_profile({(0, 0): 0.5, (1, 1): 0.5})],
+                         ids=["canonical", "microcanonical_with_empty_blocks"])
+def test_gas_state_rows_do_not_depend_on_the_split(profile, monkeypatch):
+    comp = three_block_composite()
+
+    def states(start, count):
+        return np.concatenate([np.empty((0, comp.dim_gas, comp.dim_gas), dtype=complex),
+                               *gas_state_chunks(comp, profile, 8, start, count)])
+
+    whole = states(3, 50)
+    np.testing.assert_array_equal(whole, np.concatenate([states(3, 17), states(20, 33)]))
+    purity_entropy(whole)  # Hermitian, unit trace, no negative eigenvalue
+    monkeypatch.setattr(hsmc.state, "BATCH_ELEMENTS", 1)  # one row per chunk
+    chunks = list(gas_state_chunks(comp, profile, 8, 3, 50))
+    assert [len(c) for c in chunks] == [1] * 50
+    np.testing.assert_array_equal(np.concatenate(chunks), whole)
+
+
+def test_sample_gas_states_draws_the_cheaper_way():
+    # 2 x 8: Bartlett factors would save 30 normals a draw, less than a gamma call
+    comp = compose(build_spectrum([(0, 2)]), build_spectrum([(0, 8)]))
+    profile = microcanonical_profile({(0, 0): 1.0})
+    np.testing.assert_array_equal(
+        np.concatenate(list(sample_gas_states(comp, profile, 5, 0, 40))),
+        np.concatenate([reduce_gas_states(comp, a)
+                        for a in sample_chunks(comp, profile, 5, 0, 40)]))
+    # a shell of a geometric container: they save 896
+    comp = compose(build_spectrum([(0, 1), (1, 1), (2, 1)]),
+                   build_spectrum([(e, 2 ** e) for e in range(9)]))
+    profile = canonical_profile({8: 1.0})
+    np.testing.assert_array_equal(np.concatenate(list(sample_gas_states(comp, profile, 5, 0, 40))),
+                                  np.concatenate(list(gas_state_chunks(comp, profile, 5, 0, 40))))
+
+
 def test_batch_rejects_keys_outside_the_philox_range():
     comp = two_by_two()
     profile = microcanonical_profile({(0, 0): 1.0})
@@ -323,10 +360,7 @@ def test_purity_average_matches_bipartite_formula():
     est = mc_average(lambda a: gas_purity_entropy(comp, a)[0], comp, profile, 4000, seed=2024)
     want = lubkin_average(2, 2)  # 0.8
     assert abs(est.mean - want) < 3.5 * est.std_error
-    # Page, PRL 71, 1291 (1993): for m <= n the mean entropy of the
-    # m-dimensional part is sum_{k=n+1}^{mn} 1/k - (m - 1) / (2n)
-    m = n = 2
-    page = sum(1.0 / k for k in range(n + 1, m * n + 1)) - (m - 1) / (2 * n)
+    page = page_entropy(2, 2)
     assert page == pytest.approx(1 / 3)
     est = mc_average(lambda a: gas_purity_entropy(comp, a)[1], comp, profile, 4000, seed=2024)
     assert abs(est.mean - page) < 3.5 * est.std_error
@@ -398,7 +432,8 @@ def test_mc_average_matches_the_per_draw_reference(monkeypatch):
 def test_measure_draws_of_no_draws_is_empty():
     comp = three_block_composite()
     profile = microcanonical_profile({(0, 0): 0.5, (1, 1): 0.5})
-    values = measure_draws(lambda a: gas_purity_entropy(comp, a), 2, comp, profile, 0, seed=9)
+    values = measure_draws(lambda a: gas_purity_entropy(comp, a), 2,
+                           partial(sample_chunks, comp, profile, 9), 0)
     assert values.shape == (2, 0)
 
 
