@@ -14,9 +14,9 @@ from .analytics import (DominantDistribution, MomentQuery,
                         max_entropy_micro, min_purity_state, page_entropy, region_log_size,
                         region_mean_purity, region_size_ratio)
 from .dynamics import (Hamiltonian, NumericalValidationError, Trajectory,
-                       build_canonical_hamiltonian,
-                       build_microcanonical_hamiltonian, effective_velocity,
-                       evolve, max_drift, path_average, time_average)
+                       build_canonical_hamiltonian, build_microcanonical_hamiltonian,
+                       effective_velocity, evolve, max_drift, path_average,
+                       spectral_decomposition, time_average)
 from .sampling import (CANONICAL, MICROCANONICAL, ConstraintProfile,
                        McEstimate, canonical_profile, gas_state_chunks, mc_average,
                        microcanonical_profile, product_constraint,
@@ -51,6 +51,6 @@ __all__ = [
     "region_log_size", "dominant_distribution", "region_size_ratio",
     "marginal_gas_distribution", "fit_temperature",
     "Hamiltonian", "Trajectory", "NumericalValidationError",
-    "build_microcanonical_hamiltonian", "build_canonical_hamiltonian",
-    "evolve", "effective_velocity", "time_average", "path_average", "max_drift",
+    "build_microcanonical_hamiltonian", "build_canonical_hamiltonian", "evolve",
+    "spectral_decomposition", "effective_velocity", "time_average", "path_average", "max_drift",
 ]

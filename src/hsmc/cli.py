@@ -30,7 +30,7 @@ from .analytics import (dominant_distribution, expected_purity_approx, fit_tempe
 from .config import ConfigError, ExperimentConfig, build_experiment, load_config
 from .dynamics import (NumericalValidationError, Trajectory, build_canonical_hamiltonian,
                        build_microcanonical_hamiltonian, effective_velocity,
-                       evolve, max_drift)
+                       evolve, max_drift, spectral_decomposition)
 from .fanout import fan_out, shared_array
 from .sampling import (MICROCANONICAL, mc_estimate, measure_draws, sample_chunks,
                        sample_gas_states, substream)
@@ -173,30 +173,27 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
     n, states_dir = cfg.n_times, os.path.join(cfg.out_dir, "states")
     if cfg.dump_states:
         os.makedirs(states_dir, exist_ok=True)
-    shared = shared_array(n * (6 + composite.n_subspaces), "measures")
-    # the rows of series: the five named measures, then the chord into each time
-    series, w_sub = shared[:6 * n].reshape(6, n), shared[6 * n:].reshape(n, -1)
+    shared = shared_array(n * (5 + composite.n_subspaces), "measures")
+    series, w_sub = shared[:5 * n].reshape(5, n), shared[5 * n:].reshape(n, -1)
 
     def run(w: int, m: int) -> None:
         """Evolve, measure and dump times n w / m to n (w + 1) / m - 1."""
         first, stop = n * w // m, n * (w + 1) // m
-        begin = max(first - 1, 0)  # a forked worker starts early to take its first chord
 
         def dump(start: int, rows: np.ndarray) -> None:
-            for k, row in enumerate(rows, begin + start):
-                if k >= first:
-                    write_amplitudes_csv(PureState(composite, row, check=False),
-                                         os.path.join(states_dir, f"state_{k:05d}.csv"))
+            for k, row in enumerate(rows, first + start):
+                write_amplitudes_csv(PureState(composite, row, check=False),
+                                     os.path.join(states_dir, f"state_{k:05d}.csv"))
 
-        seg = evolve(initial, hamiltonian, times[begin:stop], dump if cfg.dump_states else None)
+        seg = evolve(initial, hamiltonian, times[first:stop], dump if cfg.dump_states else None)
         for row, name in zip(series, names):
-            row[first:stop] = seg.measures[name][first - begin:]
-        series[-1, begin + 1:stop] = seg.chords
-        w_sub[first:stop] = seg.measures["subspace_weights"][first - begin:]
+            row[first:stop] = seg.measures[name]
+        w_sub[first:stop] = seg.measures["subspace_weights"]
 
+    weights = spectral_decomposition(initial, hamiltonian)[1]
     # every worker's evolve covers 2 times or more, so no product is a one-row gemv
     fan_out(run, n // 2, "evolve worker")
-    traj = Trajectory.from_series(times, hamiltonian, series[-1, 1:],
+    traj = Trajectory.from_series(times, hamiltonian, weights,
                                   subspace_weights=w_sub, **dict(zip(names, series)))
 
     out_dir = _prepare_out_dir(cfg)

@@ -36,6 +36,7 @@ __all__ = [
     "build_microcanonical_hamiltonian",
     "build_canonical_hamiltonian",
     "evolve",
+    "spectral_decomposition",
     "effective_velocity",
     "time_average",
     "path_average",
@@ -284,9 +285,9 @@ class Trajectory:
 
     ``measures`` maps names to arrays with time along the first axis: 1-D
     series norm, energy, v_eff, purity, entropy; 2-D series subspace_weights,
-    shell_weights, gas_level_weights.  ``chords`` are the distances the unit
-    state vector moves between consecutive snapshots.  The states themselves
-    are not kept: :func:`evolve` hands them to a sink as it goes.
+    shell_weights, gas_level_weights.  ``chords`` are the distances the unit state
+    vector moves between consecutive snapshots (see :meth:`from_series`).  The
+    states themselves are not kept: :func:`evolve` hands them to a sink as it goes.
     """
 
     times: np.ndarray
@@ -295,12 +296,22 @@ class Trajectory:
     hamiltonian: Hamiltonian
 
     @classmethod
-    def from_series(cls, times, hamiltonian: Hamiltonian, chords, **series) -> "Trajectory":
-        """A trajectory from ``series`` and the shell and gas-level sums of its subspace_weights."""
+    @one_blas_thread()
+    def from_series(cls, times, hamiltonian: Hamiltonian, weights, **series) -> "Trajectory":
+        """A trajectory from ``series``, the shell and gas-level sums of its subspace_weights
+        and the chords |psi(t + dt) - psi(t)| = 2 sqrt(sum_j p_j sin^2(E_j dt / 2)) from
+        the start's ``weights`` p_j (see :func:`spectral_decomposition`), once per distinct
+        step dt, ``batch_rows(n_b)`` at a time, on one OpenBLAS thread: the ``@`` is a gemv."""
         composite, w_sub = hamiltonian.composite, series["subspace_weights"]
+        steps, step_of = np.unique(np.diff(times), return_inverse=True)
+        squares = np.zeros(len(steps))
+        for b, p in zip(hamiltonian.blocks, weights):
+            for first in range(0, len(steps), batch_rows(len(p))):
+                part = slice(first, first + batch_rows(len(p)))
+                squares[part] += np.square(np.sin(np.outer(steps[part] / 2, b.energies))) @ p
         return cls(times, dict(series, shell_weights=composite.shell_sums(w_sub),
                                gas_level_weights=composite.gas_level_sums(w_sub)),
-                   chords, hamiltonian)
+                   2.0 * np.sqrt(squares)[step_of], hamiltonian)
 
     @property
     def path_length(self) -> float:
@@ -340,6 +351,14 @@ def _coefficients(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 @one_blas_thread()
+def spectral_decomposition(initial: PureState, hamiltonian: Hamiltonian) -> tuple[list, list]:
+    """The coefficients c_j = <j|psi(0)> of ``initial`` on each block's eigenvectors, by
+    :func:`_coefficients` on one OpenBLAS thread, and the weights p_j = |c_j|^2, per block."""
+    coeffs = [_coefficients(b.vectors, initial.amplitudes[b.indices]) for b in hamiltonian.blocks]
+    return coeffs, [np.square(np.abs(c)) for c in coeffs]
+
+
+@one_blas_thread()
 def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Trajectory:
     """Propagate |psi(t)> = exp(-iHt)|psi(0)> on a strictly increasing time grid.
 
@@ -352,8 +371,8 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Tr
     buffers allocated once for the largest chunk.  Each
     chunk's rows go to ``sink(start, rows)`` if given: ``rows`` holds states
     ``start`` to ``start + len(rows) - 1`` as a read-only view that is valid
-    only during the call.  Every row's values depend on that row alone (a
-    chord on its two rows), so the chunks do not show in them.
+    only during the call.  Every row's values depend on that row alone, so the
+    chunks do not show in them; the chords come in closed form (see :class:`Trajectory`).
     """
     if initial.composite is not hamiltonian.composite:
         raise ValueError("state and Hamiltonian live on different composites")
@@ -367,23 +386,21 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Tr
 
     composite = initial.composite
     n, dim = len(times), composite.dim
-    blocks = hamiltonian.blocks
-    coeffs = [_coefficients(b.vectors, initial.amplitudes[b.indices]) for b in blocks]
-    norms, energy, v_eff, purities, entropies, chords = (np.empty(n) for _ in range(6))
+    coeffs, weights = spectral_decomposition(initial, hamiltonian)
+    norms, energy, v_eff, purities, entropies = (np.empty(n) for _ in range(5))
     w_sub = np.empty((n, composite.n_subspaces))
     rows = max(2, batch_rows(dim))
     # numpy multiplies a 1-row matrix by gemv, whose last bits differ from
     # gemm's, so a lone last row joins the chunk before it: no chunk tops rows + 1.
     starts = list(range(0, max(n - 1, 1), rows))
-    # Row 0 of ``states`` holds the state before the chunk (zero before the first,
-    # so chord 0 is dropped); the two flat work buffers take each shape in turn.
-    states = np.zeros((min(n, rows + 1) + 1, dim), dtype=complex)
-    h_psi, work = np.empty((2, states[1:].size), dtype=complex)
-    readonly = np.lib.stride_tricks.as_strided(states[1:], writeable=False)  # what a sink gets
+    # the two flat work buffers take each shape in turn
+    states = np.empty((min(n, rows + 1), dim), dtype=complex)
+    h_psi, work = np.empty((2, states.size), dtype=complex)
+    readonly = np.lib.stride_tricks.as_strided(states, writeable=False)  # what a sink gets
     for start, stop in zip(starts, starts[1:] + [n]):
         m, span = stop - start, slice(start, stop)
-        chunk, scratch = states[1:m + 1], work[:m * dim].reshape(m, dim)
-        for b, c in zip(blocks, coeffs):
+        chunk, scratch = states[:m], work[:m * dim].reshape(m, dim)
+        for b, c in zip(hamiltonian.blocks, coeffs):
             p, r = (w[:m * len(c)].reshape(m, len(c)) for w in (h_psi, work))
             np.exp(np.multiply(np.outer(times[span], b.energies, out=p), -1j, out=p), out=p)
             chunk[:, b.indices] = np.matmul(np.multiply(p, c, out=p), b.vectors.T, out=r)
@@ -395,15 +412,13 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Tr
         hp = _apply(hamiltonian, chunk, out=h_psi[:m * dim].reshape(m, dim))
         energy[span] = np.einsum("ki,ki->k", np.conjugate(chunk, out=scratch), hp).real
         v_eff[span] = _row_norms(hp, scratch)
-        chords[span] = _row_norms(np.subtract(chunk, states[:m], out=hp), scratch)
         mass = np.abs(chunk, out=work.view(float)[:m * dim].reshape(m, dim))
         w_sub[span] = composite.subspace_sums(np.square(mass, out=mass))
         purities[span], entropies[span] = gas_purity_entropy(composite, chunk)
         if sink is not None:
             sink(start, readonly[:m])
-        states[0] = chunk[-1]
 
-    return Trajectory.from_series(times, hamiltonian, chords[1:], norm=norms, energy=energy,
+    return Trajectory.from_series(times, hamiltonian, weights, norm=norms, energy=energy,
                                   v_eff=v_eff, purity=purities, entropy=entropies,
                                   subspace_weights=w_sub)
 

@@ -551,12 +551,22 @@ def test_evolve_files_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, t
     # subspaces all have a constant local diagonal, so there is no second pass)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    lengths, evolve = tmp_path / "lengths", cli.evolve
+
+    def recording(initial, hamiltonian, times, sink=None):  # forked workers append too
+        with open(lengths, "a") as fh:
+            fh.write(f"{len(times)}\n")
+        return evolve(initial, hamiltonian, times, sink)
+
+    monkeypatch.setattr(cli, "evolve", recording)
     runs = {}
     for cpus in (1, 2, 3):
         del forks[:]
+        lengths.write_text("")
         code, out = _evolve(tmp_path, monkeypatch, cpus, n_times, text, dump)
         assert code == 0
         assert len(forks) == (min(cpus, blocks) - 1) + (min(cpus, n_times // 2) - 1)
+        assert sum(map(int, lengths.read_text().split())) == n_times  # disjoint ranges
         report = json.loads((out / "conservation.json").read_text())
         del report["config"]["output"]
         states = sorted((out / "states").iterdir()) if dump else []

@@ -356,11 +356,14 @@ def _whole_array_trajectory(state, h, times):
 
 
 @pytest.mark.parametrize("kind", BUILDERS)
-@pytest.mark.parametrize("n_times", [9, 10, 11])
-def test_chunked_measures_match_the_whole_array(kind, n_times, monkeypatch):
+@pytest.mark.parametrize("times", [
+    *(pytest.param(np.linspace(0.0, 9.0, n), id=str(n)) for n in (9, 10, 11)),
+    pytest.param(9.0 * (np.arange(11) / 10) ** 2, id="stretched")])
+def test_chunked_measures_match_the_whole_array(kind, times, monkeypatch):
     # chunks of 3 rows (4 on the canonical H, whose largest block holds 8 of
     # the 16 states): among these grids are even splits, a ragged last chunk
-    # and a lone last row that joins the chunk before it
+    # and a lone last row that joins the chunk before it; the stretched grid
+    # has a distinct step between every two times, whose chords go 3 steps at a time
     monkeypatch.setattr(dynamics, "batch_rows", lambda dim: 3)
     chunk_rows = []
     apply = dynamics._apply
@@ -371,13 +374,11 @@ def test_chunked_measures_match_the_whole_array(kind, n_times, monkeypatch):
     amps = rng.standard_normal(comp.dim) + 1j * rng.standard_normal(comp.dim)
     state = PureState(comp, amps / np.linalg.norm(amps))
     h = BUILDERS[kind](comp, 0.6, substream(21, 0))
-    times = np.linspace(0.0, 9.0, n_times)
     traj, states = evolve_keeping_rows(state, h, times)
-    assert len(chunk_rows) > 1 and min(chunk_rows) >= 2 and sum(chunk_rows) == n_times
+    assert len(chunk_rows) > 1 and min(chunk_rows) >= 2 and sum(chunk_rows) == len(times)
 
     amplitudes, want = _whole_array_trajectory(state, h, times)
     np.testing.assert_array_equal(states, amplitudes)
-    np.testing.assert_array_equal(traj.chords, want["chords"])
     w_sub = want["subspace_weights"]
     purity, entropy = gas_purity_entropy(comp, amplitudes)
     for name, value in (("norm", want["norm"]), ("subspace_weights", w_sub),
@@ -385,9 +386,24 @@ def test_chunked_measures_match_the_whole_array(kind, n_times, monkeypatch):
                         ("gas_level_weights", comp.gas_level_sums(w_sub)),
                         ("purity", purity), ("entropy", entropy)):
         np.testing.assert_array_equal(traj.measures[name], value, err_msg=name)
-    for name in ("energy", "v_eff"):
-        np.testing.assert_allclose(traj.measures[name], want[name], rtol=1e-14, atol=0,
-                                   err_msg=name)
+    # the chords come in closed form, the reference's from the rows
+    for name, value in (("energy", traj.measures["energy"]), ("v_eff", traj.measures["v_eff"]),
+                        ("chords", traj.chords)):
+        np.testing.assert_allclose(value, want[name], rtol=1e-14, atol=0, err_msg=name)
+
+
+def test_small_step_chords_are_the_effective_velocity():
+    # over a step dt the chord is dt v_eff (1 + O(E^2 dt^2)); at dt = 1e-9 a row
+    # difference loses about 8 digits to cancellation, the closed form none
+    comp = composite_three()
+    rng = np.random.default_rng(23)
+    amps = rng.standard_normal(comp.dim) + 1j * rng.standard_normal(comp.dim)
+    state = PureState(comp, amps / np.linalg.norm(amps))
+    h = build_canonical_hamiltonian(comp, 0.6, substream(23, 0))
+    times = 1e-9 * np.arange(5)
+    traj = evolve(state, h, times)
+    np.testing.assert_allclose(traj.chords / np.diff(times), effective_velocity(state, h),
+                               rtol=1e-12, atol=0)
 
 
 def _traced_peak(fn, *args):
