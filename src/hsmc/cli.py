@@ -28,10 +28,8 @@ from .analytics import (dominant_distribution, expected_purity_approx, fit_tempe
                         lubkin_average, marginal_gas_distribution,
                         max_entropy_micro, min_purity_state, region_mean_purity)
 from .config import ConfigError, ExperimentConfig, build_experiment, load_config
-from .dynamics import (NumericalValidationError, Trajectory, build_canonical_hamiltonian,
-                       build_microcanonical_hamiltonian, effective_velocity,
-                       evolve, max_drift, spectral_decomposition)
-from .fanout import fan_out, shared_array
+from .dynamics import (NumericalValidationError, build_canonical_hamiltonian,
+                       build_microcanonical_hamiltonian, effective_velocity, evolve, max_drift)
 from .sampling import (MICROCANONICAL, mc_estimate, measure_draws, sample_chunks,
                        sample_gas_states, substream)
 from .state import PureState, _write_csv, product_state, purity_entropy, write_amplitudes_csv
@@ -170,31 +168,16 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
     initial = _initial_state(cfg)
     names = ("norm", "energy", "v_eff", "purity", "entropy")
     times = np.linspace(0.0, cfg.t_max, cfg.n_times)
-    n, states_dir = cfg.n_times, os.path.join(cfg.out_dir, "states")
+    states_dir = os.path.join(cfg.out_dir, "states")
     if cfg.dump_states:
         os.makedirs(states_dir, exist_ok=True)
-    shared = shared_array(n * (5 + composite.n_subspaces), "measures")
-    series, w_sub = shared[:5 * n].reshape(5, n), shared[5 * n:].reshape(n, -1)
 
-    def run(w: int, m: int) -> None:
-        """Evolve, measure and dump times n w / m to n (w + 1) / m - 1."""
-        first, stop = n * w // m, n * (w + 1) // m
+    def dump(start: int, rows: np.ndarray) -> None:
+        for k, row in enumerate(rows, start):
+            write_amplitudes_csv(PureState(composite, row, check=False),
+                                 os.path.join(states_dir, f"state_{k:05d}.csv"))
 
-        def dump(start: int, rows: np.ndarray) -> None:
-            for k, row in enumerate(rows, first + start):
-                write_amplitudes_csv(PureState(composite, row, check=False),
-                                     os.path.join(states_dir, f"state_{k:05d}.csv"))
-
-        seg = evolve(initial, hamiltonian, times[first:stop], dump if cfg.dump_states else None)
-        for row, name in zip(series, names):
-            row[first:stop] = seg.measures[name]
-        w_sub[first:stop] = seg.measures["subspace_weights"]
-
-    weights = spectral_decomposition(initial, hamiltonian)[1]
-    # every worker's evolve covers 2 times or more, so no product is a one-row gemv
-    fan_out(run, n // 2, "evolve worker")
-    traj = Trajectory.from_series(times, hamiltonian, weights,
-                                  subspace_weights=w_sub, **dict(zip(names, series)))
+    traj = evolve(initial, hamiltonian, times, dump if cfg.dump_states else None)
 
     out_dir = _prepare_out_dir(cfg)
     sub_cols = [f"w_{s.A}_{s.B}" for s in composite.subspaces]

@@ -253,7 +253,11 @@ def build_experiment(raw: dict, command: str, seed: int | None = None,
     run["coupling"] = coupling = number("coupling", DEFAULT_COUPLING)
     if coupling < 0:
         raise ConfigError("run.coupling must be >= 0")
-    run["t_max"] = number("t_max", 50.0 / coupling if coupling > 0 else 50.0)
+    t_max = 50.0 / coupling if coupling > 0 else 50.0
+    if "t_max" not in given and not math.isfinite(t_max):
+        raise ConfigError(f"run.coupling = {coupling!r} makes the default run.t_max = "
+                          f"50 / run.coupling overflow: set run.t_max")
+    run["t_max"] = number("t_max", t_max)
     if run["t_max"] <= 0:
         raise ConfigError("run.t_max must be > 0")
     run["n_times"] = number("n_times", DEFAULT_N_TIMES, integer=True)

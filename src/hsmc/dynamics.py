@@ -286,7 +286,7 @@ class Trajectory:
     ``measures`` maps names to arrays with time along the first axis: 1-D
     series norm, energy, v_eff, purity, entropy; 2-D series subspace_weights,
     shell_weights, gas_level_weights.  ``chords`` are the distances the unit state
-    vector moves between consecutive snapshots (see :meth:`from_series`).  The
+    vector moves between consecutive snapshots (see :func:`evolve`).  The
     states themselves are not kept: :func:`evolve` hands them to a sink as it goes.
     """
 
@@ -294,24 +294,6 @@ class Trajectory:
     measures: dict[str, np.ndarray]
     chords: np.ndarray = field(repr=False)
     hamiltonian: Hamiltonian
-
-    @classmethod
-    @one_blas_thread()
-    def from_series(cls, times, hamiltonian: Hamiltonian, weights, **series) -> "Trajectory":
-        """A trajectory from ``series``, the shell and gas-level sums of its subspace_weights
-        and the chords |psi(t + dt) - psi(t)| = 2 sqrt(sum_j p_j sin^2(E_j dt / 2)) from
-        the start's ``weights`` p_j (see :func:`spectral_decomposition`), once per distinct
-        step dt, ``batch_rows(n_b)`` at a time, on one OpenBLAS thread: the ``@`` is a gemv."""
-        composite, w_sub = hamiltonian.composite, series["subspace_weights"]
-        steps, step_of = np.unique(np.diff(times), return_inverse=True)
-        squares = np.zeros(len(steps))
-        for b, p in zip(hamiltonian.blocks, weights):
-            for first in range(0, len(steps), batch_rows(len(p))):
-                part = slice(first, first + batch_rows(len(p)))
-                squares[part] += np.square(np.sin(np.outer(steps[part] / 2, b.energies))) @ p
-        return cls(times, dict(series, shell_weights=composite.shell_sums(w_sub),
-                               gas_level_weights=composite.gas_level_sums(w_sub)),
-                   2.0 * np.sqrt(squares)[step_of], hamiltonian)
 
     @property
     def path_length(self) -> float:
@@ -362,17 +344,24 @@ def spectral_decomposition(initial: PureState, hamiltonian: Hamiltonian) -> tupl
 def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Trajectory:
     """Propagate |psi(t)> = exp(-iHt)|psi(0)> on a strictly increasing time grid.
 
-    Rotates each block's coefficients through that block's eigenbasis; t = 0
-    entries reproduce the initial amplitudes bit for bit.  Raises
-    NumericalValidationError if any snapshot norm drifts beyond 1e-9.
+    Rotates each block's coefficients c_j (see :func:`spectral_decomposition`)
+    through that block's eigenbasis; t = 0 entries reproduce the initial
+    amplitudes bit for bit.  Raises NumericalValidationError if any snapshot
+    norm drifts beyond 1e-9.
 
-    No (n_times, dim) array is kept, nor any n_b x n_b temporary.  States are
-    propagated and measured over chunks of max(2, ``batch_rows(dim)``) times, in
-    buffers allocated once for the largest chunk.  Each
-    chunk's rows go to ``sink(start, rows)`` if given: ``rows`` holds states
-    ``start`` to ``start + len(rows) - 1`` as a read-only view that is valid
-    only during the call.  Every row's values depend on that row alone, so the
-    chunks do not show in them; the chords come in closed form (see :class:`Trajectory`).
+    Worker w of :func:`~hsmc.fanout.fan_out`'s m, at most one per two times, takes
+    times n w / m to n (w + 1) / m - 1, so it forks as the Hamiltonian builders do:
+    do not call it while other threads run.  The workers write the measures into
+    one shared buffer of 8 (5 + n_subspaces) B per time; no (n_times, dim) array
+    is kept, nor any n_b x n_b temporary.  A worker propagates and measures its
+    times over chunks of max(2, ``batch_rows(dim)``) times, in buffers allocated
+    once, and hands each chunk to ``sink(start, rows)`` if given: ``rows`` holds
+    states ``start`` to ``start + len(rows) - 1`` as a read-only view valid only
+    during the call.  The sink runs in that worker, so its side effects in a forked
+    one do not reach the caller.  Every row's values depend on that row alone, so
+    neither ranges nor chunks show in them.  The chords |psi(t + dt) - psi(t)| =
+    2 sqrt(sum_j p_j sin^2(E_j dt / 2)) come in closed form from p_j = |c_j|^2,
+    once per distinct step dt, ``batch_rows(n_b)`` at a time, on one OpenBLAS thread.
     """
     if initial.composite is not hamiltonian.composite:
         raise ValueError("state and Hamiltonian live on different composites")
@@ -387,40 +376,53 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Tr
     composite = initial.composite
     n, dim = len(times), composite.dim
     coeffs, weights = spectral_decomposition(initial, hamiltonian)
-    norms, energy, v_eff, purities, entropies = (np.empty(n) for _ in range(5))
-    w_sub = np.empty((n, composite.n_subspaces))
-    rows = max(2, batch_rows(dim))
-    # numpy multiplies a 1-row matrix by gemv, whose last bits differ from
-    # gemm's, so a lone last row joins the chunk before it: no chunk tops rows + 1.
-    starts = list(range(0, max(n - 1, 1), rows))
-    # the two flat work buffers take each shape in turn
-    states = np.empty((min(n, rows + 1), dim), dtype=complex)
-    h_psi, work = np.empty((2, states.size), dtype=complex)
-    readonly = np.lib.stride_tricks.as_strided(states, writeable=False)  # what a sink gets
-    for start, stop in zip(starts, starts[1:] + [n]):
-        m, span = stop - start, slice(start, stop)
-        chunk, scratch = states[:m], work[:m * dim].reshape(m, dim)
-        for b, c in zip(hamiltonian.blocks, coeffs):
-            p, r = (w[:m * len(c)].reshape(m, len(c)) for w in (h_psi, work))
-            np.exp(np.multiply(np.outer(times[span], b.energies, out=p), -1j, out=p), out=p)
-            chunk[:, b.indices] = np.matmul(np.multiply(p, c, out=p), b.vectors.T, out=r)
-        chunk[times[span] == 0.0] = initial.amplitudes
-        norms[span] = _row_norms(chunk, scratch)
-        worst = float(np.max(np.abs(norms[span] - 1.0)))
-        if not worst <= NORM_DRIFT_TOLERANCE:
-            raise NumericalValidationError(f"propagation lost normalization by {worst:.3e}")
-        hp = _apply(hamiltonian, chunk, out=h_psi[:m * dim].reshape(m, dim))
-        energy[span] = np.einsum("ki,ki->k", np.conjugate(chunk, out=scratch), hp).real
-        v_eff[span] = _row_norms(hp, scratch)
-        mass = np.abs(chunk, out=work.view(float)[:m * dim].reshape(m, dim))
-        w_sub[span] = composite.subspace_sums(np.square(mass, out=mass))
-        purities[span], entropies[span] = gas_purity_entropy(composite, chunk)
-        if sink is not None:
-            sink(start, readonly[:m])
+    shared = shared_array(n * (5 + composite.n_subspaces), "measures")
+    norms, energy, v_eff, purities, entropies = shared[:5 * n].reshape(5, n)
+    w_sub = shared[5 * n:].reshape(n, -1)
 
-    return Trajectory.from_series(times, hamiltonian, weights, norm=norms, energy=energy,
-                                  v_eff=v_eff, purity=purities, entropy=entropies,
-                                  subspace_weights=w_sub)
+    def run(w: int, m: int) -> None:
+        first, stop = n * w // m, n * (w + 1) // m
+        rows = max(2, batch_rows(dim))
+        # numpy multiplies a 1-row matrix by gemv, whose last bits differ from
+        # gemm's, so a lone last row joins the chunk before it: no chunk tops rows + 1.
+        starts = list(range(first, max(stop - 1, first + 1), rows))
+        # the two flat work buffers take each shape in turn
+        states = np.empty((min(stop - first, rows + 1), dim), dtype=complex)
+        h_psi, work = np.empty((2, states.size), dtype=complex)
+        readonly = np.lib.stride_tricks.as_strided(states, writeable=False)  # what a sink gets
+        for start, end in zip(starts, starts[1:] + [stop]):
+            k, span = end - start, slice(start, end)
+            chunk, scratch = states[:k], work[:k * dim].reshape(k, dim)
+            for b, c in zip(hamiltonian.blocks, coeffs):
+                p, r = (x[:k * len(c)].reshape(k, len(c)) for x in (h_psi, work))
+                np.exp(np.multiply(np.outer(times[span], b.energies, out=p), -1j, out=p), out=p)
+                chunk[:, b.indices] = np.matmul(np.multiply(p, c, out=p), b.vectors.T, out=r)
+            chunk[times[span] == 0.0] = initial.amplitudes
+            norms[span] = _row_norms(chunk, scratch)
+            worst = float(np.max(np.abs(norms[span] - 1.0)))
+            if not worst <= NORM_DRIFT_TOLERANCE:
+                raise NumericalValidationError(f"propagation lost normalization by {worst:.3e}")
+            hp = _apply(hamiltonian, chunk, out=h_psi[:k * dim].reshape(k, dim))
+            energy[span] = np.einsum("ki,ki->k", np.conjugate(chunk, out=scratch), hp).real
+            v_eff[span] = _row_norms(hp, scratch)
+            mass = np.abs(chunk, out=work.view(float)[:k * dim].reshape(k, dim))
+            w_sub[span] = composite.subspace_sums(np.square(mass, out=mass))
+            purities[span], entropies[span] = gas_purity_entropy(composite, chunk)
+            if sink is not None:
+                sink(start, readonly[:k])
+
+    fan_out(run, n // 2, "evolve worker")
+    steps, step_of = np.unique(np.diff(times), return_inverse=True)
+    squares = np.zeros(len(steps))
+    for b, p in zip(hamiltonian.blocks, weights):
+        for first in range(0, len(steps), batch_rows(len(p))):
+            part = slice(first, first + batch_rows(len(p)))
+            squares[part] += np.square(np.sin(np.outer(steps[part] / 2, b.energies))) @ p
+    return Trajectory(times, dict(norm=norms, energy=energy, v_eff=v_eff, purity=purities,
+                                  entropy=entropies, subspace_weights=w_sub,
+                                  shell_weights=composite.shell_sums(w_sub),
+                                  gas_level_weights=composite.gas_level_sums(w_sub)),
+                      2.0 * np.sqrt(squares)[step_of], hamiltonian)
 
 
 def _series(traj: Trajectory, measure_name: str) -> np.ndarray:

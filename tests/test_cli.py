@@ -21,7 +21,7 @@ import yaml
 
 import hsmc.sampling
 import hsmc.state
-from hsmc import (PureState, WeightProfile, build_spectrum, canonical_profile, compose,
+from hsmc import (WeightProfile, build_spectrum, canonical_profile, compose,
                   dominant_distribution, expected_purity_exact, gas_purity_entropy, mc_average,
                   microcanonical_profile, min_purity_state, purity_entropy, region_log_size,
                   region_mean_purity, sample_chunks)
@@ -545,28 +545,18 @@ def _evolve(tmp_path, monkeypatch, cpus, n_times=7, text=CANONICAL_EVOLVE_YAML, 
                          ids=["canonical_dump", "microcanonical"])
 def test_evolve_files_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, text, dump,
                                                         blocks, n_times):
-    # a worker's evolve covers 2 times or more, so 7 times run on 1, 2 or 3 workers
+    # an evolve worker covers 2 times or more, so 7 times run on 1, 2 or 3 workers
     # (7, 3 + 4, 2 + 2 + 3 times) and 2 or 3 times on one; H is built before, on
     # one worker per block and CPU (the canonical shells and the microcanonical
     # subspaces all have a constant local diagonal, so there is no second pass)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    lengths, evolve = tmp_path / "lengths", cli.evolve
-
-    def recording(initial, hamiltonian, times, sink=None):  # forked workers append too
-        with open(lengths, "a") as fh:
-            fh.write(f"{len(times)}\n")
-        return evolve(initial, hamiltonian, times, sink)
-
-    monkeypatch.setattr(cli, "evolve", recording)
     runs = {}
     for cpus in (1, 2, 3):
         del forks[:]
-        lengths.write_text("")
         code, out = _evolve(tmp_path, monkeypatch, cpus, n_times, text, dump)
         assert code == 0
         assert len(forks) == (min(cpus, blocks) - 1) + (min(cpus, n_times // 2) - 1)
-        assert sum(map(int, lengths.read_text().split())) == n_times  # disjoint ranges
         report = json.loads((out / "conservation.json").read_text())
         del report["config"]["output"]
         states = sorted((out / "states").iterdir()) if dump else []
@@ -636,13 +626,13 @@ def test_failed_state_writer_exits_2_and_is_reaped(tmp_path, monkeypatch, capsys
 
 def test_norm_drift_in_a_forked_evolve_worker_exits_3_and_is_reaped(tmp_path, monkeypatch,
                                                                     capsys):
-    def drifting(initial, hamiltonian, times, sink=None):
-        if times[0] > 0:  # a forked worker's range
-            initial = PureState(initial.composite, initial.amplitudes * (1 + 1e-6), check=False)
-        return real(initial, hamiltonian, times, sink)
+    caller, real = os.getpid(), dynamics._row_norms
 
-    real = cli.evolve
-    monkeypatch.setattr(cli, "evolve", drifting)
+    def drifting(rows, scratch):  # every norm a forked worker takes is 1e-6 too large
+        norms = real(rows, scratch)
+        return norms * (1 + 1e-6) if os.getpid() != caller else norms
+
+    monkeypatch.setattr(dynamics, "_row_norms", drifting)
     code, _ = _evolve(tmp_path, monkeypatch, 2)
     assert code == 3
     err = capsys.readouterr().err
@@ -966,6 +956,22 @@ def test_counts_of_2_63_or_more_exit_2(tmp_path, capsys, command, text, flags, k
                  "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and "2**63" in err
+
+
+@pytest.mark.parametrize("command", ["predict", "sample", "evolve"])
+def test_a_coupling_whose_default_t_max_overflows_exits_2(tmp_path, capsys, command):
+    # 50 / 1e-310 is inf: the error names the key the file holds, not run.t_max alone
+    text = C1_YAML + "  coupling: 1.0e-310\n"
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err == ("config error: run.coupling = 1e-310 makes the default "
+                                       "run.t_max = 50 / run.coupling overflow: set run.t_max\n")
+    # an explicit run.t_max is read as any other
+    cfg = write_config(tmp_path, text + "  t_max: .inf\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err == "config error: run.t_max must be a finite number, got inf\n"
+    cfg = write_config(tmp_path, text + "  t_max: 5\n  n_times: 3\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
 
 
 def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):

@@ -71,11 +71,18 @@ BUILDERS = {MICROCANONICAL: build_microcanonical_hamiltonian,
             CANONICAL: build_canonical_hamiltonian}
 
 
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """Let ``evolve`` use one CPU, so it runs every time in this process: an
+    in-process sink, a spy or tracemalloc then sees the whole run."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
 def evolve_keeping_rows(state, h, times):
     """``evolve`` with a sink that copies every row out: (trajectory, states).
 
     The sink checks what it is promised: rows arrive in order, each once, as a
-    read-only view.
+    read-only view.  Use it with ``one_cpu``: a forked worker's rows do not come back.
     """
     times = np.asarray(times, dtype=float)
     states = np.full((len(times), state.composite.dim), np.nan, dtype=complex)
@@ -277,6 +284,7 @@ def test_weak_coupling_ratio():
 
 # -------------------------------------------------------------- propagation
 
+@pytest.mark.usefixtures("one_cpu")
 def test_evolve_free_eigenstate_keeps_purity_one():
     comp = composite_three()
     h = build_microcanonical_hamiltonian(comp, 0.0, substream(0, 0))
@@ -291,6 +299,7 @@ def test_evolve_free_eigenstate_keeps_purity_one():
         atol=1e-12)
 
 
+@pytest.mark.usefixtures("one_cpu")
 def test_evolve_time_zero_is_bit_exact():
     comp = composite_three()
     h = build_canonical_hamiltonian(comp, 0.5, substream(3, 0))
@@ -319,6 +328,7 @@ def test_two_level_resonance_period_matches_eigen_gap():
     assert series.min() < 0.95  # the weight really oscillates
 
 
+@pytest.mark.usefixtures("one_cpu")
 def test_evolve_matches_dense_matrix_exponential():
     comp = composite_three()
     state = uniform_product_state(comp)
@@ -355,6 +365,7 @@ def _whole_array_trajectory(state, h, times):
     }
 
 
+@pytest.mark.usefixtures("one_cpu")
 @pytest.mark.parametrize("kind", BUILDERS)
 @pytest.mark.parametrize("times", [
     *(pytest.param(np.linspace(0.0, 9.0, n), id=str(n)) for n in (9, 10, 11)),
@@ -392,6 +403,45 @@ def test_chunked_measures_match_the_whole_array(kind, times, monkeypatch):
         np.testing.assert_allclose(value, want[name], rtol=1e-14, atol=0, err_msg=name)
 
 
+@pytest.mark.parametrize("times", [
+    *(pytest.param(np.linspace(0.0, 9.0, n), id=str(n)) for n in (2, 3, 7)),
+    pytest.param(9.0 * (np.arange(11) / 10) ** 2, id="stretched")])
+def test_evolve_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, times):
+    # at most one worker per two times: 7 times run as 7, 3 + 4 or 2 + 2 + 3, the
+    # 11 stretched ones as 11, 5 + 6 or 3 + 4 + 4, in chunks of 2 rows or 3 at a
+    # range's end.  A sink runs in the worker that propagated its rows, so it copies
+    # them into shared memory and logs its calls to a file forked workers append to.
+    monkeypatch.setattr(dynamics, "batch_rows", lambda dim: 2)
+    comp = composite_three()
+    rng = np.random.default_rng(25)
+    amps = rng.standard_normal(comp.dim) + 1j * rng.standard_normal(comp.dim)
+    state = PureState(comp, amps / np.linalg.norm(amps))
+    h = build_canonical_hamiltonian(comp, 0.6, substream(25, 0))
+    n, calls = len(times), tmp_path / "calls"
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    runs = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        rows = fanout.shared_array(n * comp.dim, "rows", dtype=complex).reshape(n, comp.dim)
+        calls.write_text("")
+
+        def keep(start, chunk):
+            rows[start:start + len(chunk)] = chunk
+            with open(calls, "a") as fh:
+                fh.write(f"{start} {len(chunk)}\n")
+
+        del forks[:]
+        traj = evolve(state, h, times, keep)
+        assert len(forks) == min(cpus, n // 2) - 1
+        seen = sorted(tuple(map(int, line.split())) for line in calls.read_text().splitlines())
+        assert [start for start, _ in seen] == list(np.cumsum([0] + [k for _, k in seen])[:-1])
+        assert sum(k for _, k in seen) == n and min(k for _, k in seen) >= 2
+        runs[cpus] = ({name: series.tobytes() for name, series in traj.measures.items()},
+                      traj.chords.tobytes(), rows.tobytes())
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
 def test_small_step_chords_are_the_effective_velocity():
     # over a step dt the chord is dt v_eff (1 + O(E^2 dt^2)); at dt = 1e-9 a row
     # difference loses about 8 digits to cancellation, the closed form none
@@ -416,6 +466,7 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+@pytest.mark.usefixtures("one_cpu")
 @pytest.mark.parametrize("kind", BUILDERS)
 def test_evolve_temporaries_do_not_grow_with_the_time_axis(kind):
     # dim 400: a kept trajectory would add 1400 * 400 * 16 bytes, 8.5 MiB, from
@@ -428,6 +479,7 @@ def test_evolve_temporaries_do_not_grow_with_the_time_axis(kind):
     assert peak[1601] - peak[201] < 2 ** 20, peak
 
 
+@pytest.mark.usefixtures("one_cpu")
 def test_evolve_holds_no_block_sized_temporary():
     # dim 1600, four blocks of 400: one conjugate copy of a block's V alone would
     # be 16 n_b^2 bytes
