@@ -18,14 +18,13 @@ travels.  Propagation, :func:`effective_velocity` and the diagnostics of
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .fanout import fan_out, one_blas_thread, shared_array, zheevd
+from .fanout import dsterf, fan_out, one_blas_thread, qr, shared_array, zheevd
 from .spectrum import CANONICAL, MICROCANONICAL, CompositeSpectrum
 from .state import BATCH_ELEMENTS, PureState, batch_rows, gas_purity_entropy
 
@@ -135,35 +134,31 @@ def _apply(hamiltonian: Hamiltonian, flat: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _gue_block(rng: np.random.Generator, out: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Draw M = (x + x^dagger) / 2, x = a + ib from a then b standard normal (n, n)
-    draws, into ``out`` as its transpose M^T = conj(M), which is M read column-major:
-    bit for bit, the diagonal's imaginary zeros too.  The normals pass through the
-    float buffer ``batch``; nothing of size n^2 is allocated."""
-    n, flat = len(out), out.reshape(-1)
+def _gue_eigenpairs(rng: np.random.Generator, slot: np.ndarray, values: np.ndarray,
+                    batch: np.ndarray) -> None:
+    """Draw a GUE block, (x + x^dagger) / 2 in law for x with standard normal real and
+    imaginary parts, as V diag(lambda) V^dagger: V's columns into the (n, n) complex
+    ``slot``, lambda ascending into the n floats ``values``.  2 n^2 normals (through the
+    float buffer ``batch``) are the real then imaginary parts of the C-ordered slot Z;
+    zgeqrf and zungqr factor Z^T = QR in place, and V = (Q diag(sign R_ii))^T is Haar
+    (Mezzadri, Notices AMS 54, 592, 2007).  Then n normals and sqrt(standard_gamma(
+    [n - 1, ..., 1])) make the beta = 2 tridiagonal model, whose eigenvalues by dsterf
+    are the GUE's in law (Dumitriu & Edelman, J. Math. Phys. 43, 5830, 2002).  No n^2
+    array is allocated; ``np.linalg.qr`` and ``eigvalsh`` give the same bits where
+    numpy's BLAS lacks those calls."""
+    n, flat, r = len(slot), slot.reshape(-1), np.empty(len(slot), complex)
     for part in (flat.real, flat.imag):
         for first in range(0, n * n, len(batch)):
             draw = rng.standard_normal(out=batch[:n * n - first])
             part[first:first + len(draw)] = draw
-    for j in range(n):
-        row = (out[j, j:] + out[j:, j].conj()) / 2.0  # row j of M
-        out[j, j:], out[j:, j] = row.conj(), row  # the diagonal keeps row[0]
-    return out
-
-
-def _eigh(x: np.ndarray, values: np.ndarray, vectors: bool) -> None:
-    """The eigenvalues of the Hermitian M = ``x``^T into ``values``, and, if
-    ``vectors``, its eigenvector columns into ``x`` in C order: bit for bit
-    ``np.linalg.eigh(M)`` or ``np.linalg.eigvalsh(M)``, which also serve where
-    numpy's BLAS exports no zheevd.  Without ``vectors`` x is overwritten."""
-    if zheevd(x, values, "V" if vectors else "N"):
-        if vectors:  # eigenvector j is row j: transpose back, row by row
-            for j in range(len(x)):
-                x[j, j + 1:], x[j + 1:, j] = x[j + 1:, j].copy(), x[j, j + 1:].copy()
-    elif vectors:
-        values[:], x[:] = np.linalg.eigh(x.T)
-    else:
-        values[:] = np.linalg.eigvalsh(x.T)
+    if not qr(slot, r):
+        q, upper = np.linalg.qr(slot.T)
+        slot[:], r[:] = q.T, upper.diagonal()
+    slot *= np.copysign(1.0, r.real).astype(complex)[:, None]
+    rng.standard_normal(out=values)
+    off = np.sqrt(rng.standard_gamma(np.arange(n - 1.0, 0.0, -1.0)))
+    if not dsterf(values, off):
+        values[:] = np.linalg.eigvalsh(np.diag(values) + np.diag(off, -1))
 
 
 def _split(sizes: list[int], m: int) -> list[int]:
@@ -174,74 +169,63 @@ def _split(sizes: list[int], m: int) -> list[int]:
     return [m * (2 * end - c) // (2 * ends[0]) for end, c in zip(ends, costs)]
 
 
-def _fan_blocks(pairs: list, pick: list[int], rng: np.random.Generator, solve) -> None:
-    """For k in ``pick``, draw block k's GUE into its eigenvector slot (see
-    :func:`_gue_block`) and call ``solve(k, values, slot)``, which leaves block k's
-    eigenpairs there, on workers that own the :func:`_split` ranges of ``pick``,
-    none of them empty.  Each replays ``rng``'s draws of blocks 0, 1, ... through
-    its last one, discarding those it does not own, through one float buffer."""
-    sizes = [len(e) for e, _ in pairs]
-    picked = [sizes[k] for k in pick]
-
-    def work(w: int, m: int) -> None:
-        mine = {k for k, owner in zip(pick, _split(picked, m)) if owner == w}
-        batch = np.empty(BATCH_ELEMENTS)
-        for k, (values, slot) in enumerate(pairs[:max(mine) + 1]):
-            if k in mine:
-                solve(k, values, _gue_block(rng, slot, batch))
-            else:
-                for first in range(0, 2 * slot.size, len(batch)):
-                    rng.standard_normal(out=batch[:2 * slot.size - first])
-
-    if pick:  # forked workers draw from their copies of rng, the caller from rng itself
-        most = next((m - 1 for m in range(2, len(pick) + 1) if len(set(_split(picked, m))) < m),
-                    len(pick))
-        fan_out(work, most, "Hamiltonian worker")
-
-
-def _local_diagonals(composite: CompositeSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    subs, dims = composite.subspaces, composite.subspace_dims()
-    return (np.repeat([composite.gas.energies[s.A] for s in subs], dims),
-            np.repeat([composite.container.energies[s.B] for s in subs], dims))
-
-
 def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
               rng: np.random.Generator) -> Hamiltonian:
     """Draw one GUE block per group of ``composite.blocks(kind)``, scaled so the largest
     spectral radius equals ``coupling``, and keep only the eigenpairs of H on every group.
 
-    Workers draw each block into its eigenvector slot of one shared buffer and
-    diagonalize it there (see :func:`_fan_blocks` and :func:`_eigh`).  Where
-    H_g + H_c is one constant d on a group and the coupling is nonzero, the
-    eigenpairs of the draw x give the radius and those of d + scale * x.  The
-    other groups take the radius from the eigenvalues of x; a second pass draws x
-    again and makes it diag(d) + scale * x in place, as numpy would, bit for bit.
+    Workers draw each block's pairs into its slots of one shared buffer, replaying
+    ``rng`` through their last block; the caller's ends past every draw.  With
+    scale = coupling / max |lambda|, a group on which H_g + H_c is one constant d keeps
+    d + scale * lambda and V where the coupling is nonzero; the others form
+    diag(d) + scale * V diag(lambda) V^dagger in a second fan-out and diagonalize it.
     """
     if not coupling >= 0:
         raise ValueError("coupling must be >= 0")
-    gas_diag, container_diag = _local_diagonals(composite)
+    subs, dims = composite.subspaces, composite.subspace_dims()
+    gas_diag = np.repeat([composite.gas.energies[s.A] for s in subs], dims)
+    container_diag = np.repeat([composite.container.energies[s.B] for s in subs], dims)
     diag, groups = gas_diag + container_diag, composite.blocks(kind)
-    offsets = np.cumsum([0] + [2 * len(idx) ** 2 + len(idx) for idx in groups]).tolist()
+    sizes = [len(idx) for idx in groups]
+    offsets = np.cumsum([0] + [2 * n * n + n for n in sizes]).tolist()
     shared = shared_array(offsets[-1], "Hamiltonian eigenpair floats")
     pairs = [(shared[o:o + n], shared[o + n:o + n + 2 * n * n].view(complex).reshape(n, n))
-             for o, n in zip(offsets, map(len, groups))]
-    plain = {k for k, i in enumerate(groups) if coupling > 0 and np.all(diag[i] == diag[i[0]])}
-    start = copy.deepcopy(rng)
-    _fan_blocks(pairs, list(range(len(groups))), rng,
-                lambda k, e, x: _eigh(x, e, vectors=k in plain))
+             for o, n in zip(offsets, sizes)]
+
+    def fan(pick: list[int], run) -> None:  # run(mine) on workers owning _split ranges of pick
+        picked = [sizes[k] for k in pick]  # fork no worker without a block, none for no pick
+        most = next((m - 1 for m in range(2, len(pick) + 1) if len(set(_split(picked, m))) < m),
+                    len(pick))
+        fan_out(lambda w, m: run({k for k, o in zip(pick, _split(picked, m)) if o == w}), most,
+                "Hamiltonian worker")
+
+    def draw(mine: set[int]) -> None:
+        batch = np.empty(BATCH_ELEMENTS)
+        for k, (values, slot) in enumerate(pairs[:max(mine) + 1]):
+            if k in mine:
+                _gue_eigenpairs(rng, slot, values, batch)
+                continue
+            for first in range(0, 2 * slot.size + sizes[k], len(batch)):  # skip block k
+                rng.standard_normal(out=batch[:2 * slot.size + sizes[k] - first])
+            rng.standard_gamma(np.arange(sizes[k] - 1.0, 0.0, -1.0))
+
+    def solve(mine: set[int]) -> None:  # M^T = diag(d) + scale conj(V) diag(lambda) V^T
+        for k in mine:
+            (values, slot), v = pairs[k], pairs[k][1].copy()
+            np.matmul(np.conjugate(v) * (scale * values), v.T, out=slot)
+            slot.flat[::sizes[k] + 1] += diag[groups[k]]
+            if not zheevd(slot, values, "V"):  # numpy's eigh(M), the same bits
+                values[:], slot[:] = np.linalg.eigh(slot.T)
+                continue
+            for j in range(sizes[k]):  # eigenvector j is row j: transpose back
+                slot[j, j + 1:], slot[j + 1:, j] = slot[j + 1:, j].copy(), slot[j, j + 1:].copy()
+
+    fan(list(range(len(groups))), draw)
     scale = coupling / max(float(np.max(np.abs(e))) for e, _ in pairs)
-    for k in plain:
+    mixed = [k for k, i in enumerate(groups) if coupling == 0 or np.any(diag[i] != diag[i[0]])]
+    for k in set(range(len(groups))) - set(mixed):
         pairs[k][0][:] = diag[groups[k][0]] + scale * pairs[k][0]
-
-    def shifted(k: int, e: np.ndarray, x: np.ndarray) -> None:
-        d, diag_row = diag[groups[k]], np.zeros(len(x))
-        for j, row in enumerate(np.multiply(x, scale, out=x)):  # adds np.diag(d) row by row
-            diag_row[j] = d[j]
-            np.add(diag_row, row, out=row)
-            diag_row[j] = 0.0
-        _eigh(x, e, vectors=True)
-
-    _fan_blocks(pairs, [k for k in range(len(groups)) if k not in plain], start, shifted)
+    fan(mixed, solve)
     blocks = tuple(HamiltonianBlock(idx, *pair) for idx, pair in zip(groups, pairs))
     for arr in (gas_diag, container_diag, *(a for block in blocks for a in block)):
         arr.flags.writeable = False
@@ -257,11 +241,11 @@ def build_microcanonical_hamiltonian(composite: CompositeSpectrum, coupling: flo
     lives inside one degeneracy subspace, [H_g, I] = [H_c, I] = 0 to machine
     precision and every subspace weight is a constant of motion.
 
-    The blocks are diagonalized on forked workers, one per CPU and at most one per
-    block (do not call it while other threads run), after stdout and stderr are
-    flushed; OpenBLAS runs one thread in every process, the caller's until the
-    call returns.  A worker's exception comes back with its class, as
-    "Hamiltonian workers [w] of m failed: ...".
+    Each block is drawn in its eigenbasis, Haar eigenvectors and GUE eigenvalues, on
+    forked workers, one per CPU and at most one per block (do not call it while other
+    threads run), after stdout and stderr are flushed; OpenBLAS runs one thread in
+    every process, the caller's until the call returns.  A worker's exception comes
+    back with its class, as "Hamiltonian workers [w] of m failed: ...".
     """
     return _assemble(composite, MICROCANONICAL, coupling, rng)
 
@@ -273,8 +257,8 @@ def build_canonical_hamiltonian(composite: CompositeSpectrum, coupling: float,
     Each block couples all subspaces inside its shell, so [H_g + H_c, I] = 0
     (shell weights conserved) while [H_g, I] != 0 in general: energy flows
     between gas and container.  For spectra where every shell has a single
-    subspace this coincides with the microcanonical builder.  The blocks are
-    built on forked workers, as :func:`build_microcanonical_hamiltonian` says.
+    subspace this coincides with the microcanonical builder.  The blocks are built as
+    :func:`build_microcanonical_hamiltonian` says, plus an eigensolve where H_g + H_c varies.
     """
     return _assemble(composite, CANONICAL, coupling, rng)
 
@@ -393,7 +377,10 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Tr
         for start, end in zip(starts, starts[1:] + [stop]):
             k, span = end - start, slice(start, end)
             chunk, scratch = states[:k], work[:k * dim].reshape(k, dim)
-            for b, c in zip(hamiltonian.blocks, coeffs):
+            for b, c, weight in zip(hamiltonian.blocks, coeffs, weights):
+                if not weight.any():  # a block the start misses stays +0.0, unrotated
+                    chunk[:, b.indices] = 0.0
+                    continue
                 p, r = (x[:k * len(c)].reshape(k, len(c)) for x in (h_psi, work))
                 np.exp(np.multiply(np.outer(times[span], b.energies, out=p), -1j, out=p), out=p)
                 chunk[:, b.indices] = np.matmul(np.multiply(p, c, out=p), b.vectors.T, out=r)

@@ -4,11 +4,10 @@
 w = 0 and forked children the rest.  While they run, OpenBLAS uses one thread
 in every worker, so m workers do not start 2m or more BLAS threads on m CPUs.
 
-:func:`zheevd` is LAPACK's Hermitian eigensolver from the library that holds
-that thread count, bound through ctypes, so that a worker can diagonalize a
-matrix in the array where its eigenvectors are to stay: numpy's ``eigh`` has
-no ``out`` and copies its input and its result.  Symbols are looked up lazily,
-on first use, not at import.
+:func:`zheevd`, :func:`qr` and :func:`dsterf` call LAPACK from the library that holds
+that thread count, through ctypes, so that a worker can factor a matrix in the array
+where its result is to stay: numpy's ``eigh`` and ``qr`` have no ``out`` and copy
+their input and result.  Symbols are looked up lazily, on first use, not at import.
 """
 
 from __future__ import annotations
@@ -65,24 +64,53 @@ def _blas_threads():
     return get, put
 
 
-_ZHEEVD_ARGUMENTS = "JOBZ UPLO N A LDA W WORK LWORK RWORK LRWORK IWORK LIWORK INFO".split()
+_ARGUMENTS = {  # the Fortran arguments of the LAPACK routines bound here, in order
+    "zheevd": "JOBZ UPLO N A LDA W WORK LWORK RWORK LRWORK IWORK LIWORK INFO".split(),
+    "zgeqrf": "M N A LDA TAU WORK LWORK INFO".split(),
+    "zungqr": "M N K A LDA TAU WORK LWORK INFO".split(),
+    "dsterf": "N D E INFO".split(),
+}
 
 
 @functools.cache
-def _zheevd():
-    """(LAPACK's zheevd from numpy's BLAS, its Fortran integer type), or None."""
-    found = _symbol("zheevd_")
-    if found is None:
+def _lapack(name: str):
+    """(LAPACK's ``name`` from numpy's BLAS, its Fortran integer type), or None."""
+    if (found := _symbol(f"{name}_")) is None:
         return None
-    function, wide = found
-    integer = ctypes.c_int64 if wide else ctypes.c_int32
-    arrays = {"A", "W", "WORK", "RWORK", "IWORK"}  # the rest are integers, by reference
-    function.argtypes = ([ctypes.c_char_p] * 2
-                         + [ctypes.c_void_p if name in arrays else ctypes.POINTER(integer)
-                            for name in _ZHEEVD_ARGUMENTS[2:]]
-                         + [ctypes.c_size_t] * 2)  # the lengths of JOBZ and UPLO
+    arguments, (function, wide) = _ARGUMENTS[name], found
+    function.argtypes = ([ctypes.c_void_p] * len(arguments)  # then the character lengths
+                         + [ctypes.c_size_t] * len({"JOBZ", "UPLO"}.intersection(arguments)))
     function.restype = None
-    return function, integer
+    return function, ctypes.c_int64 if wide else ctypes.c_int32
+
+
+def _call(name: str, *arguments, workspaces=()) -> bool:
+    """LAPACK's ``name`` on ``arguments`` (bytes, ints, writable C-ordered arrays), one
+    workspace of each dtype in ``workspaces`` (int: the Fortran integer) sized by a query
+    first, and INFO; False where it is missing.  INFO > 0 raises LinAlgError, < 0 ValueError."""
+    if (found := _lapack(name)) is None:
+        return False
+    function, integer = found
+    if not all(a.flags.c_contiguous and a.flags.writeable
+               for a in arguments if isinstance(a, np.ndarray)):
+        raise ValueError(f"{name} needs writable C-ordered arrays")
+    head = [a.ctypes.data if isinstance(a, np.ndarray) else a if isinstance(a, bytes)
+            else ctypes.byref(integer(a)) for a in arguments]
+    spaces = [np.empty(1, integer if t is int else t) for t in workspaces]
+    sizes, info = [-1] * len(spaces), integer(0)
+    for query in (True, False)[not spaces:]:  # a size query first where there is a workspace
+        function(*head, *(x for space, size in zip(spaces, sizes)
+                          for x in (space.ctypes.data, ctypes.byref(integer(size)))),
+                 ctypes.byref(info), *(1 for a in arguments if isinstance(a, bytes)))
+        if info.value > 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        if info.value < 0:
+            raise ValueError(f"{name}: argument {-info.value} "
+                             f"({_ARGUMENTS[name][-info.value - 1]}) had an illegal value")
+        if query:
+            sizes = [int(space[0].real) for space in spaces]
+            spaces = [np.empty(size, space.dtype) for size, space in zip(sizes, spaces)]
+    return True
 
 
 def zheevd(a: np.ndarray, w: np.ndarray, jobz: str) -> bool:
@@ -96,30 +124,34 @@ def zheevd(a: np.ndarray, w: np.ndarray, jobz: str) -> bool:
     Raises numpy's LinAlgError where it does not converge, ValueError on an illegal
     argument.
     """
-    found = _zheevd()
-    if found is None:
-        return False
-    function, integer = found
-    n = len(a)
-    if not (a.shape == (n, n) and a.dtype == complex and a.flags.c_contiguous and a.flags.writeable
-            and w.shape == (n,) and w.dtype == np.float64 and w.flags.c_contiguous
-            and w.flags.writeable):
+    if not (a.shape == (n := len(a), n) and a.dtype == complex and w.shape == (n,)
+            and w.dtype == np.float64):
         raise ValueError("zheevd needs a writable C-ordered (n, n) complex array and n floats")
-    work, rwork, iwork = np.empty(1, complex), np.empty(1), np.empty(1, integer)
-    sizes, info = [-1] * 3, integer(0)  # LWORK, LRWORK, LIWORK: -1 asks for the sizes
-    for query in (True, False):
-        function(jobz.encode(), b"L", integer(n), a.ctypes.data, integer(max(n, 1)),
-                 w.ctypes.data, work.ctypes.data, integer(sizes[0]), rwork.ctypes.data,
-                 integer(sizes[1]), iwork.ctypes.data, integer(sizes[2]), info, 1, 1)
-        if info.value > 0:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        if info.value < 0:
-            raise ValueError(f"zheevd: argument {-info.value} "
-                             f"({_ZHEEVD_ARGUMENTS[-info.value - 1]}) had an illegal value")
-        if query:
-            sizes = [int(space[0].real) for space in (work, rwork, iwork)]
-            work, rwork, iwork = (np.empty(k, t) for k, t in zip(sizes, (complex, float, integer)))
-    return True
+    return _call("zheevd", jobz.encode(), b"L", n, a, max(n, 1), w,
+                 workspaces=(complex, float, int))
+
+
+def qr(a: np.ndarray, r: np.ndarray) -> bool:
+    """A = QR in place by zgeqrf then zungqr, called as ``np.linalg.qr`` calls them, for the
+    (n, n) complex A that the C-ordered ``a`` holds read column-major: ``a`` ends as Q^T
+    and R's diagonal goes into the n complex ``r`` in between.  False, with nothing done,
+    where numpy's BLAS lacks either.  Call it on one OpenBLAS thread, as :func:`zheevd`."""
+    if not (a.shape == (n := len(a), n) and a.dtype == r.dtype == complex and r.shape == (n,)):
+        raise ValueError("qr needs a writable C-ordered (n, n) complex array and n complex")
+    if _lapack("zungqr") is None or not _call("zgeqrf", n, n, a, max(n, 1),
+                                              tau := np.empty(n, complex), workspaces=(complex,)):
+        return False
+    r[:] = a.diagonal()
+    return _call("zungqr", n, n, n, a, max(n, 1), tau, workspaces=(complex,))
+
+
+def dsterf(d: np.ndarray, e: np.ndarray) -> bool:
+    """The eigenvalues of the real symmetric tridiagonal matrix with diagonal ``d`` (n
+    floats) and off-diagonal ``e`` (n - 1) into ``d``, ascending, by dsterf, as
+    ``np.linalg.eigvalsh`` of that matrix ends; False where numpy's BLAS has none."""
+    if not (d.dtype == e.dtype == np.float64 and d.ndim == 1 and e.shape == (max(len(d) - 1, 0),)):
+        raise ValueError("dsterf needs n and n - 1 writable C-ordered floats")
+    return _call("dsterf", len(d), d, e)
 
 
 def shared_array(count: int, what: str, dtype=np.float64) -> np.ndarray:

@@ -21,7 +21,7 @@ import yaml
 
 import hsmc.sampling
 import hsmc.state
-from hsmc import (WeightProfile, build_spectrum, canonical_profile, compose,
+from hsmc import (CANONICAL, WeightProfile, build_spectrum, canonical_profile, compose,
                   dominant_distribution, expected_purity_exact, gas_purity_entropy, mc_average,
                   microcanonical_profile, min_purity_state, purity_entropy, region_log_size,
                   region_mean_purity, sample_chunks)
@@ -567,6 +567,23 @@ def test_evolve_files_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, t
     assert runs[2] == runs[1] and runs[3] == runs[1]
 
 
+def test_a_one_shell_start_dumps_plus_zero_on_its_dead_blocks(tmp_path, monkeypatch):
+    # only the shell E = 1 has weight: the shells E = 0 and E = 2 stay exactly +0.0
+    # at every time, where a phase times 0 and a product could make them -0.0
+    text = CANONICAL_EVOLVE_YAML.replace(
+        "  gas_weights: [0.5, 0.5]\n  container_weights: [0.5, 0.5]\n",
+        "  weights: [[1, 1.0]]\n") + "  initial: sample\n"
+    code, out = _evolve(tmp_path, monkeypatch, 1, 7, text)
+    assert code == 0
+    comp = compose(build_spectrum([(0, 1), (1, 3)]), build_spectrum([(0, 2), (1, 2)]))
+    dead = [i for k, shell in enumerate(comp.blocks(CANONICAL))
+            if k != comp.shell_index_at(1.0) for i in shell]
+    assert len(dead) == 8
+    for path in sorted((out / "states").iterdir()):
+        rows = [line.split(",") for line in path.read_text().splitlines() if line[:1].isdigit()]
+        assert {cell for i in dead for cell in rows[i][1:]} == {"0.0"}, path.name
+
+
 CANONICAL_WIDE_YAML = """
 gas:
   levels: [[0, 2], [1, 2]]
@@ -645,14 +662,14 @@ def test_norm_drift_in_a_forked_evolve_worker_exits_3_and_is_reaped(tmp_path, mo
 
 def test_memory_error_in_a_forked_build_worker_exits_2_and_is_reaped(tmp_path, monkeypatch,
                                                                      capsys):
-    caller, real = os.getpid(), dynamics._gue_block
+    caller, real = os.getpid(), dynamics._gue_eigenpairs
 
-    def draw(rng, out, batch):
+    def draw(rng, slot, values, batch):
         if os.getpid() != caller:
             raise MemoryError("no room for the draw")
-        return real(rng, out, batch)
+        return real(rng, slot, values, batch)
 
-    monkeypatch.setattr(dynamics, "_gue_block", draw)
+    monkeypatch.setattr(dynamics, "_gue_eigenpairs", draw)
     code, _ = _evolve(tmp_path, monkeypatch, 2)
     assert code == 2
     err = capsys.readouterr().err

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from hsmc import (CANONICAL, MICROCANONICAL, NumericalValidationError, PureState,
                   build_canonical_hamiltonian, build_microcanonical_hamiltonian,
@@ -32,29 +33,38 @@ def uniform_product_state(comp):
     return product_state(comp, gp, cp)
 
 
+def _gue_reference(rng, n):
+    """(V, lambda) of the documented GUE draw, by numpy's own ``qr`` and ``eigvalsh``:
+    a Ginibre Z from 2 n^2 normals, V = (Q diag(sign R_ii))^T for Z^T = QR, and the
+    eigenvalues of the tridiagonal with n normals on the diagonal and
+    sqrt(Gamma(n - 1)), ..., sqrt(Gamma(1)) beside it."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z.T)
+    diagonal = rng.standard_normal(n)
+    off = np.sqrt(rng.standard_gamma(np.arange(n - 1.0, 0.0, -1.0)))
+    return ((q * np.copysign(1.0, r.diagonal().real)).T,
+            np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, -1) + np.diag(off, 1)))
+
+
 def _replay(comp, kind, coupling, seed):
     """Dense H, I and the local diagonal from the documented draw, without
     the blocks under test.
 
-    One GUE block per group from ``substream(seed, 0)``, in group order:
-    subspaces for a microcanonical H, total-energy shells for a canonical one, each
-    shell's states taken member by member from the subspaces' offsets.
-    The blocks are scaled so the largest block spectral radius equals
-    ``coupling``; H adds the local diagonal E_g(A) + E_c(B).
+    One GUE block V diag(lambda) V^dagger per group from ``substream(seed, 0)``
+    (see :func:`_gue_reference`), in group order: subspaces for a microcanonical H,
+    total-energy shells for a canonical one, each shell's states taken member by
+    member from the subspaces' offsets.  The blocks are scaled so the largest
+    block spectral radius equals ``coupling``; H adds the local diagonal E_g(A) + E_c(B).
     """
     rng = substream(seed, 0)
     groups = [np.arange(s.offset, s.offset + s.n_states) for s in comp.subspaces]
     if kind == CANONICAL:
         groups = [np.concatenate([groups[i] for i in sh.member_indices]) for sh in comp.shells]
-    draws = []
-    for idx in groups:
-        n = len(idx)
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        draws.append((x + x.conj().T) / 2.0)
-    scale = coupling / max(np.max(np.abs(np.linalg.eigvalsh(x))) for x in draws)
+    draws = [_gue_reference(rng, len(idx)) for idx in groups]
+    scale = coupling / max(np.max(np.abs(lam)) for _, lam in draws)
     interaction = np.zeros((comp.dim, comp.dim), dtype=complex)
-    for idx, x in zip(groups, draws):
-        interaction[np.ix_(idx, idx)] = scale * x
+    for idx, (v, lam) in zip(groups, draws):
+        interaction[np.ix_(idx, idx)] = scale * (v * lam) @ v.conj().T
     local = np.zeros(comp.dim)
     for s in comp.subspaces:
         local[s.offset:s.offset + s.n_states] = (
@@ -146,18 +156,18 @@ def test_hamiltonian_is_hermitian_and_assembled():
 @pytest.mark.parametrize("kind", BUILDERS)
 def test_blocks_do_not_depend_on_the_worker_count(monkeypatch, kind, coupling):
     # the canonical shell {1, 1.3} has no constant local diagonal, so it takes the
-    # second pass; at zero coupling every block does
+    # second fan-out; at zero coupling every block does
     comp = compose(build_spectrum([(0, 1), (1, 2)]), build_spectrum([(0, 1), (1.3, 2)]),
                    shell_tolerance=0.5)
     replay = substream(5, 0)
     for b in BUILDERS[kind](comp, coupling, substream(5, 0)).blocks:
-        replay.standard_normal(2 * len(b.indices) ** 2)
+        _gue_reference(replay, len(b.indices))
     after, built = replay.standard_normal(), {}
-    # numpy's own eigh where no zheevd resolves: the same bits
+    # numpy's own qr, eigvalsh and eigh where no LAPACK symbol resolves: the same bits
     for cpus, lapack in ((1, True), (2, True), (3, True), (2, False)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
         if not lapack:
-            monkeypatch.setattr(fanout, "_zheevd", lambda: None)
+            monkeypatch.setattr(fanout, "_lapack", lambda name: None)
         rng = substream(5, 0)
         h = BUILDERS[kind](comp, coupling, rng)
         assert not any(a.flags.writeable for b in h.blocks for a in b)
@@ -185,14 +195,14 @@ def test_no_build_worker_is_forked_without_a_block(monkeypatch):
 
 def test_a_forked_build_worker_failure_keeps_its_class(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    caller, real = os.getpid(), dynamics.zheevd
+    caller, real = os.getpid(), dynamics.dsterf
 
-    def zheevd(a, w, jobz):
+    def dsterf(d, e):
         if os.getpid() != caller:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(a, w, jobz)
+        return real(d, e)
 
-    monkeypatch.setattr(dynamics, "zheevd", zheevd)
+    monkeypatch.setattr(dynamics, "dsterf", dsterf)
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"Hamiltonian workers \[1\] of 2 failed: Eigenvalues did not"):
         build_microcanonical_hamiltonian(composite_three(), 0.5, substream(1, 0))
@@ -516,18 +526,39 @@ def test_commutator_norms_hold_no_block_sized_temporary():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 400])
 def test_gue_block_is_the_documented_draw_in_one_array(n):
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    want = (x + x.conj().T) / 2.0
-    got = np.full((n, n), np.nan, dtype=complex)
-    rng = np.random.default_rng(n)
-    _, peak = _traced_peak(lambda: dynamics._gue_block(rng, got, np.empty(BATCH_ELEMENTS)))
-    # stored as its transpose, M read column-major, the diagonal's +0.0 imaginary parts too
-    assert got.tobytes() == want.T.tobytes()
-    assert rng.standard_normal() == np.random.default_rng(n).standard_normal(2 * n * n + 1)[-1]
-    # the block goes into the caller's array: only the float buffer and a few rows
-    # are allocated, where a new (n, n) array alone would be 16 n^2 bytes
-    assert peak <= 8 * BATCH_ELEMENTS + 4 * 16 * n + 4096, peak
+    vectors, values = np.full((n, n), np.nan, dtype=complex), np.full(n, np.nan)
+    rng, batch = np.random.default_rng(n), np.empty(BATCH_ELEMENTS)
+    with fanout.one_blas_thread():  # as in the build's workers
+        want_vectors, want_values = _gue_reference(np.random.default_rng(n), n)
+        _, peak = _traced_peak(dynamics._gue_eigenpairs, rng, vectors, values, batch)
+    assert vectors.tobytes() == want_vectors.tobytes()
+    assert values.tobytes() == want_values.tobytes()
+    np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(n), rtol=0, atol=1e-13)
+    replay = np.random.default_rng(n)
+    _gue_reference(replay, n)
+    assert rng.standard_normal() == replay.standard_normal()
+    # the pairs go into the caller's arrays: besides LAPACK's workspaces of at most 64
+    # columns and about 7 KiB of fixed overhead, only vectors of n values are
+    # allocated, where one (n, n) array alone would be 8 n^2 bytes or more
+    assert peak <= 16 * 64 * n + 16384, peak
+
+
+def test_gue_eigenpairs_have_the_law_of_the_dense_draw():
+    # 20 000 draws at n = 4 against the GUE's H_00 ~ N(0, 1), |H_01|^2 ~ Exp(1) and
+    # the largest eigenvalue of as many dense (x + x^dagger) / 2 draws; level 1e-3
+    n, draws, alpha = 4, 20_000, 1e-3
+    rng, batch = np.random.default_rng(2002), np.empty(BATCH_ELEMENTS)
+    vectors, values = np.empty((draws, n, n), dtype=complex), np.empty((draws, n))
+    for v, e in zip(vectors, values):
+        dynamics._gue_eigenpairs(rng, v, e, batch)
+    h = (vectors * values[:, None, :]) @ vectors.conj().transpose(0, 2, 1)
+    dense = np.random.default_rng(2007)
+    x = dense.standard_normal((draws, n, n)) + 1j * dense.standard_normal((draws, n, n))
+    largest = np.linalg.eigvalsh((x + x.conj().transpose(0, 2, 1)) / 2.0)[:, -1]
+    for p in (scipy.stats.kstest(h[:, 0, 0].real, "norm").pvalue,
+              scipy.stats.kstest(np.abs(h[:, 0, 1]) ** 2, "expon").pvalue,
+              scipy.stats.ks_2samp(values[:, -1], largest).pvalue):
+        assert p > alpha
 
 
 def test_microcanonical_weights_conserved():

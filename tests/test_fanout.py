@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from hsmc import NumericalValidationError, fanout
-from hsmc.fanout import fan_out, one_blas_thread, shared_array, zheevd
+from hsmc.fanout import dsterf, fan_out, one_blas_thread, qr, shared_array, zheevd
 
-pytestmark = pytest.mark.skipif(fanout._blas_threads() is None,
-                                reason="fan_out runs one worker without BLAS thread control")
-needs_zheevd = pytest.mark.skipif(fanout._zheevd() is None,
+needs_threads = pytest.mark.skipif(fanout._blas_threads() is None,
+                                   reason="fan_out runs one worker without BLAS thread control")
+needs_zheevd = pytest.mark.skipif(fanout._lapack("zheevd") is None,
                                   reason="numpy's BLAS exports no zheevd")
+needs_qr = pytest.mark.skipif(None in map(fanout._lapack, ("zgeqrf", "zungqr", "dsterf")),
+                              reason="numpy's BLAS exports no zgeqrf, zungqr or dsterf")
 
 
+@needs_threads
 @pytest.mark.parametrize("cpus, n, m", [(1, 5, 1), (3, 5, 3), (3, 2, 2), (3, 0, 1)])
 def test_every_worker_runs_once_and_knows_the_count(monkeypatch, cpus, n, m):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -25,6 +28,7 @@ def test_every_worker_runs_once_and_knows_the_count(monkeypatch, cpus, n, m):
     assert calls.tolist() == [1] * m + [0] * (3 - m) + [m]
 
 
+@needs_threads
 @pytest.mark.parametrize("kind", [NumericalValidationError, MemoryError, IsADirectoryError])
 def test_a_failed_child_keeps_the_class_of_its_exception(monkeypatch, kind):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -37,6 +41,7 @@ def test_a_failed_child_keeps_the_class_of_its_exception(monkeypatch, kind):
         fan_out(work, 3, "worker")
 
 
+@needs_threads
 def test_a_child_that_leaves_no_report_is_an_oserror(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
@@ -48,6 +53,7 @@ def test_a_child_that_leaves_no_report_is_an_oserror(monkeypatch):
         fan_out(work, 2, "worker")
 
 
+@needs_threads
 def test_a_shared_array_starts_zeroed_and_shows_what_forked_workers_write(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     shared = shared_array(6, "values", np.int64)
@@ -100,3 +106,26 @@ def test_zheevd_fails_as_numpy_does():
         zheevd(np.full((3, 3), np.nan, dtype=complex), w, "V")
     with pytest.raises(ValueError, match=r"^zheevd: argument 1 \(JOBZ\) had an illegal value$"):
         zheevd(np.eye(3, dtype=complex), w, "X")
+
+
+def test_every_symbol_resolves_where_numpy_runs_on_scipy_openblas():
+    # a silent fallback to numpy's allocating eigh, qr and eigvalsh would keep every
+    # other test green; where numpy's LAPACK is scipy-openblas none may happen
+    lapack = np.show_config(mode="dicts")["Build Dependencies"].get("lapack", {})
+    if lapack.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy's LAPACK is {lapack.get('name')!r}, not scipy-openblas")
+    assert fanout._blas_threads() is not None
+    for name in ("zheevd", "zgeqrf", "zungqr", "dsterf"):
+        assert fanout._lapack(name) is not None, name
+
+
+@needs_qr
+def test_the_in_place_calls_refuse_what_lapack_cannot_take():
+    with pytest.raises(ValueError, match="n complex"):
+        qr(np.eye(3, dtype=complex), np.empty(2, complex))
+    with pytest.raises(ValueError, match="n - 1"):
+        dsterf(np.empty(3), np.empty(3))
+    with pytest.raises(ValueError, match="writable C-ordered"):
+        qr(np.eye(3, dtype=complex)[:, ::-1], np.empty(3, complex))
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        dsterf(np.full(3, np.nan), np.full(2, np.nan))
