@@ -186,7 +186,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
     shell_legend = " ".join(
         f"wE_{k}:E={shell.energy!r}" for k, shell in enumerate(composite.shells))
     _write_csv(os.path.join(out_dir, "trajectory.csv"), [
-        "# hsmc trajectory v2",
+        "# hsmc trajectory v3",
         f"# config_hash={cfg.config_hash()} version={__version__} seed={cfg.seed}",
         f"# shells: {shell_legend}",
         ",".join(["t", *names] + sub_cols + shell_cols + gas_cols),

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fanout import dsterf, fan_out, one_blas_thread, qr, shared_array, zheevd
+from .sampling import substream
 from .spectrum import CANONICAL, MICROCANONICAL, CompositeSpectrum
 from .state import BATCH_ELEMENTS, PureState, batch_rows, gas_purity_entropy
 
@@ -134,17 +135,24 @@ def _apply(hamiltonian: Hamiltonian, flat: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _gue_eigenpairs(rng: np.random.Generator, slot: np.ndarray, values: np.ndarray,
-                    batch: np.ndarray) -> None:
-    """Draw a GUE block, (x + x^dagger) / 2 in law for x with standard normal real and
-    imaginary parts, as V diag(lambda) V^dagger: V's columns into the (n, n) complex
-    ``slot``, lambda ascending into the n floats ``values``.  2 n^2 normals (through the
-    float buffer ``batch``) are the real then imaginary parts of the C-ordered slot Z;
-    zgeqrf and zungqr factor Z^T = QR in place, and V = (Q diag(sign R_ii))^T is Haar
-    (Mezzadri, Notices AMS 54, 592, 2007).  Then n normals and sqrt(standard_gamma(
-    [n - 1, ..., 1])) make the beta = 2 tridiagonal model, whose eigenvalues by dsterf
-    are the GUE's in law (Dumitriu & Edelman, J. Math. Phys. 43, 5830, 2002).  No n^2
-    array is allocated; ``np.linalg.qr`` and ``eigvalsh`` give the same bits where
+def _gue_eigenvalues(rng: np.random.Generator, values: np.ndarray) -> None:
+    """The eigenvalues of an n x n GUE draw, (x + x^dagger) / 2 in law for x with standard
+    normal real and imaginary parts, ascending into the n floats ``values``.  n normals and
+    sqrt(standard_gamma([n - 1, ..., 1])) make the beta = 2 tridiagonal model, whose
+    eigenvalues by dsterf are the GUE's in law (Dumitriu & Edelman, J. Math. Phys. 43, 5830,
+    2002); ``np.linalg.eigvalsh`` gives the same bits where numpy's BLAS has no dsterf."""
+    rng.standard_normal(out=values)
+    off = np.sqrt(rng.standard_gamma(np.arange(len(values) - 1.0, 0.0, -1.0)))
+    if not dsterf(values, off):
+        values[:] = np.linalg.eigvalsh(np.diag(values) + np.diag(off, -1))
+
+
+def _haar_vectors(rng: np.random.Generator, slot: np.ndarray, batch: np.ndarray) -> None:
+    """The eigenvectors of a GUE draw, Haar and independent of its eigenvalues, as the
+    columns of V in the (n, n) complex ``slot``.  2 n^2 normals (through the float buffer
+    ``batch``) are the real then imaginary parts of the C-ordered slot Z; zgeqrf and zungqr
+    factor Z^T = QR in place, and V = (Q diag(sign R_ii))^T is Haar (Mezzadri, Notices AMS
+    54, 592, 2007).  No n^2 array is allocated; ``np.linalg.qr`` gives the same bits where
     numpy's BLAS lacks those calls."""
     n, flat, r = len(slot), slot.reshape(-1), np.empty(len(slot), complex)
     for part in (flat.real, flat.imag):
@@ -155,15 +163,11 @@ def _gue_eigenpairs(rng: np.random.Generator, slot: np.ndarray, values: np.ndarr
         q, upper = np.linalg.qr(slot.T)
         slot[:], r[:] = q.T, upper.diagonal()
     slot *= np.copysign(1.0, r.real).astype(complex)[:, None]
-    rng.standard_normal(out=values)
-    off = np.sqrt(rng.standard_gamma(np.arange(n - 1.0, 0.0, -1.0)))
-    if not dsterf(values, off):
-        values[:] = np.linalg.eigvalsh(np.diag(values) + np.diag(off, -1))
 
 
 def _split(sizes: list[int], m: int) -> list[int]:
-    """The worker of each block: m contiguous ranges balanced by n_b^3, the last to
-    worker 0.  A block goes to the range that holds its cost's midpoint."""
+    """The worker of each block: m contiguous ranges balanced by n_b^3, the last to worker 0
+    (any split gives the same bits).  A block goes to the range that holds its cost's midpoint."""
     costs = [n ** 3 for n in sizes]
     ends = list(itertools.accumulate(reversed(costs)))[::-1]  # cost from each block on
     return [m * (2 * end - c) // (2 * ends[0]) for end, c in zip(ends, costs)]
@@ -174,11 +178,12 @@ def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
     """Draw one GUE block per group of ``composite.blocks(kind)``, scaled so the largest
     spectral radius equals ``coupling``, and keep only the eigenpairs of H on every group.
 
-    Workers draw each block's pairs into its slots of one shared buffer, replaying
-    ``rng`` through their last block; the caller's ends past every draw.  With
-    scale = coupling / max |lambda|, a group on which H_g + H_c is one constant d keeps
-    d + scale * lambda and V where the coupling is nonzero; the others form
-    diag(d) + scale * V diag(lambda) V^dagger in a second fan-out and diagonalize it.
+    Block k reads only ``substream(key_k, k)``, its key one of the n_blocks that ``rng``
+    gives in one ``integers`` call: first its eigenvalues lambda, then its eigenvectors V.
+    The caller draws every lambda into one shared buffer, so scale = coupling / max |lambda|
+    is known before one fan-out in which each worker draws the V of its blocks and finishes
+    them: a group on which H_g + H_c is one constant d keeps d + scale * lambda and V where
+    the coupling is nonzero; the others diagonalize diag(d) + scale * V diag(lambda) V^dagger.
     """
     if not coupling >= 0:
         raise ValueError("coupling must be >= 0")
@@ -191,41 +196,32 @@ def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
     shared = shared_array(offsets[-1], "Hamiltonian eigenpair floats")
     pairs = [(shared[o:o + n], shared[o + n:o + n + 2 * n * n].view(complex).reshape(n, n))
              for o, n in zip(offsets, sizes)]
+    streams = [substream(int(key), k) for k, key in enumerate(rng.integers(0, 2**63, len(sizes)))]
+    with one_blas_thread():
+        for stream, (values, _) in zip(streams, pairs):
+            _gue_eigenvalues(stream, values)
+    scale = coupling / max(float(np.max(np.abs(e))) for e, _ in pairs)
 
-    def fan(pick: list[int], run) -> None:  # run(mine) on workers owning _split ranges of pick
-        picked = [sizes[k] for k in pick]  # fork no worker without a block, none for no pick
-        most = next((m - 1 for m in range(2, len(pick) + 1) if len(set(_split(picked, m))) < m),
-                    len(pick))
-        fan_out(lambda w, m: run({k for k, o in zip(pick, _split(picked, m)) if o == w}), most,
-                "Hamiltonian worker")
-
-    def draw(mine: set[int]) -> None:
+    def finish(w: int, m: int) -> None:
         batch = np.empty(BATCH_ELEMENTS)
-        for k, (values, slot) in enumerate(pairs[:max(mine) + 1]):
-            if k in mine:
-                _gue_eigenpairs(rng, slot, values, batch)
+        for k in (k for k, owner in enumerate(_split(sizes, m)) if owner == w):
+            (values, slot), d = pairs[k], diag[groups[k]]
+            _haar_vectors(streams[k], slot, batch)
+            if coupling and np.all(d == d[0]):
+                values[:] = d[0] + scale * values
                 continue
-            for first in range(0, 2 * slot.size + sizes[k], len(batch)):  # skip block k
-                rng.standard_normal(out=batch[:2 * slot.size + sizes[k] - first])
-            rng.standard_gamma(np.arange(sizes[k] - 1.0, 0.0, -1.0))
-
-    def solve(mine: set[int]) -> None:  # M^T = diag(d) + scale conj(V) diag(lambda) V^T
-        for k in mine:
-            (values, slot), v = pairs[k], pairs[k][1].copy()
+            v = slot.copy()  # M^T = diag(d) + scale conj(V) diag(lambda) V^T
             np.matmul(np.conjugate(v) * (scale * values), v.T, out=slot)
-            slot.flat[::sizes[k] + 1] += diag[groups[k]]
+            slot.flat[::len(d) + 1] += d
             if not zheevd(slot, values, "V"):  # numpy's eigh(M), the same bits
                 values[:], slot[:] = np.linalg.eigh(slot.T)
                 continue
-            for j in range(sizes[k]):  # eigenvector j is row j: transpose back
+            for j in range(len(d)):  # eigenvector j is row j: transpose back
                 slot[j, j + 1:], slot[j + 1:, j] = slot[j + 1:, j].copy(), slot[j, j + 1:].copy()
 
-    fan(list(range(len(groups))), draw)
-    scale = coupling / max(float(np.max(np.abs(e))) for e, _ in pairs)
-    mixed = [k for k, i in enumerate(groups) if coupling == 0 or np.any(diag[i] != diag[i[0]])]
-    for k in set(range(len(groups))) - set(mixed):
-        pairs[k][0][:] = diag[groups[k][0]] + scale * pairs[k][0]
-    fan(mixed, solve)
+    # fork no worker without a block
+    fan_out(finish, next((m - 1 for m in range(2, len(sizes) + 1)
+                          if len(set(_split(sizes, m))) < m), len(sizes)), "Hamiltonian worker")
     blocks = tuple(HamiltonianBlock(idx, *pair) for idx, pair in zip(groups, pairs))
     for arr in (gas_diag, container_diag, *(a for block in blocks for a in block)):
         arr.flags.writeable = False
@@ -241,11 +237,13 @@ def build_microcanonical_hamiltonian(composite: CompositeSpectrum, coupling: flo
     lives inside one degeneracy subspace, [H_g, I] = [H_c, I] = 0 to machine
     precision and every subspace weight is a constant of motion.
 
-    Each block is drawn in its eigenbasis, Haar eigenvectors and GUE eigenvalues, on
-    forked workers, one per CPU and at most one per block (do not call it while other
-    threads run), after stdout and stderr are flushed; OpenBLAS runs one thread in
-    every process, the caller's until the call returns.  A worker's exception comes
-    back with its class, as "Hamiltonian workers [w] of m failed: ...".
+    Each block is drawn in its eigenbasis from its own stream, ``substream(key_k, k)`` for
+    the keys of one ``rng.integers(0, 2**63, n_blocks)`` call, so it depends on ``rng``, k
+    and its size alone.  The caller draws every block's GUE eigenvalues; forked workers,
+    one per CPU and at most one per block (do not call it while other threads run), draw
+    the Haar eigenvectors after stdout and stderr are flushed.  OpenBLAS runs one thread in
+    every process, the caller's until the call returns.  A worker's exception comes back
+    with its class, as "Hamiltonian workers [w] of m failed: ...".
     """
     return _assemble(composite, MICROCANONICAL, coupling, rng)
 
@@ -257,8 +255,9 @@ def build_canonical_hamiltonian(composite: CompositeSpectrum, coupling: float,
     Each block couples all subspaces inside its shell, so [H_g + H_c, I] = 0
     (shell weights conserved) while [H_g, I] != 0 in general: energy flows
     between gas and container.  For spectra where every shell has a single
-    subspace this coincides with the microcanonical builder.  The blocks are built as
-    :func:`build_microcanonical_hamiltonian` says, plus an eigensolve where H_g + H_c varies.
+    subspace this coincides with the microcanonical builder.  The blocks are drawn as
+    :func:`build_microcanonical_hamiltonian` says, one stream per shell, and a worker
+    diagonalizes each shell on which H_g + H_c varies in the same pass.
     """
     return _assemble(composite, CANONICAL, coupling, rng)
 
@@ -301,26 +300,12 @@ def _row_norms(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.sqrt(scratch.real.sum(axis=1))
 
 
-def _coefficients(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """``vectors.conj().T @ psi`` with no n_b x n_b conjugate copy: in pieces of a
-    multiple of 8 columns of ``vectors``, about ``BATCH_ELEMENTS`` values, the last
-    one of 8 or more.  On one OpenBLAS thread, as in :func:`evolve`, the
-    bits are those of the whole product.  Other pieces are not: numpy makes a
-    1-column piece a dot product, and OpenBLAS's gemv takes other bits in the last
-    rows of a piece whose width is not a multiple of 4."""
-    n = len(psi)
-    out = np.empty(n, dtype=complex)
-    starts = list(range(0, max(n - 7, 1), max(8, BATCH_ELEMENTS // n // 8 * 8)))
-    for first, stop in zip(starts, starts[1:] + [n]):
-        out[first:stop] = vectors[:, first:stop].conj().T @ psi
-    return out
-
-
 @one_blas_thread()
 def spectral_decomposition(initial: PureState, hamiltonian: Hamiltonian) -> tuple[list, list]:
-    """The coefficients c_j = <j|psi(0)> of ``initial`` on each block's eigenvectors, by
-    :func:`_coefficients` on one OpenBLAS thread, and the weights p_j = |c_j|^2, per block."""
-    coeffs = [_coefficients(b.vectors, initial.amplitudes[b.indices]) for b in hamiltonian.blocks]
+    """The coefficients c_j = <j|psi(0)> of ``initial`` on each block's eigenvectors, as
+    conj(conj(psi) V) on one OpenBLAS thread, and the weights p_j = |c_j|^2, per block."""
+    coeffs = [np.conjugate(initial.amplitudes[b.indices].conj() @ b.vectors)
+              for b in hamiltonian.blocks]
     return coeffs, [np.square(np.abs(c)) for c in coeffs]
 
 

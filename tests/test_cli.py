@@ -662,14 +662,14 @@ def test_norm_drift_in_a_forked_evolve_worker_exits_3_and_is_reaped(tmp_path, mo
 
 def test_memory_error_in_a_forked_build_worker_exits_2_and_is_reaped(tmp_path, monkeypatch,
                                                                      capsys):
-    caller, real = os.getpid(), dynamics._gue_eigenpairs
+    caller, real = os.getpid(), dynamics.qr
 
-    def draw(rng, slot, values, batch):
+    def qr(a, r):
         if os.getpid() != caller:
             raise MemoryError("no room for the draw")
-        return real(rng, slot, values, batch)
+        return real(a, r)
 
-    monkeypatch.setattr(dynamics, "_gue_eigenpairs", draw)
+    monkeypatch.setattr(dynamics, "qr", qr)
     code, _ = _evolve(tmp_path, monkeypatch, 2)
     assert code == 2
     err = capsys.readouterr().err

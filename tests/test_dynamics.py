@@ -35,13 +35,13 @@ def uniform_product_state(comp):
 
 def _gue_reference(rng, n):
     """(V, lambda) of the documented GUE draw, by numpy's own ``qr`` and ``eigvalsh``:
-    a Ginibre Z from 2 n^2 normals, V = (Q diag(sign R_ii))^T for Z^T = QR, and the
-    eigenvalues of the tridiagonal with n normals on the diagonal and
-    sqrt(Gamma(n - 1)), ..., sqrt(Gamma(1)) beside it."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z.T)
+    first the eigenvalues of the tridiagonal with n normals on the diagonal and
+    sqrt(Gamma(n - 1)), ..., sqrt(Gamma(1)) beside it, then a Ginibre Z from 2 n^2
+    normals and V = (Q diag(sign R_ii))^T for Z^T = QR."""
     diagonal = rng.standard_normal(n)
     off = np.sqrt(rng.standard_gamma(np.arange(n - 1.0, 0.0, -1.0)))
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z.T)
     return ((q * np.copysign(1.0, r.diagonal().real)).T,
             np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, -1) + np.diag(off, 1)))
 
@@ -50,17 +50,19 @@ def _replay(comp, kind, coupling, seed):
     """Dense H, I and the local diagonal from the documented draw, without
     the blocks under test.
 
-    One GUE block V diag(lambda) V^dagger per group from ``substream(seed, 0)``
-    (see :func:`_gue_reference`), in group order: subspaces for a microcanonical H,
-    total-energy shells for a canonical one, each shell's states taken member by
-    member from the subspaces' offsets.  The blocks are scaled so the largest
-    block spectral radius equals ``coupling``; H adds the local diagonal E_g(A) + E_c(B).
+    One GUE block V diag(lambda) V^dagger per group (see :func:`_gue_reference`), group k
+    from ``substream(key_k, k)``, the keys from one ``integers`` call on ``substream(seed, 0)``:
+    subspaces for a microcanonical H, total-energy shells for a canonical one, each shell's
+    states taken member by member from the subspaces' offsets.  The blocks are scaled so
+    the largest block spectral radius equals ``coupling``; H adds the local diagonal
+    E_g(A) + E_c(B).
     """
-    rng = substream(seed, 0)
     groups = [np.arange(s.offset, s.offset + s.n_states) for s in comp.subspaces]
     if kind == CANONICAL:
         groups = [np.concatenate([groups[i] for i in sh.member_indices]) for sh in comp.shells]
-    draws = [_gue_reference(rng, len(idx)) for idx in groups]
+    keys = substream(seed, 0).integers(0, 2**63, len(groups))
+    draws = [_gue_reference(substream(int(key), k), len(idx))
+             for k, (key, idx) in enumerate(zip(keys, groups))]
     scale = coupling / max(np.max(np.abs(lam)) for _, lam in draws)
     interaction = np.zeros((comp.dim, comp.dim), dtype=complex)
     for idx, (v, lam) in zip(groups, draws):
@@ -155,13 +157,13 @@ def test_hamiltonian_is_hermitian_and_assembled():
 @pytest.mark.parametrize("coupling", [0.0, 0.7])
 @pytest.mark.parametrize("kind", BUILDERS)
 def test_blocks_do_not_depend_on_the_worker_count(monkeypatch, kind, coupling):
-    # the canonical shell {1, 1.3} has no constant local diagonal, so it takes the
-    # second fan-out; at zero coupling every block does
+    # the canonical shell {1, 1.3} has no constant local diagonal, so its worker
+    # diagonalizes it; at zero coupling every block's does.  The caller's rng gives
+    # one integers call, the blocks' keys, whatever the workers do.
     comp = compose(build_spectrum([(0, 1), (1, 2)]), build_spectrum([(0, 1), (1.3, 2)]),
                    shell_tolerance=0.5)
     replay = substream(5, 0)
-    for b in BUILDERS[kind](comp, coupling, substream(5, 0)).blocks:
-        _gue_reference(replay, len(b.indices))
+    replay.integers(0, 2**63, len(comp.blocks(kind)))
     after, built = replay.standard_normal(), {}
     # numpy's own qr, eigvalsh and eigh where no LAPACK symbol resolves: the same bits
     for cpus, lapack in ((1, True), (2, True), (3, True), (2, False)):
@@ -174,6 +176,17 @@ def test_blocks_do_not_depend_on_the_worker_count(monkeypatch, kind, coupling):
         built[cpus, lapack] = [a.tobytes() for b in h.blocks for a in b]
         assert rng.standard_normal() == after, (cpus, lapack)
     assert all(blocks == built[1, True] for blocks in built.values())
+
+
+def test_a_block_depends_on_the_rng_its_index_and_its_size_alone():
+    # block 0 grows from 6 to 10 states and block 1 keeps its 8: block 1 keeps its bits
+    vectors = []
+    for container in ([(0, 3), (1, 4)], [(0, 5), (1, 4)]):
+        comp = compose(build_spectrum([(0, 2)]), build_spectrum(container))
+        h = build_microcanonical_hamiltonian(comp, 0.5, substream(4, 0))
+        assert [len(b.indices) for b in h.blocks] == [2 * container[0][1], 8]
+        vectors.append(h.blocks[1].vectors.tobytes())
+    assert vectors[0] == vectors[1]
 
 
 def test_no_build_worker_is_forked_without_a_block(monkeypatch):
@@ -195,14 +208,14 @@ def test_no_build_worker_is_forked_without_a_block(monkeypatch):
 
 def test_a_forked_build_worker_failure_keeps_its_class(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    caller, real = os.getpid(), dynamics.dsterf
+    caller, real = os.getpid(), dynamics.qr
 
-    def dsterf(d, e):
+    def qr(a, r):
         if os.getpid() != caller:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(d, e)
+        return real(a, r)
 
-    monkeypatch.setattr(dynamics, "dsterf", dsterf)
+    monkeypatch.setattr(dynamics, "qr", qr)
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"Hamiltonian workers \[1\] of 2 failed: Eigenvalues did not"):
         build_microcanonical_hamiltonian(composite_three(), 0.5, substream(1, 0))
@@ -501,14 +514,21 @@ def test_evolve_holds_no_block_sized_temporary():
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 41, 399, 400, 401, 1600])
 def test_start_coefficients_are_the_whole_product_in_pieces(n):
+    # spectral_decomposition's conj(conj(psi) V) reads V in place, with the bits of
+    # V^dagger psi on one OpenBLAS thread
     rng = np.random.default_rng(n)
     vectors = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    comp = compose(build_spectrum([(0, 1)]), build_spectrum([(0, n)]))  # one block of n
+    h = dynamics.Hamiltonian(comp, MICROCANONICAL, 0.0, np.zeros(n), np.zeros(n),
+                             (dynamics.HamiltonianBlock(np.arange(n), np.zeros(n), vectors),))
     with fanout.one_blas_thread():  # as in hsmc evolve's workers
         want = vectors.conj().T @ psi
-        got, peak = _traced_peak(dynamics._coefficients, vectors, psi)
+    state = PureState(comp, psi, check=False)
+    ((got,), _), peak = _traced_peak(dynamics.spectral_decomposition, state, h)
     assert got.tobytes() == want.tobytes()
-    assert peak < 2 * 16 * BATCH_ELEMENTS, peak  # a piece and the conjugate's ufunc buffer
+    # a few vectors of n values, where a conjugate copy of V would be 16 n^2 bytes
+    assert peak < 4 * 16 * n + 4096, peak
 
 
 def test_commutator_norms_hold_no_block_sized_temporary():
@@ -524,13 +544,19 @@ def test_commutator_norms_hold_no_block_sized_temporary():
     assert got["container"] == pytest.approx(want, rel=1e-13)  # H_c = H_E - H_g on a shell
 
 
+def _gue_draw(rng, vectors, values, batch):
+    """The documented draw of one block: its eigenvalues, then its eigenvectors."""
+    dynamics._gue_eigenvalues(rng, values)
+    dynamics._haar_vectors(rng, vectors, batch)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 400])
 def test_gue_block_is_the_documented_draw_in_one_array(n):
     vectors, values = np.full((n, n), np.nan, dtype=complex), np.full(n, np.nan)
     rng, batch = np.random.default_rng(n), np.empty(BATCH_ELEMENTS)
-    with fanout.one_blas_thread():  # as in the build's workers
+    with fanout.one_blas_thread():  # as in the build's caller and workers
         want_vectors, want_values = _gue_reference(np.random.default_rng(n), n)
-        _, peak = _traced_peak(dynamics._gue_eigenpairs, rng, vectors, values, batch)
+        _, peak = _traced_peak(_gue_draw, rng, vectors, values, batch)
     assert vectors.tobytes() == want_vectors.tobytes()
     assert values.tobytes() == want_values.tobytes()
     np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(n), rtol=0, atol=1e-13)
@@ -550,7 +576,7 @@ def test_gue_eigenpairs_have_the_law_of_the_dense_draw():
     rng, batch = np.random.default_rng(2002), np.empty(BATCH_ELEMENTS)
     vectors, values = np.empty((draws, n, n), dtype=complex), np.empty((draws, n))
     for v, e in zip(vectors, values):
-        dynamics._gue_eigenpairs(rng, v, e, batch)
+        _gue_draw(rng, v, e, batch)
     h = (vectors * values[:, None, :]) @ vectors.conj().transpose(0, 2, 1)
     dense = np.random.default_rng(2007)
     x = dense.standard_normal((draws, n, n)) + 1j * dense.standard_normal((draws, n, n))
