@@ -111,28 +111,20 @@ class Hamiltonian:
     def weak_coupling_ratio(self, state: PureState) -> float:
         """|<I>| / min(|<H_g>|, |<H_c>|) for ``state``; inf if a local part averages to 0.
 
-        <I> = <H> - <H_g> - <H_c>.  Diagnostic only: the weak-coupling picture
+        <I> = <H> - <H_g> - <H_c>, with <H> = sum_j p_j E_j from
+        :func:`spectral_decomposition`.  Diagnostic only: the weak-coupling picture
         needs this to be small, but nothing is enforced.
         """
-        psi = state.amplitudes
-        mass = np.abs(psi) ** 2
+        _, weights = spectral_decomposition(state, self)
+        mass = np.abs(state.amplitudes) ** 2
         e_gas = float(np.dot(mass, self.gas_diagonal))
         e_container = float(np.dot(mass, self.container_diagonal))
-        e_int = float(np.vdot(psi, _apply(self, psi)).real) - e_gas - e_container
+        e_int = sum(float(np.dot(p, b.energies)) for p, b in zip(weights, self.blocks))
+        e_int -= e_gas + e_container
         denom = min(abs(e_gas), abs(e_container))
         if denom == 0.0:
             return float("inf")
         return abs(e_int) / denom
-
-
-def _apply(hamiltonian: Hamiltonian, flat: np.ndarray, out=None) -> np.ndarray:
-    """H applied along the trailing flat axis of ``flat``, block by block, into ``out``
-    if given.  conj(conj(psi) V) is psi conj(V) bit for bit, with no n_b x n_b temporary."""
-    out = np.empty_like(flat, dtype=complex) if out is None else out
-    for b in hamiltonian.blocks:
-        coeffs = np.conjugate(flat[..., b.indices].conj() @ b.vectors)
-        out[..., b.indices] = (coeffs * b.energies) @ b.vectors.T
-    return out
 
 
 def _gue_eigenvalues(rng: np.random.Generator, values: np.ndarray) -> None:
@@ -288,10 +280,13 @@ class Trajectory:
 def effective_velocity(state: PureState, hamiltonian: Hamiltonian) -> float:
     """Speed of the state vector in Hilbert space: sqrt(<psi|H^2|psi>), hbar = 1.
 
-    Constant along any trajectory of H.  A constant energy offset shifts this
-    value but no measure series.
+    |H psi| = sqrt(sum_j p_j E_j^2) from :func:`spectral_decomposition`.  Constant
+    along any trajectory of H.  A constant energy offset shifts this value but no
+    measure series.
     """
-    return float(np.linalg.norm(_apply(hamiltonian, state.amplitudes)))
+    _, weights = spectral_decomposition(state, hamiltonian)
+    return float(np.sqrt(sum(np.dot(p, np.square(b.energies))
+                             for p, b in zip(weights, hamiltonian.blocks))))
 
 
 def _row_norms(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -303,7 +298,10 @@ def _row_norms(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 @one_blas_thread()
 def spectral_decomposition(initial: PureState, hamiltonian: Hamiltonian) -> tuple[list, list]:
     """The coefficients c_j = <j|psi(0)> of ``initial`` on each block's eigenvectors, as
-    conj(conj(psi) V) on one OpenBLAS thread, and the weights p_j = |c_j|^2, per block."""
+    conj(conj(psi) V) on one OpenBLAS thread, and the weights p_j = |c_j|^2, per block.
+    Raises ValueError for a state of another composite."""
+    if initial.composite is not hamiltonian.composite:
+        raise ValueError("state and Hamiltonian live on different composites")
     coeffs = [np.conjugate(initial.amplitudes[b.indices].conj() @ b.vectors)
               for b in hamiltonian.blocks]
     return coeffs, [np.square(np.abs(c)) for c in coeffs]
@@ -314,9 +312,10 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Tr
     """Propagate |psi(t)> = exp(-iHt)|psi(0)> on a strictly increasing time grid.
 
     Rotates each block's coefficients c_j (see :func:`spectral_decomposition`)
-    through that block's eigenbasis; t = 0 entries reproduce the initial
-    amplitudes bit for bit.  Raises NumericalValidationError if any snapshot
-    norm drifts beyond 1e-9.
+    through that block's eigenbasis, psi = (exp(-iEt) c) V^T, and takes the H psi =
+    (E exp(-iEt) c) V^T of the energy and v_eff series from the same phases; t = 0
+    entries reproduce the initial amplitudes bit for bit.  Raises
+    NumericalValidationError if any snapshot norm drifts beyond 1e-9.
 
     Worker w of :func:`~hsmc.fanout.fan_out`'s m, at most one per two times, takes
     times n w / m to n (w + 1) / m - 1, so it forks as the Hamiltonian builders do:
@@ -332,8 +331,7 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Tr
     2 sqrt(sum_j p_j sin^2(E_j dt / 2)) come in closed form from p_j = |c_j|^2,
     once per distinct step dt, ``batch_rows(n_b)`` at a time, on one OpenBLAS thread.
     """
-    if initial.composite is not hamiltonian.composite:
-        raise ValueError("state and Hamiltonian live on different composites")
+    coeffs, weights = spectral_decomposition(initial, hamiltonian)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-D grid")
@@ -344,7 +342,6 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Tr
 
     composite = initial.composite
     n, dim = len(times), composite.dim
-    coeffs, weights = spectral_decomposition(initial, hamiltonian)
     shared = shared_array(n * (5 + composite.n_subspaces), "measures")
     norms, energy, v_eff, purities, entropies = shared[:5 * n].reshape(5, n)
     w_sub = shared[5 * n:].reshape(n, -1)
@@ -355,26 +352,26 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Tr
         # numpy multiplies a 1-row matrix by gemv, whose last bits differ from
         # gemm's, so a lone last row joins the chunk before it: no chunk tops rows + 1.
         starts = list(range(first, max(stop - 1, first + 1), rows))
-        # the two flat work buffers take each shape in turn
+        # phases and work take each shape in turn
         states = np.empty((min(stop - first, rows + 1), dim), dtype=complex)
-        h_psi, work = np.empty((2, states.size), dtype=complex)
+        h_psi, phases, work = np.empty((3, states.size), dtype=complex)
         readonly = np.lib.stride_tricks.as_strided(states, writeable=False)  # what a sink gets
         for start, end in zip(starts, starts[1:] + [stop]):
             k, span = end - start, slice(start, end)
-            chunk, scratch = states[:k], work[:k * dim].reshape(k, dim)
+            chunk, hp, scratch = states[:k], *(x[:k * dim].reshape(k, dim) for x in (h_psi, work))
             for b, c, weight in zip(hamiltonian.blocks, coeffs, weights):
                 if not weight.any():  # a block the start misses stays +0.0, unrotated
-                    chunk[:, b.indices] = 0.0
+                    chunk[:, b.indices] = hp[:, b.indices] = 0.0
                     continue
-                p, r = (x[:k * len(c)].reshape(k, len(c)) for x in (h_psi, work))
+                p, r = (x[:k * len(c)].reshape(k, len(c)) for x in (phases, work))
                 np.exp(np.multiply(np.outer(times[span], b.energies, out=p), -1j, out=p), out=p)
                 chunk[:, b.indices] = np.matmul(np.multiply(p, c, out=p), b.vectors.T, out=r)
+                hp[:, b.indices] = np.matmul(np.multiply(p, b.energies, out=p), b.vectors.T, out=r)
             chunk[times[span] == 0.0] = initial.amplitudes
             norms[span] = _row_norms(chunk, scratch)
             worst = float(np.max(np.abs(norms[span] - 1.0)))
             if not worst <= NORM_DRIFT_TOLERANCE:
                 raise NumericalValidationError(f"propagation lost normalization by {worst:.3e}")
-            hp = _apply(hamiltonian, chunk, out=h_psi[:k * dim].reshape(k, dim))
             energy[span] = np.einsum("ki,ki->k", np.conjugate(chunk, out=scratch), hp).real
             v_eff[span] = _row_norms(hp, scratch)
             mass = np.abs(chunk, out=work.view(float)[:k * dim].reshape(k, dim))

@@ -288,16 +288,17 @@ def test_canonical_reduces_to_microcanonical_for_singleton_shells():
 
 def test_weak_coupling_ratio():
     comp = composite_three()
-    h = build_canonical_hamiltonian(comp, 0.01, substream(2, 0))
     state = uniform_product_state(comp)
-    ratio = h.weak_coupling_ratio(state)
-    assert 0 <= ratio < 1.0
     psi = state.amplitudes
-    _, interaction, _ = _replay(comp, CANONICAL, 0.01, 2)
-    e_int = abs(np.vdot(psi, interaction @ psi).real)
-    e_gas = abs(np.dot(np.abs(psi) ** 2, h.gas_diagonal))
-    e_container = abs(np.dot(np.abs(psi) ** 2, h.container_diagonal))
-    assert ratio == pytest.approx(e_int / min(e_gas, e_container), rel=1e-12)
+    for kind, build in BUILDERS.items():
+        h = build(comp, 0.01, substream(2, 0))
+        ratio = h.weak_coupling_ratio(state)
+        assert 0 <= ratio < 1.0
+        _, interaction, _ = _replay(comp, kind, 0.01, 2)
+        e_int = abs(np.vdot(psi, interaction @ psi).real)
+        e_gas = abs(np.dot(np.abs(psi) ** 2, h.gas_diagonal))
+        e_container = abs(np.dot(np.abs(psi) ** 2, h.container_diagonal))
+        assert ratio == pytest.approx(e_int / min(e_gas, e_container), rel=1e-12), kind
     # a state with zero mean gas energy makes the ratio blow up
     flat = compose(build_spectrum([(0, 2)]), build_spectrum([(0, 2)]))
     h0 = build_microcanonical_hamiltonian(flat, 0.1, substream(2, 0))
@@ -400,9 +401,9 @@ def test_chunked_measures_match_the_whole_array(kind, times, monkeypatch):
     # has a distinct step between every two times, whose chords go 3 steps at a time
     monkeypatch.setattr(dynamics, "batch_rows", lambda dim: 3)
     chunk_rows = []
-    apply = dynamics._apply
-    monkeypatch.setattr(dynamics, "_apply", lambda h, flat, **kwargs:
-                        chunk_rows.append(len(flat)) or apply(h, flat, **kwargs))
+    measure = dynamics.gas_purity_entropy
+    monkeypatch.setattr(dynamics, "gas_purity_entropy", lambda comp, flat:
+                        chunk_rows.append(len(flat)) or measure(comp, flat))
     comp = composite_three()
     rng = np.random.default_rng(21)
     amps = rng.standard_normal(comp.dim) + 1j * rng.standard_normal(comp.dim)
@@ -514,8 +515,8 @@ def test_evolve_holds_no_block_sized_temporary():
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 41, 399, 400, 401, 1600])
 def test_start_coefficients_are_the_whole_product_in_pieces(n):
-    # spectral_decomposition's conj(conj(psi) V) reads V in place, with the bits of
-    # V^dagger psi on one OpenBLAS thread
+    # spectral_decomposition takes the whole product V^dagger psi in one call, as
+    # conj(conj(psi) V): the same bits on one OpenBLAS thread, with no n x n temporary
     rng = np.random.default_rng(n)
     vectors = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -615,6 +616,14 @@ def test_evolve_rejections():
     state = uniform_product_state(other)
     with pytest.raises(ValueError, match="different composites"):
         evolve(state, h, np.linspace(0, 1, 5))
+    # equal dims with other gas energies, then other dims: no silent number, no IndexError
+    shifted = compose(build_spectrum([(0, 1), (2, 3)]), build_spectrum([(0, 2), (1, 2)]))
+    wider = compose(build_spectrum([(0, 1), (1, 3)]), build_spectrum([(0, 2), (1, 3)]))
+    for foreign in (state, uniform_product_state(shifted), uniform_product_state(wider)):
+        for call in (dynamics.spectral_decomposition, effective_velocity,
+                     lambda s, h: h.weak_coupling_ratio(s)):
+            with pytest.raises(ValueError, match="different composites"):
+                call(foreign, h)
     good = uniform_product_state(comp)
     with pytest.raises(ValueError, match="increasing"):
         evolve(good, h, np.array([0.0, 1.0, 1.0]))
@@ -657,6 +666,9 @@ def test_effective_velocity_constant_along_trajectory():
     traj = evolve(state, h, np.linspace(0, 50, 101))
     v0 = effective_velocity(state, h)
     np.testing.assert_allclose(traj.measures["v_eff"], v0, atol=1e-9)
+    _, weights = dynamics.spectral_decomposition(state, h)
+    e0 = sum(np.dot(p, b.energies) for p, b in zip(weights, h.blocks))
+    np.testing.assert_allclose(traj.measures["energy"], e0, atol=1e-9)
 
 
 def test_time_average_constant_series():
