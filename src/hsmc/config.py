@@ -113,7 +113,7 @@ def _spectrum_from(raw: dict, name: str) -> Spectrum:
     if not isinstance(levels, list) or not levels:
         raise ConfigError(f"{name}.levels must be a nonempty list of [energy, degeneracy]")
     try:
-        return build_spectrum([tuple(entry) for entry in levels], label=name)
+        return build_spectrum([tuple(entry) for entry in levels])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}.levels invalid: {exc}") from exc
 

@@ -73,14 +73,9 @@ class Hamiltonian:
 
     composite: CompositeSpectrum
     kind: str
-    coupling: float
     gas_diagonal: np.ndarray = field(repr=False)
     container_diagonal: np.ndarray = field(repr=False)
     blocks: tuple[HamiltonianBlock, ...] = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.composite.dim
 
     @one_blas_thread()
     def commutator_norms(self) -> dict[str, float]:
@@ -88,24 +83,28 @@ class Hamiltonian:
 
         For a diagonal D, [D, I] = [D, H] has entries (d_j - d_k) H_jk, which
         vanish outside H's blocks, so the norms are summed block by block.  A
-        block on which D is constant contributes exactly 0; on the others the
-        conjugate of H_b = V diag(E) V^dagger is rebuilt about ``BATCH_ELEMENTS``
-        values at a time, as conj(V diag(E)) V^T, with no n_b x n_b temporary.
+        block on which D is constant contributes exactly 0.  On a block where any
+        D varies, the conjugate of H_b = V diag(E) V^dagger is rebuilt once, about
+        ``BATCH_ELEMENTS`` values at a time, as conj(V diag(E)) V^T, with no
+        n_b x n_b temporary; each D that varies there adds its own square sum.
         """
-        out = {}
-        for name, diag in (("gas", self.gas_diagonal), ("container", self.container_diagonal),
-                           ("total", self.gas_diagonal + self.container_diagonal)):
-            squares = 0.0
-            for b in self.blocks:
-                if np.any((d := diag[b.indices]) != d[0]):
-                    rows = batch_rows(len(d))
-                    for first in range(0, len(d), rows):
-                        part = slice(first, first + rows)
-                        h = np.conjugate(b.vectors[part] * b.energies) @ b.vectors.T
-                        h *= d[part, None] - d
-                        squares += float(np.vdot(h, h).real)
-            out[name] = float(np.sqrt(squares))
-        return out
+        diagonals = {"gas": self.gas_diagonal, "container": self.container_diagonal,
+                     "total": self.gas_diagonal + self.container_diagonal}
+        squares = dict.fromkeys(diagonals, 0.0)
+        for b in self.blocks:
+            local = ((name, diag[b.indices]) for name, diag in diagonals.items())
+            varying = [(name, d) for name, d in local if np.any(d != d[0])]
+            if not varying:
+                continue
+            rows = batch_rows(len(b.indices))
+            for first in range(0, len(b.indices), rows):
+                part = slice(first, first + rows)
+                scaled = np.conjugate(b.vectors[part] * b.energies)
+                h = scaled @ b.vectors.T
+                for name, d in varying:  # (d_j - d_k) h_jk, in the memory of scaled
+                    c = np.multiply(h, d[part, None] - d, out=scaled)
+                    squares[name] += float(np.vdot(c, c).real)
+        return {name: float(np.sqrt(total)) for name, total in squares.items()}
 
     @one_blas_thread()
     def weak_coupling_ratio(self, state: PureState) -> float:
@@ -217,7 +216,7 @@ def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
     blocks = tuple(HamiltonianBlock(idx, *pair) for idx, pair in zip(groups, pairs))
     for arr in (gas_diag, container_diag, *(a for block in blocks for a in block)):
         arr.flags.writeable = False
-    return Hamiltonian(composite, kind, float(coupling), gas_diag, container_diag, blocks)
+    return Hamiltonian(composite, kind, gas_diag, container_diag, blocks)
 
 
 def build_microcanonical_hamiltonian(composite: CompositeSpectrum, coupling: float,
@@ -268,7 +267,6 @@ class Trajectory:
     times: np.ndarray
     measures: dict[str, np.ndarray]
     chords: np.ndarray = field(repr=False)
-    hamiltonian: Hamiltonian
 
     @property
     def path_length(self) -> float:
@@ -391,7 +389,7 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Tr
                                   entropy=entropies, subspace_weights=w_sub,
                                   shell_weights=composite.shell_sums(w_sub),
                                   gas_level_weights=composite.gas_level_sums(w_sub)),
-                      2.0 * np.sqrt(squares)[step_of], hamiltonian)
+                      2.0 * np.sqrt(squares)[step_of])
 
 
 def _series(traj: Trajectory, measure_name: str) -> np.ndarray:

@@ -40,7 +40,6 @@ class Spectrum:
 
     energies: tuple[float, ...]
     degeneracies: tuple[int, ...]
-    label: str = ""
 
     @property
     def n_levels(self) -> int:
@@ -55,15 +54,13 @@ class Spectrum:
         return np.concatenate(([0], np.cumsum(self.degeneracies)))
 
 
-def build_spectrum(levels, label: str = "") -> Spectrum:
+def build_spectrum(levels) -> Spectrum:
     """Validate and sort a list of (energy, degeneracy) pairs into a Spectrum.
 
     Parameters
     ----------
     levels : sequence of (float, int)
         Energy levels with their degeneracies, in any order.
-    label : str
-        Free-form tag, e.g. ``"gas"`` or ``"container"``.
 
     Raises
     ------
@@ -98,7 +95,7 @@ def build_spectrum(levels, label: str = "") -> Spectrum:
     for e_prev, e_next in zip(energies, energies[1:]):
         if e_prev == e_next:
             raise ValueError(f"duplicate level energy {e_prev}; merge the degeneracies instead")
-    return Spectrum(energies=tuple(energies), degeneracies=tuple(degens), label=label)
+    return Spectrum(energies=tuple(energies), degeneracies=tuple(degens))
 
 
 @dataclass(frozen=True)
@@ -114,10 +111,10 @@ class Subspace:
 
 @dataclass(frozen=True)
 class Shell:
-    """Group of subspaces sharing (within tolerance) one total energy."""
+    """Group of subspaces sharing (within tolerance) one total energy: ``member_indices``
+    are their positions in :attr:`CompositeSpectrum.subspaces`, in (A, B) order."""
 
     energy: float
-    members: tuple[tuple[int, int], ...]
     member_indices: tuple[int, ...]
     n_states: int
 
@@ -264,15 +261,13 @@ def compose(gas: Spectrum, container: Spectrum,
     shell_of_subspace = np.empty(len(subspaces), dtype=np.intp)
     for shell_idx, group in enumerate(groups):
         group = sorted(group, key=lambda i: (subspaces[i].A, subspaces[i].B))
-        members = tuple((subspaces[i].A, subspaces[i].B) for i in group)
         energies = np.array([subspaces[i].energy for i in group])
         with np.errstate(over="ignore"):
             energy = float(np.mean(energies))
         if not np.isfinite(energy):  # the sum overflowed: scale the members first
             energy = float(np.clip(np.sum(energies / len(group)), energies.min(), energies.max()))
         n_states = int(sum(subspaces[i].n_states for i in group))
-        shells.append(Shell(energy=energy, members=members,
-                            member_indices=tuple(group), n_states=n_states))
+        shells.append(Shell(energy=energy, member_indices=tuple(group), n_states=n_states))
         for i in group:
             shell_of_subspace[i] = shell_idx
 

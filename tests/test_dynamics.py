@@ -24,6 +24,12 @@ def composite_three():
     return compose(build_spectrum([(0, 1), (1, 3)]), build_spectrum([(0, 2), (1, 2)]))
 
 
+def composite_detuned():
+    """Shells {0}, {1, 1.3} and {2.3}: no local diagonal is constant on the middle one."""
+    return compose(build_spectrum([(0, 1), (1, 2)]), build_spectrum([(0, 1), (1.3, 2)]),
+                   shell_tolerance=0.5)
+
+
 def product_profiles(comp):
     return uniform_profile(comp.gas), uniform_profile(comp.container)
 
@@ -132,13 +138,19 @@ def test_negative_coupling_rejected():
 
 
 def test_hamiltonian_is_hermitian_and_assembled():
-    # the detuned composite has a shell {1, 1.3} whose local diagonal is not constant
-    detuned = compose(build_spectrum([(0, 1), (1, 2)]), build_spectrum([(0, 1), (1.3, 2)]),
-                      shell_tolerance=0.5)
-    for (kind, build), comp in itertools.product(BUILDERS.items(), (composite_three(), detuned)):
+    composites = (composite_three(), composite_detuned())
+    for (kind, build), comp in itertools.product(BUILDERS.items(), composites):
         h = build(comp, 0.7, substream(5, 0))
-        want, _, local = _replay(comp, kind, 0.7, 5)
+        want, interaction, local = _replay(comp, kind, 0.7, 5)
         np.testing.assert_array_equal(local, h.gas_diagonal + h.container_diagonal)
+        # every commutator norm is the dense (d_j - d_k) I_jk one; only a canonical H on
+        # the detuned shell moves the total energy
+        norms = h.commutator_norms()
+        for name, d in (("gas", h.gas_diagonal), ("container", h.container_diagonal),
+                        ("total", local)):
+            dense = np.linalg.norm((d[:, None] - d) * interaction)
+            assert norms[name] == pytest.approx(dense, rel=1e-12, abs=0.0)
+        assert (norms["total"] > 0) == (kind == CANONICAL and comp is composites[1])
         # the blocks partition the basis and hold the eigenpairs of H on it
         np.testing.assert_array_equal(
             np.sort(np.concatenate([b.indices for b in h.blocks])), np.arange(comp.dim))
@@ -160,8 +172,7 @@ def test_blocks_do_not_depend_on_the_worker_count(monkeypatch, kind, coupling):
     # the canonical shell {1, 1.3} has no constant local diagonal, so its worker
     # diagonalizes it; at zero coupling every block's does.  The caller's rng gives
     # one integers call, the blocks' keys, whatever the workers do.
-    comp = compose(build_spectrum([(0, 1), (1, 2)]), build_spectrum([(0, 1), (1.3, 2)]),
-                   shell_tolerance=0.5)
+    comp = composite_detuned()
     replay = substream(5, 0)
     replay.integers(0, 2**63, len(comp.blocks(kind)))
     after, built = replay.standard_normal(), {}
@@ -514,14 +525,14 @@ def test_evolve_holds_no_block_sized_temporary():
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 41, 399, 400, 401, 1600])
-def test_start_coefficients_are_the_whole_product_in_pieces(n):
+def test_start_coefficients_are_the_whole_product_with_no_block_sized_temporary(n):
     # spectral_decomposition takes the whole product V^dagger psi in one call, as
     # conj(conj(psi) V): the same bits on one OpenBLAS thread, with no n x n temporary
     rng = np.random.default_rng(n)
     vectors = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     comp = compose(build_spectrum([(0, 1)]), build_spectrum([(0, n)]))  # one block of n
-    h = dynamics.Hamiltonian(comp, MICROCANONICAL, 0.0, np.zeros(n), np.zeros(n),
+    h = dynamics.Hamiltonian(comp, MICROCANONICAL, np.zeros(n), np.zeros(n),
                              (dynamics.HamiltonianBlock(np.arange(n), np.zeros(n), vectors),))
     with fanout.one_blas_thread():  # as in hsmc evolve's workers
         want = vectors.conj().T @ psi

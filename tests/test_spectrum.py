@@ -15,10 +15,10 @@ def test_minimal_spectrum():
 
 
 def test_two_level_spectrum():
-    sp = build_spectrum([(0, 2), (1, 2)], label="gas")
+    sp = build_spectrum([(0, 2), (1, 2)])
     assert sp.dim == 4
     assert sp.n_levels == 2
-    assert sp.label == "gas"
+    assert sp == build_spectrum([(1, 2), (0, 2)])  # a spectrum is its levels alone
 
 
 def test_levels_sorted_by_energy():
@@ -79,7 +79,8 @@ def test_compose_three_shells():
     gas = build_spectrum([(0, 1), (1, 3)])
     container = build_spectrum([(0, 2), (1, 2)])
     comp = compose(gas, container)
-    shells = {sh.energy: (sh.members, sh.n_states) for sh in comp.shells}
+    shells = {sh.energy: (tuple((comp.subspaces[i].A, comp.subspaces[i].B)
+                                for i in sh.member_indices), sh.n_states) for sh in comp.shells}
     assert shells[0.0] == (((0, 0),), 2)
     assert shells[1.0] == (((0, 1), (1, 0)), 8)
     assert shells[2.0] == (((1, 1),), 6)
@@ -138,7 +139,7 @@ def test_blocks_partition_the_dim_for_both_kinds():
     comp = compose(gas, container)
     subspaces, shells = comp.blocks(MICROCANONICAL), comp.blocks(CANONICAL)
     assert len(subspaces) == comp.n_subspaces and len(shells) == comp.n_shells
-    assert any(len(shell.members) > 1 for shell in comp.shells)
+    assert any(len(shell.member_indices) > 1 for shell in comp.shells)
     for blocks in (subspaces, shells):
         seen = np.concatenate(blocks)
         assert sorted(seen.tolist()) == list(range(comp.dim))

@@ -8,6 +8,7 @@ from hsmc import (MICROCANONICAL, DensityMatrix, PureState, WeightProfile, build
                   compose, gas_purity_entropy, product_state, read_amplitudes_csv,
                   shell_weights, subspace_weights, uniform_profile,
                   write_amplitudes_csv)
+from hsmc.config import build_experiment
 
 
 def two_by_two():
@@ -293,6 +294,21 @@ def test_profile_mismatch_rejected():
     with pytest.raises(ValueError, match="profile"):
         subspace_weights(comp, WeightProfile(other, (0.2, 0.3, 0.5)),
                          uniform_profile(gas))
+
+
+def test_profile_over_equal_levels_weighs_a_config_composite():
+    # a spectrum is its levels: a profile over a fresh build of a config's levels
+    # weighs the composite the config builds
+    raw = {"gas": {"levels": [[0, 2], [1, 2]]}, "container": {"levels": [[0, 4], [1, 4]]},
+           "constraint": {"kind": MICROCANONICAL, "gas_weights": [0.5, 0.5],
+                          "container_weights": [0.5, 0.5]}, "run": {"seed": 7}}
+    comp = build_experiment(raw, command="sample").composite
+    gp = WeightProfile(build_spectrum([(0, 2), (1, 2)]), (0.3, 0.7))
+    cp = WeightProfile(build_spectrum([(1, 4), (0, 4)]), (0.4, 0.6))
+    np.testing.assert_allclose(subspace_weights(comp, gp, cp), [0.12, 0.18, 0.28, 0.42],
+                               atol=1e-14)
+    np.testing.assert_allclose(shell_weights(comp, gp, cp), [0.12, 0.46, 0.42], atol=1e-14)
+    assert gp.spectrum == comp.gas and cp.spectrum == comp.container
 
 
 def test_state_bounds():
