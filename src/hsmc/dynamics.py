@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fanout import dsterf, fan_out, one_blas_thread, qr, shared_array, zheevd
+from .fanout import dsterf, fan_out, one_blas_thread, qr, shared_array, workers
 from .sampling import substream
 from .spectrum import CANONICAL, MICROCANONICAL, CompositeSpectrum
 from .state import BATCH_ELEMENTS, PureState, batch_rows, gas_purity_entropy
@@ -174,7 +174,8 @@ def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
     The caller draws every lambda into one shared buffer, so scale = coupling / max |lambda|
     is known before one fan-out in which each worker draws the V of its blocks and finishes
     them: a group on which H_g + H_c is one constant d keeps d + scale * lambda and V where
-    the coupling is nonzero; the others diagonalize diag(d) + scale * V diag(lambda) V^dagger.
+    the coupling is nonzero; the others take numpy's ``eigh`` of diag(d) + scale * V
+    diag(lambda) V^dagger.
     """
     if not coupling >= 0:
         raise ValueError("coupling must be >= 0")
@@ -201,18 +202,15 @@ def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
             if coupling and np.all(d == d[0]):
                 values[:] = d[0] + scale * values
                 continue
-            v = slot.copy()  # M^T = diag(d) + scale conj(V) diag(lambda) V^T
-            np.matmul(np.conjugate(v) * (scale * values), v.T, out=slot)
-            slot.flat[::len(d) + 1] += d
-            if not zheevd(slot, values, "V"):  # numpy's eigh(M), the same bits
-                values[:], slot[:] = np.linalg.eigh(slot.T)
-                continue
-            for j in range(len(d)):  # eigenvector j is row j: transpose back
-                slot[j, j + 1:], slot[j + 1:, j] = slot[j + 1:, j].copy(), slot[j, j + 1:].copy()
+            # M^T = diag(d) + scale conj(V) diag(lambda) V^T, then numpy's eigh of M
+            m_t = np.conjugate(slot) * (scale * values) @ slot.T
+            m_t.flat[::len(d) + 1] += d
+            values[:], slot[:] = np.linalg.eigh(m_t.T)
 
-    # fork no worker without a block
-    fan_out(finish, next((m - 1 for m in range(2, len(sizes) + 1)
-                          if len(set(_split(sizes, m))) < m), len(sizes)), "Hamiltonian worker")
+    # fork no worker without a block, and search no further than fan_out's CPUs
+    cpus = workers(len(sizes))
+    fan_out(finish, next((m - 1 for m in range(2, cpus + 1) if len(set(_split(sizes, m))) < m),
+                         cpus), "Hamiltonian worker")
     blocks = tuple(HamiltonianBlock(idx, *pair) for idx, pair in zip(groups, pairs))
     for arr in (gas_diag, container_diag, *(a for block in blocks for a in block)):
         arr.flags.writeable = False

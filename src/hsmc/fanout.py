@@ -4,10 +4,10 @@
 w = 0 and forked children the rest.  While they run, OpenBLAS uses one thread
 in every worker, so m workers do not start 2m or more BLAS threads on m CPUs.
 
-:func:`zheevd`, :func:`qr` and :func:`dsterf` call LAPACK from the library that holds
-that thread count, through ctypes, so that a worker can factor a matrix in the array
-where its result is to stay: numpy's ``eigh`` and ``qr`` have no ``out`` and copy
-their input and result.  Symbols are looked up lazily, on first use, not at import.
+:func:`qr` and :func:`dsterf` call LAPACK from the library that holds that thread
+count, through ctypes, so that a worker can factor a matrix in the array where its
+result is to stay: numpy's ``qr`` has no ``out`` and copies its input and result.
+Symbols are looked up lazily, on first use, not at import.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ def _blas_threads():
 
 
 _ARGUMENTS = {  # the Fortran arguments of the LAPACK routines bound here, in order
-    "zheevd": "JOBZ UPLO N A LDA W WORK LWORK RWORK LRWORK IWORK LIWORK INFO".split(),
     "zgeqrf": "M N A LDA TAU WORK LWORK INFO".split(),
     "zungqr": "M N K A LDA TAU WORK LWORK INFO".split(),
     "dsterf": "N D E INFO".split(),
@@ -78,71 +77,51 @@ def _lapack(name: str):
     if (found := _symbol(f"{name}_")) is None:
         return None
     arguments, (function, wide) = _ARGUMENTS[name], found
-    function.argtypes = ([ctypes.c_void_p] * len(arguments)  # then the character lengths
-                         + [ctypes.c_size_t] * len({"JOBZ", "UPLO"}.intersection(arguments)))
-    function.restype = None
+    function.argtypes, function.restype = [ctypes.c_void_p] * len(arguments), None
     return function, ctypes.c_int64 if wide else ctypes.c_int32
 
 
-def _call(name: str, *arguments, workspaces=()) -> bool:
-    """LAPACK's ``name`` on ``arguments`` (bytes, ints, writable C-ordered arrays), one
-    workspace of each dtype in ``workspaces`` (int: the Fortran integer) sized by a query
-    first, and INFO; False where it is missing.  INFO > 0 raises LinAlgError, < 0 ValueError."""
+def _call(name: str, *arguments) -> bool:
+    """LAPACK's ``name`` on ``arguments`` (ints, writable C-ordered arrays), then, where
+    it takes WORK, a complex workspace sized by a query first, and INFO; False where it
+    is missing.  INFO > 0 raises LinAlgError, < 0 ValueError."""
     if (found := _lapack(name)) is None:
         return False
     function, integer = found
     if not all(a.flags.c_contiguous and a.flags.writeable
                for a in arguments if isinstance(a, np.ndarray)):
         raise ValueError(f"{name} needs writable C-ordered arrays")
-    head = [a.ctypes.data if isinstance(a, np.ndarray) else a if isinstance(a, bytes)
-            else ctypes.byref(integer(a)) for a in arguments]
-    spaces = [np.empty(1, integer if t is int else t) for t in workspaces]
-    sizes, info = [-1] * len(spaces), integer(0)
-    for query in (True, False)[not spaces:]:  # a size query first where there is a workspace
-        function(*head, *(x for space, size in zip(spaces, sizes)
-                          for x in (space.ctypes.data, ctypes.byref(integer(size)))),
-                 ctypes.byref(info), *(1 for a in arguments if isinstance(a, bytes)))
+    head = [a.ctypes.data if isinstance(a, np.ndarray) else ctypes.byref(integer(a))
+            for a in arguments]
+    work = np.empty(1, complex) if "WORK" in _ARGUMENTS[name] else None
+    info = integer(0)
+    for query in (True, False)[work is None:]:  # a size query first where it takes WORK
+        space = () if work is None else (work.ctypes.data,
+                                         ctypes.byref(integer(-1 if query else len(work))))
+        function(*head, *space, ctypes.byref(info))
         if info.value > 0:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         if info.value < 0:
             raise ValueError(f"{name}: argument {-info.value} "
                              f"({_ARGUMENTS[name][-info.value - 1]}) had an illegal value")
         if query:
-            sizes = [int(space[0].real) for space in spaces]
-            spaces = [np.empty(size, space.dtype) for size, space in zip(sizes, spaces)]
+            work = np.empty(int(work[0].real), complex)
     return True
-
-
-def zheevd(a: np.ndarray, w: np.ndarray, jobz: str) -> bool:
-    """LAPACK's zheevd in place, called as ``np.linalg.eigh`` (``jobz`` 'V') and
-    ``eigvalsh`` ('N') call it; False, with nothing done, where numpy's BLAS has none.
-
-    LAPACK reads the C-ordered (n, n) complex ``a`` column-major, so ``a`` holds M^T
-    for the Hermitian M.  M's eigenvalues go into the n floats ``w``; with 'V' row j
-    of ``a`` becomes eigenvector j, with 'N' ``a`` is overwritten.  Call it only on
-    one OpenBLAS thread (inside :func:`fan_out`): the last bits follow the count.
-    Raises numpy's LinAlgError where it does not converge, ValueError on an illegal
-    argument.
-    """
-    if not (a.shape == (n := len(a), n) and a.dtype == complex and w.shape == (n,)
-            and w.dtype == np.float64):
-        raise ValueError("zheevd needs a writable C-ordered (n, n) complex array and n floats")
-    return _call("zheevd", jobz.encode(), b"L", n, a, max(n, 1), w,
-                 workspaces=(complex, float, int))
 
 
 def qr(a: np.ndarray, r: np.ndarray) -> bool:
     """A = QR in place by zgeqrf then zungqr, called as ``np.linalg.qr`` calls them, for the
     (n, n) complex A that the C-ordered ``a`` holds read column-major: ``a`` ends as Q^T
     and R's diagonal goes into the n complex ``r`` in between.  False, with nothing done,
-    where numpy's BLAS lacks either.  Call it on one OpenBLAS thread, as :func:`zheevd`."""
+    where numpy's BLAS lacks either.  Call it only on one OpenBLAS thread (inside
+    :func:`fan_out`): the last bits follow the count."""
     if not (a.shape == (n := len(a), n) and a.dtype == r.dtype == complex and r.shape == (n,)):
         raise ValueError("qr needs a writable C-ordered (n, n) complex array and n complex")
     if _lapack("zungqr") is None or not _call("zgeqrf", n, n, a, max(n, 1),
-                                              tau := np.empty(n, complex), workspaces=(complex,)):
+                                              tau := np.empty(n, complex)):
         return False
     r[:] = a.diagonal()
-    return _call("zungqr", n, n, n, a, max(n, 1), tau, workspaces=(complex,))
+    return _call("zungqr", n, n, n, a, max(n, 1), tau)
 
 
 def dsterf(d: np.ndarray, e: np.ndarray) -> bool:
@@ -178,20 +157,25 @@ def one_blas_thread():
             set_threads(threads)
 
 
+def workers(n: int) -> int:
+    """The m of :func:`fan_out` for at most ``n``: one per CPU, at least 1, and 1 where
+    ``os.fork`` is missing or the OpenBLAS thread count cannot be set."""
+    if _blas_threads() is not None and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return max(1, min(n, len(os.sched_getaffinity(0))))
+    return 1
+
+
 def fan_out(work: Callable[[int, int], None], n: int, name: str) -> None:
     """Run ``work(w, m)`` for w = 0 .. m-1 over m workers, one per CPU and at most ``n``.
 
     The calling process runs w = 0 and forked children the others, each on one
     OpenBLAS thread, a lone worker too: a gemv's last bits follow the thread
-    count.  m is 1 where ``os.fork`` is missing or the thread count cannot be
-    set.  Every child is reaped, also when ``work`` fails here.  A failed child
-    ends in an exception of the class that ended it, naming ``name``, e.g.
-    "sample workers [1] of 2 failed: ..."; one that leaves no report (it was
-    killed, say) counts as an OSError.
+    count.  m is ``workers(n)``.  Every child is reaped, also when ``work``
+    fails here.  A failed child ends in an exception of the class that ended it,
+    naming ``name``, e.g. "sample workers [1] of 2 failed: ..."; one that leaves
+    no report (it was killed, say) counts as an OSError.
     """
-    m = 1
-    if _blas_threads() is not None and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        m = max(1, min(n, len(os.sched_getaffinity(0))))
+    m = workers(n)
     sys.stdout.flush()
     sys.stderr.flush()
     children, failed = {}, {}

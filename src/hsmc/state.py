@@ -349,11 +349,14 @@ def write_amplitudes_csv(state: PureState, path) -> None:
 def read_amplitudes_csv(path, composite: CompositeSpectrum) -> PureState:
     """Load a state written by :func:`write_amplitudes_csv` onto ``composite``.
 
-    Refuses to load if the recorded layout does not match the composite, or
-    unless the data rows hold the indices 0..dim-1 once each, in order.
+    Refuses a file whose first line is not ``# hsmc state v1``, a recorded layout
+    that does not match the composite, and data rows other than the indices 0..dim-1
+    once each, in order, each with two numbers; a bad row is named by its line.
     """
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
+    if lines[:1] != ["# hsmc state v1"]:
+        raise ValueError(f"{path}, line 1: {(lines or [''])[0]!r} is not '# hsmc state v1'")
     header = {}
     data_lines = []
     for number, line in enumerate(lines, 1):
@@ -373,8 +376,11 @@ def read_amplitudes_csv(path, composite: CompositeSpectrum) -> PureState:
         raise ValueError(f"{path}: {len(data_lines)} data rows, expected {composite.dim}")
     amplitudes = np.zeros(composite.dim, dtype=complex)
     for k, (number, line) in enumerate(data_lines):
-        idx, re, im = line.split(",")
-        if int(idx) != k:
+        try:
+            idx, re, im = line.split(",")
+            index, amplitudes[k] = int(idx), complex(float(re), float(im))
+        except ValueError:
+            raise ValueError(f"{path}, line {number}: {line!r} is not index,re,im") from None
+        if index != k:
             raise ValueError(f"{path}, line {number}: index {idx}, expected {k}")
-        amplitudes[k] = complex(float(re), float(im))
     return PureState(composite, amplitudes)

@@ -217,6 +217,18 @@ def test_no_build_worker_is_forked_without_a_block(monkeypatch):
     assert built[3] == built[1]
 
 
+def test_the_build_splits_no_more_ways_than_it_has_cpus(monkeypatch):
+    # 1200 one-state subspaces on 2 CPUs: the worker count is searched up to 2, so
+    # _split runs once in that search and once in this process's worker, not ~1200 times
+    comp = compose(build_spectrum([(float(j), 1) for j in range(1200)]), build_spectrum([(0, 1)]))
+    assert len(comp.subspaces) == 1200
+    calls, split = [], dynamics._split
+    monkeypatch.setattr(dynamics, "_split", lambda sizes, m: calls.append(m) or split(sizes, m))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    build_microcanonical_hamiltonian(comp, 0.5, substream(6, 0))
+    assert len(calls) <= 2 and set(calls) <= {1, 2}
+
+
 def test_a_forked_build_worker_failure_keeps_its_class(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     caller, real = os.getpid(), dynamics.qr

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from hsmc import NumericalValidationError, fanout
-from hsmc.fanout import dsterf, fan_out, one_blas_thread, qr, shared_array, zheevd
+from hsmc.fanout import dsterf, fan_out, one_blas_thread, qr, shared_array
 
 needs_threads = pytest.mark.skipif(fanout._blas_threads() is None,
                                    reason="fan_out runs one worker without BLAS thread control")
-needs_zheevd = pytest.mark.skipif(fanout._lapack("zheevd") is None,
-                                  reason="numpy's BLAS exports no zheevd")
 needs_qr = pytest.mark.skipif(None in map(fanout._lapack, ("zgeqrf", "zungqr", "dsterf")),
                               reason="numpy's BLAS exports no zgeqrf, zungqr or dsterf")
 
@@ -83,39 +81,14 @@ def test_one_blas_thread_sets_the_count_only_where_it_is_not_1(monkeypatch):
     assert counts == [2, 1, 2]
 
 
-@needs_zheevd
-@pytest.mark.parametrize("n", [1, 2, 7, 400])
-def test_zheevd_in_place_is_numpys_eigh_and_eigvalsh_bit_for_bit(n):
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = (x + x.conj().T) / 2.0
-    vectors, values = m.T.copy(), np.empty(n)  # M^T in C order is M read column-major
-    destroyed, only = m.T.copy(), np.empty(n)
-    with one_blas_thread():
-        want, want_vectors = np.linalg.eigh(m)
-        want_only = np.linalg.eigvalsh(m)
-        assert zheevd(vectors, values, "V") and zheevd(destroyed, only, "N")
-    assert values.tobytes() == want.tobytes() and only.tobytes() == want_only.tobytes()
-    assert vectors.T.tobytes() == want_vectors.tobytes()  # row j is eigenvector j
-
-
-@needs_zheevd
-def test_zheevd_fails_as_numpy_does():
-    w = np.empty(3)
-    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
-        zheevd(np.full((3, 3), np.nan, dtype=complex), w, "V")
-    with pytest.raises(ValueError, match=r"^zheevd: argument 1 \(JOBZ\) had an illegal value$"):
-        zheevd(np.eye(3, dtype=complex), w, "X")
-
-
 def test_every_symbol_resolves_where_numpy_runs_on_scipy_openblas():
-    # a silent fallback to numpy's allocating eigh, qr and eigvalsh would keep every
-    # other test green; where numpy's LAPACK is scipy-openblas none may happen
+    # a silent fallback to numpy's allocating qr and eigvalsh would keep every other
+    # test green; where numpy's LAPACK is scipy-openblas none may happen
     lapack = np.show_config(mode="dicts")["Build Dependencies"].get("lapack", {})
     if lapack.get("name") != "scipy-openblas":
         pytest.skip(f"numpy's LAPACK is {lapack.get('name')!r}, not scipy-openblas")
     assert fanout._blas_threads() is not None
-    for name in ("zheevd", "zgeqrf", "zungqr", "dsterf"):
+    for name in fanout._ARGUMENTS:
         assert fanout._lapack(name) is not None, name
 
 
@@ -129,3 +102,10 @@ def test_the_in_place_calls_refuse_what_lapack_cannot_take():
         qr(np.eye(3, dtype=complex)[:, ::-1], np.empty(3, complex))
     with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
         dsterf(np.full(3, np.nan), np.full(2, np.nan))
+
+
+@needs_qr
+def test_an_illegal_argument_is_named_as_lapack_numbers_it():
+    # LAPACK's INFO = -i names the i-th argument of _ARGUMENTS, here zgeqrf's M = -1
+    with pytest.raises(ValueError, match=r"^zgeqrf: argument 1 \(M\) had an illegal value$"):
+        fanout._call("zgeqrf", -1, 3, np.eye(3, dtype=complex), 3, np.empty(3, complex))

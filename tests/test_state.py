@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -374,6 +376,21 @@ def test_amplitude_csv_refuses_malformed_index_column(tmp_path, edit, hint):
     assert len(rows) == comp.dim == 12
     path.write_text("\n".join(header + edit(rows)) + "\n")
     with pytest.raises(ValueError, match=hint):
+        read_amplitudes_csv(path, comp)
+
+
+@pytest.mark.parametrize("edit, hint", [
+    (lambda lines: ["# hsmc state v2"] + lines[1:], r"line 1: '# hsmc state v2' is not"),
+    (lambda lines: lines[1:], r"line 1: '# gas_levels=.*' is not '# hsmc state v1'"),
+    (lambda lines: lines[:7] + ["2,0.5"] + lines[8:], r"line 8: '2,0.5' is not index,re,im"),
+    (lambda lines: lines[:7] + ["2,0.5,x"] + lines[8:], r"line 8: '2,0.5,x' is not index,re,im"),
+], ids=["version-2", "no-version", "short-row", "not-a-number"])
+def test_amplitude_csv_refuses_another_version_and_names_a_bad_row(tmp_path, edit, hint):
+    comp = compose(build_spectrum([(0, 1), (1, 3)]), build_spectrum([(0, 2), (1, 1)]))
+    path = tmp_path / "state.csv"
+    write_amplitudes_csv(random_state(comp, np.random.default_rng(4)), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, {hint}"):
         read_amplitudes_csv(path, comp)
 
 
