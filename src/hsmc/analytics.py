@@ -90,15 +90,14 @@ def region_mean_purity(composite: CompositeSpectrum, profile: ConstraintProfile)
 
     at O(levels x blocks) cost, as all states of one level share their counts.
     """
-    w = profile.resolve(composite)
-    a, b = np.array([(s.A, s.B) for s in composite.subspaces]).T
+    w, block = profile.resolve(composite), composite.block_of(profile.kind)
+    a, b = divmod(np.arange(composite.n_subspaces), composite.container.n_levels)
     n_gas = np.asarray(composite.gas.degeneracies, dtype=float)
     n_container = np.asarray(composite.container.degeneracies, dtype=float)
-    # the states of each subspace in one row of each gas level, one column of each container level
-    rows = (np.arange(composite.gas.n_levels)[:, None] == a) * n_container[b]
-    cols = (np.arange(composite.container.n_levels)[:, None] == b) * n_gas[a]
-    if profile.kind == CANONICAL:
-        rows, cols = composite.shell_sums(rows), composite.shell_sums(cols)
+    # the states of each block in one row of each gas level, one column of each container level
+    rows, cols = np.zeros((len(n_gas), len(w))), np.zeros((len(n_container), len(w)))
+    np.add.at(rows, (a, block), n_container[b])
+    np.add.at(cols, (b, block), n_gas[a])
     size = n_gas @ rows
     r, s = rows @ (w / size), cols @ (w / size)
     q = n_gas @ (rows * rows) + n_container @ (cols * cols)
@@ -275,7 +274,6 @@ def dominant_distribution(composite: CompositeSpectrum,
     Raises ValueError, naming the shell, where the multiplier overflows.
     """
     w_e = checked_weights(shell_weights, composite.n_shells, "shell weights")
-    w_d = {}
     lambdas = {}
     for shell, w in zip(composite.shells, w_e):
         if w > 0:
@@ -283,9 +281,10 @@ def dominant_distribution(composite: CompositeSpectrum,
             if lambdas[shell.energy] == math.inf:
                 raise ValueError(
                     f"shell at E={shell.energy!r}: weight {float(w)!r} overflows N_E / W_E")
-        for i in shell.member_indices:
-            sub = composite.subspaces[i]
-            w_d[(sub.A, sub.B)] = float(sub.n_states * w / shell.n_states)
+    shell, dims = composite.block_of(CANONICAL), composite.subspace_dims()
+    w_sub = dims * w_e[shell] / composite.shell_sums(dims)[shell]
+    subs = composite.subspaces  # w_d lists them shell by shell, in member_indices order
+    w_d = {(subs[i].A, subs[i].B): float(w_sub[i]) for i in np.argsort(shell, kind="stable")}
     return DominantDistribution(composite=composite, w_d=w_d, lambdas=lambdas)
 
 
@@ -311,29 +310,21 @@ def region_size_ratio(composite: CompositeSpectrum, shell_weights,
     if np.any(perturbed < 0):
         raise ValueError("perturbation drives a subspace weight negative")
 
-    log_gaussian = 0.0
-    log_exact = 0.0
-    for shell, w in zip(composite.shells, w_e):
-        members = list(shell.member_indices)
-        shell_sum = float(eps[members].sum())
-        scale = max(1.0, float(np.abs(eps[members]).sum()))
-        if abs(shell_sum) > 1e-12 * scale:
-            raise ValueError(
-                f"perturbation sums to {shell_sum!r} in the shell at "
-                f"E={shell.energy}; shell weights must stay fixed"
-            )
-        if w == 0.0:
-            if np.any(eps[members] != 0.0):
-                raise ValueError("cannot perturb a zero-weight shell")
-            continue
-        n_e = float(shell.n_states)
-        for i in members:
-            n_ab = float(composite.subspaces[i].n_states)
-            log_gaussian -= n_e ** 2 * eps[i] ** 2 / (2.0 * n_ab * w ** 2)
-            if perturbed[i] == 0.0:
-                log_exact = float("-inf")
-            elif log_exact != float("-inf"):
-                log_exact += n_ab * (math.log(perturbed[i]) - math.log(w_d[i]))
+    shell_sum = composite.shell_sums(eps)
+    unbalanced = np.abs(shell_sum) > 1e-12 * np.maximum(1.0, composite.shell_sums(np.abs(eps)))
+    if np.any(unbalanced):
+        k = int(np.argmax(unbalanced))
+        raise ValueError(f"perturbation sums to {float(shell_sum[k])!r} in the shell at "
+                         f"E={composite.shells[k].energy}; shell weights must stay fixed")
+    shell, n_ab = composite.block_of(CANONICAL), composite.subspace_dims().astype(float)
+    w, n_e = w_e[shell], composite.shell_sums(n_ab)[shell]
+    live = w > 0.0
+    if np.any(eps[~live] != 0.0):
+        raise ValueError("cannot perturb a zero-weight shell")
+    w, n_e, eps, perturbed, w_d, n_ab = (x[live] for x in (w, n_e, eps, perturbed, w_d, n_ab))
+    log_gaussian = -np.sum(n_e ** 2 * eps ** 2 / (2.0 * n_ab * w ** 2))
+    log_exact = -math.inf if np.any(perturbed == 0.0) else np.sum(
+        n_ab * (np.log(perturbed) - np.log(w_d)))
     return math.exp(log_gaussian), math.exp(log_exact)
 
 

@@ -91,7 +91,7 @@ class ConstraintProfile:
         for key, w in self.weights.items():
             if micro:
                 A, B = key
-                i = composite.subspace_index(int(A), int(B))
+                i = composite.subspace_index(A, B)
             else:
                 i = composite.shell_index_at(float(key))
             if i in seen:
@@ -336,15 +336,11 @@ def _bartlett(composite: CompositeSpectrum, profile: ConstraintProfile) -> _Bart
     its row.  The factors sit side by side as the columns of one matrix.
     """
     w = profile.resolve(composite)
-    blocks = composite.blocks(profile.kind)
-    owner = np.empty(composite.dim, dtype=np.intp)
-    for k, block in enumerate(blocks):
-        owner[block] = k
+    blocks, block_of = composite.blocks(profile.kind), composite.block_of(profile.kind)
     entries = {"lower": [], "diagonal": []}  # (block, gas row, column, Gamma shape) arrays
     columns = 0
     for b, m_b in enumerate(composite.container.degeneracies):
-        owners = np.repeat([owner[composite.subspaces[composite.subspace_index(a, b)].offset]
-                            for a in range(composite.gas.n_levels)], composite.gas.degeneracies)
+        owners = np.repeat(block_of[b::composite.container.n_levels], composite.gas.degeneracies)
         rows = np.flatnonzero(w[owners] > 0)
         q = min(len(rows), m_b)
         j, i = np.tril_indices(len(rows), -1, q)

@@ -127,8 +127,7 @@ class CompositeSpectrum:
     built by :func:`compose`, which also precomputes the index map between
     the flat block layout and the row-major dim_gas x dim_container matrix
     (``_flat_index[row * dim_container + col]`` is the flat index of that
-    cell) and the subspace -> shell and subspace -> gas-level maps behind the
-    weight sums.
+    cell) and the subspace -> block map of each constraint kind.
     """
 
     gas: Spectrum
@@ -140,11 +139,10 @@ class CompositeSpectrum:
     dim_container: int
     dim: int
     _subspace_index: dict = field(repr=False)
-    _shell_of_subspace: np.ndarray = field(repr=False)
-    _gas_level_of_subspace: np.ndarray = field(repr=False)
     _block_offsets: np.ndarray = field(repr=False)
     _flat_index: np.ndarray = field(repr=False)
     _blocks: dict = field(repr=False)
+    _block_of: dict = field(repr=False)
 
     @property
     def n_subspaces(self) -> int:
@@ -155,17 +153,23 @@ class CompositeSpectrum:
         return len(self.shells)
 
     def subspace_index(self, A: int, B: int) -> int:
-        """Position of subspace (A, B) in the lexicographic enumeration."""
-        try:
-            return self._subspace_index[(A, B)]
-        except KeyError:
-            raise KeyError(f"no subspace ({A}, {B}) in this composite") from None
+        """Position of subspace (A, B) in the lexicographic enumeration.  A and B are
+        integers: a fraction or a truth value names no subspace."""
+        i = self._subspace_index.get((A, B))
+        if i is None or isinstance(A, (bool, np.bool_)) or isinstance(B, (bool, np.bool_)):
+            raise KeyError(f"no subspace ({A}, {B}) in this composite")
+        return i
 
     def blocks(self, kind: str) -> tuple[np.ndarray, ...]:
         """Read-only flat amplitude indices of each block a ``kind`` constraint fixes:
         the subspaces (:data:`MICROCANONICAL`) or the shells (:data:`CANONICAL`), in
         order.  A shell's indices are its members' blocks in ``member_indices`` order."""
         return self._blocks[kind]
+
+    def block_of(self, kind: str) -> np.ndarray:
+        """Read-only position in :meth:`blocks` of each subspace's block: ``arange(n_subspaces)``
+        for :data:`MICROCANONICAL`, the shell of each subspace for :data:`CANONICAL`."""
+        return self._block_of[kind]
 
     def shell_index_at(self, energy: float) -> int:
         """Shell of the subspace whose energy is nearest ``energy``, within tolerance.
@@ -175,14 +179,14 @@ class CompositeSpectrum:
         non-finite energy resolves to no shell."""
         if not np.isfinite(energy):
             raise KeyError(f"no shell at energy {energy!r}")
-        energies = np.array([s.energy for s in self.subspaces])
+        energies = np.add.outer(self.gas.energies, self.container.energies).ravel()
         with np.errstate(over="ignore"):  # a gap past the float range is just far
             gaps = np.abs(energies - energy)
         i = int(np.argmin(gaps))
         atol = max(self.shell_tolerance, 1e-12) * (1.0 + abs(energy))
         if not gaps[i] <= atol:
             raise KeyError(f"no shell at energy {energy!r} (nearest is {float(energies[i])!r})")
-        return int(self._shell_of_subspace[i])
+        return int(self._block_of[CANONICAL][i])
 
     def subspace_dims(self) -> np.ndarray:
         return np.array([s.n_states for s in self.subspaces])
@@ -193,11 +197,12 @@ class CompositeSpectrum:
 
     def shell_sums(self, per_subspace) -> np.ndarray:
         """Sum the trailing per-subspace axis over each total-energy shell."""
-        return _group_sum(per_subspace, self._shell_of_subspace, self.n_shells)
+        return _group_sum(per_subspace, self._block_of[CANONICAL], self.n_shells)
 
     def gas_level_sums(self, per_subspace) -> np.ndarray:
         """Sum the trailing per-subspace axis over each gas level A."""
-        return _group_sum(per_subspace, self._gas_level_of_subspace, self.gas.n_levels)
+        return _group_sum(per_subspace, np.arange(self.n_subspaces) // self.container.n_levels,
+                          self.gas.n_levels)
 
 
 def _group_sum(values, groups: np.ndarray, n_groups: int) -> np.ndarray:
@@ -278,7 +283,6 @@ def compose(gas: Spectrum, container: Spectrum,
                      np.arange(container_offsets[s.B], container_offsets[s.B + 1])).ravel()
         for s in subspaces
     ])
-    gas_level_of_subspace = np.repeat(np.arange(gas.n_levels), container.n_levels)
 
     block_offsets = np.concatenate(([0], np.cumsum([s.n_states for s in subspaces])))
     sub_blocks = tuple(np.arange(s.offset, s.offset + s.n_states) for s in subspaces)
@@ -288,8 +292,8 @@ def compose(gas: Spectrum, container: Spectrum,
     flat_index = np.empty_like(matrix_index)
     flat_index[matrix_index] = np.arange(dim)
 
-    for arr in (flat_index, block_offsets, shell_of_subspace, gas_level_of_subspace,
-                *sub_blocks, *blocks[CANONICAL]):
+    block_of = {MICROCANONICAL: np.arange(len(subspaces)), CANONICAL: shell_of_subspace}
+    for arr in (flat_index, block_offsets, *block_of.values(), *sub_blocks, *blocks[CANONICAL]):
         arr.flags.writeable = False
 
     return CompositeSpectrum(
@@ -302,9 +306,8 @@ def compose(gas: Spectrum, container: Spectrum,
         dim_container=container.dim,
         dim=dim,
         _subspace_index={(s.A, s.B): i for i, s in enumerate(subspaces)},
-        _shell_of_subspace=shell_of_subspace,
-        _gas_level_of_subspace=gas_level_of_subspace,
         _block_offsets=block_offsets,
         _flat_index=flat_index,
         _blocks=blocks,
+        _block_of=block_of,
     )

@@ -191,28 +191,49 @@ def _pair_sum_mean_purity(comp, profile):
     return float(second[shared].sum())
 
 
-PAIR_SUM_CASES = [  # (gas levels, container levels, kind, weights); dim <= 60
-    ([(0, 3)], [(0, 7)], "micro", {(0, 0): 1.0}),
-    ([(0, 2), (1, 3)], [(0, 2), (1, 4)], "micro", {(0, 0): 0.1, (0, 1): 0.4, (1, 1): 0.5}),
+PAIR_SUM_CASES = [  # (gas levels, container levels, kind, weights, shell tolerance); dim <= 60
+    ([(0, 3)], [(0, 7)], "micro", {(0, 0): 1.0}, 1e-9),
+    ([(0, 2), (1, 3)], [(0, 2), (1, 4)], "micro", {(0, 0): 0.1, (0, 1): 0.4, (1, 1): 0.5}, 1e-9),
     ([(0, 1), (1, 2), (2, 1)], [(0, 2), (1, 3), (2, 2)], "micro",
-     {(0, 2): 0.2, (1, 0): 0.3, (1, 1): 0.15, (2, 1): 0.35}),
+     {(0, 2): 0.2, (1, 0): 0.3, (1, 1): 0.15, (2, 1): 0.35}, 1e-9),
     ([(0, 2), (1, 2)], [(0, 4), (1, 4)], "micro",
-     {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25}),
-    ([(0, 2), (1, 2)], [(0, 4), (1, 4)], "canonical", {0: 0.2, 1: 0.5, 2: 0.3}),
-    ([(0, 1), (1, 2), (2, 1)], [(0, 2), (1, 3), (2, 2)], "canonical", {1: 0.6, 3: 0.4}),
+     {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25}, 1e-9),
+    ([(0, 2), (1, 2)], [(0, 4), (1, 4)], "canonical", {0: 0.2, 1: 0.5, 2: 0.3}, 1e-9),
+    ([(0, 1), (1, 2), (2, 1)], [(0, 2), (1, 3), (2, 2)], "canonical", {1: 0.6, 3: 0.4}, 1e-9),
     ([(0, 1), (1, 1), (2, 1)], [(e, 2 ** e) for e in range(4)], "canonical",
-     {2: 0.1, 3: 0.3, 4: 0.6}),
-    ([(0, 3), (1, 1)], [(0, 5), (2, 3)], "canonical", {0: 0.5, 1: 0.1, 3: 0.4}),
+     {2: 0.1, 3: 0.3, 4: 0.6}, 1e-9),
+    ([(0, 3), (1, 1)], [(0, 5), (2, 3)], "canonical", {0: 0.5, 1: 0.1, 3: 0.4}, 1e-9),
+    # merged by shell_tolerance: each gas level holds three subspaces of one shell
+    ([(0, 1), (1, 1)], [(0, 1), (0.1, 1), (0.2, 1)], "canonical", {0.1: 0.4, 1.1: 0.6}, 0.15),
 ]
 
 
-@pytest.mark.parametrize("gas, container, kind, weights", PAIR_SUM_CASES)
-def test_region_mean_purity_is_the_sum_over_amplitude_pairs(gas, container, kind, weights):
-    comp = compose(build_spectrum(gas), build_spectrum(container))
+@pytest.mark.parametrize("gas, container, kind, weights, tolerance", PAIR_SUM_CASES)
+def test_region_mean_purity_is_the_sum_over_amplitude_pairs(gas, container, kind, weights,
+                                                            tolerance):
+    comp = compose(build_spectrum(gas), build_spectrum(container), tolerance)
     assert comp.dim <= 60
     profile = (microcanonical_profile if kind == "micro" else canonical_profile)(weights)
     want = _pair_sum_mean_purity(comp, profile)
     assert region_mean_purity(comp, profile) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_region_mean_purity_of_a_canonical_region_holds_levels_by_shells():
+    # 120 x 120 nondegenerate levels: 14 400 subspaces in 239 shells.  The counts
+    # were once levels x subspaces before the shell sums, a 40.3 MiB peak.
+    levels = build_spectrum([(e, 1) for e in range(120)])
+    comp = compose(levels, levels)
+    w_shell = comp.shell_sums(np.outer(np.linspace(1, 2, 120), np.linspace(2, 1, 120)).ravel())
+    profile = canonical_profile({shell.energy: w / w_shell.sum()
+                                 for shell, w in zip(comp.shells, w_shell)})
+    region_mean_purity(comp, profile)  # numpy imports modules on first use
+    tracemalloc.start()
+    try:
+        region_mean_purity(comp, profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
 
 
 def _three_term_product_purity(w_a, n_a, w_b, n_b):

@@ -65,6 +65,16 @@ def test_resolve_unknown_subspace():
         profile.resolve(comp)
 
 
+def test_resolve_refuses_a_fraction_or_a_truth_value_as_a_subspace_key():
+    # int() once truncated (0.5, 0) onto subspace (0, 0) and read True as 1
+    comp = compose(build_spectrum([(0, 2), (1, 2)]), build_spectrum([(0, 3), (1, 3)]))
+    for key in [(0.5, 0), (True, 0), (0, np.True_)]:
+        with pytest.raises(KeyError, match="no subspace"):
+            microcanonical_profile({key: 1.0}).resolve(comp)
+    resolved = microcanonical_profile({(np.int64(1), np.uint8(0)): 1.0}).resolve(comp)
+    np.testing.assert_array_equal(resolved, np.eye(comp.n_subspaces)[comp.subspace_index(1, 0)])
+
+
 def test_resolve_unknown_shell_energy():
     comp = two_by_two()
     profile = canonical_profile({7.0: 1.0})

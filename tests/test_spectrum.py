@@ -153,6 +153,11 @@ def test_blocks_partition_the_dim_for_both_kinds():
         np.testing.assert_array_equal(
             block, np.concatenate([subspaces[i] for i in shell.member_indices]))
     assert comp.blocks(MICROCANONICAL) is subspaces  # built once, in compose
+    np.testing.assert_array_equal(comp.block_of(MICROCANONICAL), np.arange(comp.n_subspaces))
+    for kind in (MICROCANONICAL, CANONICAL):  # block_of(kind) names each subspace's block
+        assert not comp.block_of(kind).flags.writeable
+        for sub, k in zip(comp.subspaces, comp.block_of(kind)):
+            assert sub.offset in comp.blocks(kind)[k]
 
 
 def test_shell_lookup_by_energy():
@@ -226,4 +231,4 @@ def test_shells_partition_subspaces(gas, container):
     # membership agrees with the subspace -> shell map
     for j, sh in enumerate(comp.shells):
         for i in sh.member_indices:
-            assert comp._shell_of_subspace[i] == j
+            assert comp.block_of(CANONICAL)[i] == j
