@@ -72,6 +72,8 @@ def max_entropy_micro(weights, degeneracies) -> float:
     n = np.asarray(degeneracies, dtype=float)
     if w.shape != n.shape:
         raise ValueError("weights and degeneracies must have matching lengths")
+    if not np.all((w >= 0) & (w < np.inf)):
+        raise ValueError(f"weights must be finite and nonnegative, got {w.tolist()!r}")
     mask = w > 0
     with np.errstate(under="ignore"):
         return float(-np.sum(w[mask] * (np.log(w[mask]) - np.log(n[mask]))))
@@ -250,18 +252,14 @@ def region_log_size(composite: CompositeSpectrum, subspace_weights,
 class DominantDistribution:
     """Subspace weights maximizing region size at fixed shell weights.
 
-    ``w_d`` maps (A, B) to the dominant weight N_AB * W_E / N_E; ``lambdas``
-    maps each positive-weight shell energy to its multiplier N_E / W_E.
-    Within a shell, w_d is proportional to the subspace dimension.
+    ``w_d`` holds the dominant weight N_AB * W_E / N_E of each subspace, in subspace
+    order; ``lambdas`` maps each positive-weight shell energy to its multiplier
+    N_E / W_E.  Within a shell, w_d is proportional to the subspace dimension.
     """
 
     composite: CompositeSpectrum
-    w_d: dict
+    w_d: np.ndarray
     lambdas: dict
-
-    def as_array(self) -> np.ndarray:
-        """Dominant weights as a dense vector in subspace order."""
-        return np.array([self.w_d[(s.A, s.B)] for s in self.composite.subspaces])
 
 
 def dominant_distribution(composite: CompositeSpectrum,
@@ -282,9 +280,7 @@ def dominant_distribution(composite: CompositeSpectrum,
                 raise ValueError(
                     f"shell at E={shell.energy!r}: weight {float(w)!r} overflows N_E / W_E")
     shell, dims = composite.block_of(CANONICAL), composite.subspace_dims()
-    w_sub = dims * w_e[shell] / composite.shell_sums(dims)[shell]
-    subs = composite.subspaces  # w_d lists them shell by shell, in member_indices order
-    w_d = {(subs[i].A, subs[i].B): float(w_sub[i]) for i in np.argsort(shell, kind="stable")}
+    w_d = dims * w_e[shell] / composite.shell_sums(dims)[shell]
     return DominantDistribution(composite=composite, w_d=w_d, lambdas=lambdas)
 
 
@@ -304,11 +300,10 @@ def region_size_ratio(composite: CompositeSpectrum, shell_weights,
     if eps.shape != (composite.n_subspaces,):
         raise ValueError(f"expected {composite.n_subspaces} perturbation entries")
 
-    dd = dominant_distribution(composite, w_e)
-    w_d = dd.as_array()
+    w_d = dominant_distribution(composite, w_e).w_d
     perturbed = w_d + eps
-    if np.any(perturbed < 0):
-        raise ValueError("perturbation drives a subspace weight negative")
+    if not np.all(perturbed >= 0):
+        raise ValueError("perturbation drives a subspace weight negative or NaN")
 
     shell_sum = composite.shell_sums(eps)
     unbalanced = np.abs(shell_sum) > 1e-12 * np.maximum(1.0, composite.shell_sums(np.abs(eps)))
@@ -330,7 +325,7 @@ def region_size_ratio(composite: CompositeSpectrum, shell_weights,
 
 def marginal_gas_distribution(dd: DominantDistribution) -> np.ndarray:
     """Gas-level weights of the dominant distribution: W^d_A = sum_B W^d_AB."""
-    return dd.composite.gas_level_sums(dd.as_array())
+    return dd.composite.gas_level_sums(dd.w_d)
 
 
 def fit_temperature(gas: Spectrum, marginal) -> tuple[float, float]:
@@ -344,8 +339,8 @@ def fit_temperature(gas: Spectrum, marginal) -> tuple[float, float]:
     w = np.asarray(marginal, dtype=float)
     if w.shape != (gas.n_levels,):
         raise ValueError(f"expected {gas.n_levels} marginal weights")
-    if np.any(w < 0):
-        raise ValueError("marginal weights must be nonnegative")
+    if not np.all((w >= 0) & (w < np.inf)):
+        raise ValueError(f"marginal weights must be finite and nonnegative, got {w.tolist()!r}")
     usable = np.flatnonzero(w > 0)
     if len(usable) < 2:
         raise ValueError("need at least 2 levels with nonzero weight to fit kT")

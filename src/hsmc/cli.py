@@ -111,7 +111,8 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
     predictions["dominant"] = {
         "shell_weights": [[shell.energy, w] for shell, w in zip(composite.shells, w_shell)],
         "lambdas": [[energy, lam] for energy, lam in dd.lambdas.items()],
-        "w_d": [[A, B, w] for (A, B), w in dd.w_d.items()],
+        "w_d": [[composite.subspaces[i].A, composite.subspaces[i].B, dd.w_d[i]]  # shell by shell
+                for shell in composite.shells for i in shell.member_indices],
         "marginal_gas": marginal,
         "attractor_entropy": max_entropy_micro(marginal, gas.degeneracies),
         "attractor_purity": min_purity_state(gas, marginal)[1],

@@ -179,9 +179,9 @@ def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
     """
     if not coupling >= 0:
         raise ValueError("coupling must be >= 0")
-    subs, dims = composite.subspaces, composite.subspace_dims()
-    gas_diag = np.repeat([composite.gas.energies[s.A] for s in subs], dims)
-    container_diag = np.repeat([composite.container.energies[s.B] for s in subs], dims)
+    gas, container, dims = composite.gas, composite.container, composite.subspace_dims()
+    gas_diag = np.repeat(np.repeat(gas.energies, container.n_levels), dims)
+    container_diag = np.repeat(np.tile(container.energies, gas.n_levels), dims)
     diag, groups = gas_diag + container_diag, composite.blocks(kind)
     sizes = [len(idx) for idx in groups]
     offsets = np.cumsum([0] + [2 * n * n + n for n in sizes]).tolist()

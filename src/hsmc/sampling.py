@@ -93,7 +93,7 @@ class ConstraintProfile:
                 A, B = key
                 i = composite.subspace_index(A, B)
             else:
-                i = composite.shell_index_at(float(key))
+                i = composite.shell_index_at(key)
             if i in seen:
                 raise KeyError(f"duplicate weight for subspace {(A, B)}" if micro else
                                f"two weight keys resolve to the shell at "

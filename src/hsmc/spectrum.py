@@ -14,6 +14,7 @@ that of every shell: :meth:`CompositeSpectrum.blocks` gives either partition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import numbers
 
 import numpy as np
 
@@ -163,7 +164,8 @@ class CompositeSpectrum:
     def blocks(self, kind: str) -> tuple[np.ndarray, ...]:
         """Read-only flat amplitude indices of each block a ``kind`` constraint fixes:
         the subspaces (:data:`MICROCANONICAL`) or the shells (:data:`CANONICAL`), in
-        order.  A shell's indices are its members' blocks in ``member_indices`` order."""
+        order, as views of one index array per kind.  A shell's indices are its
+        members' blocks in ``member_indices`` order."""
         return self._blocks[kind]
 
     def block_of(self, kind: str) -> np.ndarray:
@@ -176,7 +178,10 @@ class CompositeSpectrum:
 
         A shell's mean energy always resolves: it lies within half the shell
         tolerance of some member, since members chain by gaps within it.  A
-        non-finite energy resolves to no shell."""
+        non-finite energy, a truth value or a non-number resolves to no shell."""
+        if isinstance(energy, (bool, np.bool_)) or not isinstance(energy, numbers.Real):
+            raise KeyError(f"no shell at energy {energy!r}")
+        energy = float(energy)
         if not np.isfinite(energy):
             raise KeyError(f"no shell at energy {energy!r}")
         energies = np.add.outer(self.gas.energies, self.container.energies).ravel()
@@ -189,7 +194,7 @@ class CompositeSpectrum:
         return int(self._block_of[CANONICAL][i])
 
     def subspace_dims(self) -> np.ndarray:
-        return np.array([s.n_states for s in self.subspaces])
+        return np.diff(self._block_offsets)
 
     def subspace_sums(self, flat) -> np.ndarray:
         """Sum the trailing flat-layout axis (length dim) over each subspace block."""
@@ -231,82 +236,74 @@ def compose(gas: Spectrum, container: Spectrum,
     Raises
     ------
     ValueError
-        If ``shell_tolerance`` is negative or a total energy overflows.
+        If ``shell_tolerance`` is negative or NaN, or a total energy overflows.
     """
-    if shell_tolerance < 0:
+    if not shell_tolerance >= 0:
         raise ValueError("shell_tolerance must be >= 0")
+    n_container = container.n_levels
+    with np.errstate(over="ignore"):
+        energies = np.add.outer(gas.energies, container.energies).ravel()
+    overflow = np.flatnonzero(~np.isfinite(energies))
+    if overflow.size:
+        A, B = divmod(int(overflow[0]), n_container)
+        raise ValueError(f"total energy {gas.energies[A]!r} + {container.energies[B]!r} "
+                         "is not finite")
+    dims = np.outer(gas.degeneracies, container.degeneracies).ravel()
+    offsets = np.concatenate(([0], np.cumsum(dims)))
+    pairs = [divmod(i, n_container) for i in range(len(dims))]
+    subspaces = tuple(Subspace(A=A, B=B, n_states=n, energy=e, offset=o) for (A, B), n, e, o
+                      in zip(pairs, dims.tolist(), energies.tolist(), offsets.tolist()))
 
-    gas_offsets = gas.level_offsets()
-    container_offsets = container.level_offsets()
-
-    subspaces = []
-    offset = 0
-    for A, (e_a, n_a) in enumerate(zip(gas.energies, gas.degeneracies)):
-        for B, (e_b, n_b) in enumerate(zip(container.energies, container.degeneracies)):
-            if not np.isfinite(e_a + e_b):
-                raise ValueError(f"total energy {e_a!r} + {e_b!r} is not finite")
-            n_ab = n_a * n_b
-            subspaces.append(Subspace(A=A, B=B, n_states=n_ab, energy=e_a + e_b, offset=offset))
-            offset += n_ab
-    dim = offset
-
-    # Shells: single-linkage grouping of sorted total energies.
-    order = sorted(range(len(subspaces)), key=lambda i: (subspaces[i].energy, i))
-    groups: list[list[int]] = []
-    last_energy = None
-    for i in order:
-        e = subspaces[i].energy
-        if last_energy is None or e - last_energy > shell_tolerance:
-            groups.append([i])
-        else:
-            groups[-1].append(i)
-        last_energy = e
-
+    # Shells: single-linkage grouping of the sorted total energies.
+    order = np.argsort(energies, kind="stable")
+    with np.errstate(over="ignore"):  # a gap past the float range is just wide
+        starts = np.diff(energies[order]) > shell_tolerance
+    shell_of_subspace = np.empty(len(dims), dtype=np.intp)
+    shell_of_subspace[order] = np.concatenate(([0], np.cumsum(starts)))
+    members = np.argsort(shell_of_subspace, kind="stable")  # (A, B) order within a shell
+    state_shell = np.repeat(shell_of_subspace, dims)
+    shell_dims = np.bincount(state_shell)
     shells = []
-    shell_of_subspace = np.empty(len(subspaces), dtype=np.intp)
-    for shell_idx, group in enumerate(groups):
-        group = sorted(group, key=lambda i: (subspaces[i].A, subspaces[i].B))
-        energies = np.array([subspaces[i].energy for i in group])
+    for group, n_states in zip(np.split(members, np.cumsum(np.bincount(shell_of_subspace))[:-1]),
+                               shell_dims.tolist()):
+        e = energies[group]
         with np.errstate(over="ignore"):
-            energy = float(np.mean(energies))
+            energy = float(np.mean(e))
         if not np.isfinite(energy):  # the sum overflowed: scale the members first
-            energy = float(np.clip(np.sum(energies / len(group)), energies.min(), energies.max()))
-        n_states = int(sum(subspaces[i].n_states for i in group))
-        shells.append(Shell(energy=energy, member_indices=tuple(group), n_states=n_states))
-        for i in group:
-            shell_of_subspace[i] = shell_idx
+            energy = float(np.clip(np.sum(e / len(e)), e.min(), e.max()))
+        shells.append(Shell(energy=energy, member_indices=tuple(group.tolist()),
+                            n_states=n_states))
+    by_shell = np.argsort(state_shell, kind="stable")  # each shell's blocks, in (A, B) order
+    del state_shell
 
-    # Flat block layout -> row * dim_container + col of the amplitude matrix,
-    # stored inverted: reading a matrix out of flat amplitudes is then a gather.
-    matrix_index = np.concatenate([
-        np.add.outer(np.arange(gas_offsets[s.A], gas_offsets[s.A + 1]) * container.dim,
-                     np.arange(container_offsets[s.B], container_offsets[s.B + 1])).ravel()
-        for s in subspaces
-    ])
+    # Cell (row a of gas level A, column b of container level B) of the row-major
+    # amplitude matrix holds flat amplitude offset_AB + a N_B + b.
+    rows = np.repeat(np.arange(gas.n_levels), gas.degeneracies)
+    cols = np.repeat(np.arange(n_container), container.degeneracies)
+    flat_index = offsets[:-1].reshape(gas.n_levels, n_container)[rows[:, None], cols]
+    flat_index += np.arange(container.dim) - container.level_offsets()[cols]
+    flat_index += ((np.arange(gas.dim) - gas.level_offsets()[rows])[:, None]
+                   * np.asarray(container.degeneracies)[cols])
+    flat_index, by_subspace = flat_index.ravel(), np.arange(offsets[-1])
 
-    block_offsets = np.concatenate(([0], np.cumsum([s.n_states for s in subspaces])))
-    sub_blocks = tuple(np.arange(s.offset, s.offset + s.n_states) for s in subspaces)
-    blocks = {MICROCANONICAL: sub_blocks, CANONICAL: tuple(
-        np.concatenate([sub_blocks[i] for i in shell.member_indices]) for shell in shells)}
-
-    flat_index = np.empty_like(matrix_index)
-    flat_index[matrix_index] = np.arange(dim)
-
-    block_of = {MICROCANONICAL: np.arange(len(subspaces)), CANONICAL: shell_of_subspace}
-    for arr in (flat_index, block_offsets, *block_of.values(), *sub_blocks, *blocks[CANONICAL]):
+    # each kind's blocks are views of one read-only index array
+    block_of = {MICROCANONICAL: np.arange(len(dims)), CANONICAL: shell_of_subspace}
+    for arr in (flat_index, offsets, by_subspace, by_shell, *block_of.values()):
         arr.flags.writeable = False
+    blocks = {MICROCANONICAL: tuple(np.split(by_subspace, offsets[1:-1])),
+              CANONICAL: tuple(np.split(by_shell, np.cumsum(shell_dims)[:-1]))}
 
     return CompositeSpectrum(
         gas=gas,
         container=container,
         shell_tolerance=float(shell_tolerance),
-        subspaces=tuple(subspaces),
+        subspaces=subspaces,
         shells=tuple(shells),
         dim_gas=gas.dim,
         dim_container=container.dim,
-        dim=dim,
-        _subspace_index={(s.A, s.B): i for i, s in enumerate(subspaces)},
-        _block_offsets=block_offsets,
+        dim=int(offsets[-1]),
+        _subspace_index={pair: i for i, pair in enumerate(pairs)},
+        _block_offsets=offsets,
         _flat_index=flat_index,
         _blocks=blocks,
         _block_of=block_of,

@@ -219,7 +219,7 @@ def test_5_dominant_distribution_is_sampled_and_maximal(announce):
     std_error = np.array([est.std_error for est in estimates])
 
     dd = dominant_distribution(comp, shell_w)
-    target = dd.as_array()
+    target = dd.w_d
     # single-subspace shells carry their whole shell weight every draw, so
     # their standard error is pure roundoff; the floor keeps the z-test
     # meaningful for them without loosening the genuinely random entries

@@ -99,6 +99,16 @@ def test_max_entropy_rejects_length_mismatch():
         max_entropy_micro([0.5, 0.5], [2])
 
 
+def test_a_nan_input_is_refused_not_dropped():
+    # these once returned 0.3466, kT = 2.18 from the other two levels, and (nan, nan)
+    with pytest.raises(ValueError, match="nonnegative"):
+        max_entropy_micro([0.5, np.nan], [1, 1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        fit_temperature(build_spectrum([(0, 1), (1, 1), (2, 1)]), [0.5, np.nan, 0.2])
+    with pytest.raises(ValueError, match="NaN"):
+        region_size_ratio(antidiagonal_composite(), [0.0, 1.0, 0.0], [0.0, np.nan, 0.0, 0.0])
+
+
 # ----------------------------------------------------------- expected purity
 
 def test_expected_purity_fully_degenerate_reduces_to_lubkin():
@@ -496,9 +506,9 @@ def test_region_log_size_validation():
 def test_dominant_single_shell_split():
     comp = antidiagonal_composite()
     dd = dominant_distribution(comp, [0.0, 1.0, 0.0])
-    assert dd.w_d[(0, 1)] == pytest.approx(0.25)
-    assert dd.w_d[(1, 0)] == pytest.approx(0.75)
-    assert dd.w_d[(0, 0)] == 0.0 and dd.w_d[(1, 1)] == 0.0
+    assert dd.w_d[comp.subspace_index(0, 1)] == pytest.approx(0.25)
+    assert dd.w_d[comp.subspace_index(1, 0)] == pytest.approx(0.75)
+    assert dd.w_d[comp.subspace_index(0, 0)] == 0.0 and dd.w_d[comp.subspace_index(1, 1)] == 0.0
     assert set(dd.lambdas) == {1.0}
     assert dd.lambdas[1.0] == pytest.approx(4.0)
 
@@ -515,8 +525,8 @@ def test_dominant_multiplier_overflow_names_the_shell():
 def test_dominant_equal_blocks_split_uniformly():
     comp = composite_one()  # middle shell holds two 8-state subspaces
     dd = dominant_distribution(comp, [0.0, 1.0, 0.0])
-    assert dd.w_d[(0, 1)] == pytest.approx(0.5)
-    assert dd.w_d[(1, 0)] == pytest.approx(0.5)
+    assert dd.w_d[comp.subspace_index(0, 1)] == pytest.approx(0.5)
+    assert dd.w_d[comp.subspace_index(1, 0)] == pytest.approx(0.5)
 
 
 def test_dominant_three_shell_example():
@@ -524,14 +534,15 @@ def test_dominant_three_shell_example():
     dd = dominant_distribution(comp, [0.2, 0.5, 0.3])
     want = {(0, 0): 0.2, (0, 1): 0.125, (1, 0): 0.375, (1, 1): 0.3}
     for key, value in want.items():
-        assert dd.w_d[key] == pytest.approx(value, abs=1e-15)
+        assert dd.w_d[comp.subspace_index(*key)] == pytest.approx(value, abs=1e-15)
     assert dd.lambdas[0.0] == pytest.approx(2 / 0.2)
     assert dd.lambdas[1.0] == pytest.approx(8 / 0.5)
     assert dd.lambdas[2.0] == pytest.approx(6 / 0.3)
     # within each shell w_d / N_AB is constant and the shell sums recover W_E
-    assert dd.w_d[(0, 1)] / 2 == pytest.approx(dd.w_d[(1, 0)] / 6)
-    assert sum(dd.w_d.values()) == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(dd.as_array(), [0.2, 0.125, 0.375, 0.3], atol=1e-15)
+    assert (dd.w_d[comp.subspace_index(0, 1)] / 2
+            == pytest.approx(dd.w_d[comp.subspace_index(1, 0)] / 6))
+    assert dd.w_d.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(dd.w_d, [0.2, 0.125, 0.375, 0.3], atol=1e-15)
 
 
 def test_dominant_is_region_log_size_argmax():
@@ -560,7 +571,7 @@ def test_dominant_is_region_log_size_argmax():
         objective, x0, method="SLSQP", constraints=constraints,
         bounds=[(1e-9, 1.0)] * comp.n_subspaces, options={"ftol": 1e-14, "maxiter": 500})
     assert result.success
-    np.testing.assert_allclose(result.x, dd.as_array(), atol=1e-6)
+    np.testing.assert_allclose(result.x, dd.w_d, atol=1e-6)
 
 
 def test_region_size_ratio_zero_perturbation():

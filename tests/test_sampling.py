@@ -82,6 +82,18 @@ def test_resolve_unknown_shell_energy():
         profile.resolve(comp)
 
 
+def test_resolve_refuses_a_truth_value_or_a_non_number_as_a_shell_key():
+    # float(key) once read True, np.True_ and "1.0" as the shell at E = 1, and None
+    # and 1+0j raised TypeError
+    comp = compose(build_spectrum([(0, 2), (1, 2)]), build_spectrum([(0, 3), (1, 3)]))
+    for key in [True, np.True_, "1.0", None, 1 + 0j]:
+        with pytest.raises(KeyError, match="no shell"):
+            canonical_profile({key: 1.0}).resolve(comp)
+    for key in [1, np.int64(1), np.float64(1.0)]:
+        resolved = canonical_profile({key: 1.0}).resolve(comp)
+        np.testing.assert_array_equal(resolved, np.eye(comp.n_shells)[comp.shell_index_at(1.0)])
+
+
 def test_resolve_duplicate_shell_keys():
     # two keys within tolerance of the same shell
     comp = compose(build_spectrum([(0.0, 2)]), build_spectrum([(0.0, 2)]),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsmc import CANONICAL, MICROCANONICAL, build_spectrum, compose
+from hsmc.spectrum import DEFAULT_SHELL_TOLERANCE, Shell, Subspace
 
 
 def test_minimal_spectrum():
@@ -208,6 +209,9 @@ def test_negative_shell_tolerance_rejected():
     gas = build_spectrum([(0, 1)])
     with pytest.raises(ValueError):
         compose(gas, gas, shell_tolerance=-1e-9)
+    # NaN once passed the check and merged every subspace into one shell
+    with pytest.raises(ValueError, match="shell_tolerance"):
+        compose(gas, gas, shell_tolerance=float("nan"))
 
 
 @st.composite
@@ -220,10 +224,92 @@ def spectra(draw):
     return build_spectrum(list(zip(energies, degens)))
 
 
-@given(spectra(), spectra())
-@settings(max_examples=60, deadline=None)
-def test_shells_partition_subspaces(gas, container):
-    comp = compose(gas, container)
+@st.composite
+def float_spectra(draw):
+    """Float energies with near-duplicate sums and members near the float range's end."""
+    energy = st.one_of(
+        st.builds(lambda k, jitter: k + jitter, st.integers(min_value=-3, max_value=6),
+                  st.sampled_from([0.0, 1e-10, -4e-10, 1e-15, 0.05, 0.1])),
+        st.sampled_from([1e308, -1e308, 1.7e308]),
+        st.floats(min_value=-10, max_value=10))
+    energies = draw(st.lists(energy, min_size=1, max_size=4, unique=True))
+    degens = draw(st.lists(st.integers(min_value=1, max_value=3),
+                           min_size=len(energies), max_size=len(energies)))
+    return build_spectrum(list(zip(energies, degens)))
+
+
+def reference_layout(gas, container, shell_tolerance):
+    """The documented layout, built subspace by subspace and cell by cell."""
+    subspaces, offset = [], 0
+    for A, (e_a, n_a) in enumerate(zip(gas.energies, gas.degeneracies)):
+        for B, (e_b, n_b) in enumerate(zip(container.energies, container.degeneracies)):
+            if not np.isfinite(e_a + e_b):
+                raise ValueError(f"total energy {e_a!r} + {e_b!r} is not finite")
+            subspaces.append(Subspace(A=A, B=B, n_states=n_a * n_b, energy=e_a + e_b,
+                                      offset=offset))
+            offset += n_a * n_b
+    groups = []  # single linkage over the sorted energies, ties in subspace order
+    for i in sorted(range(len(subspaces)), key=lambda i: (subspaces[i].energy, i)):
+        if groups and subspaces[i].energy - subspaces[groups[-1][-1]].energy <= shell_tolerance:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    shells = []
+    for group in map(sorted, groups):
+        energies = np.array([subspaces[i].energy for i in group])
+        with np.errstate(over="ignore"):
+            energy = float(np.mean(energies))
+        if not np.isfinite(energy):
+            energy = float(np.clip(np.sum(energies / len(group)), energies.min(), energies.max()))
+        shells.append(Shell(energy=energy, member_indices=tuple(group),
+                            n_states=sum(subspaces[i].n_states for i in group)))
+    flat_index = np.empty(offset, dtype=np.intp)
+    gas_offsets, container_offsets = gas.level_offsets(), container.level_offsets()
+    for s in subspaces:  # row-major (a, b) inside each block
+        n_b = container.degeneracies[s.B]
+        for a in range(gas.degeneracies[s.A]):
+            for b in range(n_b):
+                cell = (gas_offsets[s.A] + a) * container.dim + container_offsets[s.B] + b
+                flat_index[cell] = s.offset + a * n_b + b
+    sub_blocks = tuple(np.arange(s.offset, s.offset + s.n_states) for s in subspaces)
+    shell_of = np.empty(len(subspaces), dtype=np.intp)
+    for k, shell in enumerate(shells):
+        shell_of[list(shell.member_indices)] = k
+    return dict(
+        subspaces=tuple(subspaces), shells=tuple(shells), flat_index=flat_index,
+        block_offsets=np.array([0] + [s.offset + s.n_states for s in subspaces]),
+        blocks={MICROCANONICAL: sub_blocks, CANONICAL: tuple(
+            np.concatenate([sub_blocks[i] for i in shell.member_indices]) for shell in shells)},
+        block_of={MICROCANONICAL: np.arange(len(subspaces)), CANONICAL: shell_of})
+
+
+def assert_same_read_only_array(got, want):
+    assert not got.flags.writeable
+    np.testing.assert_array_equal(got, want, strict=True)
+
+
+@given(st.one_of(st.tuples(spectra(), spectra()), st.tuples(float_spectra(), float_spectra())),
+       st.sampled_from([DEFAULT_SHELL_TOLERANCE, 0.0, 1e-9, 0.15, 1e300]))
+@settings(max_examples=120, deadline=None)
+def test_shells_partition_subspaces(pair, shell_tolerance):
+    gas, container = pair
+    try:
+        want = reference_layout(gas, container, shell_tolerance)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            compose(gas, container, shell_tolerance)
+        assert str(refused.value) == str(exc)
+        return
+    comp = compose(gas, container, shell_tolerance)
+    assert repr(comp.subspaces) == repr(want["subspaces"])
+    assert repr(comp.shells) == repr(want["shells"])
+    assert_same_read_only_array(comp._flat_index, want["flat_index"])
+    assert_same_read_only_array(comp._block_offsets, want["block_offsets"])
+    for kind in (MICROCANONICAL, CANONICAL):
+        assert_same_read_only_array(comp.block_of(kind), want["block_of"][kind])
+        assert len(comp.blocks(kind)) == len(want["blocks"][kind])
+        for got, block in zip(comp.blocks(kind), want["blocks"][kind]):
+            assert_same_read_only_array(got, block)
     member_union = [i for sh in comp.shells for i in sh.member_indices]
     assert sorted(member_union) == list(range(comp.n_subspaces))
     assert sum(sh.n_states for sh in comp.shells) == gas.dim * container.dim
