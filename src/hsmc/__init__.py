@@ -22,8 +22,7 @@ from .sampling import (CANONICAL, MICROCANONICAL, ConstraintProfile,
                        microcanonical_profile, product_constraint,
                        sample_canonical, sample_chunks, sample_gas_states,
                        sample_microcanonical, substream)
-from .spectrum import (CompositeSpectrum, Shell, Spectrum, Subspace,
-                       build_spectrum, compose)
+from .spectrum import CompositeSpectrum, Spectrum, build_spectrum, compose
 from .state import (DensityMatrix, PureState, WeightProfile,
                     gas_purity_entropy, product_state, purity_entropy,
                     read_amplitudes_csv, reduce_gas_states, shell_weights,
@@ -33,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Spectrum", "Subspace", "Shell", "CompositeSpectrum",
+    "Spectrum", "CompositeSpectrum",
     "build_spectrum", "compose",
     "WeightProfile", "uniform_profile", "subspace_weights", "shell_weights",
     "PureState", "DensityMatrix", "gas_purity_entropy", "reduce_gas_states", "purity_entropy",

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .sampling import (CANONICAL, ConstraintProfile, McEstimate, mc_estimate,
+from .sampling import (CANONICAL, MICROCANONICAL, ConstraintProfile, McEstimate, mc_estimate,
                        product_constraint, substream)
 from .spectrum import CompositeSpectrum, Spectrum
 from .state import BATCH_ELEMENTS, WeightProfile, checked_weights
@@ -240,7 +240,7 @@ def region_log_size(composite: CompositeSpectrum, subspace_weights,
     vanishes.
     """
     w = checked_weights(subspace_weights, composite.n_subspaces, "subspace weights")
-    exponents = composite.subspace_dims().astype(float)
+    exponents = composite.block_dims(MICROCANONICAL).astype(float)
     if exact_exponent:
         exponents = exponents - 0.5
     if np.any(w == 0.0):
@@ -272,16 +272,17 @@ def dominant_distribution(composite: CompositeSpectrum,
     Raises ValueError, naming the shell, where the multiplier overflows.
     """
     w_e = checked_weights(shell_weights, composite.n_shells, "shell weights")
-    lambdas = {}
-    for shell, w in zip(composite.shells, w_e):
-        if w > 0:
-            lambdas[shell.energy] = shell.n_states / float(w)  # float division: no warning
-            if lambdas[shell.energy] == math.inf:
-                raise ValueError(
-                    f"shell at E={shell.energy!r}: weight {float(w)!r} overflows N_E / W_E")
-    shell, dims = composite.block_of(CANONICAL), composite.subspace_dims()
+    live = w_e > 0
+    with np.errstate(over="ignore"):
+        multipliers = composite.block_dims(CANONICAL)[live] / w_e[live]
+    if np.any(overflow := multipliers == math.inf):
+        k = np.flatnonzero(live)[np.argmax(overflow)]
+        raise ValueError(f"shell at E={float(composite.shell_energies[k])!r}: "
+                         f"weight {float(w_e[k])!r} overflows N_E / W_E")
+    shell, dims = composite.block_of(CANONICAL), composite.block_dims(MICROCANONICAL)
     w_d = dims * w_e[shell] / composite.shell_sums(dims)[shell]
-    return DominantDistribution(composite=composite, w_d=w_d, lambdas=lambdas)
+    return DominantDistribution(composite=composite, w_d=w_d, lambdas=dict(
+        zip(composite.shell_energies[live].tolist(), multipliers.tolist())))
 
 
 def region_size_ratio(composite: CompositeSpectrum, shell_weights,
@@ -310,8 +311,9 @@ def region_size_ratio(composite: CompositeSpectrum, shell_weights,
     if np.any(unbalanced):
         k = int(np.argmax(unbalanced))
         raise ValueError(f"perturbation sums to {float(shell_sum[k])!r} in the shell at "
-                         f"E={composite.shells[k].energy}; shell weights must stay fixed")
-    shell, n_ab = composite.block_of(CANONICAL), composite.subspace_dims().astype(float)
+                         f"E={composite.shell_energies[k]}; shell weights must stay fixed")
+    shell = composite.block_of(CANONICAL)
+    n_ab = composite.block_dims(MICROCANONICAL).astype(float)
     w, n_e = w_e[shell], composite.shell_sums(n_ab)[shell]
     live = w > 0.0
     if np.any(eps[~live] != 0.0):

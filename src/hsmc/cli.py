@@ -30,7 +30,7 @@ from .analytics import (dominant_distribution, expected_purity_approx, fit_tempe
 from .config import ConfigError, ExperimentConfig, build_experiment, load_config
 from .dynamics import (NumericalValidationError, build_canonical_hamiltonian,
                        build_microcanonical_hamiltonian, effective_velocity, evolve, max_drift)
-from .sampling import (MICROCANONICAL, mc_estimate, measure_draws, sample_chunks,
+from .sampling import (CANONICAL, MICROCANONICAL, mc_estimate, measure_draws, sample_chunks,
                        sample_gas_states, substream)
 from .state import PureState, _write_csv, product_state, purity_entropy, write_amplitudes_csv
 
@@ -108,11 +108,12 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
         kt, residual = fit_temperature(gas, marginal)
     except ValueError:
         kt = residual = None
+    members = np.argsort(composite.block_of(CANONICAL), kind="stable")  # shell by shell
+    a, b = divmod(members, container.n_levels)
     predictions["dominant"] = {
-        "shell_weights": [[shell.energy, w] for shell, w in zip(composite.shells, w_shell)],
-        "lambdas": [[energy, lam] for energy, lam in dd.lambdas.items()],
-        "w_d": [[composite.subspaces[i].A, composite.subspaces[i].B, dd.w_d[i]]  # shell by shell
-                for shell in composite.shells for i in shell.member_indices],
+        "shell_weights": list(map(list, zip(composite.shell_energies.tolist(), w_shell.tolist()))),
+        "lambdas": list(map(list, dd.lambdas.items())),
+        "w_d": list(map(list, zip(a.tolist(), b.tolist(), dd.w_d[members].tolist()))),
         "marginal_gas": marginal,
         "attractor_entropy": max_entropy_micro(marginal, gas.degeneracies),
         "attractor_purity": min_purity_state(gas, marginal)[1],
@@ -181,11 +182,12 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
     traj = evolve(initial, hamiltonian, times, dump if cfg.dump_states else None)
 
     out_dir = _prepare_out_dir(cfg)
-    sub_cols = [f"w_{s.A}_{s.B}" for s in composite.subspaces]
+    sub_cols = [f"w_{a}_{b}" for a in range(composite.gas.n_levels)
+                for b in range(composite.container.n_levels)]
     shell_cols = [f"wE_{k}" for k in range(composite.n_shells)]
     gas_cols = [f"wA_{a}" for a in range(composite.gas.n_levels)]
     shell_legend = " ".join(
-        f"wE_{k}:E={shell.energy!r}" for k, shell in enumerate(composite.shells))
+        f"wE_{k}:E={energy!r}" for k, energy in enumerate(composite.shell_energies.tolist()))
     _write_csv(os.path.join(out_dir, "trajectory.csv"), [
         "# hsmc trajectory v3",
         f"# config_hash={cfg.config_hash()} version={__version__} seed={cfg.seed}",

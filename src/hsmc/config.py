@@ -187,7 +187,7 @@ def _build_constraint(raw: dict, composite: CompositeSpectrum):
         else:
             w_shell = shell_weights(composite, gas_profile, container_profile)
             profile = ConstraintProfile(kind, {
-                shell.energy: float(w) for shell, w in zip(composite.shells, w_shell)})
+                energy: float(w) for energy, w in zip(composite.shell_energies.tolist(), w_shell)})
         resolved = {"kind": kind, "gas_weights": list(gas_profile.weights),
                     "container_weights": list(container_profile.weights)}
     else:

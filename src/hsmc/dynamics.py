@@ -179,7 +179,8 @@ def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
     """
     if not coupling >= 0:
         raise ValueError("coupling must be >= 0")
-    gas, container, dims = composite.gas, composite.container, composite.subspace_dims()
+    gas, container = composite.gas, composite.container
+    dims = composite.block_dims(MICROCANONICAL)
     gas_diag = np.repeat(np.repeat(gas.energies, container.n_levels), dims)
     container_diag = np.repeat(np.tile(container.energies, gas.n_levels), dims)
     diag, groups = gas_diag + container_diag, composite.blocks(kind)

@@ -87,7 +87,7 @@ class ConstraintProfile:
         composite, or if two keys land on the same target.
         """
         micro = self.kind == MICROCANONICAL
-        out, seen = np.zeros(len(composite.blocks(self.kind))), set()
+        out, seen = np.zeros(len(composite.block_dims(self.kind))), set()
         for key, w in self.weights.items():
             if micro:
                 A, B = key
@@ -97,7 +97,7 @@ class ConstraintProfile:
             if i in seen:
                 raise KeyError(f"duplicate weight for subspace {(A, B)}" if micro else
                                f"two weight keys resolve to the shell at "
-                               f"E={composite.shells[i].energy}")
+                               f"E={composite.shell_energies[i]}")
             seen.add(i)
             out[i] = float(w)
         return out
@@ -117,7 +117,8 @@ def product_constraint(composite: CompositeSpectrum, gas_profile: WeightProfile,
                        container_profile: WeightProfile) -> ConstraintProfile:
     """Microcanonical profile of a product initial state: W_AB = W_A * W_B."""
     w_sub = subspace_weights(composite, gas_profile, container_profile)
-    weights = {(s.A, s.B): float(w) for s, w in zip(composite.subspaces, w_sub)}
+    a, b = divmod(np.arange(composite.n_subspaces), composite.container.n_levels)
+    weights = dict(zip(zip(a.tolist(), b.tolist()), w_sub.tolist()))
     return ConstraintProfile(kind=MICROCANONICAL, weights=weights)
 
 
@@ -336,7 +337,7 @@ def _bartlett(composite: CompositeSpectrum, profile: ConstraintProfile) -> _Bart
     its row.  The factors sit side by side as the columns of one matrix.
     """
     w = profile.resolve(composite)
-    blocks, block_of = composite.blocks(profile.kind), composite.block_of(profile.kind)
+    block_of = composite.block_of(profile.kind)
     entries = {"lower": [], "diagonal": []}  # (block, gas row, column, Gamma shape) arrays
     columns = 0
     for b, m_b in enumerate(composite.container.degeneracies):
@@ -360,7 +361,7 @@ def _bartlett(composite: CompositeSpectrum, profile: ConstraintProfile) -> _Bart
     n_lower, n_entries = len(cells[0]), sum(map(len, cells))
     source = np.full(composite.dim_gas * columns, n_entries)
     source[np.concatenate(cells)] = np.arange(n_entries)
-    amplitudes = sum(len(blocks[k]) for k in active)
+    amplitudes = int(np.sum(composite.block_dims(profile.kind)[active]))
     return _Bartlett(n_lower=n_lower, shapes=shapes["diagonal"].astype(float),
                      lower=spans["lower"], diagonal=spans["diagonal"], radii=np.sqrt(w[active]),
                      source=source, columns=columns, saving=2 * (amplitudes - n_lower))

@@ -8,12 +8,18 @@ subspace (A, B) occupy one contiguous block of length N_AB = N_A * N_B,
 ordered row-major in the local indices (a, b).  Subspaces whose total energies
 E_A + E_B agree within an absolute tolerance are grouped into shells.  A
 microcanonical constraint fixes the weight of every subspace, a canonical one
-that of every shell: :meth:`CompositeSpectrum.blocks` gives either partition.
+that of every shell: :meth:`CompositeSpectrum.block_dims` and
+:meth:`CompositeSpectrum.block_of` describe either partition with one entry per
+subspace or shell, so a composite of any size below 2**63 states is cheap to
+build.  The per-state indices, :meth:`CompositeSpectrum.blocks` and the map to
+the gas x container matrix, are built on first use by the code that holds
+amplitudes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import numbers
 
 import numpy as np
@@ -23,8 +29,6 @@ __all__ = [
     "CANONICAL",
     "DEFAULT_SHELL_TOLERANCE",
     "Spectrum",
-    "Subspace",
-    "Shell",
     "CompositeSpectrum",
     "build_spectrum",
     "compose",
@@ -99,79 +103,88 @@ def build_spectrum(levels) -> Spectrum:
     return Spectrum(energies=tuple(energies), degeneracies=tuple(degens))
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Joint degeneracy subspace (A, B) with N_AB = N_A * N_B states at E_A + E_B."""
-
-    A: int
-    B: int
-    n_states: int
-    energy: float
-    offset: int
-
-
-@dataclass(frozen=True)
-class Shell:
-    """Group of subspaces sharing (within tolerance) one total energy: ``member_indices``
-    are their positions in :attr:`CompositeSpectrum.subspaces`, in (A, B) order."""
-
-    energy: float
-    member_indices: tuple[int, ...]
-    n_states: int
-
-
 @dataclass(frozen=True, eq=False)
 class CompositeSpectrum:
     """Joint index space of a gas and a container spectrum.
 
     Immutable after construction; safe to share across workers.  Instances are
-    built by :func:`compose`, which also precomputes the index map between
-    the flat block layout and the row-major dim_gas x dim_container matrix
-    (``_flat_index[row * dim_container + col]`` is the flat index of that
-    cell) and the subspace -> block map of each constraint kind.
+    built by :func:`compose` from level-sized arrays alone: subspace i is
+    (A, B) = divmod(i, container.n_levels), ``shell_energies`` holds the energy of
+    each shell, and :meth:`block_dims` and :meth:`block_of` give the block sizes of
+    each constraint kind and the block of each subspace.  What only amplitude code
+    reads is built on first use: the index map between the flat block layout and
+    the row-major dim_gas x dim_container matrix (``_flat_index[row * dim_container
+    + col]`` is the flat index of that cell) and the indices of :meth:`blocks`.
     """
 
     gas: Spectrum
     container: Spectrum
     shell_tolerance: float
-    subspaces: tuple[Subspace, ...]
-    shells: tuple[Shell, ...]
+    shell_energies: np.ndarray
     dim_gas: int
     dim_container: int
     dim: int
-    _subspace_index: dict = field(repr=False)
     _block_offsets: np.ndarray = field(repr=False)
-    _flat_index: np.ndarray = field(repr=False)
-    _blocks: dict = field(repr=False)
+    _block_dims: dict = field(repr=False)
     _block_of: dict = field(repr=False)
+    _blocks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_subspaces(self) -> int:
-        return len(self.subspaces)
+        return len(self._block_of[MICROCANONICAL])
 
     @property
     def n_shells(self) -> int:
-        return len(self.shells)
+        return len(self.shell_energies)
 
     def subspace_index(self, A: int, B: int) -> int:
-        """Position of subspace (A, B) in the lexicographic enumeration.  A and B are
-        integers: a fraction or a truth value names no subspace."""
-        i = self._subspace_index.get((A, B))
-        if i is None or isinstance(A, (bool, np.bool_)) or isinstance(B, (bool, np.bool_)):
-            raise KeyError(f"no subspace ({A}, {B}) in this composite")
-        return i
+        """Position A * container.n_levels + B of subspace (A, B) in the lexicographic
+        enumeration.  A and B are integers: a fraction or a truth value names no subspace."""
+        for key, n_levels in ((A, self.gas.n_levels), (B, self.container.n_levels)):
+            # as a dict keyed by the levels finds them: level k hashes to k, and so does a key == k
+            if isinstance(key, (bool, np.bool_)) or not (0 <= hash(key) < n_levels
+                                                         and key == hash(key)):
+                raise KeyError(f"no subspace ({A}, {B}) in this composite")
+        return hash(A) * self.container.n_levels + hash(B)
 
     def blocks(self, kind: str) -> tuple[np.ndarray, ...]:
         """Read-only flat amplitude indices of each block a ``kind`` constraint fixes:
         the subspaces (:data:`MICROCANONICAL`) or the shells (:data:`CANONICAL`), in
-        order, as views of one index array per kind.  A shell's indices are its
-        members' blocks in ``member_indices`` order."""
+        order, as views of one index array per kind, built on first use.  A shell's
+        indices are its members' blocks in (A, B) order."""
+        if kind not in self._blocks:
+            members = np.argsort(self._block_of[kind], kind="stable")
+            dims = self._block_dims[MICROCANONICAL][members]
+            # state j of member m sits at offset_m + j, in turn of the members
+            index = np.repeat(self._block_offsets[members] - (np.cumsum(dims) - dims), dims)
+            index += np.arange(self.dim)
+            index.flags.writeable = False
+            self._blocks[kind] = tuple(np.split(index, np.cumsum(self._block_dims[kind])[:-1]))
         return self._blocks[kind]
+
+    def block_dims(self, kind: str) -> np.ndarray:
+        """Read-only number of states in each block of :meth:`blocks`, in block order."""
+        return self._block_dims[kind]
 
     def block_of(self, kind: str) -> np.ndarray:
         """Read-only position in :meth:`blocks` of each subspace's block: ``arange(n_subspaces)``
         for :data:`MICROCANONICAL`, the shell of each subspace for :data:`CANONICAL`."""
         return self._block_of[kind]
+
+    @cached_property
+    def _flat_index(self) -> np.ndarray:
+        # Cell (row a of gas level A, column b of container level B) of the row-major
+        # amplitude matrix holds flat amplitude offset_AB + a N_B + b.
+        gas, container = self.gas, self.container
+        rows = np.repeat(np.arange(gas.n_levels), gas.degeneracies)
+        cols = np.repeat(np.arange(container.n_levels), container.degeneracies)
+        flat_index = self._block_offsets[:-1].reshape(gas.n_levels, -1)[rows[:, None], cols]
+        flat_index += np.arange(container.dim) - container.level_offsets()[cols]
+        flat_index += ((np.arange(gas.dim) - gas.level_offsets()[rows])[:, None]
+                       * np.asarray(container.degeneracies)[cols])
+        flat_index = flat_index.ravel()
+        flat_index.flags.writeable = False
+        return flat_index
 
     def shell_index_at(self, energy: float) -> int:
         """Shell of the subspace whose energy is nearest ``energy``, within tolerance.
@@ -192,9 +205,6 @@ class CompositeSpectrum:
         if not gaps[i] <= atol:
             raise KeyError(f"no shell at energy {energy!r} (nearest is {float(energies[i])!r})")
         return int(self._block_of[CANONICAL][i])
-
-    def subspace_dims(self) -> np.ndarray:
-        return np.diff(self._block_offsets)
 
     def subspace_sums(self, flat) -> np.ndarray:
         """Sum the trailing flat-layout axis (length dim) over each subspace block."""
@@ -231,28 +241,29 @@ def compose(gas: Spectrum, container: Spectrum,
     Subspaces are ordered lexicographically in (A, B).  Shells are formed by
     sorting the total energies E_A + E_B and starting a new shell whenever the
     gap to the previous member exceeds ``shell_tolerance``; each shell's
-    representative energy is the mean over its members.
+    representative energy is the mean over its members.  Every array built here
+    has one entry per subspace or per shell, none one per state.
 
     Raises
     ------
     ValueError
-        If ``shell_tolerance`` is negative or NaN, or a total energy overflows.
+        If ``shell_tolerance`` is negative or NaN, the composite holds 2**63 states
+        or more, or a total energy overflows.
     """
     if not shell_tolerance >= 0:
         raise ValueError("shell_tolerance must be >= 0")
-    n_container = container.n_levels
+    if gas.dim * container.dim >= 2**63:
+        raise ValueError(f"{gas.dim} x {container.dim} states: a composite holds "
+                         "fewer than 2**63")
     with np.errstate(over="ignore"):
         energies = np.add.outer(gas.energies, container.energies).ravel()
     overflow = np.flatnonzero(~np.isfinite(energies))
     if overflow.size:
-        A, B = divmod(int(overflow[0]), n_container)
+        A, B = divmod(int(overflow[0]), container.n_levels)
         raise ValueError(f"total energy {gas.energies[A]!r} + {container.energies[B]!r} "
                          "is not finite")
     dims = np.outer(gas.degeneracies, container.degeneracies).ravel()
     offsets = np.concatenate(([0], np.cumsum(dims)))
-    pairs = [divmod(i, n_container) for i in range(len(dims))]
-    subspaces = tuple(Subspace(A=A, B=B, n_states=n, energy=e, offset=o) for (A, B), n, e, o
-                      in zip(pairs, dims.tolist(), energies.tolist(), offsets.tolist()))
 
     # Shells: single-linkage grouping of the sorted total energies.
     order = np.argsort(energies, kind="stable")
@@ -261,50 +272,30 @@ def compose(gas: Spectrum, container: Spectrum,
     shell_of_subspace = np.empty(len(dims), dtype=np.intp)
     shell_of_subspace[order] = np.concatenate(([0], np.cumsum(starts)))
     members = np.argsort(shell_of_subspace, kind="stable")  # (A, B) order within a shell
-    state_shell = np.repeat(shell_of_subspace, dims)
-    shell_dims = np.bincount(state_shell)
-    shells = []
-    for group, n_states in zip(np.split(members, np.cumsum(np.bincount(shell_of_subspace))[:-1]),
-                               shell_dims.tolist()):
-        e = energies[group]
+    counts = np.bincount(shell_of_subspace)
+    first = np.cumsum(counts) - counts  # each shell's first position in members
+    shell_dims = np.add.reduceat(dims[members], first)
+    shell_energies = energies[members[first]] + 0.0  # np.mean of one member: -0.0 is 0.0
+    for k in np.flatnonzero(counts > 1):
+        e = energies[members[first[k]:first[k] + counts[k]]]
         with np.errstate(over="ignore"):
-            energy = float(np.mean(e))
-        if not np.isfinite(energy):  # the sum overflowed: scale the members first
-            energy = float(np.clip(np.sum(e / len(e)), e.min(), e.max()))
-        shells.append(Shell(energy=energy, member_indices=tuple(group.tolist()),
-                            n_states=n_states))
-    by_shell = np.argsort(state_shell, kind="stable")  # each shell's blocks, in (A, B) order
-    del state_shell
+            shell_energies[k] = np.mean(e)
+        if not np.isfinite(shell_energies[k]):  # the sum overflowed: scale the members first
+            shell_energies[k] = np.clip(np.sum(e / len(e)), e.min(), e.max())
 
-    # Cell (row a of gas level A, column b of container level B) of the row-major
-    # amplitude matrix holds flat amplitude offset_AB + a N_B + b.
-    rows = np.repeat(np.arange(gas.n_levels), gas.degeneracies)
-    cols = np.repeat(np.arange(n_container), container.degeneracies)
-    flat_index = offsets[:-1].reshape(gas.n_levels, n_container)[rows[:, None], cols]
-    flat_index += np.arange(container.dim) - container.level_offsets()[cols]
-    flat_index += ((np.arange(gas.dim) - gas.level_offsets()[rows])[:, None]
-                   * np.asarray(container.degeneracies)[cols])
-    flat_index, by_subspace = flat_index.ravel(), np.arange(offsets[-1])
-
-    # each kind's blocks are views of one read-only index array
+    block_dims = {MICROCANONICAL: dims, CANONICAL: shell_dims}
     block_of = {MICROCANONICAL: np.arange(len(dims)), CANONICAL: shell_of_subspace}
-    for arr in (flat_index, offsets, by_subspace, by_shell, *block_of.values()):
+    for arr in (shell_energies, offsets, *block_dims.values(), *block_of.values()):
         arr.flags.writeable = False
-    blocks = {MICROCANONICAL: tuple(np.split(by_subspace, offsets[1:-1])),
-              CANONICAL: tuple(np.split(by_shell, np.cumsum(shell_dims)[:-1]))}
-
     return CompositeSpectrum(
         gas=gas,
         container=container,
         shell_tolerance=float(shell_tolerance),
-        subspaces=subspaces,
-        shells=tuple(shells),
+        shell_energies=shell_energies,
         dim_gas=gas.dim,
         dim_container=container.dim,
         dim=int(offsets[-1]),
-        _subspace_index={pair: i for i, pair in enumerate(pairs)},
         _block_offsets=offsets,
-        _flat_index=flat_index,
-        _blocks=blocks,
+        _block_dims=block_dims,
         _block_of=block_of,
     )

@@ -14,7 +14,8 @@ import pytest
 from scipy.optimize import minimize
 from scipy.stats import ks_2samp
 
-from hsmc import (MomentQuery, WeightProfile, build_microcanonical_hamiltonian,
+from hsmc import (CANONICAL, MICROCANONICAL, MomentQuery, WeightProfile,
+                  build_microcanonical_hamiltonian,
                   build_canonical_hamiltonian, build_spectrum, canonical_profile,
                   compose, dominant_distribution, evolve, expected_purity_exact,
                   fit_temperature, gas_purity_entropy, gas_state_chunks, hypersphere_moment,
@@ -164,10 +165,11 @@ def _maximize_region_log_size(comp, shell_weights):
     BFGS on the actual library objective with the analytic gradient of
     sum N_i ln(W_E p_i).
     """
-    dims = comp.subspace_dims().astype(float)
+    dims = comp.block_dims(MICROCANONICAL).astype(float)
+    shell_of, shell_dims = comp.block_of(CANONICAL), comp.block_dims(CANONICAL)
     out = np.zeros(comp.n_subspaces)
-    for shell, w_e in zip(comp.shells, shell_weights):
-        members = list(shell.member_indices)
+    for shell, w_e in enumerate(shell_weights):
+        members = np.flatnonzero(shell_of == shell).tolist()
         if w_e == 0.0:
             continue
         if len(members) == 1:
@@ -183,11 +185,11 @@ def _maximize_region_log_size(comp, shell_weights):
             w = out.copy()
             # remaining shells at their dominant values so the global
             # validation in region_log_size is satisfied
-            for other, w_other in zip(comp.shells, shell_weights):
-                if other is shell or w_other == 0.0:
+            for other, w_other in enumerate(shell_weights):
+                if other == shell or w_other == 0.0:
                     continue
-                for j in other.member_indices:
-                    w[j] = dims[j] * w_other / other.n_states
+                for j in np.flatnonzero(shell_of == other):
+                    w[j] = dims[j] * w_other / shell_dims[other]
             w[members] = w_e * split(theta)
             return -region_log_size(comp, w)
 

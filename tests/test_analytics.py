@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hsmc import (MICROCANONICAL, MomentQuery, build_spectrum, canonical_profile, compose,
+from hsmc import (CANONICAL, MICROCANONICAL, MomentQuery, build_spectrum, canonical_profile,
+                  compose,
                   dominant_distribution, expected_purity_approx, expected_purity_exact,
                   fit_temperature, gas_purity_entropy, hypersphere_moment,
                   hypersphere_moment_mc, lubkin_average,
@@ -183,13 +184,13 @@ def _pair_sum_mean_purity(comp, profile):
     w = profile.resolve(comp)
     gas_start, container_start = comp.gas.level_offsets(), comp.container.level_offsets()
     row, col, block = [], [], []
-    for i, s in enumerate(comp.subspaces):  # lexicographic blocks, row-major (a, b) inside
-        k = i if profile.kind == MICROCANONICAL else next(
-            j for j, shell in enumerate(comp.shells) if i in shell.member_indices)
-        for a in range(comp.gas.degeneracies[s.A]):
-            for b in range(comp.container.degeneracies[s.B]):
-                row.append(gas_start[s.A] + a)
-                col.append(container_start[s.B] + b)
+    for i in range(comp.n_subspaces):  # lexicographic blocks, row-major (a, b) inside
+        A, B = divmod(i, comp.container.n_levels)
+        k = comp.block_of(profile.kind)[i]
+        for a in range(comp.gas.degeneracies[A]):
+            for b in range(comp.container.degeneracies[B]):
+                row.append(gas_start[A] + a)
+                col.append(container_start[B] + b)
                 block.append(k)
     row, col, block = map(np.array, (row, col, block))
     size = np.bincount(block, minlength=len(w)).astype(float)
@@ -234,8 +235,7 @@ def test_region_mean_purity_of_a_canonical_region_holds_levels_by_shells():
     levels = build_spectrum([(e, 1) for e in range(120)])
     comp = compose(levels, levels)
     w_shell = comp.shell_sums(np.outer(np.linspace(1, 2, 120), np.linspace(2, 1, 120)).ravel())
-    profile = canonical_profile({shell.energy: w / w_shell.sum()
-                                 for shell, w in zip(comp.shells, w_shell)})
+    profile = canonical_profile(dict(zip(comp.shell_energies.tolist(), w_shell / w_shell.sum())))
     region_mean_purity(comp, profile)  # numpy imports modules on first use
     tracemalloc.start()
     try:
@@ -244,6 +244,66 @@ def test_region_mean_purity_of_a_canonical_region_holds_levels_by_shells():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20, peak
+
+
+def _fraction_mean_purity(gas, container, shell_weights):
+    """region_mean_purity's formula in exact fractions, level by level, for a canonical
+    region of integer energies: blocks are the shells E = E_A + E_B."""
+    levels = [(int(e_a), n_a, int(e_b), n_b)
+              for e_a, n_a in zip(gas.energies, gas.degeneracies)
+              for e_b, n_b in zip(container.energies, container.degeneracies)]
+    size = {e: sum(n_a * n_b for e_a, n_a, e_b, n_b in levels if e_a + e_b == e)
+            for e in shell_weights}
+    # each row of gas level A holds N_B states of the shell at E_A + E_B, each column n_A
+    row, col = {}, {}
+    for e_a, n_a, e_b, n_b in levels:
+        if e_a + e_b in shell_weights:
+            row.setdefault(e_a, {})[e_a + e_b] = n_b
+            col.setdefault(e_b, {})[e_a + e_b] = n_a
+    n_row = dict(zip(map(int, gas.energies), gas.degeneracies))
+    n_col = dict(zip(map(int, container.energies), container.degeneracies))
+    mean = Fraction(0)
+    for counts, n in ((row, n_row), (col, n_col)):
+        for level, held in counts.items():
+            mean += n[level] * sum(Fraction(c) * shell_weights[e] / size[e]
+                                   for e, c in held.items()) ** 2
+    for e, w in shell_weights.items():
+        q = sum(n[level] * held.get(e, 0) ** 2 for counts, n in ((row, n_row), (col, n_col))
+                for level, held in counts.items())
+        mean -= w * w * q / (size[e] ** 2 * (size[e] + 1))
+    return mean
+
+
+def test_canonical_mean_purity_reaches_the_jaynes_minimum_like_1_over_k():
+    # The paper's thermodynamic limit: a nondegenerate 3-level gas, container levels
+    # e = 0..10 of degeneracy k 2^e, all weight in the shell E = 8 of N = 448 k states.
+    # Rows hold 4/7, 2/7 and 1/7 of it, so E[P] = 3/7 + 4 / (7 (N + 1)): the Jaynes
+    # state's purity 3/7 plus a gap of 1 / (784 k) to within 1 / (448 k).
+    gas = build_spectrum([(0, 1), (1, 1), (2, 1)])
+    profile = canonical_profile({8: 1.0})
+
+    def container(k):
+        return build_spectrum([(e, k * 2 ** e) for e in range(11)])
+
+    compose(gas, container(1))  # numpy imports modules on first use
+    for k in (10 ** j for j in range(10)):
+        comp = compose(gas, container(k))
+        gap = region_mean_purity(comp, profile) - 3 / 7
+        assert abs(784 * k * gap - 1) <= 3e-3, (k, 784 * k * gap)
+    assert comp.dim == 3 * k * (2 ** 11 - 1)  # 6.1e12 states: nothing of that length is built
+    exact = _fraction_mean_purity(gas, container(k), {8: Fraction(1)})
+    assert exact == Fraction(3, 7) + Fraction(4, 7 * (448 * k + 1))
+    got = region_mean_purity(comp, profile)
+    assert abs(got - float(exact)) <= 4 * math.ulp(float(exact)), (got, float(exact))
+    marginal = marginal_gas_distribution(dominant_distribution(comp, profile.resolve(comp)))
+    assert fit_temperature(gas, marginal)[0] == pytest.approx(1 / math.log(2), rel=1e-12)
+    tracemalloc.start()
+    try:
+        compose(gas, container(k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def _three_term_product_purity(w_a, n_a, w_b, n_b):
@@ -552,8 +612,8 @@ def test_dominant_is_region_log_size_argmax():
     w_e = np.array([0.2, 0.5, 0.3])
     dd = dominant_distribution(comp, w_e)
 
-    shells = [list(s.member_indices) for s in comp.shells]
-    dims = comp.subspace_dims().astype(float)
+    shells = [np.flatnonzero(comp.block_of(CANONICAL) == k) for k in range(comp.n_shells)]
+    dims = comp.block_dims(MICROCANONICAL).astype(float)
 
     def objective(x):
         # raw log-size formula, no normalization check, so the optimizer's

@@ -965,7 +965,12 @@ def test_non_finite_input_rejected(tmp_path, capsys, case):
     (C1_YAML, ["--n", str(2**63)], "run.n_samples"),
     (C1_YAML + f"  n_times: {2**63}\n", [], "run.n_times"),
     (C1_YAML + "  n_times: 1.0e+300\n", [], "run.n_times"),
-], ids=["n_samples", "flag_n", "n_times", "n_times_1e300"])
+    # a degeneracy past int64 once ended in a TypeError, and np.outer of 2**40 and
+    # 2**30 wraps to 0: only the failed allocation of 8 TiB that followed stopped it
+    (C1_YAML.replace("[0, 2]", f"[0, {2**64}]"), [], "gas and container levels"),
+    (C1_YAML.replace("[0, 2]", f"[0, {2**40}]").replace("[0, 4]", f"[0, {2**30}]"), [],
+     "gas and container levels"),
+], ids=["n_samples", "flag_n", "n_times", "n_times_1e300", "degeneracy_2_64", "dim_2_70"])
 def test_counts_of_2_63_or_more_exit_2(tmp_path, capsys, command, text, flags, key):
     # refused before any array or loop of that size is started
     cfg = write_config(tmp_path, text)

@@ -63,9 +63,14 @@ def _replay(comp, kind, coupling, seed):
     the largest block spectral radius equals ``coupling``; H adds the local diagonal
     E_g(A) + E_c(B).
     """
-    groups = [np.arange(s.offset, s.offset + s.n_states) for s in comp.subspaces]
+    pairs = [(A, B) for A in range(comp.gas.n_levels) for B in range(comp.container.n_levels)]
+    sizes = [comp.gas.degeneracies[A] * comp.container.degeneracies[B] for A, B in pairs]
+    offsets = np.cumsum([0] + sizes)
+    groups = [np.arange(o, o + n) for o, n in zip(offsets, sizes)]
     if kind == CANONICAL:
-        groups = [np.concatenate([groups[i] for i in sh.member_indices]) for sh in comp.shells]
+        shell_of = comp.block_of(CANONICAL)
+        groups = [np.concatenate([groups[i] for i in np.flatnonzero(shell_of == k)])
+                  for k in range(comp.n_shells)]
     keys = substream(seed, 0).integers(0, 2**63, len(groups))
     draws = [_gue_reference(substream(int(key), k), len(idx))
              for k, (key, idx) in enumerate(zip(keys, groups))]
@@ -74,9 +79,8 @@ def _replay(comp, kind, coupling, seed):
     for idx, (v, lam) in zip(groups, draws):
         interaction[np.ix_(idx, idx)] = scale * (v * lam) @ v.conj().T
     local = np.zeros(comp.dim)
-    for s in comp.subspaces:
-        local[s.offset:s.offset + s.n_states] = (
-            comp.gas.energies[s.A] + comp.container.energies[s.B])
+    for (A, B), o, n in zip(pairs, offsets, sizes):
+        local[o:o + n] = comp.gas.energies[A] + comp.container.energies[B]
     return np.diag(local) + interaction, interaction, local
 
 
@@ -204,7 +208,7 @@ def test_no_build_worker_is_forked_without_a_block(monkeypatch):
     # subspaces of 10, 10, 1 and 1 states: split in 3 by n_b^3, the middle range is
     # empty, so 3 CPUs run 2 workers with the blocks of 1 CPU
     comp = compose(build_spectrum([(0, 10), (1, 1)]), build_spectrum([(0, 1), (1, 1)]))
-    sizes = [s.n_states for s in comp.subspaces]
+    sizes = comp.block_dims(MICROCANONICAL).tolist()
     assert sorted(sizes) == [1, 1, 10, 10] and len(set(dynamics._split(sizes, 3))) == 2
     forks, fork, built = [], os.fork, {}
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -221,7 +225,7 @@ def test_the_build_splits_no_more_ways_than_it_has_cpus(monkeypatch):
     # 1200 one-state subspaces on 2 CPUs: the worker count is searched up to 2, so
     # _split runs once in that search and once in this process's worker, not ~1200 times
     comp = compose(build_spectrum([(float(j), 1) for j in range(1200)]), build_spectrum([(0, 1)]))
-    assert len(comp.subspaces) == 1200
+    assert comp.n_subspaces == 1200
     calls, split = [], dynamics._split
     monkeypatch.setattr(dynamics, "_split", lambda sizes, m: calls.append(m) or split(sizes, m))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

@@ -1,4 +1,6 @@
+from fractions import Fraction
 from functools import partial
+import math
 import os
 
 import numpy as np
@@ -68,11 +70,13 @@ def test_resolve_unknown_subspace():
 def test_resolve_refuses_a_fraction_or_a_truth_value_as_a_subspace_key():
     # int() once truncated (0.5, 0) onto subspace (0, 0) and read True as 1
     comp = compose(build_spectrum([(0, 2), (1, 2)]), build_spectrum([(0, 3), (1, 3)]))
-    for key in [(0.5, 0), (True, 0), (0, np.True_)]:
+    for key in [(0.5, 0), (True, 0), (0, np.True_), (math.nan, 0), (-1, 0), (2, 0), ("1", 0)]:
         with pytest.raises(KeyError, match="no subspace"):
             microcanonical_profile({key: 1.0}).resolve(comp)
-    resolved = microcanonical_profile({(np.int64(1), np.uint8(0)): 1.0}).resolve(comp)
-    np.testing.assert_array_equal(resolved, np.eye(comp.n_subspaces)[comp.subspace_index(1, 0)])
+    # a key equal to the level, as a dict keyed by (A, B) finds it
+    for key in [(1, 0), (1.0, 0), (np.float64(1.0), 0), (Fraction(1), 0), (np.int64(1), np.uint8(0))]:
+        resolved = microcanonical_profile({key: 1.0}).resolve(comp)
+        np.testing.assert_array_equal(resolved, np.eye(comp.n_subspaces)[2])
 
 
 def test_resolve_unknown_shell_energy():
@@ -304,7 +308,7 @@ def test_zero_norm_block_is_redrawn_from_the_rows_own_stream(monkeypatch):
     seed, start, zeroed = 4, 6, 8
     first = comp.blocks(MICROCANONICAL)[0]
     n_first = len(first)
-    n_total = n_first + comp.subspace_dims()[3]
+    n_total = n_first + comp.block_dims(MICROCANONICAL)[3]
     # expected row `zeroed`: block 0 comes from the normals drawn after the row's
     # main draw, the other block from the main draw as usual
     rng = substream(seed, zeroed)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsmc import CANONICAL, MICROCANONICAL, build_spectrum, compose
-from hsmc.spectrum import DEFAULT_SHELL_TOLERANCE, Shell, Subspace
+from hsmc.spectrum import DEFAULT_SHELL_TOLERANCE
 
 
 def test_minimal_spectrum():
@@ -62,9 +62,9 @@ def test_compose_symmetric_two_level():
     gas = build_spectrum([(0, 2), (1, 2)])
     container = build_spectrum([(0, 4), (1, 4)])
     comp = compose(gas, container)
-    assert [(s.A, s.B) for s in comp.subspaces] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert [s.n_states for s in comp.subspaces] == [8, 8, 8, 8]
-    shells = {sh.energy: sh.n_states for sh in comp.shells}
+    assert [comp.subspace_index(A, B) for A, B in [(0, 0), (0, 1), (1, 0), (1, 1)]] == [0, 1, 2, 3]
+    assert comp.block_dims(MICROCANONICAL).tolist() == [8, 8, 8, 8]
+    shells = dict(zip(comp.shell_energies.tolist(), comp.block_dims(CANONICAL).tolist()))
     assert shells == {0.0: 8, 1.0: 16, 2.0: 8}
 
 
@@ -73,15 +73,17 @@ def test_compose_trivial():
     assert comp.dim == 1
     assert comp.n_subspaces == 1
     assert comp.n_shells == 1
-    assert comp.shells[0].n_states == 1
+    assert comp.block_dims(CANONICAL).tolist() == [1]
 
 
 def test_compose_three_shells():
     gas = build_spectrum([(0, 1), (1, 3)])
     container = build_spectrum([(0, 2), (1, 2)])
     comp = compose(gas, container)
-    shells = {sh.energy: (tuple((comp.subspaces[i].A, comp.subspaces[i].B)
-                                for i in sh.member_indices), sh.n_states) for sh in comp.shells}
+    shell_of = comp.block_of(CANONICAL)
+    shells = {energy: (tuple(divmod(i, 2) for i in np.flatnonzero(shell_of == k)), n)
+              for k, (energy, n) in enumerate(zip(comp.shell_energies.tolist(),
+                                                  comp.block_dims(CANONICAL).tolist()))}
     assert shells[0.0] == (((0, 0),), 2)
     assert shells[1.0] == (((0, 1), (1, 0)), 8)
     assert shells[2.0] == (((1, 1),), 6)
@@ -91,13 +93,14 @@ def test_subspace_ordering_is_lexicographic():
     gas = build_spectrum([(0, 1), (2, 2), (5, 1)])
     container = build_spectrum([(0, 3), (1, 1)])
     comp = compose(gas, container)
-    pairs = [(s.A, s.B) for s in comp.subspaces]
-    assert pairs == sorted(pairs)
-    # offsets are contiguous in that order
+    pairs = [(A, B) for A in range(3) for B in range(2)]
+    assert [comp.subspace_index(A, B) for A, B in pairs] == list(range(comp.n_subspaces))
+    # blocks are contiguous in that order
     expected_offset = 0
-    for s in comp.subspaces:
-        assert s.offset == expected_offset
-        expected_offset += s.n_states
+    for A, B in pairs:
+        block = comp.blocks(MICROCANONICAL)[comp.subspace_index(A, B)]
+        assert block[0] == expected_offset
+        expected_offset += gas.degeneracies[A] * container.degeneracies[B]
     assert comp.dim == expected_offset == gas.dim * container.dim
 
 
@@ -106,8 +109,8 @@ def test_block_slices_and_index_lookup():
     container = build_spectrum([(0, 4), (1, 4)])
     comp = compose(gas, container)
     i = comp.subspace_index(1, 0)
-    assert comp.subspaces[i].A == 1 and comp.subspaces[i].B == 0
-    assert len(comp.blocks(MICROCANONICAL)[i]) == comp.subspaces[i].n_states
+    assert divmod(i, container.n_levels) == (1, 0)
+    assert len(comp.blocks(MICROCANONICAL)[i]) == comp.block_dims(MICROCANONICAL)[i] == 8
     with pytest.raises(KeyError):
         comp.subspace_index(5, 0)
 
@@ -125,22 +128,25 @@ def test_flat_to_matrix_maps_are_consistent():
     all_rows, all_cols = np.divmod(matrix_index, comp.dim_container)
     gas_offsets = gas.level_offsets()
     container_offsets = container.level_offsets()
-    for i, sub in enumerate(comp.subspaces):
+    for i in range(comp.n_subspaces):
+        A, B = divmod(i, container.n_levels)
         rows = all_rows[comp.blocks(MICROCANONICAL)[i]]
         cols = all_cols[comp.blocks(MICROCANONICAL)[i]]
-        assert rows.min() >= gas_offsets[sub.A]
-        assert rows.max() < gas_offsets[sub.A + 1]
-        assert cols.min() >= container_offsets[sub.B]
-        assert cols.max() < container_offsets[sub.B + 1]
+        assert rows.min() >= gas_offsets[A]
+        assert rows.max() < gas_offsets[A + 1]
+        assert cols.min() >= container_offsets[B]
+        assert cols.max() < container_offsets[B + 1]
 
 
 def test_blocks_partition_the_dim_for_both_kinds():
     gas = build_spectrum([(0, 2), (1, 1), (3, 2)])
     container = build_spectrum([(0, 1), (1, 2), (2, 1)])
     comp = compose(gas, container)
+    assert not comp._blocks and "_flat_index" not in vars(comp)  # none built by compose
     subspaces, shells = comp.blocks(MICROCANONICAL), comp.blocks(CANONICAL)
     assert len(subspaces) == comp.n_subspaces and len(shells) == comp.n_shells
-    assert any(len(shell.member_indices) > 1 for shell in comp.shells)
+    shell_of = comp.block_of(CANONICAL)
+    assert np.bincount(shell_of).max() > 1
     for blocks in (subspaces, shells):
         seen = np.concatenate(blocks)
         assert sorted(seen.tolist()) == list(range(comp.dim))
@@ -148,17 +154,22 @@ def test_blocks_partition_the_dim_for_both_kinds():
             assert not block.flags.writeable
             with pytest.raises(ValueError):
                 block[0] = 0
-    for sub, block in zip(comp.subspaces, subspaces):
-        np.testing.assert_array_equal(block, np.arange(sub.offset, sub.offset + sub.n_states))
-    for shell, block in zip(comp.shells, shells):
+    offset = 0
+    for block, n in zip(subspaces, comp.block_dims(MICROCANONICAL)):
+        np.testing.assert_array_equal(block, np.arange(offset, offset + n))
+        offset += n
+    for k, block in enumerate(shells):
         np.testing.assert_array_equal(
-            block, np.concatenate([subspaces[i] for i in shell.member_indices]))
-    assert comp.blocks(MICROCANONICAL) is subspaces  # built once, in compose
+            block, np.concatenate([subspaces[i] for i in np.flatnonzero(shell_of == k)]))
+    for kind in (MICROCANONICAL, CANONICAL):  # built once, on first use
+        assert comp.blocks(kind) is comp.blocks(kind)
+        assert all(block.base is comp.blocks(kind)[0].base for block in comp.blocks(kind))
     np.testing.assert_array_equal(comp.block_of(MICROCANONICAL), np.arange(comp.n_subspaces))
     for kind in (MICROCANONICAL, CANONICAL):  # block_of(kind) names each subspace's block
         assert not comp.block_of(kind).flags.writeable
-        for sub, k in zip(comp.subspaces, comp.block_of(kind)):
-            assert sub.offset in comp.blocks(kind)[k]
+        assert not comp.block_dims(kind).flags.writeable
+        for sub, k in zip(subspaces, comp.block_of(kind)):
+            assert sub[0] in comp.blocks(kind)[k]
 
 
 def test_shell_lookup_by_energy():
@@ -174,7 +185,7 @@ def test_shell_lookup_by_energy():
     chain = compose(build_spectrum([(0, 1)]),
                     build_spectrum([(0.9e-9 * k, 1) for k in range(5)]))
     assert chain.n_shells == 1
-    for energy in (*(0.9e-9 * k for k in range(5)), chain.shells[0].energy):
+    for energy in (*(0.9e-9 * k for k in range(5)), chain.shell_energies[0]):
         assert chain.shell_index_at(energy) == 0
 
 
@@ -186,8 +197,7 @@ def test_shell_energy_of_huge_members_stays_finite():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         comp = compose(gas, container)
-    energies = [shell.energy for shell in comp.shells]
-    assert energies == [5e-301, 1e308]
+    assert comp.shell_energies.tolist() == [5e-301, 1e308]
     assert comp.shell_index_at(1e308) == comp.n_shells - 1
     assert comp.shell_index_at(5e-301) == 0
     for energy in (float("inf"), float("-inf"), float("nan")):
@@ -230,7 +240,7 @@ def float_spectra(draw):
     energy = st.one_of(
         st.builds(lambda k, jitter: k + jitter, st.integers(min_value=-3, max_value=6),
                   st.sampled_from([0.0, 1e-10, -4e-10, 1e-15, 0.05, 0.1])),
-        st.sampled_from([1e308, -1e308, 1.7e308]),
+        st.sampled_from([1e308, -1e308, 1.7e308, -0.0]),
         st.floats(min_value=-10, max_value=10))
     energies = draw(st.lists(energy, min_size=1, max_size=4, unique=True))
     degens = draw(st.lists(st.integers(min_value=1, max_value=3),
@@ -240,52 +250,55 @@ def float_spectra(draw):
 
 def reference_layout(gas, container, shell_tolerance):
     """The documented layout, built subspace by subspace and cell by cell."""
-    subspaces, offset = [], 0
+    subspaces, offset = [], 0  # (A, B, energy, n_states, offset) in (A, B) order
     for A, (e_a, n_a) in enumerate(zip(gas.energies, gas.degeneracies)):
         for B, (e_b, n_b) in enumerate(zip(container.energies, container.degeneracies)):
             if not np.isfinite(e_a + e_b):
                 raise ValueError(f"total energy {e_a!r} + {e_b!r} is not finite")
-            subspaces.append(Subspace(A=A, B=B, n_states=n_a * n_b, energy=e_a + e_b,
-                                      offset=offset))
+            subspaces.append((A, B, e_a + e_b, n_a * n_b, offset))
             offset += n_a * n_b
     groups = []  # single linkage over the sorted energies, ties in subspace order
-    for i in sorted(range(len(subspaces)), key=lambda i: (subspaces[i].energy, i)):
-        if groups and subspaces[i].energy - subspaces[groups[-1][-1]].energy <= shell_tolerance:
+    for i in sorted(range(len(subspaces)), key=lambda i: (subspaces[i][2], i)):
+        if groups and subspaces[i][2] - subspaces[groups[-1][-1]][2] <= shell_tolerance:
             groups[-1].append(i)
         else:
             groups.append([i])
-    shells = []
-    for group in map(sorted, groups):
-        energies = np.array([subspaces[i].energy for i in group])
+    groups = [sorted(group) for group in groups]
+    shell_energies = []
+    for group in groups:
+        energies = np.array([subspaces[i][2] for i in group])
         with np.errstate(over="ignore"):
             energy = float(np.mean(energies))
         if not np.isfinite(energy):
             energy = float(np.clip(np.sum(energies / len(group)), energies.min(), energies.max()))
-        shells.append(Shell(energy=energy, member_indices=tuple(group),
-                            n_states=sum(subspaces[i].n_states for i in group)))
+        shell_energies.append(energy)
     flat_index = np.empty(offset, dtype=np.intp)
     gas_offsets, container_offsets = gas.level_offsets(), container.level_offsets()
-    for s in subspaces:  # row-major (a, b) inside each block
-        n_b = container.degeneracies[s.B]
-        for a in range(gas.degeneracies[s.A]):
+    for A, B, _, _, start in subspaces:  # row-major (a, b) inside each block
+        n_b = container.degeneracies[B]
+        for a in range(gas.degeneracies[A]):
             for b in range(n_b):
-                cell = (gas_offsets[s.A] + a) * container.dim + container_offsets[s.B] + b
-                flat_index[cell] = s.offset + a * n_b + b
-    sub_blocks = tuple(np.arange(s.offset, s.offset + s.n_states) for s in subspaces)
+                cell = (gas_offsets[A] + a) * container.dim + container_offsets[B] + b
+                flat_index[cell] = start + a * n_b + b
+    sub_blocks = tuple(np.arange(start, start + n) for *_, n, start in subspaces)
     shell_of = np.empty(len(subspaces), dtype=np.intp)
-    for k, shell in enumerate(shells):
-        shell_of[list(shell.member_indices)] = k
+    for k, group in enumerate(groups):
+        shell_of[group] = k
     return dict(
-        subspaces=tuple(subspaces), shells=tuple(shells), flat_index=flat_index,
-        block_offsets=np.array([0] + [s.offset + s.n_states for s in subspaces]),
+        shell_energies=np.array(shell_energies), flat_index=flat_index,
+        block_offsets=np.array([0] + [start + n for *_, n, start in subspaces]),
+        block_dims={MICROCANONICAL: np.array([n for *_, n, _ in subspaces]),
+                    CANONICAL: np.array([sum(subspaces[i][3] for i in group)
+                                         for group in groups])},
         blocks={MICROCANONICAL: sub_blocks, CANONICAL: tuple(
-            np.concatenate([sub_blocks[i] for i in shell.member_indices]) for shell in shells)},
+            np.concatenate([sub_blocks[i] for i in group]) for group in groups)},
         block_of={MICROCANONICAL: np.arange(len(subspaces)), CANONICAL: shell_of})
 
 
 def assert_same_read_only_array(got, want):
     assert not got.flags.writeable
     np.testing.assert_array_equal(got, want, strict=True)
+    assert got.tobytes() == want.tobytes()  # -0.0 is not 0.0
 
 
 @given(st.one_of(st.tuples(spectra(), spectra()), st.tuples(float_spectra(), float_spectra())),
@@ -301,20 +314,34 @@ def test_shells_partition_subspaces(pair, shell_tolerance):
         assert str(refused.value) == str(exc)
         return
     comp = compose(gas, container, shell_tolerance)
-    assert repr(comp.subspaces) == repr(want["subspaces"])
-    assert repr(comp.shells) == repr(want["shells"])
+    assert_same_read_only_array(comp.shell_energies, want["shell_energies"])
     assert_same_read_only_array(comp._flat_index, want["flat_index"])
     assert_same_read_only_array(comp._block_offsets, want["block_offsets"])
     for kind in (MICROCANONICAL, CANONICAL):
         assert_same_read_only_array(comp.block_of(kind), want["block_of"][kind])
+        assert_same_read_only_array(comp.block_dims(kind), want["block_dims"][kind])
         assert len(comp.blocks(kind)) == len(want["blocks"][kind])
         for got, block in zip(comp.blocks(kind), want["blocks"][kind]):
             assert_same_read_only_array(got, block)
-    member_union = [i for sh in comp.shells for i in sh.member_indices]
-    assert sorted(member_union) == list(range(comp.n_subspaces))
-    assert sum(sh.n_states for sh in comp.shells) == gas.dim * container.dim
-    assert sum(s.n_states for s in comp.subspaces) == gas.dim * container.dim
-    # membership agrees with the subspace -> shell map
-    for j, sh in enumerate(comp.shells):
-        for i in sh.member_indices:
-            assert comp.block_of(CANONICAL)[i] == j
+    assert [comp.subspace_index(A, B) for A in range(gas.n_levels)
+            for B in range(container.n_levels)] == list(range(comp.n_subspaces))
+    assert comp.n_shells == len(want["shell_energies"])
+    assert comp.dim == gas.dim * container.dim
+
+
+def test_a_one_member_shell_has_the_mean_of_its_member():
+    # np.mean([-0.0]) is 0.0: a lone member's energy is taken as e + 0.0
+    for e_gas, e_container in ((-0.0, -0.0), (-0.0, 0.0), (-1.5, 0.25), (1e308, 0.0)):
+        comp = compose(build_spectrum([(e_gas, 1)]), build_spectrum([(e_container, 2)]))
+        want = float(np.mean([e_gas + e_container]))
+        assert comp.shell_energies.tobytes() == np.array([want]).tobytes()
+
+
+def test_a_composite_of_2_63_states_or_more_is_refused():
+    # np.outer of 2**40 and 2**30 wraps to 0, and a degeneracy of 2**64 fits no int64
+    for n_gas, n_container in ((2**40, 2**30), (2**64, 1), (2**62, 2), (3, 2**62)):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            compose(build_spectrum([(0, n_gas)]), build_spectrum([(0, n_container)]))
+    comp = compose(build_spectrum([(0, 1), (1, 2**62 - 2)]), build_spectrum([(0, 1), (1, 1)]))
+    assert comp.dim == 2**63 - 2
+    assert comp.block_dims(CANONICAL).tolist() == [1, 2**62 - 1, 2**62 - 2]

@@ -271,9 +271,11 @@ def test_batched_weight_sums_match_per_state_weights():
     np.testing.assert_allclose(w_sub, blocks, rtol=0, atol=4 * np.finfo(float).eps)
     shells = np.zeros((len(states), comp.n_shells))
     gas_levels = np.zeros((len(states), comp.gas.n_levels))
-    for i, sub in enumerate(comp.subspaces):
-        shells[:, comp.shell_index_at(sub.energy)] += w_sub[:, i]
-        gas_levels[:, sub.A] += w_sub[:, i]
+    for i in range(comp.n_subspaces):
+        A, B = divmod(i, comp.container.n_levels)
+        shells[:, comp.shell_index_at(comp.gas.energies[A] + comp.container.energies[B])] += (
+            w_sub[:, i])
+        gas_levels[:, A] += w_sub[:, i]
     np.testing.assert_array_equal(comp.shell_sums(w_sub), shells)
     np.testing.assert_array_equal(comp.gas_level_sums(w_sub), gas_levels)
 
