@@ -2,7 +2,8 @@
 
 Covers the minimum local purity and maximum local entropy compatible with
 fixed level weights, the exact Hilbert-space average of the gas purity over
-every accessible region, the weight distribution that dominates a canonically
+every accessible region (from its sparse per-level counts, at O(subspaces) cost
+whatever the number of shells), the weight distribution that dominates a canonically
 constrained region together with its size geometry, a Boltzmann temperature
 fit for the gas marginal, and the moments of single cartesian coordinates
 over uniform hyperspheres that underpin all of the above: one exact closed
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from .sampling import (CANONICAL, MICROCANONICAL, ConstraintProfile, McEstimate, mc_estimate,
-                       product_constraint, substream)
+                       product_constraint, region, substream)
 from .spectrum import CompositeSpectrum, Spectrum
 from .state import BATCH_ELEMENTS, WeightProfile, checked_weights
 
@@ -90,19 +91,19 @@ def region_mean_purity(composite: CompositeSpectrum, profile: ConstraintProfile)
 
         E[P] = sum_a r_a^2 + sum_c s_c^2 - sum_k W_k^2 q_k / (N_k^2 (N_k + 1)),
 
-    at O(levels x blocks) cost, as all states of one level share their counts.
+    from the sparse counts of :func:`~hsmc.sampling.region`, at O(subspaces) cost.
     """
-    w, block = profile.resolve(composite), composite.block_of(profile.kind)
-    a, b = divmod(np.arange(composite.n_subspaces), composite.container.n_levels)
+    table = region(composite, profile)
     n_gas = np.asarray(composite.gas.degeneracies, dtype=float)
     n_container = np.asarray(composite.container.degeneracies, dtype=float)
-    # the states of each block in one row of each gas level, one column of each container level
-    rows, cols = np.zeros((len(n_gas), len(w))), np.zeros((len(n_container), len(w)))
-    np.add.at(rows, (a, block), n_container[b])
-    np.add.at(cols, (b, block), n_gas[a])
-    size = n_gas @ rows
-    r, s = rows @ (w / size), cols @ (w / size)
-    q = n_gas @ (rows * rows) + n_container @ (cols * cols)
+    w, size = table.weights, table.sizes.astype(float)
+    (a, gas_block, rows), (b, container_block, cols) = table.gas, table.container
+    # every level holds a subspace, so each level's entries are one run of its table
+    r = np.add.reduceat(rows * (w / size)[gas_block], np.searchsorted(a, np.arange(len(n_gas))))
+    s = np.add.reduceat(cols * (w / size)[container_block],
+                        np.searchsorted(b, np.arange(len(n_container))))
+    q = (np.bincount(gas_block, weights=n_gas[a] * (rows * rows), minlength=len(w))
+         + np.bincount(container_block, weights=n_container[b] * (cols * cols), minlength=len(w)))
     return float(n_gas @ (r * r) + n_container @ (s * s)
                  - np.sum(w * w * q / (size * size * (size + 1.0))))
 
@@ -280,7 +281,7 @@ def dominant_distribution(composite: CompositeSpectrum,
         raise ValueError(f"shell at E={float(composite.shell_energies[k])!r}: "
                          f"weight {float(w_e[k])!r} overflows N_E / W_E")
     shell, dims = composite.block_of(CANONICAL), composite.block_dims(MICROCANONICAL)
-    w_d = dims * w_e[shell] / composite.shell_sums(dims)[shell]
+    w_d = dims * w_e[shell] / composite.block_dims(CANONICAL)[shell]
     return DominantDistribution(composite=composite, w_d=w_d, lambdas=dict(
         zip(composite.shell_energies[live].tolist(), multipliers.tolist())))
 
@@ -314,7 +315,7 @@ def region_size_ratio(composite: CompositeSpectrum, shell_weights,
                          f"E={composite.shell_energies[k]}; shell weights must stay fixed")
     shell = composite.block_of(CANONICAL)
     n_ab = composite.block_dims(MICROCANONICAL).astype(float)
-    w, n_e = w_e[shell], composite.shell_sums(n_ab)[shell]
+    w, n_e = w_e[shell], composite.block_dims(CANONICAL)[shell].astype(float)
     live = w > 0.0
     if np.any(eps[~live] != 0.0):
         raise ValueError("cannot perturb a zero-weight shell")

@@ -3,9 +3,10 @@
 Both constraint types pin the state to a product of hyperspheres: the
 microcanonical region fixes the probability W_AB of every degeneracy subspace,
 the canonical region only the probability W_E of every total-energy shell.
-Sampling draws standard normals for each sphere and rescales them to the
-sphere radius, which is exactly uniform on the product of spheres with no
-rejection step.
+:func:`region` lays such a region out once, with one entry per subspace: the
+weight, size and radius of each sphere and how many states of it each gas row and
+container column holds.  Sampling draws standard normals for each sphere and
+rescales them to its radius, exactly uniform on the product with no rejection step.
 
 Where only the gas state rho_g is wanted, it can be drawn without the
 amplitudes: the Gaussian slice X_b of container level b enters rho_g only
@@ -86,21 +87,28 @@ class ConstraintProfile:
         Raises KeyError if a weight key names no subspace / shell of the
         composite, or if two keys land on the same target.
         """
-        micro = self.kind == MICROCANONICAL
-        out, seen = np.zeros(len(composite.block_dims(self.kind))), set()
-        for key, w in self.weights.items():
-            if micro:
-                A, B = key
-                i = composite.subspace_index(A, B)
-            else:
-                i = composite.shell_index_at(key)
-            if i in seen:
-                raise KeyError(f"duplicate weight for subspace {(A, B)}" if micro else
-                               f"two weight keys resolve to the shell at "
-                               f"E={composite.shell_energies[i]}")
-            seen.add(i)
-            out[i] = float(w)
+        micro, keys = self.kind == MICROCANONICAL, list(self.weights)
+        index = (np.array([_subspace(composite, key) for key in keys], dtype=np.intp) if micro
+                 else composite._shells_at(keys)[0])  # -1 where a key names no shell
+        fresh = np.zeros(len(keys), dtype=bool)
+        fresh[np.unique(index, return_index=True)[1]] = True
+        if not np.all(fresh := fresh & (index >= 0)):
+            i = int(np.argmin(fresh))  # the first key that fails, as a loop over them finds it
+            if index[i] < 0:
+                composite.shell_index_at(keys[i])  # raises its KeyError
+            raise KeyError(f"duplicate weight for subspace {tuple(keys[i])}" if micro else
+                           f"two weight keys resolve to the shell at "
+                           f"E={composite.shell_energies[index[i]]}")
+        out = np.zeros(len(composite.block_dims(self.kind)))
+        out[index] = [float(w) for w in self.weights.values()]
         return out
+
+
+def _subspace(composite: CompositeSpectrum, key) -> int:
+    try:
+        return composite.subspace_index(*key)
+    except TypeError:  # not a pair
+        raise KeyError(f"no subspace {key!r} in this composite") from None
 
 
 def microcanonical_profile(weights: Mapping) -> ConstraintProfile:
@@ -120,6 +128,40 @@ def product_constraint(composite: CompositeSpectrum, gas_profile: WeightProfile,
     a, b = divmod(np.arange(composite.n_subspaces), composite.container.n_levels)
     weights = dict(zip(zip(a.tolist(), b.tolist()), w_sub.tolist()))
     return ConstraintProfile(kind=MICROCANONICAL, weights=weights)
+
+
+@dataclass(frozen=True)
+class Region:
+    """The layout of a profile's region over a composite, derived once by :func:`region`."""
+
+    composite: CompositeSpectrum
+    kind: str
+    weights: np.ndarray  # per block of ``kind``, W_k
+    sizes: np.ndarray  # per block, N_k
+    active: np.ndarray  # the blocks with W_k > 0, in order
+    radii: np.ndarray  # per active block, sqrt(W_k)
+    bounds: np.ndarray  # per active block, its first state in their concatenation; then the total
+    # Sparse count tables (level, block, count), sorted by level, then block: ``count``
+    # states of the block lie in one row of the gas level, or one column of the container level.
+    gas: tuple[np.ndarray, np.ndarray, np.ndarray]
+    container: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def region(composite: CompositeSpectrum, profile: ConstraintProfile) -> Region:
+    """The :class:`Region` of ``profile``.  Each subspace adds one entry to each count
+    table, merged by sorting the keys: O(subspaces), whatever the number of blocks."""
+    w, block = profile.resolve(composite), composite.block_of(profile.kind)
+    sizes, active = composite.block_dims(profile.kind), np.flatnonzero(w > 0)
+    a, b = divmod(np.arange(composite.n_subspaces), composite.container.n_levels)
+
+    def counts(level, held):  # subspace (A, B) adds held states to (level, its block)
+        pairs, pair = np.unique(level * len(w) + block, return_inverse=True)
+        return (*divmod(pairs, len(w)), np.bincount(pair, weights=held))
+
+    return Region(composite, profile.kind, w, sizes, active, np.sqrt(w[active]),
+                  np.concatenate(([0], np.cumsum(sizes[active]))),
+                  counts(a, np.asarray(composite.container.degeneracies, float)[b]),
+                  counts(b, np.asarray(composite.gas.degeneracies, float)[a]))
 
 
 @dataclass(frozen=True)
@@ -183,20 +225,14 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _sphere_blocks(composite: CompositeSpectrum, profile: ConstraintProfile):
-    """The positive-weight blocks of ``profile``, in block order.
-
-    Returns the start of each block in the concatenation of their amplitudes
-    (n in all) plus n, the sphere radii sqrt(W), and ``source``: for each flat
-    index, its position in that concatenation, or n where the weight is zero.
-    """
-    w = profile.resolve(composite)
-    active = np.flatnonzero(w > 0)
-    groups = [composite.blocks(profile.kind)[i] for i in active]
-    bounds = np.concatenate(([0], np.cumsum([len(g) for g in groups])))
+def _sphere_blocks(table: Region):
+    """``table``'s bounds and radii, and ``source``: for each flat index, its position
+    in the concatenation of the active blocks' amplitudes, or their number."""
+    composite, bounds = table.composite, table.bounds
     source = np.full(composite.dim, bounds[-1])
-    source[np.concatenate(groups)] = np.arange(bounds[-1])
-    return bounds, np.sqrt(w[active]), source
+    source[np.concatenate([composite.blocks(table.kind)[i] for i in table.active])] = (
+        np.arange(bounds[-1]))
+    return bounds, table.radii, source
 
 
 def _fill(blocks, normals: np.ndarray, row_stream) -> np.ndarray:
@@ -230,7 +266,7 @@ def _sample_one(composite: CompositeSpectrum, profile: ConstraintProfile, kind: 
                 rng: np.random.Generator) -> PureState:
     if profile.kind != kind:
         raise ValueError(f"expected a {kind} profile, got {profile.kind!r}")
-    blocks = _sphere_blocks(composite, profile)
+    blocks = _sphere_blocks(region(composite, profile))
     normals = np.zeros((1, 2 * blocks[0][-1] + 2))
     rng.standard_normal(out=normals[0, :-2])
     return PureState(composite, _fill(blocks, normals, lambda r: rng)[0], check=False)
@@ -271,7 +307,7 @@ def sample_chunks(composite: CompositeSpectrum, profile: ConstraintProfile,
     row.  Memory stays at a few chunks however large ``count`` is.
     """
     _check_keys(seed, start, count)
-    return _chunks(_sphere_blocks(composite, profile), batch_rows(composite.dim),
+    return _chunks(_sphere_blocks(region(composite, profile)), batch_rows(composite.dim),
                    seed, start, count)
 
 
@@ -328,16 +364,15 @@ class _Bartlett:
     saving: int  # normals per draw saved against drawing the amplitudes
 
 
-def _bartlett(composite: CompositeSpectrum, profile: ConstraintProfile) -> _Bartlett:
-    """The Bartlett factors of ``profile``'s region, laid out once.
+def _bartlett(table: Region) -> _Bartlett:
+    """The Bartlett factors of ``table``'s region, laid out once.
 
     Container level b pairs with the p_b gas states whose subspace (A, b) lies in a
     positive-weight block; its factor L_b has those p_b rows and min(p_b, m_b)
     columns, m_b the degeneracy of b.  Each entry of L_b belongs to the block of
     its row.  The factors sit side by side as the columns of one matrix.
     """
-    w = profile.resolve(composite)
-    block_of = composite.block_of(profile.kind)
+    composite, w, block_of = table.composite, table.weights, table.composite.block_of(table.kind)
     entries = {"lower": [], "diagonal": []}  # (block, gas row, column, Gamma shape) arrays
     columns = 0
     for b, m_b in enumerate(composite.container.degeneracies):
@@ -349,22 +384,21 @@ def _bartlett(composite: CompositeSpectrum, profile: ConstraintProfile) -> _Bart
         d = np.arange(q)
         entries["diagonal"].append((owners[rows[d]], rows[d], columns + d, m_b - d))
         columns += q
-    active = np.flatnonzero(w > 0)
     spans, cells, shapes = {}, [], {}
     for name, parts in entries.items():
         owners, rows, cols, shape = map(np.concatenate, zip(*parts))
         order = np.argsort(owners, kind="stable")  # each block's entries together
         owners, shapes[name], first = owners[order], shape[order], sum(map(len, cells))
         spans[name] = tuple(slice(first + a, first + z) for a, z in zip(
-            np.searchsorted(owners, active), np.searchsorted(owners, active, side="right")))
+            np.searchsorted(owners, table.active),
+            np.searchsorted(owners, table.active, side="right")))
         cells.append(rows[order] * columns + cols[order])
     n_lower, n_entries = len(cells[0]), sum(map(len, cells))
     source = np.full(composite.dim_gas * columns, n_entries)
     source[np.concatenate(cells)] = np.arange(n_entries)
-    amplitudes = int(np.sum(composite.block_dims(profile.kind)[active]))
     return _Bartlett(n_lower=n_lower, shapes=shapes["diagonal"].astype(float),
-                     lower=spans["lower"], diagonal=spans["diagonal"], radii=np.sqrt(w[active]),
-                     source=source, columns=columns, saving=2 * (amplitudes - n_lower))
+                     lower=spans["lower"], diagonal=spans["diagonal"], radii=table.radii,
+                     source=source, columns=columns, saving=2 * (int(table.bounds[-1]) - n_lower))
 
 
 def gas_state_chunks(composite: CompositeSpectrum, profile: ConstraintProfile,
@@ -385,7 +419,7 @@ def gas_state_chunks(composite: CompositeSpectrum, profile: ConstraintProfile,
     of :func:`~hsmc.state.purity_entropy` when measured.
     """
     _check_keys(seed, start, count)
-    return _gas_chunks(composite, _bartlett(composite, profile), seed, start, count)
+    return _gas_chunks(composite, _bartlett(region(composite, profile)), seed, start, count)
 
 
 def _gas_chunks(composite: CompositeSpectrum, factors: _Bartlett, seed: int, start: int,
@@ -433,11 +467,12 @@ def sample_gas_states(composite: CompositeSpectrum, profile: ConstraintProfile,
     layout alone, so draw i depends on ``substream(seed, i)`` and the region only.
     """
     _check_keys(seed, start, count)
-    factors = _bartlett(composite, profile)
+    table = region(composite, profile)
+    factors = _bartlett(table)
     if factors.saving > GAMMA_CALL_NORMALS:
         return _gas_chunks(composite, factors, seed, start, count)
     return map(partial(reduce_gas_states, composite),
-               sample_chunks(composite, profile, seed, start, count))
+               _chunks(_sphere_blocks(table), batch_rows(composite.dim), seed, start, count))
 
 
 def measure_draws(measure: Callable[[np.ndarray], np.ndarray], k: int,

@@ -189,22 +189,57 @@ class CompositeSpectrum:
     def shell_index_at(self, energy: float) -> int:
         """Shell of the subspace whose energy is nearest ``energy``, within tolerance.
 
-        A shell's mean energy always resolves: it lies within half the shell
-        tolerance of some member, since members chain by gaps within it.  A
-        non-finite energy, a truth value or a non-number resolves to no shell."""
+        Of equally near subspaces the lowest one counts.  A shell's mean energy
+        always resolves: it lies within half the shell tolerance of some member,
+        since members chain by gaps within it.  A non-finite energy, a truth value
+        or a non-number resolves to no shell."""
         if isinstance(energy, (bool, np.bool_)) or not isinstance(energy, numbers.Real):
             raise KeyError(f"no shell at energy {energy!r}")
         energy = float(energy)
         if not np.isfinite(energy):
             raise KeyError(f"no shell at energy {energy!r}")
-        energies = np.add.outer(self.gas.energies, self.container.energies).ravel()
+        (shell,), (nearest,) = self._shells_at([energy])
+        if shell < 0:
+            raise KeyError(f"no shell at energy {energy!r} (nearest is {float(nearest)!r})")
+        return int(shell)
+
+    def _shells_at(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`shell_index_at` of many keys by one sorted lookup: the shell of each, or
+        -1, and the energy of the subspace nearest it, NaN if it is no finite number."""
+        real = {t: issubclass(t, numbers.Real) and not issubclass(t, (bool, np.bool_))
+                for t in set(map(type, keys))}
+        x = np.array([float(e) if real[type(e)] else np.nan for e in keys], dtype=float)
+        ok = np.flatnonzero(np.isfinite(x))
+        subspace_energies = np.add.outer(self.gas.energies, self.container.energies).ravel()
+        # the distinct energies, ascending, and the lowest subspace at each
+        energies, head = np.unique(subspace_energies, return_index=True)
+        x, p = x[ok], np.searchsorted(energies, x[ok])
+
+        def gap(r):
+            return np.abs(energies.take(r, mode="clip") - x)
+
+        def first(lo, hi, holds):  # per key, the first r in [lo, hi) where holds(r), else hi
+            while (lo < hi).any():
+                mid = (lo + hi) // 2
+                yes = (lo == hi) | holds(mid)
+                lo, hi = np.where(yes, lo, mid + 1), np.where(yes, mid, hi)
+            return lo
+
+        # |E - x| falls, then rises, along the sorted energies: its least value g is
+        # taken at a neighbour of x, and on the runs lo..hi - 1 around it
         with np.errstate(over="ignore"):  # a gap past the float range is just far
-            gaps = np.abs(energies - energy)
-        i = int(np.argmin(gaps))
-        atol = max(self.shell_tolerance, 1e-12) * (1.0 + abs(energy))
-        if not gaps[i] <= atol:
-            raise KeyError(f"no shell at energy {energy!r} (nearest is {float(energies[i])!r})")
-        return int(self._block_of[CANONICAL][i])
+            g = np.minimum(gap(p - 1), gap(p))
+            # mostly the runs reach past neither neighbour: then the search is over 2 runs
+            lo = first(np.where(gap(p - 2) <= g, 0, p - 1), p, lambda r: gap(r) <= g)
+            hi = first(p, np.where(gap(p + 1) > g, p + 1, len(energies)), lambda r: gap(r) > g)
+        seq = np.argsort(lo)  # keeps the spans between the keys' runs O(subspaces) in all
+        ends = np.stack([lo[seq], hi[seq]], axis=1).ravel()
+        nearest = np.minimum.reduceat(np.append(head, 0), ends)[::2][np.argsort(seq)]
+        shells, near = np.full(len(keys), -1), np.full(len(keys), np.nan)
+        shells[ok] = np.where(g <= max(self.shell_tolerance, 1e-12) * (1.0 + np.abs(x)),
+                              self._block_of[CANONICAL][nearest], -1)
+        near[ok] = subspace_energies[nearest]
+        return shells, near
 
     def subspace_sums(self, flat) -> np.ndarray:
         """Sum the trailing flat-layout axis (length dim) over each subspace block."""
@@ -278,7 +313,7 @@ def compose(gas: Spectrum, container: Spectrum,
     shell_energies = energies[members[first]] + 0.0  # np.mean of one member: -0.0 is 0.0
     for k in np.flatnonzero(counts > 1):
         e = energies[members[first[k]:first[k] + counts[k]]]
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # partial sums of +-inf give NaN
             shell_energies[k] = np.mean(e)
         if not np.isfinite(shell_energies[k]):  # the sum overflowed: scale the members first
             shell_energies[k] = np.clip(np.sum(e / len(e)), e.min(), e.max())

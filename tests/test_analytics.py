@@ -231,19 +231,25 @@ def test_region_mean_purity_is_the_sum_over_amplitude_pairs(gas, container, kind
 
 def test_region_mean_purity_of_a_canonical_region_holds_levels_by_shells():
     # 120 x 120 nondegenerate levels: 14 400 subspaces in 239 shells.  The counts
-    # were once levels x subspaces before the shell sums, a 40.3 MiB peak.
+    # were once levels x subspaces before the shell sums, a 40.3 MiB peak, and
+    # levels x blocks after: 40.2 MiB for the microcanonical region, where each
+    # subspace is its own block.
     levels = build_spectrum([(e, 1) for e in range(120)])
     comp = compose(levels, levels)
-    w_shell = comp.shell_sums(np.outer(np.linspace(1, 2, 120), np.linspace(2, 1, 120)).ravel())
-    profile = canonical_profile(dict(zip(comp.shell_energies.tolist(), w_shell / w_shell.sum())))
-    region_mean_purity(comp, profile)  # numpy imports modules on first use
-    tracemalloc.start()
-    try:
-        region_mean_purity(comp, profile)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20, peak
+    w = np.outer(np.linspace(1, 2, 120), np.linspace(2, 1, 120)).ravel()
+    w_shell = comp.shell_sums(w)
+    a, b = divmod(np.arange(comp.n_subspaces), 120)
+    for profile in (
+            canonical_profile(dict(zip(comp.shell_energies.tolist(), w_shell / w_shell.sum()))),
+            microcanonical_profile(dict(zip(zip(a.tolist(), b.tolist()), (w / w.sum()).tolist())))):
+        region_mean_purity(comp, profile)  # numpy imports modules on first use
+        tracemalloc.start()
+        try:
+            region_mean_purity(comp, profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, (profile.kind, peak)
 
 
 def _fraction_mean_purity(gas, container, shell_weights):

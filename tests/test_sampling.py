@@ -70,7 +70,9 @@ def test_resolve_unknown_subspace():
 def test_resolve_refuses_a_fraction_or_a_truth_value_as_a_subspace_key():
     # int() once truncated (0.5, 0) onto subspace (0, 0) and read True as 1
     comp = compose(build_spectrum([(0, 2), (1, 2)]), build_spectrum([(0, 3), (1, 3)]))
-    for key in [(0.5, 0), (True, 0), (0, np.True_), (math.nan, 0), (-1, 0), (2, 0), ("1", 0)]:
+    # a key that is no pair once raised TypeError or ValueError
+    for key in [(0.5, 0), (True, 0), (0, np.True_), (math.nan, 0), (-1, 0), (2, 0), ("1", 0),
+                5, (0,), (0, 1, 2)]:
         with pytest.raises(KeyError, match="no subspace"):
             microcanonical_profile({key: 1.0}).resolve(comp)
     # a key equal to the level, as a dict keyed by (A, B) finds it
@@ -290,6 +292,23 @@ def test_sample_gas_states_draws_the_cheaper_way():
     profile = canonical_profile({8: 1.0})
     np.testing.assert_array_equal(np.concatenate(list(sample_gas_states(comp, profile, 5, 0, 40))),
                                   np.concatenate(list(gas_state_chunks(comp, profile, 5, 0, 40))))
+
+
+def test_sample_gas_states_resolves_the_profile_once(monkeypatch):
+    # the amplitude path once resolved it twice: for the Bartlett layout, then for the spheres
+    calls = []
+    resolve = hsmc.sampling.ConstraintProfile.resolve
+    monkeypatch.setattr(hsmc.sampling.ConstraintProfile, "resolve",
+                        lambda self, comp: calls.append(1) or resolve(self, comp))
+    amplitudes = (compose(build_spectrum([(0, 2)]), build_spectrum([(0, 8)])),
+                  microcanonical_profile({(0, 0): 1.0}))
+    bartlett = (compose(build_spectrum([(0, 1), (1, 1), (2, 1)]),
+                        build_spectrum([(e, 2 ** e) for e in range(9)])),
+                canonical_profile({8: 1.0}))
+    for comp, profile in (amplitudes, bartlett):
+        calls.clear()
+        assert len(np.concatenate(list(sample_gas_states(comp, profile, 5, 0, 40)))) == 40
+        assert len(calls) == 1
 
 
 def test_batch_rejects_keys_outside_the_philox_range():

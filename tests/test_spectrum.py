@@ -1,3 +1,5 @@
+import math
+import numbers
 import warnings
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsmc import CANONICAL, MICROCANONICAL, build_spectrum, compose
+from hsmc import CANONICAL, MICROCANONICAL, build_spectrum, canonical_profile, compose
 from hsmc.spectrum import DEFAULT_SHELL_TOLERANCE
 
 
@@ -203,6 +205,12 @@ def test_shell_energy_of_huge_members_stays_finite():
     for energy in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(KeyError, match="no shell"):
             comp.shell_index_at(energy)
+    # members' partial sums of +inf and -inf once made np.mean warn of a NaN
+    quarter = build_spectrum([(-1.7e308, 1), (-1e308, 1), (1e308, 1), (1.7e308, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        comp = compose(quarter, build_spectrum([(e, 1) for e in range(4)]), float("inf"))
+    assert comp.shell_energies.tolist() == [0.0]
 
 
 def test_shell_tolerance_groups_close_energies():
@@ -345,3 +353,66 @@ def test_a_composite_of_2_63_states_or_more_is_refused():
     comp = compose(build_spectrum([(0, 1), (1, 2**62 - 2)]), build_spectrum([(0, 1), (1, 1)]))
     assert comp.dim == 2**63 - 2
     assert comp.block_dims(CANONICAL).tolist() == [1, 2**62 - 1, 2**62 - 2]
+
+
+def scan_shell_index_at(comp, energy):
+    """The shell lookup as one scan over every subspace energy: argmin of the gaps."""
+    if isinstance(energy, (bool, np.bool_)) or not isinstance(energy, numbers.Real):
+        raise KeyError(f"no shell at energy {energy!r}")
+    energy = float(energy)
+    if not np.isfinite(energy):
+        raise KeyError(f"no shell at energy {energy!r}")
+    energies = np.add.outer(comp.gas.energies, comp.container.energies).ravel()
+    with np.errstate(over="ignore"):
+        gaps = np.abs(energies - energy)
+    i = int(np.argmin(gaps))
+    if not gaps[i] <= max(comp.shell_tolerance, 1e-12) * (1.0 + abs(energy)):
+        raise KeyError(f"no shell at energy {energy!r} (nearest is {float(energies[i])!r})")
+    return int(comp.block_of(CANONICAL)[i])
+
+
+def scan_resolve(comp, weights):
+    """A canonical profile resolved key by key with :func:`scan_shell_index_at`."""
+    out, seen = np.zeros(comp.n_shells), set()
+    for key, w in weights.items():
+        i = scan_shell_index_at(comp, key)
+        if i in seen:
+            raise KeyError(f"two weight keys resolve to the shell at E={comp.shell_energies[i]}")
+        seen.add(i)
+        out[i] = float(w)
+    return out
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except KeyError as exc:
+        return f"KeyError {exc}"
+
+
+@given(float_spectra(), float_spectra(), st.sampled_from([0.0, 1e-9, 0.15, math.inf]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_shell_lookup_is_the_scan_over_subspace_energies(gas, container, shell_tolerance, data):
+    try:
+        comp = compose(gas, container, shell_tolerance)
+    except ValueError:  # a total energy overflows
+        return
+    energies = np.unique(np.add.outer(gas.energies, container.energies))
+    # members, shell means, midpoints of neighbours (ties of two gaps among them)
+    probes = [*energies.tolist(), *comp.shell_energies.tolist(), -0.0,
+              *(energies[:-1] / 2 + energies[1:] / 2).tolist(),
+              math.nan, math.inf, -math.inf, np.float64(math.nan), True, np.True_, "1.0", None]
+    for energy in probes:
+        assert outcome(comp.shell_index_at, energy) == outcome(scan_shell_index_at, comp, energy)
+    keys = data.draw(st.lists(st.sampled_from(probes), min_size=1, max_size=6))
+    weights = dict.fromkeys(keys)
+    weights = {key: 1 / len(weights) for key in weights}
+    got = outcome(canonical_profile(weights).resolve, comp)
+    want = outcome(scan_resolve, comp, weights)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.tobytes() == want.tobytes()
+    shells = {e: 1 / comp.n_shells for e in comp.shell_energies.tolist()}
+    np.testing.assert_array_equal(canonical_profile(shells).resolve(comp),
+                                  scan_resolve(comp, shells))
