@@ -23,10 +23,9 @@ from .sampling import (CANONICAL, MICROCANONICAL, ConstraintProfile,
                        sample_canonical, sample_chunks, sample_gas_states,
                        sample_microcanonical, substream)
 from .spectrum import CompositeSpectrum, Spectrum, build_spectrum, compose
-from .state import (DensityMatrix, PureState, WeightProfile,
-                    gas_purity_entropy, product_state, purity_entropy,
-                    read_amplitudes_csv, reduce_gas_states, shell_weights,
-                    subspace_weights, uniform_profile, write_amplitudes_csv)
+from .state import (DensityMatrix, PureState, gas_purity_entropy, product_state,
+                    purity_entropy, read_amplitudes_csv, reduce_gas_states, shell_weights,
+                    subspace_weights, write_amplitudes_csv)
 
 __version__ = "0.1.0"
 
@@ -34,7 +33,7 @@ __all__ = [
     "__version__",
     "Spectrum", "CompositeSpectrum",
     "build_spectrum", "compose",
-    "WeightProfile", "uniform_profile", "subspace_weights", "shell_weights",
+    "subspace_weights", "shell_weights",
     "PureState", "DensityMatrix", "gas_purity_entropy", "reduce_gas_states", "purity_entropy",
     "product_state",
     "write_amplitudes_csv", "read_amplitudes_csv",

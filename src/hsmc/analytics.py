@@ -21,7 +21,7 @@ import numpy as np
 from .sampling import (CANONICAL, MICROCANONICAL, ConstraintProfile, McEstimate, mc_estimate,
                        product_constraint, region, substream)
 from .spectrum import CompositeSpectrum, Spectrum
-from .state import BATCH_ELEMENTS, WeightProfile, checked_weights
+from .state import BATCH_ELEMENTS, _level_weights, checked_weights
 
 __all__ = [
     "MAX_MOMENT_ORDER",
@@ -112,29 +112,33 @@ def expected_purity_exact(composite: CompositeSpectrum, gas_weights,
                           container_weights) -> float:
     """:func:`region_mean_purity` of the microcanonical region with W_AB = W_A * W_B."""
     return region_mean_purity(composite, product_constraint(
-        composite, WeightProfile(composite.gas, gas_weights),
-        WeightProfile(composite.container, container_weights)))
+        composite, gas_weights, container_weights))
 
 
-def expected_purity_approx(gas_weights, gas_degeneracies, container_weights,
-                           container_degeneracies) -> float:
+def expected_purity_approx(composite: CompositeSpectrum, gas_weights,
+                           container_weights) -> float:
     """Large-degeneracy limit of the average gas purity.
 
     sum_A W_A^2/N_A + sum_B W_B^2/N_B; valid when every N_A*N_B >> 1.  The
     first term is the minimum purity, so a small second term means almost the
     whole region sits near minimum purity.
     """
-    w_a = np.asarray(gas_weights, dtype=float)
-    n_a = np.asarray(gas_degeneracies, dtype=float)
-    w_b = np.asarray(container_weights, dtype=float)
-    n_b = np.asarray(container_degeneracies, dtype=float)
+    w_a, w_b = _level_weights(composite, gas_weights, container_weights)
+    n_a = np.asarray(composite.gas.degeneracies, dtype=float)
+    n_b = np.asarray(composite.container.degeneracies, dtype=float)
     return float(np.sum(w_a ** 2 / n_a) + np.sum(w_b ** 2 / n_b))
+
+
+def _dimensions(*dims) -> list[int]:
+    """``dims`` as ints; ValueError unless each is an integer >= 1 and not a truth value."""
+    if any(isinstance(d, bool) or not abs(d) < math.inf or int(d) != d or d < 1 for d in dims):
+        raise ValueError(f"dimensions {dims!r} must be integers >= 1")
+    return [int(d) for d in dims]
 
 
 def lubkin_average(n_gas: int, n_container: int) -> float:
     """Average gas purity over fully unconstrained states: (Ng+Nc)/(Ng*Nc+1)."""
-    if n_gas < 1 or n_container < 1:
-        raise ValueError("dimensions must be >= 1")
+    n_gas, n_container = _dimensions(n_gas, n_container)
     return (n_gas + n_container) / (n_gas * n_container + 1)
 
 
@@ -144,9 +148,7 @@ def page_entropy(m: int, n: int) -> float:
     For m <= n it is sum_{k=n+1}^{mn} 1/k - (m - 1) / (2n) (Page, PRL 71, 1291,
     1993; proved by Foong and Kanno, PRL 72, 1148, 1994, and Sen, PRL 77, 1, 1996).
     """
-    if m < 1 or n < 1:
-        raise ValueError("dimensions must be >= 1")
-    m, n = min(m, n), max(m, n)
+    m, n = sorted(_dimensions(m, n))
     return math.fsum(1.0 / k for k in range(n + 1, m * n + 1)) - (m - 1) / (2 * n)
 
 

@@ -91,9 +91,9 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
         "min_purity": min_purity_state(gas, gas_marginal)[1] if micro else None,
         "max_entropy": max_entropy_micro(gas_marginal, gas.degeneracies) if micro else None,
         "expected_purity_exact": region_mean_purity(composite, cfg.constraint),
-        "expected_purity_approx": expected_purity_approx(
-            cfg.gas_profile.as_array(), gas.degeneracies, cfg.container_profile.as_array(),
-            container.degeneracies) if micro and cfg.gas_profile is not None else None,
+        "expected_purity_approx": (expected_purity_approx(
+            composite, cfg.gas_weights, cfg.container_weights)
+            if micro and cfg.gas_weights is not None else None),
         "lubkin_average": (lubkin_average(gas.dim, container.dim)
                            if gas.n_levels == container.n_levels == 1 else None),
     }
@@ -157,7 +157,7 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
 
 def _initial_state(cfg: ExperimentConfig):
     if cfg.initial == "product":  # build_experiment checked the constraint is product-form
-        return product_state(cfg.composite, cfg.gas_profile, cfg.container_profile)
+        return product_state(cfg.composite, cfg.gas_weights, cfg.container_weights)
     return PureState(cfg.composite, next(sample_chunks(cfg.composite, cfg.constraint,
                                                        cfg.seed, 1, 1))[0], check=False)
 

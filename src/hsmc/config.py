@@ -24,7 +24,7 @@ from .analytics import MomentQuery
 from .sampling import CANONICAL, MICROCANONICAL, ConstraintProfile, product_constraint
 from .spectrum import (DEFAULT_SHELL_TOLERANCE, CompositeSpectrum, Spectrum,
                        build_spectrum, compose)
-from .state import WeightProfile, shell_weights
+from .state import checked_weights, shell_weights
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "build_experiment"]
 
@@ -57,8 +57,8 @@ class ExperimentConfig:
     quiet: bool
     composite: CompositeSpectrum | None
     constraint: ConstraintProfile | None
-    gas_profile: WeightProfile | None
-    container_profile: WeightProfile | None
+    gas_weights: tuple[float, ...] | None
+    container_weights: tuple[float, ...] | None
     moment_query: MomentQuery | None
     seed: int
     n_samples: int
@@ -144,18 +144,21 @@ def _bool_field(section: dict, section_name: str, key: str) -> bool:
     return value
 
 
-def _weight_profile(spectrum: Spectrum, values, where: str) -> WeightProfile:
+def _weight_profile(section: dict, name: str, spectrum: Spectrum) -> tuple[float, ...]:
+    """``constraint.<name>_weights``, one weight per level of ``spectrum``."""
+    where, values = f"constraint.{name}_weights", section[f"{name}_weights"]
     if not isinstance(values, list):
         raise ConfigError(f"{where} must be a list of weights")
     weights = tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(values))
     try:
-        return WeightProfile(spectrum=spectrum, weights=weights)
+        checked_weights(weights, spectrum.n_levels, f"{name} weights")
     except ValueError as exc:
         raise ConfigError(f"{where} invalid: {exc}") from exc
+    return weights
 
 
 def _build_constraint(raw: dict, composite: CompositeSpectrum):
-    """Returns (profile, gas_profile | None, container_profile | None, resolved section)."""
+    """Returns (profile, gas_weights | None, container_weights | None, resolved section)."""
     section = raw.get("constraint")
     if not isinstance(section, dict):
         raise ConfigError("missing 'constraint' section")
@@ -174,22 +177,20 @@ def _build_constraint(raw: dict, composite: CompositeSpectrum):
             "explicit 'weights' list, not both or neither"
         )
 
-    gas_profile = container_profile = None
+    gas_weights = container_weights = None
     if has_product:
         if "gas_weights" not in section or "container_weights" not in section:
             raise ConfigError("product constraints need both gas_weights and container_weights")
-        gas_profile = _weight_profile(composite.gas, section["gas_weights"],
-                                      "constraint.gas_weights")
-        container_profile = _weight_profile(composite.container, section["container_weights"],
-                                            "constraint.container_weights")
+        gas_weights = _weight_profile(section, "gas", composite.gas)
+        container_weights = _weight_profile(section, "container", composite.container)
         if micro:
-            profile = product_constraint(composite, gas_profile, container_profile)
+            profile = product_constraint(composite, gas_weights, container_weights)
         else:
-            w_shell = shell_weights(composite, gas_profile, container_profile)
+            w_shell = shell_weights(composite, gas_weights, container_weights)
             profile = ConstraintProfile(kind, {
                 energy: float(w) for energy, w in zip(composite.shell_energies.tolist(), w_shell)})
-        resolved = {"kind": kind, "gas_weights": list(gas_profile.weights),
-                    "container_weights": list(container_profile.weights)}
+        resolved = {"kind": kind, "gas_weights": list(gas_weights),
+                    "container_weights": list(container_weights)}
     else:
         entries = section["weights"]
         if not isinstance(entries, list) or not entries:
@@ -218,7 +219,7 @@ def _build_constraint(raw: dict, composite: CompositeSpectrum):
         profile.resolve(composite)
     except KeyError as exc:
         raise ConfigError(f"constraint.weights inconsistent with the spectra: {exc}") from exc
-    return profile, gas_profile, container_profile, resolved
+    return profile, gas_weights, container_weights, resolved
 
 
 def build_experiment(raw: dict, command: str, seed: int | None = None,
@@ -273,7 +274,7 @@ def build_experiment(raw: dict, command: str, seed: int | None = None,
     run["dump_states"] = _bool_field(given, "run", "dump_states")
 
     resolved = {"command": command, "run": run, "output": {"dir": out_dir, "quiet": quiet}}
-    composite = constraint = gas_profile = container_profile = moment_query = None
+    composite = constraint = gas_weights = container_weights = moment_query = None
 
     if command == "moments":
         section = raw.get("moments")
@@ -308,7 +309,7 @@ def build_experiment(raw: dict, command: str, seed: int | None = None,
             resolved[name] = {"levels": [[e, n_] for e, n_ in
                                          zip(spectrum.energies, spectrum.degeneracies)]}
         resolved["shell_tolerance"] = shell_tolerance
-        constraint, gas_profile, container_profile, resolved["constraint"] = _build_constraint(
+        constraint, gas_weights, container_weights, resolved["constraint"] = _build_constraint(
             raw, composite)
         # |H| <= S, and the largest sum of squares of an evolve run is commutator_norms':
         # sum |H_jk (d_j - d_k)|^2 <= (2 S)^2 |H|_F^2 <= 4 dim S^4.
@@ -317,11 +318,11 @@ def build_experiment(raw: dict, command: str, seed: int | None = None,
                 4 * composite.dim * (scale * scale) * (scale * scale))):
             raise ConfigError(f"gas.levels, container.levels and run.coupling give evolve an "
                               f"energy scale S = {scale!r}: t_max S or 4 dim S^4 overflows")
-        if command == "evolve" and run["initial"] == "product" and gas_profile is None:
+        if command == "evolve" and run["initial"] == "product" and gas_weights is None:
             raise ConfigError("run.initial=product needs a product-form constraint "
                               "(gas_weights + container_weights); use run.initial=sample")
 
     return ExperimentConfig(command=command, resolved=resolved, out_dir=out_dir, quiet=quiet,
                             composite=composite, constraint=constraint,
-                            gas_profile=gas_profile, container_profile=container_profile,
+                            gas_weights=gas_weights, container_weights=container_weights,
                             moment_query=moment_query, **run)

@@ -30,8 +30,8 @@ import numpy as np
 
 from .fanout import fan_out, one_blas_thread, shared_array
 from .spectrum import CANONICAL, MICROCANONICAL, CompositeSpectrum
-from .state import (BATCH_ELEMENTS, PureState, WeightProfile, batch_rows,
-                    check_normalized, checked_weights, reduce_gas_states, subspace_weights)
+from .state import (BATCH_ELEMENTS, PureState, batch_rows, check_normalized, checked_weights,
+                    reduce_gas_states, subspace_weights)
 
 __all__ = [
     "MICROCANONICAL",
@@ -121,10 +121,10 @@ def canonical_profile(weights: Mapping) -> ConstraintProfile:
     return ConstraintProfile(kind=CANONICAL, weights=dict(weights))
 
 
-def product_constraint(composite: CompositeSpectrum, gas_profile: WeightProfile,
-                       container_profile: WeightProfile) -> ConstraintProfile:
+def product_constraint(composite: CompositeSpectrum, gas_weights,
+                       container_weights) -> ConstraintProfile:
     """Microcanonical profile of a product initial state: W_AB = W_A * W_B."""
-    w_sub = subspace_weights(composite, gas_profile, container_profile)
+    w_sub = subspace_weights(composite, gas_weights, container_weights)
     a, b = divmod(np.arange(composite.n_subspaces), composite.container.n_levels)
     weights = dict(zip(zip(a.tolist(), b.tolist()), w_sub.tolist()))
     return ConstraintProfile(kind=MICROCANONICAL, weights=weights)

@@ -1,4 +1,4 @@
-"""Pure states on the composite space, reduced density matrices, weight profiles.
+"""Pure states on the composite space, reduced density matrices, product weights.
 
 Amplitudes live in the flat block layout fixed by :class:`~hsmc.spectrum.CompositeSpectrum`.
 Reduction to the gas always goes through the dim_gas x dim_container amplitude
@@ -9,20 +9,18 @@ Conventions: k_B = 1 and entropies use the natural logarithm, with 0 ln 0 = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import functools
 
 import numpy as np
 
 from .fanout import one_blas_thread
-from .spectrum import CompositeSpectrum, Spectrum
+from .spectrum import CompositeSpectrum
 
 __all__ = [
     "NORMALIZATION_TOLERANCE", "WEIGHT_SUM_TOLERANCE", "BATCH_ELEMENTS", "batch_rows",
-    "checked_weights", "check_normalized", "WeightProfile", "uniform_profile",
-    "subspace_weights", "shell_weights", "PureState", "DensityMatrix", "reduce_gas_states",
-    "purity_entropy", "gas_purity_entropy", "product_state", "write_amplitudes_csv",
-    "read_amplitudes_csv",
+    "checked_weights", "check_normalized", "subspace_weights", "shell_weights", "PureState",
+    "DensityMatrix", "reduce_gas_states", "purity_entropy", "gas_purity_entropy",
+    "product_state", "write_amplitudes_csv", "read_amplitudes_csv",
 ]
 
 NORMALIZATION_TOLERANCE = 1e-10
@@ -113,46 +111,23 @@ def _entropy(eigenvalues: np.ndarray) -> np.ndarray:
     return -np.sum(eigenvalues * logs, axis=-1)
 
 
-@dataclass(frozen=True)
-class WeightProfile:
-    """Probability weight per level of one spectrum (the constraint data W_A).
-
-    Weights are validated by :func:`checked_weights`.
-    """
-
-    spectrum: Spectrum
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        checked_weights(self.weights, self.spectrum.n_levels,
-                        f"profile over {self.spectrum.n_levels} levels")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+def _level_weights(composite: CompositeSpectrum, gas_weights,
+                   container_weights) -> tuple[np.ndarray, np.ndarray]:
+    """The level weights W_A and W_B of a product state, each checked by
+    :func:`checked_weights` against the levels of its spectrum."""
+    return (checked_weights(gas_weights, composite.gas.n_levels, "gas weights"),
+            checked_weights(container_weights, composite.container.n_levels, "container weights"))
 
 
-def uniform_profile(spectrum: Spectrum) -> WeightProfile:
-    """Equal weight 1/n_levels on every level of ``spectrum``."""
-    n = spectrum.n_levels
-    return WeightProfile(spectrum=spectrum, weights=tuple(1.0 / n for _ in range(n)))
-
-
-def subspace_weights(composite: CompositeSpectrum, gas_profile: WeightProfile,
-                     container_profile: WeightProfile) -> np.ndarray:
+def subspace_weights(composite: CompositeSpectrum, gas_weights, container_weights) -> np.ndarray:
     """Product-state constraint weights W_AB = W_A * W_B, in subspace order."""
-    if gas_profile.spectrum is not composite.gas and gas_profile.spectrum != composite.gas:
-        raise ValueError("gas profile does not match the composite's gas spectrum")
-    if (container_profile.spectrum is not composite.container
-            and container_profile.spectrum != composite.container):
-        raise ValueError("container profile does not match the composite's container spectrum")
     # Subspaces enumerate (A, B) lexicographically: the row-major outer product.
-    return np.outer(gas_profile.as_array(), container_profile.as_array()).ravel()
+    return np.outer(*_level_weights(composite, gas_weights, container_weights)).ravel()
 
 
-def shell_weights(composite: CompositeSpectrum, gas_profile: WeightProfile,
-                  container_profile: WeightProfile) -> np.ndarray:
-    """Total weight per energy shell implied by a product profile."""
-    return composite.shell_sums(subspace_weights(composite, gas_profile, container_profile))
+def shell_weights(composite: CompositeSpectrum, gas_weights, container_weights) -> np.ndarray:
+    """Total weight per energy shell implied by product level weights."""
+    return composite.shell_sums(subspace_weights(composite, gas_weights, container_weights))
 
 
 class PureState:
@@ -290,22 +265,17 @@ def gas_purity_entropy(composite: CompositeSpectrum,
     return purity, entropy
 
 
-def product_state(composite: CompositeSpectrum, gas_profile: WeightProfile,
-                  container_profile: WeightProfile) -> PureState:
-    """Real product state |u> x |v> whose level weights match the two profiles.
+def product_state(composite: CompositeSpectrum, gas_weights, container_weights) -> PureState:
+    """Real product state |u> x |v> whose level weights are W_A and W_B.
 
     Each level's amplitude mass is spread evenly over its degenerate states:
     u_{A,a} = sqrt(W_A / N_A) and likewise for the container, so the subspace
     weights come out exactly W_A * W_B.
     """
-    u = np.repeat(
-        np.sqrt(gas_profile.as_array() / np.asarray(composite.gas.degeneracies)),
-        composite.gas.degeneracies,
-    )
-    v = np.repeat(
-        np.sqrt(container_profile.as_array() / np.asarray(composite.container.degeneracies)),
-        composite.container.degeneracies,
-    )
+    w_a, w_b = _level_weights(composite, gas_weights, container_weights)
+    gas, container = composite.gas, composite.container
+    u = np.repeat(np.sqrt(w_a / np.asarray(gas.degeneracies)), gas.degeneracies)
+    v = np.repeat(np.sqrt(w_b / np.asarray(container.degeneracies)), container.degeneracies)
     return PureState.from_matrix(composite, np.outer(u, v))
 
 

@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.stats import ks_2samp
 
-from hsmc import (CANONICAL, MICROCANONICAL, MomentQuery, WeightProfile,
+from hsmc import (CANONICAL, MICROCANONICAL, MomentQuery,
                   build_microcanonical_hamiltonian,
                   build_canonical_hamiltonian, build_spectrum, canonical_profile,
                   compose, dominant_distribution, evolve, expected_purity_exact,
@@ -24,7 +24,7 @@ from hsmc import (CANONICAL, MICROCANONICAL, MomentQuery, WeightProfile,
                   mc_average, microcanonical_profile, min_purity_state, page_entropy,
                   path_average, product_constraint, product_state, purity_entropy,
                   region_log_size, region_mean_purity, sample_chunks,
-                  sample_microcanonical, time_average, uniform_profile)
+                  sample_microcanonical, time_average)
 from hsmc.sampling import mc_estimate
 
 
@@ -81,11 +81,7 @@ def test_2_exact_average_purity_over_five_composites(announce):
         gas = build_spectrum(gas_levels)
         container = build_spectrum(cont_levels)
         comp = compose(gas, container)
-        profile = product_constraint(
-            comp,
-            WeightProfile(gas, w_gas),
-            WeightProfile(container, w_cont),
-        )
+        profile = product_constraint(comp, w_gas, w_cont)
         est = mc_average(lambda a: gas_purity_entropy(comp, a)[0], comp, profile, n, seed)
         exact = expected_purity_exact(comp, w_gas, w_cont)
         z_scores.append(abs(est.mean - exact) / est.std_error)
@@ -135,7 +131,8 @@ def test_4_entropy_concentration_near_maximum(announce):
     gas = build_spectrum([(0, 2), (1, 2)])
     container = build_spectrum([(0, 100), (1, 100)])
     comp = compose(gas, container)
-    profile = product_constraint(comp, uniform_profile(gas), uniform_profile(container))
+    profile = product_constraint(comp, np.full(gas.n_levels, 1 / gas.n_levels),
+                                 np.full(container.n_levels, 1 / container.n_levels))
     s_max = max_entropy_micro([0.5, 0.5], [2, 2])
     p_min = min_purity_state(gas, [0.5, 0.5])[1]
 
@@ -288,8 +285,8 @@ def test_7_conservation_across_random_hamiltonians(announce):
         coupling = float(master.uniform(0.05, 1.0))
         initial = sample_microcanonical(
             comp,
-            product_constraint(comp, uniform_profile(comp.gas),
-                               uniform_profile(comp.container)),
+            product_constraint(comp, np.full(comp.gas.n_levels, 1 / comp.gas.n_levels),
+                               np.full(comp.container.n_levels, 1 / comp.container.n_levels)),
             master,
         )
         times = np.linspace(0.0, 50.0 / coupling, 41)
@@ -323,12 +320,10 @@ def test_8_product_state_equilibrates_to_the_attractor(announce):
     container = build_spectrum([(0, 50), (1, 50)])
     comp = compose(gas, container)
     w = (0.5, 0.5)
-    gas_profile = WeightProfile(gas, w)
-    cont_profile = WeightProfile(container, w)
 
     coupling = 0.1
     times = np.linspace(0.0, 50.0 / coupling, 201)
-    initial = product_state(comp, gas_profile, cont_profile)
+    initial = product_state(comp, w, w)
     hamiltonian = build_microcanonical_hamiltonian(
         comp, coupling, np.random.default_rng(607))
     traj = evolve(initial, hamiltonian, times)
@@ -410,8 +405,7 @@ def test_10_bartlett_gas_states_match_the_amplitude_draw(announce):
         gas, container = build_spectrum(gas_levels), build_spectrum(cont_levels)
         comp = compose(gas, container)
         if isinstance(profile, tuple):
-            profile = product_constraint(comp, WeightProfile(gas, profile[0]),
-                                         WeightProfile(container, profile[1]))
+            profile = product_constraint(comp, *profile)
         purity, entropy = np.concatenate(
             [purity_entropy(rho) for rho in gas_state_chunks(comp, profile, seed, 0, n)], axis=1)
         # the amplitude draw reads other streams, so the two samples are independent

@@ -143,18 +143,19 @@ def test_expected_purity_approaches_approx_for_large_container():
     w_a, w_b = [0.5, 0.5], [0.4, 0.6]
     small = compose(gas, build_spectrum([(0, 4), (1, 4)]))
     big = compose(gas, build_spectrum([(0, 400), (1, 400)]))
-    approx_big = expected_purity_approx(w_a, gas.degeneracies, w_b, [400, 400])
+    approx_big = expected_purity_approx(big, w_a, w_b)
     exact_big = expected_purity_exact(big, w_a, w_b)
     exact_small = expected_purity_exact(small, w_a, w_b)
-    approx_small = expected_purity_approx(w_a, gas.degeneracies, w_b, [4, 4])
+    approx_small = expected_purity_approx(small, w_a, w_b)
     assert abs(exact_big - approx_big) < abs(exact_small - approx_small) / 50
     assert abs(exact_big - approx_big) / exact_big < 1e-2
 
 
 def test_expected_purity_approx_values():
-    assert expected_purity_approx([0.5, 0.5], [2, 2], [0.5, 0.5], [2, 2]) == pytest.approx(0.5)
+    gas = build_spectrum([(0, 2), (1, 2)])
+    assert expected_purity_approx(compose(gas, gas), [0.5, 0.5], [0.5, 0.5]) == pytest.approx(0.5)
     p_min = 0.25
-    value = expected_purity_approx([0.5, 0.5], [2, 2], [1.0], [10 ** 6])
+    value = expected_purity_approx(compose(gas, build_spectrum([(0, 10 ** 6)])), [0.5, 0.5], [1.0])
     assert value == pytest.approx(p_min + 1e-6)
 
 
@@ -169,7 +170,7 @@ def test_exact_approx_gap_small_for_large_blocks():
         w_a = rng.dirichlet([2, 2])
         w_b = rng.dirichlet([2, 2])
         exact = expected_purity_exact(comp, w_a, w_b)
-        approx = expected_purity_approx(w_a, n_a, w_b, n_b)
+        approx = expected_purity_approx(comp, w_a, w_b)
         assert abs(exact - approx) / exact < 1e-2
 
 
@@ -347,6 +348,15 @@ def test_lubkin_values():
     assert abs(big - 0.5) < 1e-4  # approaches 1/N_g from above
     with pytest.raises(ValueError):
         lubkin_average(0, 5)
+
+
+@pytest.mark.parametrize("dims", [(True, 8), (8, False), (2.5, 8), (math.nan, 2), (2, math.inf),
+                                  (-3, 2)])
+def test_dimensions_that_are_not_positive_integers_are_refused(dims):
+    # truth values, fractions and NaN once gave 1.0, 0.5 or nan (and a TypeError)
+    for closed_form in (lubkin_average, page_entropy):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            closed_form(*dims)
 
 
 def test_page_entropy_values():

@@ -21,10 +21,10 @@ import yaml
 
 import hsmc.sampling
 import hsmc.state
-from hsmc import (CANONICAL, WeightProfile, build_spectrum, canonical_profile, compose,
-                  dominant_distribution, expected_purity_exact, gas_purity_entropy, mc_average,
-                  microcanonical_profile, min_purity_state, purity_entropy, region_log_size,
-                  region_mean_purity, sample_chunks)
+from hsmc import (CANONICAL, build_spectrum, canonical_profile, compose, dominant_distribution,
+                  expected_purity_approx, expected_purity_exact, gas_purity_entropy, mc_average,
+                  microcanonical_profile, min_purity_state, product_state, purity_entropy,
+                  region_log_size, region_mean_purity, sample_chunks, subspace_weights)
 from hsmc import cli, dynamics, fanout
 from hsmc.cli import COMMANDS, main
 from hsmc.config import MAX_MOMENT_POINTS, build_experiment, load_config
@@ -910,9 +910,11 @@ def test_a_number_given_as_text_is_read_as_the_number():
 _TWO_LEVELS = build_spectrum([(0, 1), (1, 1)])
 _TWO_SHELLS = compose(_TWO_LEVELS, build_spectrum([(0, 1)]))
 
-# The five former weight validators, each fed two weights.
+# The weight validators, each fed two weights (the gas weights where there are two lists).
 NON_FINITE_VALIDATORS = {
-    "WeightProfile": lambda w: WeightProfile(_TWO_LEVELS, tuple(w)),
+    "product_state": lambda w: product_state(_TWO_SHELLS, w, [1.0]),
+    "subspace_weights": lambda w: subspace_weights(_TWO_SHELLS, w, [1.0]),
+    "expected_purity_approx": lambda w: expected_purity_approx(_TWO_SHELLS, w, [1.0]),
     "ConstraintProfile": lambda w: microcanonical_profile({(0, 0): w[0], (1, 0): w[1]}),
     "min_purity_state": lambda w: min_purity_state(_TWO_LEVELS, w),
     "dominant_distribution": lambda w: dominant_distribution(_TWO_SHELLS, w),

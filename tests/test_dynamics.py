@@ -15,7 +15,7 @@ from hsmc import (CANONICAL, MICROCANONICAL, NumericalValidationError, PureState
                   expected_purity_exact, gas_purity_entropy, max_drift,
                   mc_average, microcanonical_profile, path_average,
                   product_state, sample_microcanonical, substream,
-                  time_average, uniform_profile)
+                  time_average)
 from hsmc import dynamics, fanout
 from hsmc.state import BATCH_ELEMENTS
 
@@ -30,13 +30,9 @@ def composite_detuned():
                    shell_tolerance=0.5)
 
 
-def product_profiles(comp):
-    return uniform_profile(comp.gas), uniform_profile(comp.container)
-
-
 def uniform_product_state(comp):
-    gp, cp = product_profiles(comp)
-    return product_state(comp, gp, cp)
+    return product_state(comp, np.full(comp.gas.n_levels, 1 / comp.gas.n_levels),
+                         np.full(comp.container.n_levels, 1 / comp.container.n_levels))
 
 
 def _gue_reference(rng, n):
@@ -819,10 +815,10 @@ _LIBRARY_RUN = """
 import hashlib
 import numpy as np
 from hsmc import (build_microcanonical_hamiltonian, build_spectrum, compose, effective_velocity,
-                  evolve, product_state, substream, uniform_profile)
+                  evolve, product_state, substream)
 comp = compose(build_spectrum([(0, 2), (1, 2)]), build_spectrum([(0, 50), (1, 50)]))
 h = build_microcanonical_hamiltonian(comp, 0.1, substream(3, 0))
-state = product_state(comp, uniform_profile(comp.gas), uniform_profile(comp.container))
+state = product_state(comp, np.full(2, 1 / 2), np.full(2, 1 / 2))
 traj = evolve(state, h, np.linspace(0.0, 500.0, 201))
 for name, series in [*traj.measures.items(), ("chords", traj.chords)]:
     print(name, hashlib.sha256(series.tobytes()).hexdigest())

@@ -9,7 +9,7 @@ import pytest
 import hsmc.fanout
 import hsmc.sampling
 import hsmc.state
-from hsmc import (MICROCANONICAL, ConstraintProfile, McEstimate, WeightProfile, build_spectrum,
+from hsmc import (MICROCANONICAL, ConstraintProfile, McEstimate, build_spectrum,
                   canonical_profile, compose, gas_purity_entropy, lubkin_average,
                   gas_state_chunks, mc_average, microcanonical_profile, page_entropy,
                   product_constraint, purity_entropy, reduce_gas_states, sample_canonical,
@@ -486,8 +486,6 @@ def test_product_constraint_matches_outer_weights():
     gas = build_spectrum([(0, 2), (1, 3)])
     container = build_spectrum([(0, 2), (1, 2)])
     comp = compose(gas, container)
-    gp = WeightProfile(gas, (0.3, 0.7))
-    cp = WeightProfile(container, (0.4, 0.6))
-    profile = product_constraint(comp, gp, cp)
+    profile = product_constraint(comp, [0.3, 0.7], [0.4, 0.6])
     resolved = profile.resolve(comp)
     np.testing.assert_allclose(resolved, [0.12, 0.18, 0.28, 0.42], atol=1e-15)

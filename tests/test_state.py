@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -6,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsmc.state
-from hsmc import (MICROCANONICAL, DensityMatrix, PureState, WeightProfile, build_spectrum,
-                  compose, gas_purity_entropy, product_state, read_amplitudes_csv,
-                  shell_weights, subspace_weights, uniform_profile,
-                  write_amplitudes_csv)
-from hsmc.config import build_experiment
+from hsmc import (MICROCANONICAL, DensityMatrix, PureState, build_spectrum, compose,
+                  expected_purity_approx, expected_purity_exact, gas_purity_entropy,
+                  product_constraint, product_state, read_amplitudes_csv, shell_weights,
+                  subspace_weights, write_amplitudes_csv)
 
 
 def two_by_two():
@@ -227,15 +227,14 @@ def test_product_state_weights():
     gas = build_spectrum([(0, 1), (1, 3)])
     container = build_spectrum([(0, 2), (1, 2)])
     comp = compose(gas, container)
-    gp = WeightProfile(gas, (0.3, 0.7))
-    cp = WeightProfile(container, (0.4, 0.6))
+    gp, cp = [0.3, 0.7], [0.4, 0.6]
     state = product_state(comp, gp, cp)
     np.testing.assert_allclose(state.subspace_weights(),
                                [0.12, 0.18, 0.28, 0.42], atol=1e-14)
     np.testing.assert_allclose(state.shell_weights(),
                                [0.12, 0.46, 0.42], atol=1e-14)
     np.testing.assert_allclose(state.gas_level_weights(), [0.3, 0.7], atol=1e-14)
-    # matches the constraint-side computation from the profiles alone
+    # matches the constraint-side computation from the level weights alone
     np.testing.assert_allclose(subspace_weights(comp, gp, cp),
                                [0.12, 0.18, 0.28, 0.42], atol=1e-14)
     np.testing.assert_allclose(shell_weights(comp, gp, cp),
@@ -281,38 +280,29 @@ def test_batched_weight_sums_match_per_state_weights():
 
 
 def test_weight_profile_validation():
-    gas = build_spectrum([(0, 2), (1, 2)])
-    with pytest.raises(ValueError, match="sum"):
-        WeightProfile(gas, (0.5, 0.6))
-    with pytest.raises(ValueError, match="nonnegative"):
-        WeightProfile(gas, (-0.5, 1.5))
-    with pytest.raises(ValueError, match="levels"):
-        WeightProfile(gas, (1.0,))
-    assert uniform_profile(gas).as_array().tolist() == [0.5, 0.5]
+    # every function of (composite, gas_weights, container_weights) checks both lists;
+    # expected_purity_approx once returned nan, a broadcast 0.75 or a purity of 3 here
+    comp = compose(build_spectrum([(0, 2), (1, 2)]), build_spectrum([(0, 3)]))
+    for weigh in (subspace_weights, shell_weights, product_state, product_constraint,
+                  expected_purity_exact, expected_purity_approx):
+        for w_gas, w_container, message in [
+                ((0.5, 0.6), [1.0], "gas weights: weights sum to 1.1"),
+                ((-0.5, 1.5), [1.0], "gas weights: weights must be nonnegative"),
+                ((math.nan, 1.0), [1.0], "gas weights: weights must be finite"),
+                ((1.0,), [1.0], "gas weights: expected 2 weights"),
+                ((0.5, 0.5), (0.5, 0.5), "container weights: expected 1 weights"),
+                ((0.5, 0.5), [1.0 + 2e-12], "container weights: weights sum to")]:
+            with pytest.raises(ValueError, match=message):
+                weigh(comp, w_gas, w_container)
+    np.testing.assert_array_equal(subspace_weights(comp, np.full(2, 1 / 2), [1.0]), [0.5, 0.5])
 
 
 def test_profile_mismatch_rejected():
+    # three weights for two levels: a plain list is checked against the spectrum's levels
     gas = build_spectrum([(0, 2), (1, 2)])
-    other = build_spectrum([(0, 1), (1, 1), (2, 1)])
     comp = compose(gas, gas)
-    with pytest.raises(ValueError, match="profile"):
-        subspace_weights(comp, WeightProfile(other, (0.2, 0.3, 0.5)),
-                         uniform_profile(gas))
-
-
-def test_profile_over_equal_levels_weighs_a_config_composite():
-    # a spectrum is its levels: a profile over a fresh build of a config's levels
-    # weighs the composite the config builds
-    raw = {"gas": {"levels": [[0, 2], [1, 2]]}, "container": {"levels": [[0, 4], [1, 4]]},
-           "constraint": {"kind": MICROCANONICAL, "gas_weights": [0.5, 0.5],
-                          "container_weights": [0.5, 0.5]}, "run": {"seed": 7}}
-    comp = build_experiment(raw, command="sample").composite
-    gp = WeightProfile(build_spectrum([(0, 2), (1, 2)]), (0.3, 0.7))
-    cp = WeightProfile(build_spectrum([(1, 4), (0, 4)]), (0.4, 0.6))
-    np.testing.assert_allclose(subspace_weights(comp, gp, cp), [0.12, 0.18, 0.28, 0.42],
-                               atol=1e-14)
-    np.testing.assert_allclose(shell_weights(comp, gp, cp), [0.12, 0.46, 0.42], atol=1e-14)
-    assert gp.spectrum == comp.gas and cp.spectrum == comp.container
+    with pytest.raises(ValueError, match="gas weights: expected 2 weights"):
+        subspace_weights(comp, (0.2, 0.3, 0.5), np.full(gas.n_levels, 1 / gas.n_levels))
 
 
 def test_state_bounds():
