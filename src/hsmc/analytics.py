@@ -61,20 +61,16 @@ def min_purity_state(gas: Spectrum, gas_weights) -> tuple[np.ndarray, float]:
     return np.repeat(w / n, gas.degeneracies), float(np.sum(w * w / n))
 
 
-def max_entropy_micro(weights, degeneracies) -> float:
-    """Largest gas entropy compatible with fixed level weights.
+def max_entropy_micro(gas: Spectrum, gas_weights) -> float:
+    """Largest gas entropy compatible with fixed level weights {W_A}.
 
     Equals -sum_A W_A (ln W_A - ln N_A), the entropy of the minimum-purity
     state; zero-weight levels contribute nothing.  The logs are taken apart so
     a subnormal W_A cannot underflow W_A / N_A to 0 and the log to -inf; its
     term is then a subnormal, which is still the rounded product.
     """
-    w = np.asarray(weights, dtype=float)
-    n = np.asarray(degeneracies, dtype=float)
-    if w.shape != n.shape:
-        raise ValueError("weights and degeneracies must have matching lengths")
-    if not np.all((w >= 0) & (w < np.inf)):
-        raise ValueError(f"weights must be finite and nonnegative, got {w.tolist()!r}")
+    w = checked_weights(gas_weights, gas.n_levels, "gas weights")
+    n = np.asarray(gas.degeneracies, dtype=float)
     mask = w > 0
     with np.errstate(under="ignore"):
         return float(-np.sum(w[mask] * (np.log(w[mask]) - np.log(n[mask]))))
@@ -169,9 +165,11 @@ class MomentQuery:
         if not self.R >= 0:
             raise ValueError(f"radius {self.R!r} must be >= 0")
         # abs(x) < inf is False for NaN and +-inf, so int() below never sees them
-        if not abs(self.d) < math.inf or int(self.d) != self.d or not 1 <= self.d < 2**63:
+        if (isinstance(self.d, bool) or not abs(self.d) < math.inf or int(self.d) != self.d
+                or not 1 <= self.d < 2**63):
             raise ValueError(f"dimension {self.d!r} must be an integer in [1, 2**63)")
-        if any(not abs(u) < math.inf or int(u) != u or u < 0 for u in (self.u_l, self.u_m)):
+        if any(isinstance(u, bool) or not abs(u) < math.inf or int(u) != u or u < 0
+               for u in (self.u_l, self.u_m)):
             raise ValueError(f"exponents {self.u_l!r}, {self.u_m!r} must be nonnegative integers")
         if (order := int(self.u_l + self.u_m)) > MAX_MOMENT_ORDER:
             raise ValueError(f"total order {order} exceeds the maximum {MAX_MOMENT_ORDER}")
@@ -232,23 +230,18 @@ def _power(x: np.ndarray, u) -> np.ndarray:
     return half * half * x if u % 2 else half * half
 
 
-def region_log_size(composite: CompositeSpectrum, subspace_weights,
-                    exact_exponent: bool = False) -> float:
+def region_log_size(composite: CompositeSpectrum, subspace_weights) -> float:
     """Log size (up to weight-independent constants) of the region with fixed {W_AB}.
 
     The region is a product of spheres with surface measure proportional to
     W_AB^(N_AB - 1/2); dropping constants leaves sum_AB N_AB ln W_AB under the
-    default large-degeneracy simplification N_AB - 1/2 -> N_AB.  Pass
-    ``exact_exponent=True`` to keep the -1/2.  Returns -inf if any weight
-    vanishes.
+    large-degeneracy simplification N_AB - 1/2 -> N_AB.  Returns -inf if any
+    weight vanishes.
     """
     w = checked_weights(subspace_weights, composite.n_subspaces, "subspace weights")
-    exponents = composite.block_dims(MICROCANONICAL).astype(float)
-    if exact_exponent:
-        exponents = exponents - 0.5
     if np.any(w == 0.0):
         return float("-inf")
-    return float(np.sum(exponents * np.log(w)))
+    return float(np.sum(composite.block_dims(MICROCANONICAL) * np.log(w)))
 
 
 @dataclass(frozen=True)

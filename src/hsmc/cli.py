@@ -86,24 +86,26 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
     w_shell = weights = cfg.constraint.resolve(composite)
     if micro:
         gas_marginal, w_shell = composite.gas_level_sums(weights), composite.shell_sums(weights)
-    predictions = {
-        "constraint_kind": cfg.constraint.kind,
-        "min_purity": min_purity_state(gas, gas_marginal)[1] if micro else None,
-        "max_entropy": max_entropy_micro(gas_marginal, gas.degeneracies) if micro else None,
-        "expected_purity_exact": region_mean_purity(composite, cfg.constraint),
-        "expected_purity_approx": (expected_purity_approx(
-            composite, cfg.gas_weights, cfg.container_weights)
-            if micro and cfg.gas_weights is not None else None),
-        "lubkin_average": (lubkin_average(gas.dim, container.dim)
-                           if gas.n_levels == container.n_levels == 1 else None),
-    }
-
-    # Shell weights implied by the constraint drive the canonical attractor.
+    # A weight the constraint implies may sum off 1 by more than the given ones, or a
+    # shell weight may be too small for a finite multiplier: the config is refused.
     try:
+        predictions = {
+            "constraint_kind": cfg.constraint.kind,
+            "min_purity": min_purity_state(gas, gas_marginal)[1] if micro else None,
+            "max_entropy": max_entropy_micro(gas, gas_marginal) if micro else None,
+            "expected_purity_exact": region_mean_purity(composite, cfg.constraint),
+            "expected_purity_approx": (expected_purity_approx(
+                composite, cfg.gas_weights, cfg.container_weights)
+                if micro and cfg.gas_weights is not None else None),
+            "lubkin_average": (lubkin_average(gas.dim, container.dim)
+                               if gas.n_levels == container.n_levels == 1 else None),
+        }
+        # Shell weights implied by the constraint drive the canonical attractor.
         dd = dominant_distribution(composite, w_shell)
-    except ValueError as exc:  # a shell weight too small for a finite multiplier
-        raise ConfigError(str(exc)) from None
-    marginal = marginal_gas_distribution(dd)
+        marginal = marginal_gas_distribution(dd)
+        attractor = max_entropy_micro(gas, marginal), min_purity_state(gas, marginal)[1]
+    except ValueError as exc:
+        raise ConfigError(f"constraint invalid: {exc}") from None
     try:
         kt, residual = fit_temperature(gas, marginal)
     except ValueError:
@@ -115,8 +117,8 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
         "lambdas": list(map(list, dd.lambdas.items())),
         "w_d": list(map(list, zip(a.tolist(), b.tolist(), dd.w_d[members].tolist()))),
         "marginal_gas": marginal,
-        "attractor_entropy": max_entropy_micro(marginal, gas.degeneracies),
-        "attractor_purity": min_purity_state(gas, marginal)[1],
+        "attractor_entropy": attractor[0],
+        "attractor_purity": attractor[1],
         "kT": kt,
         "fit_residual": residual,
     }

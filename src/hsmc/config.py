@@ -183,12 +183,16 @@ def _build_constraint(raw: dict, composite: CompositeSpectrum):
             raise ConfigError("product constraints need both gas_weights and container_weights")
         gas_weights = _weight_profile(section, "gas", composite.gas)
         container_weights = _weight_profile(section, "container", composite.container)
-        if micro:
-            profile = product_constraint(composite, gas_weights, container_weights)
-        else:
-            w_shell = shell_weights(composite, gas_weights, container_weights)
-            profile = ConstraintProfile(kind, {
-                energy: float(w) for energy, w in zip(composite.shell_energies.tolist(), w_shell)})
+        try:  # each list may sum to 1 within the tolerance and their product not
+            if micro:
+                profile = product_constraint(composite, gas_weights, container_weights)
+            else:
+                w_shell = shell_weights(composite, gas_weights, container_weights)
+                profile = ConstraintProfile(kind, {energy: float(w) for energy, w in
+                                                   zip(composite.shell_energies.tolist(), w_shell)})
+        except ValueError as exc:
+            raise ConfigError(f"constraint.gas_weights x constraint.container_weights "
+                              f"invalid: {exc}") from None
         resolved = {"kind": kind, "gas_weights": list(gas_weights),
                     "container_weights": list(container_weights)}
     else:

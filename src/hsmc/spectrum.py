@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+import math
 import numbers
 
 import numpy as np
@@ -87,7 +88,8 @@ def build_spectrum(levels) -> Spectrum:
         energy = float(energy)
         if not np.isfinite(energy):
             raise ValueError(f"level energy {energy!r} is not finite")
-        if isinstance(degeneracy, float) and not degeneracy.is_integer():
+        if isinstance(degeneracy, numbers.Number) and not (
+                abs(degeneracy) < math.inf and int(degeneracy) == degeneracy):
             raise ValueError(f"degeneracy {degeneracy!r} is not a finite integer")
         degeneracy = int(degeneracy)
         if degeneracy < 1:

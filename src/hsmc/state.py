@@ -151,15 +151,14 @@ class PureState:
         return self.amplitudes[c._flat_index].reshape(c.dim_gas, c.dim_container)
 
     @classmethod
-    def from_matrix(cls, composite: CompositeSpectrum, psi: np.ndarray,
-                    check: bool = True) -> "PureState":
+    def from_matrix(cls, composite: CompositeSpectrum, psi: np.ndarray) -> "PureState":
         psi = np.asarray(psi, dtype=complex)
         expected = (composite.dim_gas, composite.dim_container)
         if psi.shape != expected:
             raise ValueError(f"matrix has shape {psi.shape}, expected {expected}")
         amplitudes = np.empty(composite.dim, dtype=complex)
         amplitudes[composite._flat_index] = psi.ravel()
-        return cls(composite, amplitudes, check=check)
+        return cls(composite, amplitudes)
 
     def subspace_weights(self) -> np.ndarray:
         """Probability mass |psi|^2 in each (A, B) subspace, in subspace order."""
@@ -174,9 +173,8 @@ class PureState:
         return self.composite.gas_level_sums(self.subspace_weights())
 
     def reduce_gas(self) -> "DensityMatrix":
-        """Partial trace over the container: rho_g = Psi Psi^dagger."""
-        psi = self.to_matrix()
-        return DensityMatrix(psi @ psi.conj().T)
+        """Partial trace over the container, rho_g: one row of :func:`reduce_gas_states`."""
+        return DensityMatrix(reduce_gas_states(self.composite, self.amplitudes[None])[0])
 
     def purity(self) -> float:
         """Local purity of the gas, Tr (rho_g)^2, from :func:`gas_purity_entropy`."""
@@ -188,26 +186,14 @@ class PureState:
 
 
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix with spectral helpers."""
+    """Hermitian, unit-trace matrix, checked when it is built."""
 
-    def __init__(self, matrix: np.ndarray, check: bool = True):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {matrix.shape}")
-        if check:
-            _check_density(matrix)
+        _check_density(matrix)
         self.matrix = matrix
-        self._eigenvalues: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending real eigenvalues; tiny negatives (>= -1e-8) are clipped to 0."""
-        if self._eigenvalues is None:
-            self._eigenvalues = _clipped_eigenvalues(self.matrix)
-        return self._eigenvalues
 
     def purity(self) -> float:
         """Tr rho^2, computed directly from the matrix (no diagonalization)."""
@@ -215,7 +201,7 @@ class DensityMatrix:
 
     def entropy(self) -> float:
         """Von Neumann entropy -sum w ln w in natural units, with 0 ln 0 = 0."""
-        return float(_entropy(self.eigenvalues()))
+        return float(_entropy(_clipped_eigenvalues(self.matrix)))
 
 
 @one_blas_thread()

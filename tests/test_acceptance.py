@@ -133,7 +133,7 @@ def test_4_entropy_concentration_near_maximum(announce):
     comp = compose(gas, container)
     profile = product_constraint(comp, np.full(gas.n_levels, 1 / gas.n_levels),
                                  np.full(container.n_levels, 1 / container.n_levels))
-    s_max = max_entropy_micro([0.5, 0.5], [2, 2])
+    s_max = max_entropy_micro(gas, [0.5, 0.5])
     p_min = min_purity_state(gas, [0.5, 0.5])[1]
 
     n = 10_000
@@ -334,7 +334,7 @@ def test_8_product_state_equilibrates_to_the_attractor(announce):
     s_bar = float(np.trapezoid(traj.measures["entropy"][half:], times[half:])) / window
 
     exact = expected_purity_exact(comp, w, w)
-    s_max = max_entropy_micro(w, gas.degeneracies)
+    s_max = max_entropy_micro(gas, w)
     p_err = abs(p_bar / exact - 1.0)
     s_floor = 0.9 * s_max
 

@@ -70,15 +70,17 @@ def test_min_purity_rejects_bad_weights():
 # ----------------------------------------------------------- maximum entropy
 
 def test_max_entropy_values():
-    assert max_entropy_micro([1.0], [4]) == pytest.approx(np.log(4))
-    assert max_entropy_micro([0.5, 0.5], [1, 1]) == pytest.approx(np.log(2))
-    assert max_entropy_micro([0.5, 0.5], [2, 2]) == pytest.approx(np.log(4))
+    assert max_entropy_micro(build_spectrum([(0, 4)]), [1.0]) == pytest.approx(np.log(4))
+    assert max_entropy_micro(build_spectrum([(0, 1), (1, 1)]),
+                             [0.5, 0.5]) == pytest.approx(np.log(2))
+    assert max_entropy_micro(build_spectrum([(0, 2), (1, 2)]),
+                             [0.5, 0.5]) == pytest.approx(np.log(4))
 
 
 def test_max_entropy_of_a_subnormal_weight_is_finite():
     # W_A / N_A underflows to 0 here, and its log was -inf
     with np.errstate(all="raise"):
-        s = max_entropy_micro([1.0, 5e-324], [1, 3])
+        s = max_entropy_micro(build_spectrum([(0, 1), (1, 3)]), [1.0, 5e-324])
     assert np.isfinite(s) and s >= 0.0
     assert s == pytest.approx(5e-324 * (np.log(3) - np.log(5e-324)), rel=1e-2)
 
@@ -88,22 +90,33 @@ def test_max_entropy_matches_density_matrix_oracle():
     weights = [0.4, 0.6]
     populations, _ = min_purity_state(gas, weights)
     want = -np.sum(populations * np.log(populations))
-    assert max_entropy_micro(weights, gas.degeneracies) == pytest.approx(want, abs=1e-12)
+    assert max_entropy_micro(gas, weights) == pytest.approx(want, abs=1e-12)
 
 
 def test_max_entropy_skips_zero_weight_levels():
-    assert max_entropy_micro([1.0, 0.0], [4, 7]) == pytest.approx(np.log(4))
+    assert max_entropy_micro(build_spectrum([(0, 4), (1, 7)]),
+                             [1.0, 0.0]) == pytest.approx(np.log(4))
 
 
 def test_max_entropy_rejects_length_mismatch():
-    with pytest.raises(ValueError, match="matching"):
-        max_entropy_micro([0.5, 0.5], [2])
+    with pytest.raises(ValueError, match="expected 1 weights"):
+        max_entropy_micro(build_spectrum([(0, 2)]), [0.5, 0.5])
+
+
+def test_max_entropy_checks_the_weights_like_min_purity():
+    # this returned 1.4155 for weights summing to 1.1; the degeneracies, which gave -inf
+    # for a 0 and NaN for a NaN, now come from a checked spectrum
+    two = build_spectrum([(0, 2), (1, 2)])
+    with pytest.raises(ValueError, match="gas weights: weights sum to 1.1"):
+        max_entropy_micro(two, [0.5, 0.6])
+    with pytest.raises(ValueError, match="gas weights: weights must be nonnegative"):
+        max_entropy_micro(two, [1.5, -0.5])
 
 
 def test_a_nan_input_is_refused_not_dropped():
     # these once returned 0.3466, kT = 2.18 from the other two levels, and (nan, nan)
-    with pytest.raises(ValueError, match="nonnegative"):
-        max_entropy_micro([0.5, np.nan], [1, 1])
+    with pytest.raises(ValueError, match="finite"):
+        max_entropy_micro(build_spectrum([(0, 1), (1, 1)]), [0.5, np.nan])
     with pytest.raises(ValueError, match="nonnegative"):
         fit_temperature(build_spectrum([(0, 1), (1, 1), (2, 1)]), [0.5, np.nan, 0.2])
     with pytest.raises(ValueError, match="NaN"):
@@ -497,6 +510,17 @@ def test_moment_query_validation():
         MomentQuery(R=1.0, d=math.nan, u_l=2, u_m=0)
     with pytest.raises(ValueError, match="exponents"):
         MomentQuery(R=1.0, d=4, u_l=math.inf, u_m=0)
+    # a truth value is not a count: d=True gave the moment 1.0 of a 1-d sphere
+    with pytest.raises(ValueError, match="dimension"):
+        MomentQuery(R=1.0, d=True, u_l=0, u_m=2)
+    for u_l, u_m in ((True, 0), (0, True), (False, 2)):
+        with pytest.raises(ValueError, match="exponents"):
+            MomentQuery(R=1.0, d=4, u_l=u_l, u_m=u_m)
+    with pytest.raises(ValueError, match="exponents"):
+        MomentQuery(R=1.0, d=4, u_l=Fraction(5, 2), u_m=0)
+    # integral values of other number types keep their value
+    assert hypersphere_moment(MomentQuery(R=1, d=np.int64(4), u_l=Fraction(2),
+                                          u_m=np.float32(0.0))) == 0.25
     with pytest.raises(ValueError, match="too large"):
         MomentQuery(R=1e300, d=4, u_l=0, u_m=2)
     MomentQuery(R=1e300, d=4, u_l=0, u_m=0)
@@ -559,11 +583,6 @@ def test_region_log_size_values():
     pair = compose(build_spectrum([(0, 1), (1, 1)]), build_spectrum([(0, 1)]))
     assert region_log_size(pair, [0.5, 0.5]) == pytest.approx(2 * np.log(0.5))
     assert region_log_size(pair, [1.0, 0.0]) == -math.inf
-
-
-def test_region_log_size_exact_exponent_flag():
-    pair = compose(build_spectrum([(0, 1), (1, 1)]), build_spectrum([(0, 1)]))
-    assert region_log_size(pair, [0.5, 0.5], exact_exponent=True) == pytest.approx(np.log(0.5))
 
 
 def test_region_log_size_validation():

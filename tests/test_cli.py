@@ -23,8 +23,9 @@ import hsmc.sampling
 import hsmc.state
 from hsmc import (CANONICAL, build_spectrum, canonical_profile, compose, dominant_distribution,
                   expected_purity_approx, expected_purity_exact, gas_purity_entropy, mc_average,
-                  microcanonical_profile, min_purity_state, product_state, purity_entropy,
-                  region_log_size, region_mean_purity, sample_chunks, subspace_weights)
+                  max_entropy_micro, microcanonical_profile, min_purity_state, product_state,
+                  purity_entropy, region_log_size, region_mean_purity, sample_chunks,
+                  subspace_weights)
 from hsmc import cli, dynamics, fanout
 from hsmc.cli import COMMANDS, main
 from hsmc.config import MAX_MOMENT_POINTS, build_experiment, load_config
@@ -919,6 +920,7 @@ NON_FINITE_VALIDATORS = {
     "min_purity_state": lambda w: min_purity_state(_TWO_LEVELS, w),
     "dominant_distribution": lambda w: dominant_distribution(_TWO_SHELLS, w),
     "region_log_size": lambda w: region_log_size(_TWO_SHELLS, w),
+    "max_entropy_micro": lambda w: max_entropy_micro(_TWO_LEVELS, w),
 }
 
 NON_FINITE_CONFIGS = {
@@ -1051,6 +1053,42 @@ run:
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "sample", "evolve"])
+@pytest.mark.parametrize("kind", ["microcanonical", "canonical"])
+def test_product_weights_whose_product_sums_off_1_exit_2(tmp_path, capsys, command, kind):
+    # each list sums to 1 within 1e-12, their product to 1.0000000000018: this ended in
+    # a ValueError traceback from building the product profile, exit 1
+    weights = "[0.5, 0.5000000000009]"
+    text = C1_YAML.replace("kind: microcanonical", f"kind: {kind}").replace(
+        "gas_weights: [0.5, 0.5]", f"gas_weights: {weights}").replace(
+        "container_weights: [0.5, 0.5]", f"container_weights: {weights}")
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: constraint.gas_weights") and "1.0000000000018" in err
+    assert "Traceback" not in err
+
+
+def test_a_derived_gas_marginal_that_sums_off_1_exits_2(tmp_path, capsys):
+    # explicit subspace weights that sum to 1 within 1e-12, but whose gas marginal, as
+    # predict derives it, sums to 1.000000000001: predict ended in a traceback, exit 1
+    weights = [0.10081683293669995, 0.18721901353827577, 0.02839605614581456,
+               0.18686164908055644, 0.0614234684199776, 0.08338536283676069,
+               0.16303796106800003, 0.080602614227022, 0.10825704174789295]
+    levels = [[0, 1], [1, 1], [2, 1]]
+    cfg = write_config(tmp_path, yaml.safe_dump({
+        "gas": {"levels": levels}, "container": {"levels": levels},
+        "constraint": {"kind": "microcanonical", "weights": [
+            [a, b, w] for (a, b), w in zip(np.ndindex(3, 3), weights)]},
+        "run": {"seed": 7, "n_samples": 10}}))
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "s"), "--quiet"]) == 0
+    assert main(["predict", "--config", cfg, "--out", str(tmp_path / "p"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "1.000000000001" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "p" / "report.json").exists()
+
+
 def test_both_weight_styles_rejected(tmp_path, capsys):
     yaml_text = LUBKIN_YAML.replace(
         "  container_weights: [1.0]\n",
@@ -1150,10 +1188,13 @@ def _mostly(draw, valid, odd):
 
 
 def _fuzz_weights(draw, n):
-    """Nonnegative weights summing to 1, or now and then anything."""
+    """Nonnegative weights summing to 1, or now and then to 1 + k 1e-12 for k near the
+    +-1 of the sum tolerance, or now and then anything."""
     raw = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     total = sum(raw)
     valid = [w / total for w in raw] if total > 0 else [1.0 / n] * n
+    k = draw(st.sampled_from([0.0] * 5 + [-2.0, -0.9, 0.9, 1.1, 2.0]))
+    valid = [w * (1.0 + k * 1e-12) for w in valid]
     return _mostly(draw, st.just(valid),
                    st.lists(st.one_of(st.floats(-2, 2), ODD_NUMBERS), max_size=n + 1))
 

@@ -1,3 +1,5 @@
+from decimal import Decimal
+from fractions import Fraction
 import math
 import numbers
 import warnings
@@ -42,6 +44,16 @@ def test_bad_degeneracy_rejected():
         build_spectrum([(0, -2)])
     with pytest.raises(ValueError):
         build_spectrum([(0, 1.5)])
+
+
+def test_a_fractional_degeneracy_of_any_number_type_is_refused():
+    # each of these was truncated to degeneracy 2 without a word; only a float was checked
+    for degeneracy in (Fraction(5, 2), Decimal("2.5"), np.float32(2.5), 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="not a finite integer"):
+            build_spectrum([(0, degeneracy)])
+    # integral values keep their value, and so does the text of an integer, as a config holds it
+    for degeneracy in (Fraction(3), Decimal("3"), np.float32(3.0), np.int64(3), 3.0, "3"):
+        assert build_spectrum([(0, degeneracy)]).degeneracies == (3,)
 
 
 def test_truth_values_rejected():

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import hsmc.state
 from hsmc import (MICROCANONICAL, DensityMatrix, PureState, build_spectrum, compose,
-                  expected_purity_approx, expected_purity_exact, gas_purity_entropy,
-                  product_constraint, product_state, read_amplitudes_csv, shell_weights,
-                  subspace_weights, write_amplitudes_csv)
+                  expected_purity_approx, expected_purity_exact, fanout, gas_purity_entropy,
+                  product_constraint, product_state, read_amplitudes_csv, reduce_gas_states,
+                  shell_weights, subspace_weights, write_amplitudes_csv)
 
 
 def two_by_two():
@@ -66,14 +66,23 @@ def test_reduce_gas_bell_state():
     assert rho.entropy() == pytest.approx(np.log(2))
 
 
+def test_reduce_gas_is_one_row_of_the_batched_reduction_on_one_blas_thread(monkeypatch):
+    comp = compose(build_spectrum([(0, 2), (1, 3)]), build_spectrum([(0, 2), (1, 2)]))
+    state = random_state(comp, np.random.default_rng(31))
+    counts = [2]  # a process that starts on 2 OpenBLAS threads
+    monkeypatch.setattr(fanout, "_blas_threads", lambda: (lambda: counts[-1], counts.append))
+    rho = state.reduce_gas()
+    assert counts == [2, 1, 2]  # held at one thread for the product, then given back
+    np.testing.assert_array_equal(rho.matrix, reduce_gas_states(comp, state.amplitudes[None])[0])
+
+
 def test_reduced_eigenvalues_match_svd_oracle():
     comp = two_by_two()
     rng = np.random.default_rng(5)
     state = random_state(comp, rng)
     rho = state.reduce_gas()
-    singular = np.linalg.svd(state.to_matrix(), compute_uv=False)
-    np.testing.assert_allclose(sorted(rho.eigenvalues()), sorted(singular ** 2),
-                               atol=1e-12)
+    squares = np.linalg.svd(state.to_matrix(), compute_uv=False) ** 2
+    assert rho.entropy() == pytest.approx(-np.sum(squares * np.log(squares)), abs=1e-12)
 
 
 def test_purity_values():
@@ -151,14 +160,14 @@ def test_batched_reduction_runs_the_density_checks():
 
 def test_entropy_rejects_corrupted_density_matrix():
     bad = np.diag([1.2, -0.2]).astype(complex)
-    rho = DensityMatrix(bad, check=False)
+    rho = DensityMatrix(bad)  # Hermitian with unit trace: only the eigenvalue floor refuses it
     with pytest.raises(ValueError, match="eigenvalue"):
         rho.entropy()
 
 
 def test_tiny_negative_eigenvalues_are_clipped():
-    rho = DensityMatrix(np.diag([1.0 + 1e-11, -1e-11]).astype(complex), check=False)
-    assert rho.eigenvalues()[0] == 0.0
+    rho = DensityMatrix(np.diag([1.0 + 1e-11, -1e-11]).astype(complex))
+    assert hsmc.state._clipped_eigenvalues(rho.matrix)[0] == 0.0
     assert np.isfinite(rho.entropy())
 
 
@@ -310,8 +319,8 @@ def test_state_bounds():
     comp = compose(build_spectrum([(0, 2), (1, 1)]), build_spectrum([(0, 2)]))
     for _ in range(10):
         rho = random_state(comp, rng).reduce_gas()
-        assert 1.0 / rho.dim - 1e-12 <= rho.purity() <= 1.0 + 1e-12
-        assert -1e-12 <= rho.entropy() <= np.log(rho.dim) + 1e-12
+        assert 1.0 / len(rho.matrix) - 1e-12 <= rho.purity() <= 1.0 + 1e-12
+        assert -1e-12 <= rho.entropy() <= np.log(len(rho.matrix)) + 1e-12
 
 
 def test_amplitude_csv_round_trip(tmp_path):
