@@ -18,9 +18,9 @@ import math
 
 import numpy as np
 
-from .sampling import (CANONICAL, MICROCANONICAL, ConstraintProfile, McEstimate, mc_estimate,
-                       product_constraint, region, substream)
-from .spectrum import CompositeSpectrum, Spectrum
+from .sampling import (CANONICAL, MICROCANONICAL, ConstraintProfile, McEstimate, _check_keys,
+                       mc_estimate, product_constraint, region, substream)
+from .spectrum import CompositeSpectrum, Spectrum, _whole
 from .state import BATCH_ELEMENTS, _level_weights, checked_weights
 
 __all__ = [
@@ -126,10 +126,10 @@ def expected_purity_approx(composite: CompositeSpectrum, gas_weights,
 
 
 def _dimensions(*dims) -> list[int]:
-    """``dims`` as ints; ValueError unless each is an integer >= 1 and not a truth value."""
-    if any(isinstance(d, bool) or not abs(d) < math.inf or int(d) != d or d < 1 for d in dims):
+    """``dims`` as ints; ValueError unless each is a whole number >= 1."""
+    if None in (whole := [_whole(d) for d in dims]) or min(whole) < 1:
         raise ValueError(f"dimensions {dims!r} must be integers >= 1")
-    return [int(d) for d in dims]
+    return whole
 
 
 def lubkin_average(n_gas: int, n_container: int) -> float:
@@ -162,18 +162,17 @@ class MomentQuery:
     u_m: int
 
     def __post_init__(self):
-        if not self.R >= 0:
+        if isinstance(self.R, (bool, np.bool_, str)) or not self.R >= 0:
             raise ValueError(f"radius {self.R!r} must be >= 0")
-        # abs(x) < inf is False for NaN and +-inf, so int() below never sees them
-        if (isinstance(self.d, bool) or not abs(self.d) < math.inf or int(self.d) != self.d
-                or not 1 <= self.d < 2**63):
+        d, u_l, u_m = map(_whole, (self.d, self.u_l, self.u_m))
+        if d is None or not 1 <= d < 2**63:
             raise ValueError(f"dimension {self.d!r} must be an integer in [1, 2**63)")
-        if any(isinstance(u, bool) or not abs(u) < math.inf or int(u) != u or u < 0
-               for u in (self.u_l, self.u_m)):
+        if u_l is None or u_m is None or min(u_l, u_m) < 0:
             raise ValueError(f"exponents {self.u_l!r}, {self.u_m!r} must be nonnegative integers")
-        if (order := int(self.u_l + self.u_m)) > MAX_MOMENT_ORDER:
+        vars(self).update(R=float(self.R), d=d, u_l=u_l, u_m=u_m)  # whatever types they came as
+        if (order := u_l + u_m) > MAX_MOMENT_ORDER:
             raise ValueError(f"total order {order} exceeds the maximum {MAX_MOMENT_ORDER}")
-        if self.u_l > 0 and self.u_m > 0 and self.d < 2:
+        if u_l > 0 and u_m > 0 and d < 2:
             raise ValueError("moments of two distinct coordinates need d >= 2")
         with np.errstate(over="ignore"):  # the MC error squares values up to R^(2 order)
             if not np.isfinite(np.float64(self.R) ** (2 * order)):
@@ -185,7 +184,7 @@ def hypersphere_moment(query: MomentQuery) -> float:
 
     (-1)!! = 1.  The ratio is one correctly rounded division of exact integers.
     """
-    a, b, d = int(query.u_l), int(query.u_m), int(query.d)
+    a, b, d = query.u_l, query.u_m, query.d
     if a % 2 or b % 2:
         return 0.0
     numerator = math.prod(range(a - 1, 0, -2)) * math.prod(range(b - 1, 0, -2))
@@ -200,10 +199,11 @@ def hypersphere_moment_mc(query: MomentQuery, n: int, seed: int) -> McEstimate:
     is ``substream(seed, k)``.  Points are drawn and measured ``BATCH_ELEMENTS`` at
     a time, one chunk held at once; the points do not depend on that size.
     """
+    seed, _, n = _check_keys(seed, 0, n)
     normals, rest = substream(seed, 0), substream(seed, 1)
     def points(m):
         """``m`` points (x_1, x_2); if d = 1 just (x_1,), where one exponent is 0."""
-        g = normals.standard_normal((m, min(int(query.d), 2)))
+        g = normals.standard_normal((m, min(query.d, 2)))
         squared = np.einsum("ij,ij->i", g, g)
         if query.d > 2:
             squared += rest.chisquare(query.d - 2, m)
@@ -226,7 +226,7 @@ def _power(x: np.ndarray, u) -> np.ndarray:
     calls libm ``pow``, about 20x slower.  Each product rounds: the last bits may move."""
     if u <= 2:
         return x ** u
-    half = _power(x, int(u) // 2)
+    half = _power(x, u // 2)
     return half * half * x if u % 2 else half * half
 
 

@@ -177,8 +177,8 @@ def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
     the coupling is nonzero; the others take numpy's ``eigh`` of diag(d) + scale * V
     diag(lambda) V^dagger.
     """
-    if not coupling >= 0:
-        raise ValueError("coupling must be >= 0")
+    if isinstance(coupling, (bool, np.bool_, str)) or not coupling >= 0:
+        raise ValueError(f"coupling {coupling!r} must be a number >= 0")
     gas, container = composite.gas, composite.container
     dims = composite.block_dims(MICROCANONICAL)
     gas_diag = np.repeat(np.repeat(gas.energies, container.n_levels), dims)
@@ -193,7 +193,7 @@ def _assemble(composite: CompositeSpectrum, kind: str, coupling: float,
     with one_blas_thread():
         for stream, (values, _) in zip(streams, pairs):
             _gue_eigenvalues(stream, values)
-    scale = coupling / max(float(np.max(np.abs(e))) for e, _ in pairs)
+    scale = float(coupling) / max(float(np.max(np.abs(e))) for e, _ in pairs)
 
     def finish(w: int, m: int) -> None:
         batch = np.empty(BATCH_ELEMENTS)
@@ -392,13 +392,9 @@ def evolve(initial: PureState, hamiltonian: Hamiltonian, times, sink=None) -> Tr
 
 
 def _series(traj: Trajectory, measure_name: str) -> np.ndarray:
-    try:
-        return traj.measures[measure_name]
-    except KeyError:
-        raise KeyError(
-            f"unknown measure {measure_name!r}; available: "
-            f"{sorted(traj.measures)}"
-        ) from None
+    if measure_name not in traj.measures:
+        raise KeyError(f"unknown measure {measure_name!r}; available: {sorted(traj.measures)}")
+    return traj.measures[measure_name]
 
 
 def time_average(traj: Trajectory, measure_name: str):

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .fanout import fan_out, one_blas_thread, shared_array
-from .spectrum import CANONICAL, MICROCANONICAL, CompositeSpectrum
+from .spectrum import CANONICAL, MICROCANONICAL, CompositeSpectrum, _whole
 from .state import (BATCH_ELEMENTS, PureState, batch_rows, check_normalized, checked_weights,
                     reduce_gas_states, subspace_weights)
 
@@ -209,9 +209,11 @@ def mc_estimate(chunks: Iterable[np.ndarray], seed: int) -> McEstimate:
     return McEstimate(mean=mean, std_error=std_error, n_samples=count, seed=seed)
 
 
-def _check_keys(seed: int, start: int, count: int) -> None:
-    if not (0 <= seed < 2**64 and 0 <= start and 0 <= count and start + count <= 2**64):
-        raise ValueError("seed and index must be integers in [0, 2**64)")
+def _check_keys(seed: int, start: int, count: int) -> tuple[int, int, int]:
+    keys = tuple(map(_whole, (seed, start, count)))  # as ints: no other key's stream is drawn
+    if None in keys or not (0 <= min(keys) and keys[0] < 2**64 and sum(keys[1:]) <= 2**64):
+        raise ValueError(f"keys {seed!r}, {start!r} + [0, {count!r}) are not whole in [0, 2**64)")
+    return keys
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -221,7 +223,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
     so parallel workers assigned disjoint index ranges reproduce the serial
     sample sequence exactly.
     """
-    _check_keys(seed, index, 1)
+    seed, index, _ = _check_keys(seed, index, 1)
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
@@ -306,7 +308,7 @@ def sample_chunks(composite: CompositeSpectrum, profile: ConstraintProfile,
     out once, and one Philox generator is re-keyed to [seed, index] for each
     row.  Memory stays at a few chunks however large ``count`` is.
     """
-    _check_keys(seed, start, count)
+    seed, start, count = _check_keys(seed, start, count)
     return _chunks(_sphere_blocks(region(composite, profile)), batch_rows(composite.dim),
                    seed, start, count)
 
@@ -418,7 +420,7 @@ def gas_state_chunks(composite: CompositeSpectrum, profile: ConstraintProfile,
     is not positive and finite is a ValueError, and every rho_g passes the checks
     of :func:`~hsmc.state.purity_entropy` when measured.
     """
-    _check_keys(seed, start, count)
+    seed, start, count = _check_keys(seed, start, count)
     return _gas_chunks(composite, _bartlett(region(composite, profile)), seed, start, count)
 
 
@@ -466,7 +468,7 @@ def sample_gas_states(composite: CompositeSpectrum, profile: ConstraintProfile,
     by :func:`~hsmc.state.reduce_gas_states`.  The choice follows from the region's
     layout alone, so draw i depends on ``substream(seed, i)`` and the region only.
     """
-    _check_keys(seed, start, count)
+    seed, start, count = _check_keys(seed, start, count)
     table = region(composite, profile)
     factors = _bartlett(table)
     if factors.saving > GAMMA_CALL_NORMALS:
@@ -520,6 +522,7 @@ def mc_average(measure: Callable[[np.ndarray], np.ndarray], composite: Composite
     it while other threads run.  ``measure`` runs on one OpenBLAS thread, and its
     side effects in forked workers do not reach the caller.  It holds 8 B per draw.
     """
+    seed, _, n = _check_keys(seed, 0, n)
     if n < 2:
         raise ValueError("mc_average needs n >= 2 to estimate a standard error")
     return mc_estimate(measure_draws(measure, 1, partial(sample_chunks, composite, profile, seed),

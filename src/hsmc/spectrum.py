@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-import math
 import numbers
 
 import numpy as np
@@ -60,6 +59,20 @@ class Spectrum:
         return np.concatenate(([0], np.cumsum(self.degeneracies)))
 
 
+def _whole(value) -> int | None:
+    """The int of a finite whole number of any number type (``3.0``, ``np.uint8(3)``,
+    ``Fraction(3)``); None for a truth value, text, a complex number, NaN, +-inf or a fraction."""
+    if type(value) is int:  # the common case, at the cost of one test
+        return value
+    if isinstance(value, (bool, np.bool_, np.complexfloating)):
+        return None
+    try:
+        whole = int(value)  # the text of an integer is no number: the == below fails
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return whole if whole == value else None
+
+
 def build_spectrum(levels) -> Spectrum:
     """Validate and sort a list of (energy, degeneracy) pairs into a Spectrum.
 
@@ -71,38 +84,32 @@ def build_spectrum(levels) -> Spectrum:
     Raises
     ------
     ValueError
-        On an empty list, a duplicate energy, a truth value, or a degeneracy < 1.
+        On an empty list, a duplicate energy, a truth value, or a degeneracy no integer >= 1.
     """
     levels = list(levels)
     if not levels:
         raise ValueError("spectrum needs at least one level")
-    energies = []
-    degens = []
+    pairs = []
     for entry in levels:
         try:
             energy, degeneracy = entry
         except (TypeError, ValueError):
             raise ValueError(f"level {entry!r} is not an (energy, degeneracy) pair") from None
-        if isinstance(energy, bool) or isinstance(degeneracy, bool):
+        if isinstance(energy, (bool, np.bool_)) or isinstance(degeneracy, (bool, np.bool_)):
             raise ValueError(f"level {entry!r} holds a truth value, not a number")
         energy = float(energy)
         if not np.isfinite(energy):
             raise ValueError(f"level energy {energy!r} is not finite")
-        if isinstance(degeneracy, numbers.Number) and not (
-                abs(degeneracy) < math.inf and int(degeneracy) == degeneracy):
-            raise ValueError(f"degeneracy {degeneracy!r} is not a finite integer")
-        degeneracy = int(degeneracy)
-        if degeneracy < 1:
-            raise ValueError(f"degeneracy {degeneracy} must be >= 1")
-        energies.append(energy)
-        degens.append(degeneracy)
-    order = np.argsort(energies, kind="stable")
-    energies = [energies[i] for i in order]
-    degens = [degens[i] for i in order]
+        count = int(degeneracy) if isinstance(degeneracy, str) else _whole(degeneracy)
+        if count is None or count < 1:
+            raise ValueError(f"degeneracy {degeneracy!r} is not a finite integer >= 1")
+        pairs.append((energy, count))
+    pairs.sort(key=lambda pair: pair[0])  # stable: of -0.0 and 0.0, the first given is named
+    energies, degens = zip(*pairs)
     for e_prev, e_next in zip(energies, energies[1:]):
         if e_prev == e_next:
             raise ValueError(f"duplicate level energy {e_prev}; merge the degeneracies instead")
-    return Spectrum(energies=tuple(energies), degeneracies=tuple(degens))
+    return Spectrum(energies=energies, degeneracies=degens)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,13 +148,11 @@ class CompositeSpectrum:
 
     def subspace_index(self, A: int, B: int) -> int:
         """Position A * container.n_levels + B of subspace (A, B) in the lexicographic
-        enumeration.  A and B are integers: a fraction or a truth value names no subspace."""
-        for key, n_levels in ((A, self.gas.n_levels), (B, self.container.n_levels)):
-            # as a dict keyed by the levels finds them: level k hashes to k, and so does a key == k
-            if isinstance(key, (bool, np.bool_)) or not (0 <= hash(key) < n_levels
-                                                         and key == hash(key)):
-                raise KeyError(f"no subspace ({A}, {B}) in this composite")
-        return hash(A) * self.container.n_levels + hash(B)
+        enumeration.  A and B are whole numbers: anything else names no subspace."""
+        a, b = _whole(A), _whole(B)
+        if None in (a, b) or not (0 <= a < self.gas.n_levels and 0 <= b < self.container.n_levels):
+            raise KeyError(f"no subspace ({A}, {B}) in this composite")
+        return a * self.container.n_levels + b
 
     def blocks(self, kind: str) -> tuple[np.ndarray, ...]:
         """Read-only flat amplitude indices of each block a ``kind`` constraint fixes:
@@ -195,14 +200,11 @@ class CompositeSpectrum:
         always resolves: it lies within half the shell tolerance of some member,
         since members chain by gaps within it.  A non-finite energy, a truth value
         or a non-number resolves to no shell."""
-        if isinstance(energy, (bool, np.bool_)) or not isinstance(energy, numbers.Real):
-            raise KeyError(f"no shell at energy {energy!r}")
-        energy = float(energy)
-        if not np.isfinite(energy):
-            raise KeyError(f"no shell at energy {energy!r}")
         (shell,), (nearest,) = self._shells_at([energy])
-        if shell < 0:
-            raise KeyError(f"no shell at energy {energy!r} (nearest is {float(nearest)!r})")
+        if shell < 0:  # a number is named by its float, and by the nearest energy if finite
+            number = isinstance(energy, numbers.Real) and not isinstance(energy, (bool, np.bool_))
+            raise KeyError(f"no shell at energy {float(energy) if number else energy!r}" + (
+                f" (nearest is {float(nearest)!r})" if nearest == nearest else ""))
         return int(shell)
 
     def _shells_at(self, keys) -> tuple[np.ndarray, np.ndarray]:
@@ -284,11 +286,11 @@ def compose(gas: Spectrum, container: Spectrum,
     Raises
     ------
     ValueError
-        If ``shell_tolerance`` is negative or NaN, the composite holds 2**63 states
-        or more, or a total energy overflows.
+        If ``shell_tolerance`` is negative, NaN, a truth value or text, the composite
+        holds 2**63 states or more, or a total energy overflows.
     """
-    if not shell_tolerance >= 0:
-        raise ValueError("shell_tolerance must be >= 0")
+    if isinstance(shell_tolerance, (bool, np.bool_, str)) or not shell_tolerance >= 0:
+        raise ValueError(f"shell_tolerance {shell_tolerance!r} must be a number >= 0")
     if gas.dim * container.dim >= 2**63:
         raise ValueError(f"{gas.dim} x {container.dim} states: a composite holds "
                          "fewer than 2**63")
@@ -305,7 +307,7 @@ def compose(gas: Spectrum, container: Spectrum,
     # Shells: single-linkage grouping of the sorted total energies.
     order = np.argsort(energies, kind="stable")
     with np.errstate(over="ignore"):  # a gap past the float range is just wide
-        starts = np.diff(energies[order]) > shell_tolerance
+        starts = np.diff(energies[order]) > float(shell_tolerance)
     shell_of_subspace = np.empty(len(dims), dtype=np.intp)
     shell_of_subspace[order] = np.concatenate(([0], np.cumsum(starts)))
     members = np.argsort(shell_of_subspace, kind="stable")  # (A, B) order within a shell

@@ -48,11 +48,16 @@ def checked_weights(values, n: int, what: str) -> np.ndarray:
     """``values`` as a float array of ``n`` finite, nonnegative weights summing to 1.
 
     The sum must lie within ``WEIGHT_SUM_TOLERANCE`` of 1.  Raises ValueError
-    naming ``what`` otherwise.
+    naming ``what`` otherwise, and for a truth value, text or a complex number.
     """
-    w = np.asarray(values, dtype=float)
+    w = np.asarray(values)
     if w.shape != (n,):
         raise ValueError(f"{what}: expected {n} weights, got shape {w.shape}")
+    listed = w.dtype == object or not isinstance(values, np.ndarray)  # asarray([True, .5]) is float
+    if any(issubclass(t, (bool, np.bool_, str, bytes, complex, np.complexfloating))
+           for t in (set(map(type, values)) if listed else {w.dtype.type})):
+        raise ValueError(f"{what}: weights must be real numbers, got {w.tolist()!r}")
+    w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError(f"{what}: weights must be finite, got {w.tolist()!r}")
     if np.any(w < 0):
@@ -137,9 +142,8 @@ class PureState:
                  check: bool = True):
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.shape != (composite.dim,):
-            raise ValueError(
-                f"amplitude vector has shape {amplitudes.shape}, expected ({composite.dim},)"
-            )
+            raise ValueError(f"amplitude vector has shape {amplitudes.shape}, "
+                             f"expected ({composite.dim},)")
         if check:
             check_normalized(amplitudes)
         self.composite = composite
@@ -242,8 +246,7 @@ def gas_purity_entropy(composite: CompositeSpectrum,
     if amplitudes.ndim != 2 or amplitudes.shape[1] != composite.dim:
         raise ValueError(f"amplitudes have shape {amplitudes.shape}, expected (n, {composite.dim})")
     n = len(amplitudes)
-    purity = np.empty(n)
-    entropy = np.empty(n)
+    purity, entropy = np.empty((2, n))
     rows = batch_rows(composite.dim)
     for start in range(0, n, rows):
         chunk = reduce_gas_states(composite, amplitudes[start:start + rows])
@@ -313,21 +316,17 @@ def read_amplitudes_csv(path, composite: CompositeSpectrum) -> PureState:
         lines = [line.rstrip("\n") for line in fh]
     if lines[:1] != ["# hsmc state v1"]:
         raise ValueError(f"{path}, line 1: {(lines or [''])[0]!r} is not '# hsmc state v1'")
-    header = {}
-    data_lines = []
+    header, data_lines = {}, []
     for number, line in enumerate(lines, 1):
         if line.startswith("# ") and "=" in line:
             key, _, value = line[2:].partition("=")
             header[key] = value
         elif line and not line.startswith("#") and not line.startswith("index"):
             data_lines.append((number, line))
-    expected_gas = repr(list(zip(composite.gas.energies, composite.gas.degeneracies)))
-    expected_container = repr(
-        list(zip(composite.container.energies, composite.container.degeneracies)))
-    if header.get("gas_levels") != expected_gas:
-        raise ValueError("state file was written for a different gas spectrum")
-    if header.get("container_levels") != expected_container:
-        raise ValueError("state file was written for a different container spectrum")
+    for name, spectrum in (("gas", composite.gas), ("container", composite.container)):
+        if header.get(f"{name}_levels") != repr(list(zip(spectrum.energies,
+                                                         spectrum.degeneracies))):
+            raise ValueError(f"state file was written for a different {name} spectrum")
     if len(data_lines) != composite.dim:
         raise ValueError(f"{path}: {len(data_lines)} data rows, expected {composite.dim}")
     amplitudes = np.zeros(composite.dim, dtype=complex)
